@@ -1,10 +1,13 @@
 #include "costmodel/cost_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
+
+#include "costmodel/hash.h"
 
 namespace xrbench::costmodel {
 namespace {
@@ -17,10 +20,10 @@ std::int64_t bounded(std::int64_t dim, std::int64_t budget) {
 
 /// Finalizer-grade 64-bit mixer (splitmix64). The memo key fields are tiny
 /// integers (PE counts, layer dims) whose raw bits cluster in the low byte;
-/// the combine below accumulates them cheaply (one xor-multiply per field)
-/// and a single splitmix64 finalizer spreads the accumulated entropy across
-/// all 64 bits. Without the finalizer a PE-count sweep lands whole key
-/// families in a handful of buckets.
+/// hash_combine accumulates them cheaply (one xor-multiply per field) and a
+/// single splitmix64 finalizer spreads the accumulated entropy across all
+/// 64 bits. Without the finalizer a PE-count sweep lands whole key families
+/// in a handful of buckets.
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -28,19 +31,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::size_t hash_combine(std::size_t seed, std::size_t v) {
-  // Polynomial accumulation with an odd multiplier (FNV-style): the
-  // multiply shifts every prior field's bits upward so small integers in
-  // successive fields never cancel; avalanching is deferred to the single
-  // splitmix64 finalizer in make_model_key.
-  return (seed ^ v) * 0x9e3779b97f4a7c15ULL;
-}
-
-std::size_t hash_double(double d) {
+std::uint64_t hash_double(double d) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
   std::memcpy(&bits, &d, sizeof(bits));
-  return static_cast<std::size_t>(bits);
+  return bits;
 }
 
 /// Buckets the model memo reserves up front. A 13-design x 9-size DVFS
@@ -527,95 +522,127 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
   return scratch.result;
 }
 
-bool AnalyticalCostModel::ModelCostKey::operator==(
-    const ModelCostKey& o) const {
-  if (hash != o.hash || dataflow != o.dataflow || num_pes != o.num_pes ||
-      sram_bytes != o.sram_bytes || clock_ghz != o.clock_ghz ||
-      noc_bytes_per_cycle != o.noc_bytes_per_cycle ||
-      offchip_bytes_per_cycle != o.offchip_bytes_per_cycle ||
-      levels.size() != o.levels.size() || layer_sig != o.layer_sig) {
-    return false;
-  }
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    if (levels[i].freq_ghz != o.levels[i].freq_ghz ||
-        levels[i].voltage_v != o.levels[i].voltage_v) {
+struct AnalyticalCostModel::MemoEntry {
+  /// The key: every input the columns depend on. Layer names are excluded
+  /// (graphs with equal layer shapes cost the same), and so are the
+  /// config's id, transition_ms, idle_mw and nominal_level, which never
+  /// enter a cost.
+  std::vector<std::array<std::int64_t, 8>> layer_shapes;
+  SubAccelConfig accel;
+  CostColumns columns;
+
+  /// True when `graph` on `config` is this entry's key, compared in place.
+  bool matches(const ModelGraph& graph, const SubAccelConfig& config) const {
+    const auto& levels = accel.dvfs.levels;
+    const auto& other = config.dvfs.levels;
+    if (config.dataflow != accel.dataflow || config.num_pes != accel.num_pes ||
+        config.sram_bytes != accel.sram_bytes ||
+        config.clock_ghz != accel.clock_ghz ||
+        config.noc_bytes_per_cycle != accel.noc_bytes_per_cycle ||
+        config.offchip_bytes_per_cycle != accel.offchip_bytes_per_cycle ||
+        other.size() != levels.size() ||
+        graph.num_layers() != layer_shapes.size()) {
       return false;
     }
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      if (other[i].freq_ghz != levels[i].freq_ghz ||
+          other[i].voltage_v != levels[i].voltage_v) {
+        return false;
+      }
+    }
+    for (std::size_t i = 0; i < layer_shapes.size(); ++i) {
+      if (graph.layers()[i].shape() != layer_shapes[i]) return false;
+    }
+    return true;
   }
-  return true;
-}
+};
 
-AnalyticalCostModel::ModelCostKey AnalyticalCostModel::make_model_key(
-    const ModelGraph& graph, const SubAccelConfig& accel) {
-  ModelCostKey key;
-  key.layer_sig.reserve(graph.num_layers() * 8);
-  for (const auto& layer : graph.layers()) {
-    key.layer_sig.push_back(static_cast<std::int64_t>(layer.type));
-    key.layer_sig.push_back(layer.k);
-    key.layer_sig.push_back(layer.c);
-    key.layer_sig.push_back(layer.y);
-    key.layer_sig.push_back(layer.x);
-    key.layer_sig.push_back(layer.r);
-    key.layer_sig.push_back(layer.s);
-    key.layer_sig.push_back(layer.elems);
-  }
-  key.dataflow = static_cast<int>(accel.dataflow);
-  key.num_pes = accel.num_pes;
-  key.sram_bytes = accel.sram_bytes;
-  key.clock_ghz = accel.clock_ghz;
-  key.noc_bytes_per_cycle = accel.noc_bytes_per_cycle;
-  key.offchip_bytes_per_cycle = accel.offchip_bytes_per_cycle;
-  key.levels = accel.dvfs.levels;
+namespace {
 
-  std::size_t h = static_cast<std::size_t>(key.dataflow);
-  for (std::int64_t v : key.layer_sig) {
-    h = hash_combine(h, static_cast<std::size_t>(v));
-  }
-  h = hash_combine(h, static_cast<std::size_t>(key.num_pes));
-  h = hash_combine(h, static_cast<std::size_t>(key.sram_bytes));
-  h = hash_combine(h, hash_double(key.clock_ghz));
-  h = hash_combine(h, hash_double(key.noc_bytes_per_cycle));
-  h = hash_combine(h, hash_double(key.offchip_bytes_per_cycle));
-  for (const auto& op : key.levels) {
+/// The memo index of (graph, accel): the graph's structure hash extended
+/// with every sub-accel field a MemoEntry key holds, then avalanched.
+std::uint64_t memo_hash(const ModelGraph& graph, const SubAccelConfig& accel) {
+  std::uint64_t h = hash_combine(graph.structure_hash(),
+                                 static_cast<std::uint64_t>(accel.dataflow));
+  h = hash_combine(h, static_cast<std::uint64_t>(accel.num_pes));
+  h = hash_combine(h, static_cast<std::uint64_t>(accel.sram_bytes));
+  h = hash_combine(h, hash_double(accel.clock_ghz));
+  h = hash_combine(h, hash_double(accel.noc_bytes_per_cycle));
+  h = hash_combine(h, hash_double(accel.offchip_bytes_per_cycle));
+  for (const auto& op : accel.dvfs.levels) {
     h = hash_combine(h, hash_double(op.freq_ghz));
     h = hash_combine(h, hash_double(op.voltage_v));
   }
-  key.hash = static_cast<std::size_t>(splitmix64(h));
-  return key;
+  return splitmix64(h);
 }
 
-std::shared_ptr<const std::vector<ModelCost>>
-AnalyticalCostModel::cached_model_cost_all_levels(
+/// The cost columns of an all-levels result: each level's totals and the
+/// running sums of its layers, added left to right like the totals.
+CostColumns make_columns(const std::vector<ModelCost>& all,
+                         std::size_t num_layers) {
+  CostColumns c;
+  c.num_layers = num_layers;
+  c.levels.reserve(all.size());
+  const std::size_t entries = all.size() * (num_layers + 1);
+  c.latency_prefix_ms.resize(entries);  // zero-filled: every prefix[0] = 0
+  c.energy_prefix_mj.resize(entries);
+  c.static_prefix_mj.resize(entries);
+  for (std::size_t l = 0; l < all.size(); ++l) {
+    const ModelCost& mc = all[l];
+    c.levels.push_back(ModelTotals{mc.latency_ms, mc.energy_mj,
+                                   mc.static_energy_mj, mc.avg_utilization});
+    const std::size_t base = c.prefix_index(l, 0);
+    double lat = 0.0, energy = 0.0, stat = 0.0;
+    for (std::size_t k = 0; k < num_layers; ++k) {
+      lat += mc.layers[k].latency_ms;
+      energy += mc.layers[k].energy_mj;
+      stat += mc.layers[k].static_energy_mj;
+      c.latency_prefix_ms[base + k + 1] = lat;
+      c.energy_prefix_mj[base + k + 1] = energy;
+      c.static_prefix_mj[base + k + 1] = stat;
+    }
+  }
+  return c;
+}
+
+}  // namespace
+
+std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch* scratch) const {
-  ModelCostKey key = make_model_key(graph, accel);
+  const std::uint64_t hash = memo_hash(graph, accel);
   std::shared_ptr<const MemoEntry> entry;
   {
     const auto lock = lock_memo(memo_mutex_);
-    const auto it = memo_.find(key.hash);
+    const auto it = memo_.find(hash);
     if (it != memo_.end()) entry = it->second;
   }
-  if (entry != nullptr && entry->key == key) {
+  if (entry != nullptr && entry->matches(graph, accel)) {
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    return {entry, &entry->costs};
+    return {entry, &entry->columns};
   }
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  // The entry must own its costs, so the scratch path copies
-  // scratch.result into it — still one allocation fewer than the
-  // scratchless path, and only on a miss.
-  entry = std::make_shared<const MemoEntry>(
-      MemoEntry{std::move(key), scratch != nullptr
-                                    ? model_cost_all_levels(graph, accel,
-                                                            *scratch)
-                                    : model_cost_all_levels(graph, accel)});
+  // The columns are reduced from the kernel's result right after the walk,
+  // while the result is still in cache.
+  AllLevelsScratch local;
+  const auto& all = model_cost_all_levels(
+      graph, accel, scratch != nullptr ? *scratch : local);
+  auto fresh = std::make_shared<MemoEntry>();
+  fresh->layer_shapes.reserve(graph.num_layers());
+  for (const Layer& layer : graph.layers()) {
+    fresh->layer_shapes.push_back(layer.shape());
+  }
+  fresh->accel = accel;
+  fresh->columns = make_columns(all, graph.num_layers());
+  entry = std::move(fresh);
   std::shared_ptr<const MemoEntry> stored;
   {
     const auto lock = lock_memo(memo_mutex_);
-    stored = memo_.emplace(entry->key.hash, entry).first->second;
+    stored = memo_.emplace(hash, entry).first->second;
   }
   // A racing winner's equal entry stays canonical.
-  if (stored != entry && stored->key == entry->key) entry = stored;
-  return {entry, &entry->costs};
+  if (stored != entry && stored->matches(graph, accel)) entry = stored;
+  return {entry, &entry->columns};
 }
 
 void AnalyticalCostModel::clear_model_memo() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,10 +36,14 @@ struct SubAccelConfig {
   /// else).
   hw::DvfsState dvfs;
 
+  /// True when every resource is positive and finite (NaN fails the `> 0`
+  /// tests) and the DVFS table is valid and anchored at clock_ghz.
   bool valid() const {
     return num_pes > 0 && clock_ghz > 0 && noc_bytes_per_cycle > 0 &&
-           offchip_bytes_per_cycle > 0 && sram_bytes > 0 && dvfs.valid() &&
-           dvfs.anchored_at(clock_ghz);
+           offchip_bytes_per_cycle > 0 && std::isfinite(clock_ghz) &&
+           std::isfinite(noc_bytes_per_cycle) &&
+           std::isfinite(offchip_bytes_per_cycle) && sram_bytes > 0 &&
+           dvfs.valid() && dvfs.anchored_at(clock_ghz);
   }
 };
 
@@ -69,9 +74,9 @@ struct LayerCost {
 };
 
 /// Counters of the model-level memo. hits + misses = total
-/// cached_model_cost_all_levels() lookups, counted exactly; misses can
-/// exceed entries when two threads race on the same key (both compute, one
-/// insert wins).
+/// cached_cost_columns() lookups, counted exactly; misses can exceed
+/// entries when two threads race on the same key (both compute, one insert
+/// wins).
 struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -91,6 +96,38 @@ struct ModelCost {
   double avg_utilization = 0.0;  ///< MAC-weighted average across MAC layers.
   double dram_traffic_bytes = 0.0;
   std::vector<LayerCost> layers;
+};
+
+/// The totals of a ModelCost that a runtime::CostTable cell holds.
+struct ModelTotals {
+  double latency_ms = 0.0;
+  double energy_mj = 0.0;
+  /// Leakage/clock share of energy_mj (the rest is dynamic switching
+  /// energy). Telemetry streams this split into the per-sub-accelerator
+  /// dynamic/static breakdown.
+  double static_energy_mj = 0.0;
+  double avg_utilization = 0.0;
+};
+
+/// What a runtime::CostTable reads of one (model graph, sub-accelerator)
+/// pair at every DVFS level of the sub-accelerator: each level's totals and
+/// the per-layer running sums of latency, energy and static energy. The
+/// model-level memo stores exactly this, and tables share it instead of
+/// copying it.
+struct CostColumns {
+  std::size_t num_layers = 0;
+  std::vector<ModelTotals> levels;  ///< Level l's model_cost_at() totals.
+  /// Per level, num_layers + 1 running sums: entry prefix_index(l, k) sums
+  /// level l's first k layers, added left to right like the ModelCost
+  /// totals, so prefix_index(l, num_layers) holds level l's total bit for
+  /// bit (a checkpoint resumed at layer k pays exactly total - prefix[k]).
+  std::vector<double> latency_prefix_ms;
+  std::vector<double> energy_prefix_mj;
+  std::vector<double> static_prefix_mj;
+
+  std::size_t prefix_index(std::size_t level, std::size_t layer) const {
+    return level * (num_layers + 1) + layer;
+  }
 };
 
 /// Reusable scratch for the level-axis lane kernel: every per-call
@@ -200,15 +237,21 @@ class AnalyticalCostModel {
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch& scratch) const;
 
-  /// Memoized model_cost_all_levels: a (graph signature x sub-accel config
-  /// x all-levels) cache, so repeated (model, sub-accelerator) pairs across
-  /// sweep points skip the layer walk entirely (CostTable builds call
-  /// this). The returned vector is shared — concurrent builds of identical
-  /// designs read one cached copy. Keys compare the full layer-dimension
-  /// list, never just a hash, so a collision can not silently alias two
-  /// models. `scratch`, when given, is reused for the layer walk on a memo
-  /// miss (hits never touch it) — the CostTable build loop passes its own.
-  std::shared_ptr<const std::vector<ModelCost>> cached_model_cost_all_levels(
+  /// Memoized cost columns of `graph` on `accel`: model_cost_all_levels
+  /// reduced to what a CostTable reads, cached per (layer shapes x
+  /// sub-accel config x DVFS ladder), so repeated (model, sub-accelerator)
+  /// pairs across sweep points skip the layer walk entirely (CostTable
+  /// builds call this). The returned columns are shared — concurrent builds
+  /// of identical designs read one cached copy — and stay valid after the
+  /// memo is cleared or this model is destroyed. A hit allocates nothing:
+  /// the lookup hashes graph.structure_hash() with the config, and a hit is
+  /// confirmed by comparing the cached layer shapes and config with `graph`
+  /// and `accel` in place, never by the hash alone, so a collision can not
+  /// silently alias two models. `scratch`, when given, is reused
+  /// for the layer walk on a memo miss (hits never touch it) — the
+  /// CostTable build loop passes its own. Throws std::invalid_argument for
+  /// an invalid config.
+  std::shared_ptr<const CostColumns> cached_cost_columns(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
 
@@ -231,7 +274,7 @@ class AnalyticalCostModel {
 
   /// Exact hit/miss counters and entry count of the model-level memo
   /// (distinct (graph, sub-accel config) pairs evaluated through
-  /// cached_model_cost_all_levels).
+  /// cached_cost_columns).
   MemoStats model_memo_stats() const;
   void clear_model_memo() const;
 
@@ -276,31 +319,10 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// Model-level memo key: the graph's full layer-dimension signature plus
-  /// every sub-accel field model_cost_all_levels reads — including the DVFS
-  /// ladder, since the value covers all levels. Names are excluded on both
-  /// sides (two graphs with identical layer lists cost the same), and so
-  /// are transition_ms / idle_mw / nominal_level, which never enter a
-  /// ModelCost. The mixed hash over all fields is precomputed once by
-  /// make_model_key and indexes the memo.
-  struct ModelCostKey {
-    std::vector<std::int64_t> layer_sig;  ///< 8 packed fields per layer.
-    int dataflow;
-    std::int64_t num_pes, sram_bytes;
-    double clock_ghz, noc_bytes_per_cycle, offchip_bytes_per_cycle;
-    std::vector<hw::DvfsOperatingPoint> levels;
-    std::size_t hash = 0;  ///< Set by make_model_key; excluded from equality.
-    bool operator==(const ModelCostKey& o) const;
-  };
-  static ModelCostKey make_model_key(const ModelGraph& graph,
-                                     const SubAccelConfig& accel);
-
-  /// One memo entry: the full key and the all-levels costs. Callers hold
-  /// the costs through an aliasing pointer that keeps the entry alive.
-  struct MemoEntry {
-    ModelCostKey key;
-    std::vector<ModelCost> costs;
-  };
+  /// One model-level memo entry: its full key and its cost columns
+  /// (defined in cost_model.cpp). Callers hold the columns through an
+  /// aliasing pointer that keeps the entry alive.
+  struct MemoEntry;
 
   EnergyParams energy_;
   /// The model-level memo: one map behind one mutex, indexed by the key
@@ -313,7 +335,7 @@ class AnalyticalCostModel {
   /// value, one insert wins); a different key with the same hash is caught
   /// by the comparison and left uncached.
   mutable std::mutex memo_mutex_;
-  mutable std::unordered_map<std::size_t, std::shared_ptr<const MemoEntry>>
+  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const MemoEntry>>
       memo_;
   mutable std::atomic<std::uint64_t> memo_hits_{0};
   mutable std::atomic<std::uint64_t> memo_misses_{0};

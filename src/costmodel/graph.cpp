@@ -2,12 +2,18 @@
 
 #include <stdexcept>
 
+#include "costmodel/hash.h"
+
 namespace xrbench::costmodel {
 
 void ModelGraph::add(Layer layer) {
   if (!layer.valid()) {
     throw std::invalid_argument("ModelGraph::add: invalid layer '" +
                                 layer.name + "' in model '" + name_ + "'");
+  }
+  for (std::int64_t v : layer.shape()) {
+    structure_hash_ =
+        hash_combine(structure_hash_, static_cast<std::uint64_t>(v));
   }
   layers_.push_back(std::move(layer));
 }

@@ -24,6 +24,12 @@ class ModelGraph {
   std::size_t num_layers() const { return layers_.size(); }
   bool empty() const { return layers_.empty(); }
 
+  /// Hash of the layer shapes in order (Layer::shape; names excluded), kept
+  /// current by add(). Graphs with equal layer shapes hash equally whatever
+  /// their names, so the cost model's memo can index by it without
+  /// re-reading the layers.
+  std::uint64_t structure_hash() const { return structure_hash_; }
+
   /// Aggregate multiply-accumulate count across layers.
   std::int64_t total_macs() const;
 
@@ -39,6 +45,7 @@ class ModelGraph {
  private:
   std::string name_;
   std::vector<Layer> layers_;
+  std::uint64_t structure_hash_ = 0;
 };
 
 }  // namespace xrbench::costmodel

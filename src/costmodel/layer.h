@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +68,13 @@ struct Layer {
 
   /// Validates dimension sanity (all dims >= 1, vector ops have elems > 0).
   bool valid() const;
+
+  /// Everything that determines the layer's cost: its type and dimensions,
+  /// i.e. every field but the name. Layers with equal shapes cost the same
+  /// on any sub-accelerator.
+  std::array<std::int64_t, 8> shape() const {
+    return {static_cast<std::int64_t>(type), k, c, y, x, r, s, elems};
+  }
 };
 
 // ---- Layer factory helpers (used by the model zoo) -------------------------

@@ -1,6 +1,8 @@
 #include "hw/config_io.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,9 +21,35 @@ namespace {
 /// library reject its own output for non-short-decimal clocks.
 using util::fmt_double_exact;
 
-[[noreturn]] void dvfs_error(int line, const std::string& message) {
+[[noreturn]] void config_error(int line, const std::string& message) {
   throw std::invalid_argument("accelerator config line " +
                               std::to_string(line) + ": " + message);
+}
+
+/// Reads `key` of `sec` as a finite number > 0, rejecting NaN, +-inf and
+/// non-positive values with the key's source line.
+double positive_double(const util::IniDocument::Section& sec,
+                       const std::string& key) {
+  const double v = sec.get_double(key);
+  if (!std::isfinite(v) || v <= 0.0) {
+    config_error(sec.line_of(key),
+                 key + " must be a finite number > 0, got '" + sec.get(key) +
+                     "'");
+  }
+  return v;
+}
+
+/// Reads `key` of `sec` as a finite number >= 0, rejecting NaN, +-inf and
+/// negative values with the key's source line.
+double non_negative_double(const util::IniDocument::Section& sec,
+                           const std::string& key) {
+  const double v = sec.get_double(key);
+  if (!std::isfinite(v) || v < 0.0) {
+    config_error(sec.line_of(key),
+                 key + " must be a finite number >= 0, got '" + sec.get(key) +
+                     "'");
+  }
+  return v;
 }
 
 /// Parses "f1@v1, f2@v2, ..." into an operating-point list, enforcing a
@@ -35,8 +63,9 @@ std::vector<DvfsOperatingPoint> parse_dvfs_levels(const std::string& text,
   while (std::getline(in, token, ',')) {
     const auto at = token.find('@');
     if (at == std::string::npos) {
-      dvfs_error(line, "dvfs_levels entries must be freq_ghz@voltage_v, got '" +
-                           token + "'");
+      config_error(line,
+                   "dvfs_levels entries must be freq_ghz@voltage_v, got '" +
+                       token + "'");
     }
     DvfsOperatingPoint op;
     try {
@@ -50,21 +79,23 @@ std::vector<DvfsOperatingPoint> parse_dvfs_levels(const std::string& text,
         throw std::invalid_argument("trailing characters");
       }
     } catch (const std::exception&) {
-      dvfs_error(line, "dvfs_levels entry '" + token + "' is not numeric");
+      config_error(line, "dvfs_levels entry '" + token + "' is not numeric");
     }
-    if (op.freq_ghz <= 0.0 || op.voltage_v <= 0.0) {
-      dvfs_error(line, "dvfs_levels frequencies and voltages must be > 0");
+    if (!std::isfinite(op.freq_ghz) || op.freq_ghz <= 0.0 ||
+        !std::isfinite(op.voltage_v) || op.voltage_v <= 0.0) {
+      config_error(line, "dvfs_levels frequencies and voltages must be "
+                         "finite and > 0");
     }
     if (!levels.empty() && op.freq_ghz <= levels.back().freq_ghz) {
-      dvfs_error(line,
-                 "dvfs_levels must be strictly ascending in frequency (" +
-                     fmt_double_exact(op.freq_ghz) + " GHz after " +
-                     fmt_double_exact(levels.back().freq_ghz) + " GHz)");
+      config_error(line,
+                   "dvfs_levels must be strictly ascending in frequency (" +
+                       fmt_double_exact(op.freq_ghz) + " GHz after " +
+                       fmt_double_exact(levels.back().freq_ghz) + " GHz)");
     }
     levels.push_back(op);
   }
   if (levels.empty()) {
-    dvfs_error(line, "dvfs_levels must list at least one operating point");
+    config_error(line, "dvfs_levels must list at least one operating point");
   }
   return levels;
 }
@@ -80,9 +111,9 @@ DvfsState parse_dvfs(const util::IniDocument::Section& sec, double clock_ghz) {
       const std::int64_t nominal = sec.get_int("dvfs_nominal");
       if (nominal < 0 ||
           nominal >= static_cast<std::int64_t>(dvfs.levels.size())) {
-        dvfs_error(sec.line_of("dvfs_nominal"),
-                   "dvfs_nominal must index a dvfs_levels entry (0.." +
-                       std::to_string(dvfs.levels.size() - 1) + ")");
+        config_error(sec.line_of("dvfs_nominal"),
+                     "dvfs_nominal must index a dvfs_levels entry (0.." +
+                         std::to_string(dvfs.levels.size() - 1) + ")");
       }
       dvfs.nominal_level = static_cast<std::size_t>(nominal);
     } else {
@@ -92,31 +123,25 @@ DvfsState parse_dvfs(const util::IniDocument::Section& sec, double clock_ghz) {
         if (dvfs.levels[i].freq_ghz == clock_ghz) anchored = i;
       }
       if (anchored == dvfs.levels.size()) {
-        dvfs_error(line,
-                   "dvfs_levels has no level at the chip clock; set "
-                   "dvfs_nominal explicitly or add a clock-rate level");
+        config_error(line,
+                     "dvfs_levels has no level at the chip clock; set "
+                     "dvfs_nominal explicitly or add a clock-rate level");
       }
       dvfs.nominal_level = anchored;
     }
     if (!dvfs.anchored_at(clock_ghz)) {
-      dvfs_error(line,
-                 "the nominal dvfs level must run at the chip clock (" +
-                     fmt_double_exact(clock_ghz) + " GHz) to keep nominal costs "
-                     "bit-identical to the fixed-clock path");
+      config_error(line,
+                   "the nominal dvfs level must run at the chip clock (" +
+                       fmt_double_exact(clock_ghz) +
+                       " GHz) to keep nominal costs bit-identical to the "
+                       "fixed-clock path");
     }
   }
   if (sec.has("dvfs_transition_ms")) {
-    dvfs.transition_ms = sec.get_double("dvfs_transition_ms");
-    if (dvfs.transition_ms < 0.0) {
-      dvfs_error(sec.line_of("dvfs_transition_ms"),
-                 "dvfs_transition_ms must be >= 0");
-    }
+    dvfs.transition_ms = non_negative_double(sec, "dvfs_transition_ms");
   }
   if (sec.has("dvfs_idle_mw")) {
-    dvfs.idle_mw = sec.get_double("dvfs_idle_mw");
-    if (dvfs.idle_mw < 0.0) {
-      dvfs_error(sec.line_of("dvfs_idle_mw"), "dvfs_idle_mw must be >= 0");
-    }
+    dvfs.idle_mw = non_negative_double(sec, "dvfs_idle_mw");
   }
   return dvfs;
 }
@@ -135,7 +160,7 @@ std::vector<std::size_t> parse_fault_domain(
   }
   const int line = sec.line_of("members");
   auto fail = [line](const std::string& msg) {
-    dvfs_error(line, msg);
+    config_error(line, msg);
   };
   std::vector<std::size_t> members;
   std::istringstream in(sec.get("members"));
@@ -241,11 +266,8 @@ AcceleratorSystem from_config_text(const std::string& text) {
   system.id = chip.get_or("id", "custom");
   system.style = parse_accel_style(chip.get_or("style", "FDA"));
   system.dataflow_desc = chip.get_or("dataflow_desc", "");
-  const double clock = chip.has("clock_ghz") ? chip.get_double("clock_ghz")
-                                             : 1.0;
-  if (clock <= 0.0) {
-    throw std::invalid_argument("accelerator config: clock_ghz must be > 0");
-  }
+  const double clock =
+      chip.has("clock_ghz") ? positive_double(chip, "clock_ghz") : 1.0;
 
   if (doc.has_section("faults")) {
     system.faults =
@@ -263,14 +285,28 @@ AcceleratorSystem from_config_text(const std::string& text) {
     sa.id = system.id + "." + std::to_string(index++);
     sa.dataflow = costmodel::parse_dataflow(sec->get("dataflow"));
     sa.num_pes = sec->get_int("num_pes");
+    if (sa.num_pes <= 0) {
+      config_error(sec->line_of("num_pes"), "num_pes must be > 0");
+    }
     sa.clock_ghz = clock;
-    sa.noc_bytes_per_cycle = sec->get_double("noc_gbps") / clock;
-    sa.offchip_bytes_per_cycle = sec->get_double("offchip_gbps") / clock;
-    sa.sram_bytes = sec->get_int("sram_kib") * 1024;
+    sa.noc_bytes_per_cycle = positive_double(*sec, "noc_gbps") / clock;
+    sa.offchip_bytes_per_cycle = positive_double(*sec, "offchip_gbps") / clock;
+    // Checked before the multiply: a signed overflow is undefined.
+    constexpr std::int64_t kMaxSramKib =
+        std::numeric_limits<std::int64_t>::max() / 1024;
+    const std::int64_t sram_kib = sec->get_int("sram_kib");
+    if (sram_kib <= 0 || sram_kib > kMaxSramKib) {
+      config_error(sec->line_of("sram_kib"),
+                   "sram_kib must be in 1.." + std::to_string(kMaxSramKib));
+    }
+    sa.sram_bytes = sram_kib * 1024;
     sa.dvfs = parse_dvfs(*sec, clock);
     if (!sa.valid()) {
-      throw std::invalid_argument(
-          "accelerator config: invalid [sub_accel] resources for " + sa.id);
+      // Every key passed its own check, so a bandwidth over- or underflowed
+      // when converted to bytes per cycle at the chip clock.
+      config_error(sec->line, "invalid [sub_accel] resources for " + sa.id +
+                                  ": a bandwidth per clock cycle is out of "
+                                  "range");
     }
     system.sub_accels.push_back(std::move(sa));
   }

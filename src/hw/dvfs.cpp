@@ -1,16 +1,23 @@
 #include "hw/dvfs.h"
 
+#include <cmath>
 #include <iterator>
 
 namespace xrbench::hw {
 
 bool DvfsState::valid() const {
-  if (transition_ms < 0.0 || idle_mw < 0.0) return false;
+  if (!std::isfinite(transition_ms) || transition_ms < 0.0 ||
+      !std::isfinite(idle_mw) || idle_mw < 0.0) {
+    return false;
+  }
   if (levels.empty()) return nominal_level == 0;
   if (nominal_level >= levels.size()) return false;
   double prev_freq = 0.0;
   for (const auto& op : levels) {
-    if (op.freq_ghz <= prev_freq || op.voltage_v <= 0.0) return false;
+    if (!std::isfinite(op.freq_ghz) || op.freq_ghz <= prev_freq ||
+        !std::isfinite(op.voltage_v) || op.voltage_v <= 0.0) {
+      return false;
+    }
     prev_freq = op.freq_ghz;
   }
   return true;

@@ -46,8 +46,9 @@ struct DvfsState {
   /// Number of selectable levels (1 for the empty fixed-clock table).
   std::size_t num_levels() const { return levels.empty() ? 1 : levels.size(); }
 
-  /// True for the empty table or a strictly-ascending positive V/f ladder
-  /// with a valid nominal index.
+  /// True for the empty table or a strictly-ascending positive finite V/f
+  /// ladder with a valid nominal index, and a finite non-negative
+  /// transition_ms and idle_mw.
   bool valid() const;
 
   /// True when the table's nominal frequency matches `clock_ghz` (trivially

@@ -34,18 +34,7 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   }
 
   costs_.resize(models::kNumTasks * total_levels_);
-  task_layers_.resize(models::kNumTasks);
-  prefix_base_.resize(models::kNumTasks);
-  std::size_t prefix_entries = 0;
-  for (models::TaskId task : models::all_tasks()) {
-    const std::size_t t = models::task_index(task);
-    task_layers_[t] = models::model_graph(task).num_layers();
-    prefix_base_[t] = prefix_entries;
-    prefix_entries += (task_layers_[t] + 1) * total_levels_;
-  }
-  lat_prefix_.resize(prefix_entries);
-  energy_prefix_.resize(prefix_entries);
-  static_prefix_.resize(prefix_entries);
+  columns_.resize(models::kNumTasks * num_sub_accels_);
   // One scratch for the whole build loop: after the first (task, sub-accel)
   // evaluation at the largest shape, every later model-memo miss reuses its
   // lanes and layer lists instead of re-allocating them per build.
@@ -53,38 +42,18 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   for (models::TaskId task : models::all_tasks()) {
     const auto& graph = models::model_graph(task);
     const std::size_t t = models::task_index(task);
-    const std::size_t row = t * total_levels_;
-    const std::size_t num_layers = task_layers_[t];
     for (std::size_t sa = 0; sa < num_sub_accels_; ++sa) {
       // One memoized all-levels evaluation per (task, sub-accelerator): the
       // batched kernel walks the layer list once for the whole DVFS ladder
       // (bit-identical to per-level model_cost_at, test-enforced), and the
       // model memo makes repeated designs across sweep points free.
-      const auto all = cost_model.cached_model_cost_all_levels(
+      auto column = cost_model.cached_cost_columns(
           graph, system.sub_accels[sa], &scratch);
       for (std::size_t lvl = 0; lvl < num_levels_[sa]; ++lvl) {
-        const std::size_t cell = level_offset_[sa] + lvl;
-        const auto& mc = (*all)[lvl];
-        costs_[row + cell] =
-            ExecutionCost{mc.latency_ms, mc.energy_mj, mc.static_energy_mj,
-                          mc.avg_utilization};
-        // Prefix sums in the same left-to-right order as model_cost_at's
-        // totals, so prefix[num_layers] == the whole-model cost bit-exactly
-        // (a resume at layer 0 is indistinguishable from a fresh dispatch).
-        const std::size_t base = prefix_base_[t] + cell * (num_layers + 1);
-        double lat = 0.0, energy = 0.0, stat = 0.0;
-        lat_prefix_[base] = 0.0;
-        energy_prefix_[base] = 0.0;
-        static_prefix_[base] = 0.0;
-        for (std::size_t k = 0; k < num_layers; ++k) {
-          lat += mc.layers[k].latency_ms;
-          energy += mc.layers[k].energy_mj;
-          stat += mc.layers[k].static_energy_mj;
-          lat_prefix_[base + k + 1] = lat;
-          energy_prefix_[base + k + 1] = energy;
-          static_prefix_[base + k + 1] = stat;
-        }
+        costs_[t * total_levels_ + level_offset_[sa] + lvl] =
+            column->levels[lvl];
       }
+      columns_[t * num_sub_accels_ + sa] = std::move(column);
     }
   }
   idle_power_w_.resize(total_levels_);
@@ -122,19 +91,19 @@ const ExecutionCost& CostTable::cost(models::TaskId task,
                 level_offset_[sub_accel] + level];
 }
 
-std::size_t CostTable::prefix_index(models::TaskId task,
-                                    std::size_t sub_accel, std::size_t level,
-                                    std::size_t layer) const {
+const costmodel::CostColumns& CostTable::checked_column(
+    models::TaskId task, std::size_t sub_accel, std::size_t level,
+    std::size_t layer) const {
   check_sub_accel(sub_accel);
   if (level >= num_levels_[sub_accel]) {
     throw std::out_of_range("CostTable: DVFS level out of range");
   }
-  const std::size_t t = models::task_index(task);
-  if (layer > task_layers_[t]) {
+  const auto& column =
+      *columns_[models::task_index(task) * num_sub_accels_ + sub_accel];
+  if (layer > column.num_layers) {
     throw std::out_of_range("CostTable: layer prefix out of range");
   }
-  return prefix_base_[t] +
-         (level_offset_[sub_accel] + level) * (task_layers_[t] + 1) + layer;
+  return column;
 }
 
 std::size_t CostTable::completed_layers(models::TaskId task,
@@ -142,17 +111,16 @@ std::size_t CostTable::completed_layers(models::TaskId task,
                                         std::size_t level,
                                         std::size_t from_layer,
                                         double elapsed_ms) const {
-  const std::size_t t = models::task_index(task);
-  const std::size_t num_layers = task_layers_[t];
-  const std::size_t base = prefix_index(task, sub_accel, level, 0);
+  const auto& column = checked_column(task, sub_accel, level, 0);
+  const std::size_t num_layers = column.num_layers;
   if (from_layer > num_layers) {
     throw std::out_of_range("CostTable::completed_layers: from_layer");
   }
-  const double start = lat_prefix_[base + from_layer];
+  const double* prefix =
+      column.latency_prefix_ms.data() + column.prefix_index(level, 0);
+  const double start = prefix[from_layer];
   std::size_t k = from_layer;
-  while (k < num_layers && lat_prefix_[base + k + 1] - start <= elapsed_ms) {
-    ++k;
-  }
+  while (k < num_layers && prefix[k + 1] - start <= elapsed_ms) ++k;
   return k;
 }
 

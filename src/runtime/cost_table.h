@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -9,15 +10,7 @@
 namespace xrbench::runtime {
 
 /// Latency/energy of one (model, sub-accelerator, DVFS level) triple.
-struct ExecutionCost {
-  double latency_ms = 0.0;
-  double energy_mj = 0.0;
-  /// Leakage/clock share of energy_mj (the rest is dynamic switching
-  /// energy). Telemetry streams this split into the per-sub-accelerator
-  /// dynamic/static breakdown.
-  double static_energy_mj = 0.0;
-  double avg_utilization = 0.0;
-};
+using ExecutionCost = costmodel::ModelTotals;
 
 /// Precomputed execution costs of every unit model on every sub-accelerator
 /// of one accelerator system, at every DVFS operating level the
@@ -89,22 +82,25 @@ class CostTable {
 
   /// Number of layers in `task`'s model graph.
   std::size_t num_layers(models::TaskId task) const {
-    return task_layers_[models::task_index(task)];
+    return columns_[models::task_index(task) * num_sub_accels_]->num_layers;
   }
   /// Sum of the first `layer` layers' latencies (0 <= layer <= num_layers).
   double layer_latency_prefix_ms(models::TaskId task, std::size_t sub_accel,
                                  std::size_t level, std::size_t layer) const {
-    return lat_prefix_[prefix_index(task, sub_accel, level, layer)];
+    const auto& col = checked_column(task, sub_accel, level, layer);
+    return col.latency_prefix_ms[col.prefix_index(level, layer)];
   }
   /// Sum of the first `layer` layers' total energies.
   double layer_energy_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
-    return energy_prefix_[prefix_index(task, sub_accel, level, layer)];
+    const auto& col = checked_column(task, sub_accel, level, layer);
+    return col.energy_prefix_mj[col.prefix_index(level, layer)];
   }
   /// Sum of the first `layer` layers' static (leakage) energies.
   double layer_static_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
-    return static_prefix_[prefix_index(task, sub_accel, level, layer)];
+    const auto& col = checked_column(task, sub_accel, level, layer);
+    return col.static_prefix_mj[col.prefix_index(level, layer)];
   }
   /// Number of layers fully completed by an execution that started at layer
   /// `from_layer` and ran for `elapsed_ms` on (sub_accel, level): the
@@ -122,6 +118,12 @@ class CostTable {
     check_sub_accel(sub_accel);
     return nominal_level_[sub_accel];
   }
+  /// The cost column of (task, sub_accel), after checking sub_accel, level
+  /// and layer against it. Throws std::out_of_range.
+  const costmodel::CostColumns& checked_column(models::TaskId task,
+                                               std::size_t sub_accel,
+                                               std::size_t level,
+                                               std::size_t layer) const;
 
   std::size_t num_sub_accels_ = 0;
   std::size_t total_levels_ = 0;  ///< Sum of num_levels_ over sub-accels.
@@ -134,19 +136,11 @@ class CostTable {
   std::vector<ExecutionCost> costs_;
   /// Idle power (W) per [level_offset(sub_accel) + level].
   std::vector<double> idle_power_w_;
-
-  /// Entry index into the layer-prefix arrays. Task blocks are laid out
-  /// back to back (tasks have different layer counts); within a block each
-  /// (sub-accel, level) cell owns a contiguous run of num_layers+1 entries.
-  std::size_t prefix_index(models::TaskId task, std::size_t sub_accel,
-                           std::size_t level, std::size_t layer) const;
-
-  std::vector<std::size_t> task_layers_;  ///< Layers per task.
-  /// Per-task base offset into the prefix arrays.
-  std::vector<std::size_t> prefix_base_;
-  std::vector<double> lat_prefix_;
-  std::vector<double> energy_prefix_;
-  std::vector<double> static_prefix_;
+  /// The model memo's cost columns per [task][sub_accel], shared with the
+  /// memo and with every other table of the same (model, sub-accelerator)
+  /// pair. They own their data, so the table stays valid after the memo is
+  /// cleared or the cost model is destroyed.
+  std::vector<std::shared_ptr<const costmodel::CostColumns>> columns_;
 };
 
 }  // namespace xrbench::runtime

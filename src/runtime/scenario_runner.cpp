@@ -11,6 +11,7 @@
 #include "runtime/dispatch_context.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "util/table.h"
 #include "workload/input_source.h"
 #include "workload/unit_model.h"
 
@@ -707,6 +708,20 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   // mismatches at load time, this preflight catches programmatically-built
   // scenarios.
   workload::validate_dependency_rates(scenario);
+  // Resource preflight: the storage reserved below grows with the predicted
+  // record count, so a run too large to hold is rejected before anything is
+  // reserved. Summed in double, so no duration can overflow the count.
+  double predicted_records = 0.0;
+  for (const auto& sm : scenario.models) {
+    predicted_records += sm.target_fps * config.duration_ms / 1000.0;
+  }
+  if (!(predicted_records <= static_cast<double>(kMaxRunRecords))) {
+    throw std::invalid_argument(
+        "ScenarioRunner::run: duration_ms = " +
+        util::fmt_double_exact(config.duration_ms) + " predicts " +
+        util::fmt_double(predicted_records, 0) +
+        " records, above the bound of " + std::to_string(kMaxRunRecords));
+  }
 
   // The fallback arena is constructed only when the caller brought none —
   // sweep trials and program phases always do, and an eager local would

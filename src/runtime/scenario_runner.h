@@ -167,6 +167,15 @@ class AdmissionController;
 
 class ScenarioRunner {
  public:
+  /// Upper bound on the records one run() may predict (the sum over its
+  /// models of target_fps x duration). run() reserves record, timeline,
+  /// request and event storage for every predicted record up front, about
+  /// 250 bytes each, and throws std::invalid_argument before reserving
+  /// anything when the prediction exceeds the bound. That caps one run at
+  /// ~1 GB, about six hours of the busiest Table-2 scenario (VR Gaming,
+  /// 180 inferences/s).
+  static constexpr std::int64_t kMaxRunRecords = 4'000'000;
+
   ScenarioRunner(const hw::AcceleratorSystem& system, const CostTable& costs);
 
   /// Runs `scenario`. When `governor` is non-null the dispatcher consults it

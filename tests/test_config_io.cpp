@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/harness.h"
 #include "hw/config_io.h"
 #include "workload/scenario_io.h"
@@ -153,25 +156,62 @@ TEST(HwConfigIo, DvfsParsesHandWrittenLadder) {
   EXPECT_EQ(round.sub_accels[0].dvfs.transition_ms, 0.25);
 }
 
-TEST(HwConfigIo, DvfsRejectsNonMonotonicLadderWithLineNumber) {
-  const std::string config =
-      "[chip]\n"                             // line 1
-      "id = X\n"                             // line 2
-      "clock_ghz = 1\n"                      // line 3
-      "[sub_accel]\n"                        // line 4
-      "dataflow = WS\n"                      // line 5
-      "num_pes = 1024\n"                     // line 6
-      "noc_gbps = 64\n"                      // line 7
-      "offchip_gbps = 8\n"                   // line 8
-      "sram_kib = 2048\n"                    // line 9
-      "dvfs_levels = 1@0.8, 0.5@0.62\n";     // line 10: descending
-  try {
-    hw::from_config_text(config);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("line 10"), std::string::npos) << message;
-    EXPECT_NE(message.find("ascending"), std::string::npos) << message;
+TEST(HwConfigIo, RejectsMalformedValuesWithLineNumber) {
+  // Each case rewrites one line of a valid config; the rejection must name
+  // the offending source line and say what is wrong.
+  const std::vector<std::string> valid = {
+      "[chip]",                          // line 1
+      "id = X",                          // line 2
+      "clock_ghz = 0.5",                 // line 3
+      "[sub_accel]",                     // line 4
+      "dataflow = WS",                   // line 5
+      "num_pes = 1024",                  // line 6
+      "noc_gbps = 64",                   // line 7
+      "offchip_gbps = 8",                // line 8
+      "sram_kib = 2048",                 // line 9
+      "dvfs_levels = 0.25@0.62, 0.5@0.8",  // line 10
+  };
+  struct Case {
+    int edit_line;
+    std::string text;
+    int error_line;
+    std::string expect;
+  };
+  const Case cases[] = {
+      {10, "dvfs_levels = 0.5@0.8, 0.25@0.62", 10, "ascending"},
+      {10, "dvfs_levels = 0.25@nan, 0.5@0.8", 10, "finite"},
+      {10, "dvfs_levels = 0.25@0.62, 0.5@0.8, inf@0.9", 10, "finite"},
+      {10, "dvfs_transition_ms = inf", 10, "dvfs_transition_ms"},
+      {10, "dvfs_idle_mw = nan", 10, "dvfs_idle_mw"},
+      {3, "clock_ghz = 0", 3, "clock_ghz"},
+      {3, "clock_ghz = nan", 3, "clock_ghz"},
+      {6, "num_pes = 0", 6, "num_pes"},
+      {7, "noc_gbps = inf", 7, "noc_gbps"},
+      {8, "offchip_gbps = inf", 8, "offchip_gbps"},
+      {8, "offchip_gbps = -8", 8, "offchip_gbps"},
+      {9, "sram_kib = 0", 9, "sram_kib"},
+      // sram_kib * 1024 would overflow a signed 64-bit byte count.
+      {9, "sram_kib = 9000000000000000000", 9, "sram_kib"},
+      // Finite in GB/s but infinite in bytes per cycle at 0.5 GHz.
+      {7, "noc_gbps = 1e308", 4, "resources"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::string config;
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      const bool edited = static_cast<int>(i) + 1 == c.edit_line;
+      config += (edited ? c.text : valid[i]) + "\n";
+    }
+    try {
+      hw::from_config_text(config);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line " + std::to_string(c.error_line)),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(c.expect), std::string::npos) << message;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/harness.h"
 #include "core/sweep.h"
@@ -222,25 +224,35 @@ TEST(FaultConfig, ProgramConfigRoundTrip) {
 }
 
 TEST(FaultConfig, MalformedSectionRejectedWithLineNumber) {
-  const std::string text =
-      "[chip]\n"
-      "id = X\n"
-      "clock_ghz = 1.0\n"
-      "[faults]\n"
-      "transient_rate = 1.7\n"
-      "[sub_accel]\n"
-      "dataflow = WS\n"
-      "num_pes = 1024\n"
-      "noc_gbps = 64\n"
-      "offchip_gbps = 8\n"
-      "sram_kib = 2048\n";
-  try {
-    hw::from_config_text(text);
-    FAIL() << "malformed [faults] accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 5"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("transient_rate"), std::string::npos) << msg;
+  // Out of range, NaN (which passes every range check) and infinite values.
+  const std::pair<const char*, const char*> cases[] = {
+      {"transient_rate = 1.7", "transient_rate"},
+      {"transient_rate = nan", "transient_rate"},
+      {"outage_rate_per_s = inf", "outage_rate_per_s"},
+      {"throttle_ms = nan", "throttle_ms"},
+      {"retry_backoff_ms = inf", "retry_backoff_ms"},
+  };
+  for (const auto& [entry, key] : cases) {
+    const std::string text =
+        "[chip]\n"
+        "id = X\n"
+        "clock_ghz = 1.0\n"
+        "[faults]\n" +
+        std::string(entry) +  // line 5
+        "\n[sub_accel]\n"
+        "dataflow = WS\n"
+        "num_pes = 1024\n"
+        "noc_gbps = 64\n"
+        "offchip_gbps = 8\n"
+        "sram_kib = 2048\n";
+    try {
+      hw::from_config_text(text);
+      FAIL() << "malformed [faults] accepted: " << entry;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("line 5"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 // The raw-speed ladder's correctness contracts: the level-batched
 // all-levels kernel must be bit-identical to the per-level path, the
 // model-level memo must count hits and misses exactly (also under
-// concurrent lookups), and a warm (memoized) full-suite sweep must
-// reproduce the cold run bit-exactly at any worker count.
+// concurrent lookups), key entries by layer shapes and config alone, and
+// hand out cost columns that outlive it, and a warm (memoized) full-suite
+// sweep must reproduce the cold run bit-exactly at any worker count.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -68,8 +70,8 @@ TEST(AllLevels, RejectsInvalidConfig) {
 }
 
 TEST(AllLevels, CostTableBuildsBitIdenticalToPerLevelPath) {
-  // CostTable now builds through cached_model_cost_all_levels; every cell
-  // and every layer-prefix entry must match the per-level reference.
+  // CostTable builds through the model memo's cost columns; every cell
+  // must match the per-level reference.
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('M', 8192));
   costmodel::AnalyticalCostModel cm;
   const runtime::CostTable table(sys, cm);
@@ -97,15 +99,15 @@ TEST(ModelMemo, CountsHitsAndMisses) {
   const auto& graph = models::model_graph(models::TaskId::kHT);
 
   EXPECT_EQ(cm.model_memo_stats().entries, 0u);
-  const auto first = cm.cached_model_cost_all_levels(graph, a);
+  const auto first = cm.cached_cost_columns(graph, a);
   auto s = cm.model_memo_stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 1u);
 
-  // Hits share the cached vector, they don't copy it.
-  const auto second = cm.cached_model_cost_all_levels(graph, a);
-  const auto third = cm.cached_model_cost_all_levels(graph, a);
+  // Hits share the cached columns, they don't copy them.
+  const auto second = cm.cached_cost_columns(graph, a);
+  const auto third = cm.cached_cost_columns(graph, a);
   EXPECT_EQ(second.get(), first.get());
   EXPECT_EQ(third.get(), first.get());
   s = cm.model_memo_stats();
@@ -115,8 +117,7 @@ TEST(ModelMemo, CountsHitsAndMisses) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 2.0 / 3.0);
 
   // A different config is a distinct key.
-  cm.cached_model_cost_all_levels(graph, accel(costmodel::Dataflow::kOS,
-                                               4096));
+  cm.cached_cost_columns(graph, accel(costmodel::Dataflow::kOS, 4096));
   s = cm.model_memo_stats();
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 2u);
@@ -142,7 +143,7 @@ TEST(ModelMemo, CountsAreExactUnderConcurrentLookups) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
       for (int j = 0; j < kLookups; ++j) {
-        cm.cached_model_cost_all_levels(graph, j % 2 == 0 ? ws : rs);
+        cm.cached_cost_columns(graph, j % 2 == 0 ? ws : rs);
       }
     });
   }
@@ -152,20 +153,119 @@ TEST(ModelMemo, CountsAreExactUnderConcurrentLookups) {
             static_cast<std::uint64_t>(kThreads * kLookups));
   EXPECT_GE(s.misses, 2u);
   EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(cm.cached_model_cost_all_levels(graph, ws).get(),
-            cm.cached_model_cost_all_levels(graph, ws).get());
+  EXPECT_EQ(cm.cached_cost_columns(graph, ws).get(),
+            cm.cached_cost_columns(graph, ws).get());
 }
 
 TEST(ModelMemo, CachedValueMatchesUncachedKernel) {
+  // The cached columns are the uncached kernel's result reduced to what a
+  // CostTable reads: each level's totals, and running sums of its layers
+  // added left to right, which end on the level's totals bit for bit.
   costmodel::AnalyticalCostModel cm;
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('A', 4096));
   const auto& sa = sys.sub_accels[0];
   const auto& graph = models::model_graph(models::TaskId::kES);
-  const auto cached = cm.cached_model_cost_all_levels(graph, sa);
+  const auto cached = cm.cached_cost_columns(graph, sa);
   const auto direct = cm.model_cost_all_levels(graph, sa);
-  ASSERT_EQ(cached->size(), direct.size());
+  ASSERT_EQ(cached->levels.size(), direct.size());
+  ASSERT_EQ(cached->num_layers, graph.num_layers());
   for (std::size_t lvl = 0; lvl < direct.size(); ++lvl) {
-    expect_model_cost_eq((*cached)[lvl], direct[lvl]);
+    SCOPED_TRACE("level " + std::to_string(lvl));
+    const auto& mc = direct[lvl];
+    const auto& totals = cached->levels[lvl];
+    EXPECT_EQ(totals.latency_ms, mc.latency_ms);
+    EXPECT_EQ(totals.energy_mj, mc.energy_mj);
+    EXPECT_EQ(totals.static_energy_mj, mc.static_energy_mj);
+    EXPECT_EQ(totals.avg_utilization, mc.avg_utilization);
+    double lat = 0.0, energy = 0.0, stat = 0.0;
+    for (std::size_t k = 0; k <= mc.layers.size(); ++k) {
+      const std::size_t i = cached->prefix_index(lvl, k);
+      EXPECT_EQ(cached->latency_prefix_ms[i], lat);
+      EXPECT_EQ(cached->energy_prefix_mj[i], energy);
+      EXPECT_EQ(cached->static_prefix_mj[i], stat);
+      if (k < mc.layers.size()) {
+        lat += mc.layers[k].latency_ms;
+        energy += mc.layers[k].energy_mj;
+        stat += mc.layers[k].static_energy_mj;
+      }
+    }
+    EXPECT_EQ(lat, mc.latency_ms);
+    EXPECT_EQ(energy, mc.energy_mj);
+    EXPECT_EQ(stat, mc.static_energy_mj);
+  }
+}
+
+TEST(ModelMemo, KeyIsLayerShapesNotNames) {
+  // Two graphs with identical layers but different names share one entry;
+  // one changed dimension or one extra layer is a different key.
+  costmodel::AnalyticalCostModel cm;
+  const auto a = accel(costmodel::Dataflow::kWS, 4096);
+  const auto& zoo = models::model_graph(models::TaskId::kHT);
+  costmodel::ModelGraph renamed("renamed"), widened("widened"),
+      longer("longer");
+  for (std::size_t i = 0; i < zoo.num_layers(); ++i) {
+    costmodel::Layer layer = zoo.layers()[i];
+    layer.name += "-copy";
+    renamed.add(layer);
+    longer.add(layer);
+    if (i == zoo.num_layers() / 2) layer.k += 1;
+    widened.add(layer);
+  }
+  longer.add(zoo.layers().back());
+  EXPECT_EQ(renamed.structure_hash(), zoo.structure_hash());
+
+  const auto first = cm.cached_cost_columns(zoo, a);
+  EXPECT_EQ(cm.cached_cost_columns(renamed, a).get(), first.get());
+  auto s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+
+  const auto wide = cm.cached_cost_columns(widened, a);
+  const auto more = cm.cached_cost_columns(longer, a);
+  EXPECT_NE(wide.get(), first.get());
+  EXPECT_NE(more.get(), first.get());
+  EXPECT_EQ(more->num_layers, zoo.num_layers() + 1);
+  s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.entries, 3u);
+}
+
+TEST(ModelMemo, CostTableOutlivesMemoAndModel) {
+  // Tables share the memo's columns instead of copying them, so a table
+  // must stay readable and bit-identical after the memo is cleared and
+  // after its cost model is destroyed.
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
+  const costmodel::AnalyticalCostModel reference_model;
+  const runtime::CostTable reference(sys, reference_model);
+  auto cm = std::make_unique<costmodel::AnalyticalCostModel>();
+  const runtime::CostTable cleared(sys, *cm);
+  cm->clear_model_memo();
+  const runtime::CostTable orphaned(sys, *cm);
+  cm.reset();
+  for (const runtime::CostTable* table : {&cleared, &orphaned}) {
+    for (models::TaskId t : models::all_tasks()) {
+      ASSERT_EQ(table->num_layers(t), reference.num_layers(t));
+      for (std::size_t sa = 0; sa < table->num_sub_accels(); ++sa) {
+        for (std::size_t lvl = 0; lvl < table->num_levels(sa); ++lvl) {
+          const auto& cell = table->cost(t, sa, lvl);
+          const auto& want = reference.cost(t, sa, lvl);
+          EXPECT_EQ(cell.latency_ms, want.latency_ms);
+          EXPECT_EQ(cell.energy_mj, want.energy_mj);
+          EXPECT_EQ(cell.static_energy_mj, want.static_energy_mj);
+          EXPECT_EQ(cell.avg_utilization, want.avg_utilization);
+          for (std::size_t k = 0; k <= table->num_layers(t); ++k) {
+            EXPECT_EQ(table->layer_latency_prefix_ms(t, sa, lvl, k),
+                      reference.layer_latency_prefix_ms(t, sa, lvl, k));
+            EXPECT_EQ(table->layer_energy_prefix_mj(t, sa, lvl, k),
+                      reference.layer_energy_prefix_mj(t, sa, lvl, k));
+            EXPECT_EQ(table->layer_static_prefix_mj(t, sa, lvl, k),
+                      reference.layer_static_prefix_mj(t, sa, lvl, k));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "costmodel/cost_model.h"
 #include "workload/input_source.h"
 
@@ -260,6 +263,41 @@ TEST_F(RunnerTest, InvalidConfigsThrow) {
   workload::UsageScenario bad = scenario_by_name("VR Gaming");
   bad.models[0].target_fps = 120.0;  // exceeds the 60 FPS camera
   EXPECT_THROW(runner.run(bad, sched, RunConfig{}), std::invalid_argument);
+}
+
+TEST_F(RunnerTest, RecordBudgetPreflightRejectsBeforeReserving) {
+  // A duration whose predicted record count no memory could hold (1e12 ms
+  // of VR Gaming: 1.8e11 records) is rejected with the count and the bound
+  // instead of ending in bad_alloc; so are non-finite durations.
+  const auto sys = hw::make_accelerator('A', 4096);
+  const CostTable table(sys, cost_model_);
+  const ScenarioRunner runner(sys, table);
+  LatencyGreedyScheduler sched;
+  RunScratch scratch;
+  for (double duration : {1e12, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    RunConfig cfg;
+    cfg.duration_ms = duration;
+    try {
+      runner.run(scenario_by_name("VR Gaming"), sched, cfg, nullptr,
+                 &scratch);
+      FAIL() << "expected std::invalid_argument for " << duration;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("records"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::to_string(ScenarioRunner::kMaxRunRecords)),
+                std::string::npos)
+          << message;
+    }
+  }
+
+  // Ten minutes of VR Gaming (108k records) is well inside the bound, and
+  // the scratch the rejected runs saw still serves it.
+  RunConfig long_run;
+  long_run.duration_ms = 6e5;
+  const auto r = runner.run(scenario_by_name("VR Gaming"), sched, long_run,
+                            nullptr, &scratch);
+  EXPECT_EQ(r.find(TaskId::kES)->frames_expected, 36000);
 }
 
 TEST_F(RunnerTest, DependencyOnAbsentUpstreamNeverTriggers) {

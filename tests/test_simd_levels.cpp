@@ -3,8 +3,9 @@
 // BIT-identical to the test-only scalar reference walk (layer by layer,
 // across the model zoo, the default five-level ladder AND awkward level
 // counts), scratch reuse must be invisible to results, a warmed scratch
-// must make the kernel allocation-free (counting-probe-enforced), and the
-// cost model's bits must match committed golden digests.
+// must make the kernel allocation-free and a model-memo hit must allocate
+// nothing (counting-probe-enforced), and the cost model's bits must match
+// committed golden digests.
 
 #include <gtest/gtest.h>
 
@@ -180,10 +181,29 @@ TEST(SimdLevels, WarmedScratchIsAllocationFree) {
   EXPECT_EQ(result.size(), sa.dvfs.num_levels());
 }
 
+TEST(SimdLevels, ModelMemoHitIsAllocationFree) {
+  // A memo hit hashes the graph's stored structure hash with the config and
+  // confirms the entry by comparing layer shapes in place: no key is built,
+  // so a warm CostTable build allocates only the table itself.
+  costmodel::AnalyticalCostModel cm;
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 8192));
+  const auto& sa = sys.sub_accels[0];
+  const auto& graph = models::model_graph(models::TaskId::kHT);
+  const auto first = cm.cached_cost_columns(graph, sa);  // the miss
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const auto hit = cm.cached_cost_columns(graph, sa);
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "a model-memo hit allocated";
+  EXPECT_EQ(hit.get(), first.get());
+  EXPECT_EQ(cm.model_memo_stats().hits, 1u);
+}
+
 TEST(SimdLevels, CostTableBitIdenticalToReference) {
   // A CostTable built through the memoized lane kernel equals the
   // reference walk cell by cell and layer prefix by layer prefix (prefixes
-  // summed left to right, the order the table uses).
+  // summed left to right, the order the table uses), and completed_layers
+  // lands exactly on every layer boundary.
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('M', 8192));
   const costmodel::AnalyticalCostModel cm;
   const runtime::CostTable table(sys, cm);
@@ -199,13 +219,19 @@ TEST(SimdLevels, CostTableBitIdenticalToReference) {
         EXPECT_EQ(cell.energy_mj, mc.energy_mj);
         EXPECT_EQ(cell.static_energy_mj, mc.static_energy_mj);
         EXPECT_EQ(cell.avg_utilization, mc.avg_utilization);
-        double lat = 0.0, energy = 0.0;
+        double lat = 0.0, energy = 0.0, stat = 0.0;
         for (std::size_t k = 0; k <= mc.layers.size(); ++k) {
           EXPECT_EQ(table.layer_latency_prefix_ms(t, sa, lvl, k), lat);
           EXPECT_EQ(table.layer_energy_prefix_mj(t, sa, lvl, k), energy);
+          EXPECT_EQ(table.layer_static_prefix_mj(t, sa, lvl, k), stat);
+          // Running exactly to boundary k completes k layers; a resume at
+          // k that has not run yet has completed none beyond it.
+          EXPECT_EQ(table.completed_layers(t, sa, lvl, 0, lat), k);
+          EXPECT_EQ(table.completed_layers(t, sa, lvl, k, 0.0), k);
           if (k < mc.layers.size()) {
             lat += mc.layers[k].latency_ms;
             energy += mc.layers[k].energy_mj;
+            stat += mc.layers[k].static_energy_mj;
           }
         }
       }
