@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace xrbench::runtime {
 
@@ -81,8 +84,25 @@ struct FaultSpec {
 
 /// Throws std::invalid_argument naming the offending field. Config parsers
 /// raise their own line-numbered variants; this is the programmatic check
-/// used by the runner and harness.
+/// used by the runner and harness. Every double must be finite: NaN passes
+/// every range comparison below, and an infinite window or backoff never
+/// reaches the run horizon.
 inline void validate_fault_spec(const FaultSpec& spec) {
+  const std::pair<const char*, double> fields[] = {
+      {"transient_rate", spec.transient_rate},
+      {"outage_rate_per_s", spec.outage_rate_per_s},
+      {"outage_ms", spec.outage_ms},
+      {"throttle_rate_per_s", spec.throttle_rate_per_s},
+      {"throttle_ms", spec.throttle_ms},
+      {"retry_backoff_ms", spec.retry_backoff_ms},
+      {"checkpoint_overhead_ms", spec.checkpoint_overhead_ms},
+  };
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("fault spec: ") + name +
+                                  " must be finite");
+    }
+  }
   if (spec.transient_rate < 0.0 || spec.transient_rate > 1.0) {
     throw std::invalid_argument(
         "fault spec: transient_rate must be in [0, 1]");

@@ -80,11 +80,11 @@ bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
 /// RunScratch so the runner itself stays const / reusable AND the buffers
 /// survive across runs: begin_run() rewinds the simulator clock and
 /// clear()s every vector in place, take_store()/take_timeline() hand out
-/// recycled arenas, so a sweep worker's thousands of trials allocate only
-/// on their first run. All per-model state lives in flat vectors indexed by
-/// the model's slot in the scenario (looked up through a dense task->slot
-/// table), and the pending queue uses swap-remove, so the simulation hot
-/// path performs no hashing and no mid-vector erases.
+/// recycled arenas (RunScratch's comment lists what a warm run reuses and
+/// what it still allocates). All per-model state lives in flat vectors
+/// indexed by the model's slot in the scenario (looked up through a dense
+/// task->slot table), and the pending queue uses swap-remove, so the
+/// simulation hot path performs no hashing and no mid-vector erases.
 struct RunScratch::Impl {
   // Per-run wiring (set by begin_run; non-owning).
   const CostTable* costs = nullptr;
@@ -95,6 +95,21 @@ struct RunScratch::Impl {
   sim::Simulator sim;
   util::Rng rng;
   Telemetry telemetry;
+  /// One source-model request with its firing key: `when` is its request
+  /// time clamped to the run start and `order` its generation index (model
+  /// slot, then frame).
+  struct Arrival {
+    double when;
+    std::size_t order;
+    InferenceRequest req;
+    bool operator<(const Arrival& o) const {
+      if (when != o.when) return when < o.when;
+      return order < o.order;
+    }
+  };
+  /// Every source-model request of the run, sorted by (when, order) before
+  /// the event loop walks it.
+  std::vector<Arrival> arrivals;
   std::vector<InferenceRequest> pending;
   std::vector<char> accel_busy;
   std::vector<double> accel_busy_ms;
@@ -160,6 +175,7 @@ struct RunScratch::Impl {
     governor = g;
     sim.reset();
     rng.reseed(config.seed);
+    arrivals.clear();
     pending.clear();
     const std::size_t n = sys.sub_accels.size();
     accel_busy.assign(n, 0);
@@ -766,13 +782,11 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   }
   eng.timeline.reserve(static_cast<std::size_t>(total_expected) + 8);
   eng.pending.reserve(static_cast<std::size_t>(total_expected) + 8);
-  // Every generator frame is scheduled before the run starts, so the event
-  // pool's high-water mark is ~total_expected (arrivals) plus in-flight
-  // completions (bounded by the sub-accelerator count).
-  eng.sim.reserve(static_cast<std::size_t>(total_expected) +
-                  system_->sub_accels.size() + 8);
+  eng.arrivals.reserve(static_cast<std::size_t>(total_expected));
 
   // ---- Load generation (Figure 2's load generator) ---------------------
+  // Every source-model arrival time is known before the first event fires,
+  // so the requests go into the arrival array instead of the event queue.
 
   for (const auto& sm : scenario.models) {
     auto& ms = eng.stats[eng.slot(sm.task)];
@@ -789,7 +803,6 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     const auto num_frames = static_cast<std::int64_t>(
         std::llround(sm.target_fps * config.duration_ms / 1000.0));
     ms.frames_expected = num_frames;
-    RunScratch::Impl* self = &eng;
     for (std::int64_t f = 0; f < num_frames; ++f) {
       // Multi-modal models wait for the latest of their input streams.
       double treq = 0.0;
@@ -804,12 +817,14 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
       req.frame = f;
       req.treq_ms = treq;
       req.tdl_ms = deadline_ms(driver, sm.target_fps, f);
-      eng.sim.schedule_at(treq, [self, req] {
-        self->arrive(req);
-        self->try_dispatch();
-      });
+      // The clamp to the run start is the one Simulator::schedule_at applies.
+      eng.arrivals.push_back(
+          {std::max(treq, 0.0), eng.arrivals.size(), req});
     }
   }
+  // std::sort needs no temporary buffer (std::stable_sort would take one
+  // per run); the explicit generation index makes the order total anyway.
+  std::sort(eng.arrivals.begin(), eng.arrivals.end());
 
   // ---- Fault schedule (precomputed; worker count cannot reorder it) -----
   if (eng.injector.active()) {
@@ -827,11 +842,12 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
         }
       }
     }
-    // Outage windows become simulator events. They are scheduled after the
-    // arrival events above, so at an exactly shared timestamp the arrival
-    // is processed first (FIFO tie-break) — a fixed, documented order that
-    // no worker count can perturb. Throttle windows need no events: the
-    // dispatcher samples them via FaultInjector::throttle_cap.
+    // Outage windows become simulator events. At an exactly shared
+    // timestamp the arrival is processed first (the event loop below
+    // handles an arrival before any event at its time) — a fixed,
+    // documented order that no worker count can perturb. Throttle windows
+    // need no events: the dispatcher samples them via
+    // FaultInjector::throttle_cap.
     RunScratch::Impl* self = &eng;
     for (std::size_t sa = 0; sa < system_->sub_accels.size(); ++sa) {
       for (const auto& w : eng.fault_plan.outages(sa)) {
@@ -843,6 +859,18 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     }
   }
 
+  // ---- Event loop -------------------------------------------------------
+  // The queue holds only what the run creates: completions, retries and
+  // outage windows (on a fault-free run, at most one completion per
+  // sub-accelerator). Before each arrival, every event strictly earlier
+  // fires; events at the arrival's own time fire after it, and equal-time
+  // arrivals keep generation order — the order the queue's FIFO tie-break
+  // would give had every arrival been scheduled ahead of all other events.
+  for (const auto& a : eng.arrivals) {
+    eng.sim.run_before(a.when);
+    eng.arrive(a.req);
+    eng.try_dispatch();
+  }
   eng.sim.run();
   // Anything still pending after the event queue drained can never start.
   eng.drop_stale(std::numeric_limits<double>::infinity());

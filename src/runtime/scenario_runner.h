@@ -92,13 +92,23 @@ struct ScenarioRunResult {
   double utilization(std::size_t sa) const;
 };
 
-/// Reusable run-state arena for ScenarioRunner::run/run_program. One run
-/// allocates simulator event pools, request/timeline vectors and SoA record
-/// arenas; a sweep runs thousands of sub-millisecond trials, so those
-/// allocations were a measurable tax. A RunScratch keeps all of it alive
-/// between runs: the runner clear()s and reuses the buffers (capacity is
-/// retained — enforced by test), and recycle() returns a consumed result's
-/// record/timeline storage to the pool.
+/// Reusable run-state arena for ScenarioRunner::run/run_program. A sweep
+/// runs thousands of sub-millisecond trials, so per-run allocations are a
+/// measurable tax. A RunScratch keeps a run's bulk storage alive between
+/// runs: the simulator's event pool and queue, the arrival array, the
+/// pending and timeline vectors, the per-unit and per-model state and the
+/// telemetry's level histories. The runner clear()s and reuses all of it
+/// (capacity is retained — enforced by test), and recycle() returns a
+/// consumed result's SoA record stores and timeline to the pool.
+///
+/// A warm run still allocates a few small buffers, and their number does
+/// not grow with the run's length (enforced by test): the result's per-model
+/// vector, busy-time vector and telemetry snapshot (one vector plus one
+/// level history per sub-accelerator), the scenario name when it outgrows
+/// the small-string buffer, one dependency fan-out list per upstream model,
+/// and one sort permutation per model's records. On J @ 8192 PEs with DVFS
+/// over the Table-2 suite that is 8-12 operator-new calls per warm run;
+/// policies allocate on their own besides (ondemand adds one).
 ///
 /// A scratch is single-threaded state: never share one across concurrent
 /// runs (SweepEngine keys one per worker thread). Results produced with a
@@ -136,6 +146,9 @@ class RunScratch {
 ///  * Each independently-driven model consumes its driving sensor stream at
 ///    the scenario's target rate (every `sensor_fps/target_fps`-th frame,
 ///    as in Figure 3); request times follow Definition 7 with jitter.
+///    Requests arriving at one instant are handled in generation order
+///    (model slot, then frame), before any completion, retry or outage
+///    event at that instant.
 ///  * Deadlines follow Definition 8 at the model's consumption rate: the
 ///    deadline of frame f is the (jitter-free) arrival of the next frame
 ///    the model consumes.
@@ -169,10 +182,10 @@ class ScenarioRunner {
  public:
   /// Upper bound on the records one run() may predict (the sum over its
   /// models of target_fps x duration). run() reserves record, timeline,
-  /// request and event storage for every predicted record up front, about
-  /// 250 bytes each, and throws std::invalid_argument before reserving
+  /// request and arrival storage for every predicted record up front, about
+  /// 200 bytes each, and throws std::invalid_argument before reserving
   /// anything when the prediction exceeds the bound. That caps one run at
-  /// ~1 GB, about six hours of the busiest Table-2 scenario (VR Gaming,
+  /// ~0.8 GB, about six hours of the busiest Table-2 scenario (VR Gaming,
   /// 180 inferences/s).
   static constexpr std::int64_t kMaxRunRecords = 4'000'000;
 

@@ -96,8 +96,10 @@ class EventCallback {
 ///
 /// Events at equal timestamps fire in scheduling order (FIFO tie-break), so a
 /// run is fully reproducible. The simulator is the time substrate for the
-/// XRBench runtime: sensor frame arrivals, inference completions, and
-/// deadline checks are all events.
+/// XRBench runtime: inference completions, retries and outage windows are
+/// events. Sensor frame arrivals, all known before a run starts, stay out of
+/// the queue: the runner walks them in sorted order and calls run_before()
+/// ahead of each one.
 ///
 /// Events live in a pooled free-list arena: the priority queue holds small
 /// POD entries and each callback is stored inline in a recycled pool slot,
@@ -131,6 +133,15 @@ class Simulator {
   /// Runs events with timestamp <= `until`, then sets now() to `until` if it
   /// advanced past the last fired event. Returns events fired.
   std::size_t run_until(TimeMs until);
+
+  /// Runs events with timestamp strictly before `t` (events they schedule
+  /// before `t` included), then sets now() to `t` if it is behind it; events
+  /// at exactly `t` stay pending. The hook for a caller that feeds
+  /// externally-known arrivals in (time, order) sequence: it fires this
+  /// before handling an arrival at `t`, which then precedes every pending
+  /// event at `t` exactly as if it had been scheduled first. Returns events
+  /// fired.
+  std::size_t run_before(TimeMs t);
 
   /// Fires exactly one event if available. Returns false when queue is empty.
   bool step();
@@ -186,6 +197,9 @@ class Simulator {
   }
   void skip_stale_top();
   bool fire_next();
+  /// Fires events before `t` (and at `t` when `inclusive`), then advances
+  /// now() to `t`, never backwards. Shared body of run_until/run_before.
+  std::size_t fire_up_to(TimeMs t, bool inclusive);
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
       queue_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -195,6 +196,33 @@ TEST(FaultSpecValidation, RejectsOutOfRangeFields) {
   f.retry_backoff_ms = -2.0;
   EXPECT_THROW(validate_fault_spec(f), std::invalid_argument);
   EXPECT_NO_THROW(validate_fault_spec(sample_spec()));
+  // NaN passes every range comparison, and an infinite window or backoff
+  // never reaches the run horizon: every double must be finite, on a spec
+  // whose fault classes are all enabled, and the message names the field.
+  const std::pair<double FaultSpec::*, const char*> fields[] = {
+      {&FaultSpec::transient_rate, "transient_rate"},
+      {&FaultSpec::outage_rate_per_s, "outage_rate_per_s"},
+      {&FaultSpec::outage_ms, "outage_ms"},
+      {&FaultSpec::throttle_rate_per_s, "throttle_rate_per_s"},
+      {&FaultSpec::throttle_ms, "throttle_ms"},
+      {&FaultSpec::retry_backoff_ms, "retry_backoff_ms"},
+      {&FaultSpec::checkpoint_overhead_ms, "checkpoint_overhead_ms"},
+  };
+  for (const auto& [field, name] : fields) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      f = sample_spec();
+      f.checkpoint = true;
+      f.*field = bad;
+      try {
+        validate_fault_spec(f);
+        ADD_FAILURE() << name << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ---- Config round-trips ---------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "alloc_probe.h"
 #include "sim/simulator.h"
 
 #include "core/sweep.h"
@@ -102,6 +105,35 @@ TEST_F(RunScratchTest, RecycleRetainsRecordCapacity) {
   scratch.recycle(std::move(again));
   EXPECT_EQ(scratch.pooled_stores(), num_models);
   EXPECT_EQ(scratch.pooled_record_capacity(), capacity);
+}
+
+TEST_F(RunScratchTest, WarmRunAllocationsDoNotGrowWithRunLength) {
+  // A warm scratch serves every buffer that grows with the run (records,
+  // timeline, pending requests, arrivals, events). What a warm run still
+  // allocates is the fixed set RunScratch documents: the result's per-model
+  // and busy-time vectors, its telemetry snapshot (one vector plus a level
+  // history per sub-accelerator), one fan-out list per upstream model (VR
+  // Gaming's ES feeds GE) and one sort permutation per model's records.
+  const auto& scenario = workload::scenario_by_name("VR Gaming");
+  auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
+  RunScratch scratch;
+  const auto warm_run = [&](double duration_ms) {
+    RunConfig cfg;
+    cfg.duration_ms = duration_ms;
+    scheduler->reset();
+    const std::uint64_t before = g_alloc_count.load();
+    auto run = runner_.run(scenario, *scheduler, cfg, nullptr, &scratch);
+    const std::uint64_t allocs = g_alloc_count.load() - before;
+    scratch.recycle(std::move(run));
+    return allocs;
+  };
+  warm_run(4000.0);  // sizes every arena for the longest run below
+  const std::uint64_t short_run = warm_run(500.0);
+  const std::uint64_t long_run = warm_run(4000.0);
+  EXPECT_EQ(short_run, long_run);
+  const std::size_t documented =
+      2 + (1 + system_.sub_accels.size()) + 1 + scenario.models.size();
+  EXPECT_LE(long_run, documented);
 }
 
 TEST_F(RunScratchTest, ProgramRunsReuseTheScratchAcrossPhases) {

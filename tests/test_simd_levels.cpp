@@ -9,45 +9,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "cost_reference.h"
 #include "costmodel/cost_model.h"
 #include "hw/accelerator.h"
 #include "hw/dvfs.h"
 #include "models/zoo.h"
 #include "runtime/cost_table.h"
-
-// Global allocation probe for the zero-allocation steady-state assertion.
-// Counts every operator-new call in the process; the test reads the counter
-// around a single kernel call. Plain malloc-backed replacements — the
-// kernel's containers (vector<double>, vector<ModelCost>, vector<LayerCost>)
-// all allocate through the unaligned throwing operator new.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xrbench {
 namespace {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 namespace xrbench::sim {
@@ -116,6 +119,136 @@ TEST(Simulator, RunUntilIncludesBoundaryEvents) {
   s.schedule_at(5.0, [&] { ++count; });
   EXPECT_EQ(s.run_until(5.0), 1u);
   EXPECT_EQ(count, 1);
+}
+
+TEST(Simulator, RunBeforeFiresStrictlyEarlierEventsInTimeFifoOrder) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(2.0, [&] { order.push_back(2); });
+  s.schedule_at(1.0, [&] {
+    order.push_back(1);
+    s.schedule_at(2.5, [&] { order.push_back(4); });  // before t: fires
+    s.schedule_at(3.0, [&] { order.push_back(9); });  // at t: stays
+  });
+  s.schedule_at(2.0, [&] { order.push_back(3); });  // FIFO after the first 2.0
+  s.schedule_at(3.0, [&] { order.push_back(9); });  // at t: stays
+  EXPECT_EQ(s.run_before(3.0), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  EXPECT_EQ(s.pending_events(), 2u);
+}
+
+TEST(Simulator, RunBeforeKeepsBoundaryEventsPendingInFifoOrder) {
+  // What the caller handles right after run_before(t) precedes every event
+  // already pending at t; those then fire in scheduling order, after it.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(5.0, [&] { order.push_back(1); });
+  s.schedule_at(5.0, [&] { order.push_back(2); });
+  EXPECT_EQ(s.run_before(5.0), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 5.0);
+  EXPECT_EQ(s.pending_events(), 2u);
+  order.push_back(0);  // the caller's own work at t
+  s.schedule_after(0.0, [&] { order.push_back(3); });
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(s.now(), 5.0);
+}
+
+TEST(Simulator, RunBeforeNeverMovesTheClockBackwards) {
+  Simulator s;
+  s.schedule_at(10.0, [] {});
+  s.run();
+  EXPECT_EQ(s.run_before(4.0), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 10.0);
+  EXPECT_EQ(s.run_before(12.0), 0u);  // empty queue: the clock still moves
+  EXPECT_DOUBLE_EQ(s.now(), 12.0);
+}
+
+TEST(Simulator, RunBeforeSkipsCancelledEvents) {
+  Simulator s;
+  std::vector<int> order;
+  const EventId first = s.schedule_at(1.0, [&] { order.push_back(1); });
+  s.schedule_at(2.0, [&] { order.push_back(2); });
+  const EventId third = s.schedule_at(2.5, [&] { order.push_back(3); });
+  const EventId boundary = s.schedule_at(3.0, [&] { order.push_back(4); });
+  s.schedule_at(3.0, [&] { order.push_back(5); });
+  EXPECT_TRUE(s.cancel(first));  // a cancelled entry on top of the queue
+  EXPECT_TRUE(s.cancel(third));
+  EXPECT_TRUE(s.cancel(boundary));
+  EXPECT_EQ(s.run_before(3.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 5}));
+}
+
+/// Logs every event it fires; each fired event schedules two children
+/// (two levels deep) whose delays derive from the child's id, so two
+/// drivers that fire the same events create the same children.
+struct FiringLog {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, double>> fired;
+
+  void handle(std::uint64_t id, int depth) {
+    fired.emplace_back(id, sim.now());
+    if (depth == 2) return;
+    for (std::uint64_t c = 1; c <= 2; ++c) {
+      const std::uint64_t child = id * 4 + c;
+      const double delay = 0.5 * static_cast<double>(child % 5);  // 0..2 ms
+      sim.schedule_after(delay,
+                         [this, child, depth] { handle(child, depth + 1); });
+    }
+  }
+};
+
+TEST(Simulator, RunBeforeReplaysArrivalsScheduledFirst) {
+  // Arrivals known up front, fed from a sorted array through run_before,
+  // fire every event in exactly the order a queue gives when each arrival
+  // is scheduled first, before the events pre-scheduled next to them.
+  // The 0.5 ms grid makes arrivals, pre-scheduled events and children tie
+  // often; negative times clamp to the run start in both drivers.
+  struct Arrival {
+    double when;
+    std::uint64_t id;
+  };
+  std::vector<Arrival> arrivals;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    arrivals.push_back({0.5 * static_cast<double>((i * 37) % 23) - 1.0,
+                        100 + i});
+  }
+  const double prescheduled[] = {0.0, 2.5, 4.0, 4.0, 7.5};
+
+  FiringLog queued;
+  for (const auto& a : arrivals) {
+    queued.sim.schedule_at(a.when, [&queued, id = a.id] {
+      queued.handle(id, 0);
+    });
+  }
+  for (std::size_t k = 0; k < std::size(prescheduled); ++k) {
+    queued.sim.schedule_at(prescheduled[k],
+                           [&queued, k] { queued.handle(10 + k, 1); });
+  }
+  queued.sim.run();
+
+  FiringLog streamed;
+  for (std::size_t k = 0; k < std::size(prescheduled); ++k) {
+    streamed.sim.schedule_at(prescheduled[k],
+                             [&streamed, k] { streamed.handle(10 + k, 1); });
+  }
+  std::vector<std::pair<double, std::size_t>> order;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    order.emplace_back(std::max(arrivals[i].when, 0.0), i);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [when, i] : order) {
+    streamed.sim.run_before(when);
+    streamed.handle(arrivals[i].id, 0);
+  }
+  streamed.sim.run();
+
+  EXPECT_GT(queued.fired.size(), arrivals.size() * 5);
+  EXPECT_EQ(queued.fired, streamed.fired);
 }
 
 TEST(Simulator, StepFiresOneEvent) {
