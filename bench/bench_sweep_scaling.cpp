@@ -23,9 +23,8 @@
 //
 // Two further phases isolate the cost-model rungs of the raw-speed ladder:
 //   cold build — CostTable construction for the DVFS-laddered design family
-//     through the level-batched all-levels kernel vs the per-level
-//     model_cost_at walk (cold_build_batched_ms vs cold_build_per_level_ms,
-//     batched_build_speedup);
+//     on a fresh cost model, every (model, sub-accelerator) pair one layer
+//     walk across its whole ladder (cold_build_batched_ms);
 //   warm memo — the same builds again on the same cost model, now pure
 //     model-level memo hits (warm_build_ms, model-memo hit rate).
 //
@@ -41,7 +40,6 @@
 #include "core/sweep.h"
 #include "costmodel/cost_model.h"
 #include "hw/accelerator.h"
-#include "models/zoo.h"
 #include "runtime/cost_table.h"
 #include "util/affinity.h"
 #include "util/bench_json.h"
@@ -174,38 +172,17 @@ int main() {
   bench.add_metric("design_points", static_cast<double>(points.size()));
   bench.add_metric("pinned", all_pinned ? 1.0 : 0.0);
 
-  // --- Cold batched build vs per-level walk, then warm. -------------------
-  // DVFS-laddered systems (5 levels each) are where the batched kernel
-  // pays off: one layer walk instead of five per (task, sub-accelerator).
+  // --- Cold batched build, then warm. -------------------------------------
+  // DVFS-laddered systems (5 levels each): one layer walk per (task,
+  // sub-accelerator) covers the whole ladder.
   std::vector<hw::AcceleratorSystem> ladder_systems;
   for (char id : hw::accelerator_ids()) {
     ladder_systems.push_back(
         hw::with_default_dvfs(hw::make_accelerator(id, 4096)));
   }
 
-  // Per-level reference: the pre-batching CostTable build loop — one full
-  // model_cost_at walk per (task, sub-accel, level) on a fresh cost model.
-  std::int64_t level_evals = 0;
-  const double t_per_level = bench.elapsed_ms();
-  {
-    costmodel::AnalyticalCostModel cold_cm;
-    for (const auto& sys : ladder_systems) {
-      for (models::TaskId task : models::all_tasks()) {
-        const auto& graph = models::model_graph(task);
-        for (const auto& sa : sys.sub_accels) {
-          for (std::size_t lvl = 0; lvl < sa.dvfs.num_levels(); ++lvl) {
-            const auto mc = cold_cm.model_cost_at(graph, sa, lvl);
-            if (mc.latency_ms < 0.0) return 1;  // keep the walk observable
-            ++level_evals;
-          }
-        }
-      }
-    }
-  }
-  const double per_level_ms = bench.elapsed_ms() - t_per_level;
-
-  // Cold batched build: full CostTable construction (batched kernel + all
-  // prefix tables) on a fresh cost model.
+  // Cold batched build: full CostTable construction (every level's totals
+  // and layer prefixes from one walk) on a fresh cost model.
   costmodel::AnalyticalCostModel build_cm;
   std::vector<std::unique_ptr<runtime::CostTable>> tables;
   const double t_cold = bench.elapsed_ms();
@@ -222,20 +199,14 @@ int main() {
   const double warm_ms = bench.elapsed_ms() - t_warm;
   const auto model_memo = build_cm.model_memo_stats();
 
-  bench.add_metric("cold_build_per_level_ms", per_level_ms);
   bench.add_metric("cold_build_batched_ms", cold_ms);
-  bench.add_metric("batched_build_speedup",
-                   cold_ms > 0.0 ? per_level_ms / cold_ms : 0.0);
   bench.add_metric("warm_build_ms", warm_ms);
   bench.add_metric("warm_build_speedup",
                    warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
   bench.add_metric("model_memo_hit_rate", model_memo.hit_rate());
   bench.add_metric("model_memo_entries",
                    static_cast<double>(model_memo.entries));
-  std::cerr << "cold build: per-level=" << per_level_ms
-            << "ms  batched=" << cold_ms << "ms  (speedup "
-            << (cold_ms > 0.0 ? per_level_ms / cold_ms : 0.0)
-            << "x, " << level_evals << " level evals)\n"
+  std::cerr << "cold build: batched=" << cold_ms << "ms\n"
             << "warm rebuild: " << warm_ms << "ms  model_memo_hit_rate="
             << model_memo.hit_rate() << "\n";
 

@@ -59,6 +59,13 @@ std::unique_lock<std::mutex> lock_memo(std::mutex& mutex) {
   return std::unique_lock(mutex);
 }
 
+/// The operating points of `accel`'s DVFS ladder, or null for the empty
+/// (fixed-clock) ladder, whose one lane runs at the configured clock.
+const hw::DvfsOperatingPoint* ladder_ops(const SubAccelConfig& accel) {
+  const auto& levels = accel.dvfs.levels;
+  return levels.empty() ? nullptr : levels.data();
+}
+
 void check_accel(const SubAccelConfig& accel, const char* caller) {
   if (!accel.valid()) {
     throw std::invalid_argument(std::string(caller) +
@@ -69,12 +76,16 @@ void check_accel(const SubAccelConfig& accel, const char* caller) {
 
 }  // namespace
 
-void AllLevelsScratch::ensure(std::size_t levels, std::size_t layers) {
+void AllLevelsScratch::ensure_lanes(std::size_t levels) {
   for (std::vector<double>* lane :
        {&clock_ghz, &noc_bpc, &offchip_bpc, &vr, &noc_cycles, &dram_cycles,
-        &total_cycles, &latency_ms, &utilization, &static_mj, &energy_mj}) {
+        &total_cycles, &latency_ms, &utilization, &static_mj, &energy_mj,
+        &avg_utilization}) {
     if (lane->size() < levels) lane->resize(levels);
   }
+}
+
+void AllLevelsScratch::reset_result(std::size_t levels, std::size_t layers) {
   if (result.size() != levels) result.resize(levels);
   for (auto& mc : result) {
     mc.latency_ms = 0.0;
@@ -309,7 +320,10 @@ namespace {
 // The lane math lives in a free function because the vectorizer only
 // honours `restrict` on function PARAMETERS — on locals initialised from
 // vector::data() the 11 streams would need 49 runtime alias checks, far
-// past the versioning cap, and the loop stays scalar.
+// past the versioning cap, and the loop stays scalar. It is forced inline:
+// the layer walk is instantiated once per reduction, and with two callers
+// GCC 12 stops inlining it, which costs model_cost_all_levels ~20 % per
+// (layer, level).
 //
 // One flat unit-stride loop over the level axis: straight-line lane math
 // and selects instead of branches — the shape the loop vectorizer
@@ -317,20 +331,15 @@ namespace {
 // tail lanes. The voltage pass uses a per-lane select — applying the
 // transform at vr == 1 would NOT be bit-neutral ((e - s) + s != e in FP),
 // hence the select keeps the untransformed values on unit-voltage lanes.
-void finish_levels_lanes(std::size_t n, double compute, double noc_bytes,
-                         double dram_bytes, double macs, double pes,
-                         double pe_mw, double dynamic_mj,
-                         const double* __restrict clock,
-                         const double* __restrict noc_bpc,
-                         const double* __restrict off_bpc,
-                         const double* __restrict vr,
-                         double* __restrict out_noc,
-                         double* __restrict out_dram,
-                         double* __restrict out_total,
-                         double* __restrict out_lat,
-                         double* __restrict out_util,
-                         double* __restrict out_stat,
-                         double* __restrict out_en) {
+[[gnu::always_inline]] inline void finish_levels_lanes(
+    std::size_t n, double compute, double noc_bytes, double dram_bytes,
+    double macs, double pes, double pe_mw, double dynamic_mj,
+    const double* __restrict clock, const double* __restrict noc_bpc,
+    const double* __restrict off_bpc, const double* __restrict vr,
+    double* __restrict out_noc, double* __restrict out_dram,
+    double* __restrict out_total, double* __restrict out_lat,
+    double* __restrict out_util, double* __restrict out_stat,
+    double* __restrict out_en) {
   for (std::size_t l = 0; l < n; ++l) {
     const double noc_c = noc_bytes / noc_bpc[l];
     const double dram_c = dram_bytes / off_bpc[l];
@@ -415,13 +424,15 @@ ModelCost AnalyticalCostModel::one_lane(
   return std::move(scratch.result.front());
 }
 
-void AnalyticalCostModel::compute_all_levels(const Layer* layers,
-                                             std::size_t num_layers,
-                                             const SubAccelConfig& accel,
-                                             const hw::DvfsOperatingPoint* ops,
-                                             std::size_t num_lanes,
-                                             AllLevelsScratch& s) const {
-  s.ensure(num_lanes, num_layers);
+template <typename Reduce>
+void AnalyticalCostModel::walk_levels(const Layer* layers,
+                                      std::size_t num_layers,
+                                      const SubAccelConfig& accel,
+                                      const hw::DvfsOperatingPoint* ops,
+                                      std::size_t num_lanes,
+                                      AllLevelsScratch& s,
+                                      Reduce&& reduce) const {
+  s.ensure_lanes(num_lanes);
 
   // Per-lane operating points, hoisted out of the layer walk into the
   // scratch's SoA lanes. A shifted clock rescales the per-cycle bandwidths
@@ -435,6 +446,7 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
     s.noc_bpc[l] = accel.noc_bytes_per_cycle;
     s.offchip_bpc[l] = accel.offchip_bytes_per_cycle;
     s.vr[l] = 1.0;
+    s.avg_utilization[l] = 0.0;
     if (ops == nullptr) continue;
     const hw::DvfsOperatingPoint& op = ops[l];
     if (op.freq_ghz != accel.clock_ghz) {
@@ -463,7 +475,6 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
   // per-level tail runs across all lanes at once.
   for (std::size_t i = 0; i < num_layers; ++i) {
     const LayerCostCore core = layer_core(layers[i], accel);
-    if (!core.vector_op) total_macs += core.macs;
     finish_levels_lanes(num_lanes, core.compute_cycles, core.noc_bytes,
                         core.dram_traffic_bytes, core.macs, pes, pe_mw,
                         core.dynamic_pj * 1e-9, s.clock_ghz.data(),
@@ -472,10 +483,33 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
                         s.total_cycles.data(), s.latency_ms.data(),
                         s.utilization.data(), s.static_mj.data(),
                         s.energy_mj.data());
+    // The average utilization is weighted by MACs over the MAC layers
+    // (vector ops are left out), summed in layer order.
+    if (!core.vector_op) {
+      total_macs += core.macs;
+      for (std::size_t l = 0; l < num_lanes; ++l) {
+        s.avg_utilization[l] += s.utilization[l] * core.macs;
+      }
+    }
+    reduce(i, core);
+  }
+  for (std::size_t l = 0; l < num_lanes; ++l) {
+    s.avg_utilization[l] =
+        total_macs > 0 ? s.avg_utilization[l] / total_macs : 0.0;
+  }
+}
 
-    // Scatter the lanes into each lane's ModelCost, whose totals (zeroed by
-    // ensure) accumulate in layer order — the order a per-layer summation
-    // uses. avg_utilization holds the MAC-weighted sum until the end.
+void AnalyticalCostModel::compute_all_levels(const Layer* layers,
+                                             std::size_t num_layers,
+                                             const SubAccelConfig& accel,
+                                             const hw::DvfsOperatingPoint* ops,
+                                             std::size_t num_lanes,
+                                             AllLevelsScratch& s) const {
+  // Scatter the lanes into each lane's ModelCost, whose totals (zeroed by
+  // reset_result) accumulate in layer order — the order a per-layer
+  // summation uses.
+  const auto scatter = [&s, num_lanes](std::size_t,
+                                       const LayerCostCore& core) {
     for (std::size_t l = 0; l < num_lanes; ++l) {
       LayerCost lc;
       lc.mapping = core.mapping;
@@ -494,13 +528,47 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
       mc.energy_mj += lc.energy_mj;
       mc.static_energy_mj += lc.static_energy_mj;
       mc.dram_traffic_bytes += lc.dram_traffic_bytes;
-      if (!core.vector_op) mc.avg_utilization += lc.utilization * core.macs;
       mc.layers.push_back(lc);
     }
-  }
+  };
+  s.reset_result(num_lanes, num_layers);
+  walk_levels(layers, num_layers, accel, ops, num_lanes, s, scatter);
   for (std::size_t l = 0; l < num_lanes; ++l) {
-    ModelCost& mc = s.result[l];
-    mc.avg_utilization = total_macs > 0 ? mc.avg_utilization / total_macs : 0.0;
+    s.result[l].avg_utilization = s.avg_utilization[l];
+  }
+}
+
+void AnalyticalCostModel::compute_columns(const ModelGraph& graph,
+                                          const SubAccelConfig& accel,
+                                          AllLevelsScratch& s,
+                                          CostColumns& c) const {
+  const std::size_t num_layers = graph.num_layers();
+  const std::size_t num_lanes = accel.dvfs.num_levels();
+  c.num_layers = num_layers;
+  const std::size_t entries = num_lanes * (num_layers + 1);
+  c.latency_prefix_ms.resize(entries);  // zero-filled: every prefix[0] = 0
+  c.energy_prefix_mj.resize(entries);
+  c.static_prefix_mj.resize(entries);
+  double* const lat = c.latency_prefix_ms.data();
+  double* const energy = c.energy_prefix_mj.data();
+  double* const stat = c.static_prefix_mj.data();
+  // Each lane's running sums, added left to right from 0.0 — the additions
+  // a ModelCost total makes — so the last prefix is the level's total.
+  const auto running_sums = [&](std::size_t i, const LayerCostCore&) {
+    for (std::size_t l = 0; l < num_lanes; ++l) {
+      const std::size_t at = c.prefix_index(l, i);
+      lat[at + 1] = lat[at] + s.latency_ms[l];
+      energy[at + 1] = energy[at] + s.energy_mj[l];
+      stat[at + 1] = stat[at] + s.static_mj[l];
+    }
+  };
+  walk_levels(graph.layers().data(), num_layers, accel, ladder_ops(accel),
+              num_lanes, s, running_sums);
+  c.levels.resize(num_lanes);
+  for (std::size_t l = 0; l < num_lanes; ++l) {
+    const std::size_t total = c.prefix_index(l, num_layers);
+    c.levels[l] = ModelTotals{lat[total], energy[total], stat[total],
+                              s.avg_utilization[l]};
   }
 }
 
@@ -515,10 +583,8 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch& scratch) const {
   check_accel(accel, "model_cost_all_levels");
-  const auto& levels = accel.dvfs.levels;
   compute_all_levels(graph.layers().data(), graph.num_layers(), accel,
-                     levels.empty() ? nullptr : levels.data(),
-                     accel.dvfs.num_levels(), scratch);
+                     ladder_ops(accel), accel.dvfs.num_levels(), scratch);
   return scratch.result;
 }
 
@@ -576,35 +642,6 @@ std::uint64_t memo_hash(const ModelGraph& graph, const SubAccelConfig& accel) {
   return splitmix64(h);
 }
 
-/// The cost columns of an all-levels result: each level's totals and the
-/// running sums of its layers, added left to right like the totals.
-CostColumns make_columns(const std::vector<ModelCost>& all,
-                         std::size_t num_layers) {
-  CostColumns c;
-  c.num_layers = num_layers;
-  c.levels.reserve(all.size());
-  const std::size_t entries = all.size() * (num_layers + 1);
-  c.latency_prefix_ms.resize(entries);  // zero-filled: every prefix[0] = 0
-  c.energy_prefix_mj.resize(entries);
-  c.static_prefix_mj.resize(entries);
-  for (std::size_t l = 0; l < all.size(); ++l) {
-    const ModelCost& mc = all[l];
-    c.levels.push_back(ModelTotals{mc.latency_ms, mc.energy_mj,
-                                   mc.static_energy_mj, mc.avg_utilization});
-    const std::size_t base = c.prefix_index(l, 0);
-    double lat = 0.0, energy = 0.0, stat = 0.0;
-    for (std::size_t k = 0; k < num_layers; ++k) {
-      lat += mc.layers[k].latency_ms;
-      energy += mc.layers[k].energy_mj;
-      stat += mc.layers[k].static_energy_mj;
-      c.latency_prefix_ms[base + k + 1] = lat;
-      c.energy_prefix_mj[base + k + 1] = energy;
-      c.static_prefix_mj[base + k + 1] = stat;
-    }
-  }
-  return c;
-}
-
 }  // namespace
 
 std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
@@ -622,18 +659,17 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
     return {entry, &entry->columns};
   }
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  // The columns are reduced from the kernel's result right after the walk,
-  // while the result is still in cache.
-  AllLevelsScratch local;
-  const auto& all = model_cost_all_levels(
-      graph, accel, scratch != nullptr ? *scratch : local);
+  check_accel(accel, "cached_cost_columns");
   auto fresh = std::make_shared<MemoEntry>();
   fresh->layer_shapes.reserve(graph.num_layers());
   for (const Layer& layer : graph.layers()) {
     fresh->layer_shapes.push_back(layer.shape());
   }
   fresh->accel = accel;
-  fresh->columns = make_columns(all, graph.num_layers());
+  // The walk writes its running sums straight into the new entry.
+  AllLevelsScratch local;
+  compute_columns(graph, accel, scratch != nullptr ? *scratch : local,
+                  fresh->columns);
   entry = std::move(fresh);
   std::shared_ptr<const MemoEntry> stored;
   {

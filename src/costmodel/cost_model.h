@@ -132,12 +132,15 @@ struct CostColumns {
 
 /// Reusable scratch for the level-axis lane kernel: every per-call
 /// allocation of the layer walk (the SoA level-parameter lanes, the
-/// per-layer per-level output lanes, and the result vector with its
-/// per-level layer lists) hoisted into a caller-owned object. A CostTable
-/// build loop owns ONE of these across all (task x sub-accelerator x
-/// design) builds; after the first call at the largest (levels, layers)
-/// shape, subsequent calls perform zero heap allocations (test-enforced
-/// with a counting allocator probe). The object is opaque — only
+/// per-layer per-level output lanes, the per-level utilization sums, and
+/// model_cost_all_levels' result vector with its per-level layer lists)
+/// hoisted into a caller-owned object. A model-memo miss uses the lanes
+/// alone: it writes its running sums straight into the new entry's
+/// CostColumns and never touches the result. A CostTable build loop owns
+/// ONE of these across all (task x sub-accelerator x design) builds; after
+/// the first call at the largest (levels, layers) shape, subsequent calls
+/// perform zero heap allocations in the scratch (test-enforced with a
+/// counting allocator probe). The object is opaque — only
 /// AnalyticalCostModel reads or writes it — and single-threaded: share one
 /// per thread, never across threads.
 class AllLevelsScratch {
@@ -149,10 +152,12 @@ class AllLevelsScratch {
  private:
   friend class AnalyticalCostModel;
 
-  /// Sizes every lane for `num_levels` lanes and every result layer list
-  /// for `num_layers`, retaining capacity from prior calls; zeroes and
-  /// clears the result in place.
-  void ensure(std::size_t num_levels, std::size_t num_layers);
+  /// Sizes every lane for `num_levels` lanes, retaining capacity from prior
+  /// calls.
+  void ensure_lanes(std::size_t num_levels);
+  /// Sizes the result to `num_levels` ModelCosts with room for `num_layers`
+  /// layers each, retaining capacity; zeroes and clears it in place.
+  void reset_result(std::size_t num_levels, std::size_t num_layers);
 
   /// SoA per-lane operating point: clock and per-cycle bandwidths.
   std::vector<double> clock_ghz;
@@ -160,8 +165,8 @@ class AllLevelsScratch {
   std::vector<double> offchip_bpc;
   std::vector<double> vr;  ///< voltage_v / hw::kNominalVoltageV per lane.
 
-  /// Per-layer per-lane outputs of the lane kernel, scattered into the AoS
-  /// LayerCost lists afterwards.
+  /// Per-layer per-lane outputs of the lane kernel, consumed by the walk's
+  /// reduction before the next layer overwrites them.
   std::vector<double> noc_cycles;
   std::vector<double> dram_cycles;
   std::vector<double> total_cycles;
@@ -170,7 +175,11 @@ class AllLevelsScratch {
   std::vector<double> static_mj;
   std::vector<double> energy_mj;
 
-  std::vector<ModelCost> result;
+  /// Per lane: the MAC-weighted utilization sum over the MAC layers during
+  /// the walk, the average utilization after it.
+  std::vector<double> avg_utilization;
+
+  std::vector<ModelCost> result;  ///< model_cost_all_levels' result.
 };
 
 /// MAESTRO-style analytical cost model.
@@ -223,8 +232,9 @@ class AnalyticalCostModel {
   /// switching energy) are computed a single time, and only the per-level
   /// tail — the roofline against the shifted clock, the latency-proportional
   /// static energy and the (V/Vnom)^2 voltage scaling — runs across the
-  /// level lanes. This is the CostTable build kernel: a five-level ladder
-  /// stops paying five full layer walks per (task, sub-accelerator).
+  /// level lanes. CostTable builds run the same walk through
+  /// cached_cost_columns, so a five-level ladder pays one layer walk per
+  /// (task, sub-accelerator), not five.
   std::vector<ModelCost> model_cost_all_levels(
       const ModelGraph& graph, const SubAccelConfig& accel) const;
 
@@ -241,16 +251,20 @@ class AnalyticalCostModel {
   /// reduced to what a CostTable reads, cached per (layer shapes x
   /// sub-accel config x DVFS ladder), so repeated (model, sub-accelerator)
   /// pairs across sweep points skip the layer walk entirely (CostTable
-  /// builds call this). The returned columns are shared — concurrent builds
-  /// of identical designs read one cached copy — and stay valid after the
-  /// memo is cleared or this model is destroyed. A hit allocates nothing:
-  /// the lookup hashes graph.structure_hash() with the config, and a hit is
-  /// confirmed by comparing the cached layer shapes and config with `graph`
-  /// and `accel` in place, never by the hash alone, so a collision can not
-  /// silently alias two models. `scratch`, when given, is reused
-  /// for the layer walk on a memo miss (hits never touch it) — the
-  /// CostTable build loop passes its own. Throws std::invalid_argument for
-  /// an invalid config.
+  /// builds call this). A miss runs the same layer walk as
+  /// model_cost_all_levels but writes each level's latency, energy and
+  /// static running sums straight into the new entry's columns, never
+  /// building per-layer LayerCost lists; the sums add the same lane values
+  /// in the same order, so every bit equals the all-levels result's. The
+  /// returned columns are shared — concurrent builds of identical designs
+  /// read one cached copy — and stay valid after the memo is cleared or
+  /// this model is destroyed. A hit allocates nothing: the lookup hashes
+  /// graph.structure_hash() with the config, and a hit is confirmed by
+  /// comparing the cached layer shapes and config with `graph` and `accel`
+  /// in place, never by the hash alone, so a collision can not silently
+  /// alias two models. `scratch`, when given, supplies the walk's lanes on
+  /// a memo miss (hits never touch it) — the CostTable build loop passes
+  /// its own. Throws std::invalid_argument for an invalid config.
   std::shared_ptr<const CostColumns> cached_cost_columns(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
@@ -299,16 +313,32 @@ class AnalyticalCostModel {
   LayerCostCore layer_core(const Layer& layer,
                            const SubAccelConfig& accel) const;
 
-  /// The one cost kernel. Loads one lane of `scratch` per operating point
+  /// The one layer walk. Loads one lane of `scratch` per operating point
   /// in `ops[0, num_lanes)` — or a single lane at the configured clock and
   /// unit voltage ratio when `ops` is null — then walks `layers` once:
-  /// each layer's core is computed a single time and the per-level tail
-  /// runs across every lane, so scratch.result[l] is lane l's ModelCost.
+  /// each layer's core is computed a single time, the per-level tail runs
+  /// across every lane, and `reduce(i, core)` consumes layer i's lane
+  /// outputs before the next layer overwrites them. On return
+  /// scratch.avg_utilization holds each lane's average utilization.
+  template <typename Reduce>
+  void walk_levels(const Layer* layers, std::size_t num_layers,
+                   const SubAccelConfig& accel,
+                   const hw::DvfsOperatingPoint* ops, std::size_t num_lanes,
+                   AllLevelsScratch& scratch, Reduce&& reduce) const;
+
+  /// The layer walk reduced to one ModelCost per lane: scratch.result[l]
+  /// holds lane l's LayerCosts and their layer-order totals.
   void compute_all_levels(const Layer* layers, std::size_t num_layers,
                           const SubAccelConfig& accel,
                           const hw::DvfsOperatingPoint* ops,
                           std::size_t num_lanes,
                           AllLevelsScratch& scratch) const;
+
+  /// The layer walk over `graph` at every DVFS level of `accel` reduced to
+  /// `columns`: each level's running sums are written into the prefix
+  /// arrays as the walk goes, and its totals are read off the last prefix.
+  void compute_columns(const ModelGraph& graph, const SubAccelConfig& accel,
+                       AllLevelsScratch& scratch, CostColumns& columns) const;
 
   /// A one-lane call of compute_all_levels on a fresh scratch.
   ModelCost one_lane(const Layer* layers, std::size_t num_layers,

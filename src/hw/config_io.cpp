@@ -53,14 +53,20 @@ double non_negative_double(const util::IniDocument::Section& sec,
 }
 
 /// Parses "f1@v1, f2@v2, ..." into an operating-point list, enforcing a
-/// strictly-ascending positive V/f ladder. `line` is the source line of the
-/// dvfs_levels key, reported in every rejection.
+/// strictly-ascending positive V/f ladder of at most kMaxDvfsLevels points.
+/// `line` is the source line of the dvfs_levels key, reported in every
+/// rejection.
 std::vector<DvfsOperatingPoint> parse_dvfs_levels(const std::string& text,
                                                   int line) {
   std::vector<DvfsOperatingPoint> levels;
   std::istringstream in(text);
   std::string token;
   while (std::getline(in, token, ',')) {
+    if (levels.size() == kMaxDvfsLevels) {
+      config_error(line, "dvfs_levels must list at most " +
+                             std::to_string(kMaxDvfsLevels) +
+                             " operating points");
+    }
     const auto at = token.find('@');
     if (at == std::string::npos) {
       config_error(line,

@@ -11,7 +11,9 @@ bool DvfsState::valid() const {
     return false;
   }
   if (levels.empty()) return nominal_level == 0;
-  if (nominal_level >= levels.size()) return false;
+  if (levels.size() > kMaxDvfsLevels || nominal_level >= levels.size()) {
+    return false;
+  }
   double prev_freq = 0.0;
   for (const auto& op : levels) {
     if (!std::isfinite(op.freq_ghz) || op.freq_ghz <= prev_freq ||

@@ -10,6 +10,13 @@ namespace xrbench::hw {
 /// static power by V/Vnom relative to this point.
 inline constexpr double kNominalVoltageV = 0.8;
 
+/// Most operating points a DVFS ladder may list. Real PMUs expose a handful
+/// (the default ladder has 5), while every level multiplies the cost
+/// columns a CostTable holds per (model, sub-accelerator) — levels x
+/// (layers + 1) x 3 doubles — so an unbounded ladder from a config file
+/// could exhaust memory before any run starts.
+inline constexpr std::size_t kMaxDvfsLevels = 64;
+
 /// One DVFS operating point of a sub-accelerator: a (frequency, voltage)
 /// pair the power-management unit can switch to between inferences.
 struct DvfsOperatingPoint {
@@ -47,8 +54,8 @@ struct DvfsState {
   std::size_t num_levels() const { return levels.empty() ? 1 : levels.size(); }
 
   /// True for the empty table or a strictly-ascending positive finite V/f
-  /// ladder with a valid nominal index, and a finite non-negative
-  /// transition_ms and idle_mw.
+  /// ladder of at most kMaxDvfsLevels points with a valid nominal index,
+  /// and a finite non-negative transition_ms and idle_mw.
   bool valid() const;
 
   /// True when the table's nominal frequency matches `clock_ghz` (trivially

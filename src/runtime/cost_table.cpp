@@ -36,8 +36,10 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   costs_.resize(models::kNumTasks * total_levels_);
   columns_.resize(models::kNumTasks * num_sub_accels_);
   // One scratch for the whole build loop: after the first (task, sub-accel)
-  // evaluation at the largest shape, every later model-memo miss reuses its
-  // lanes and layer lists instead of re-allocating them per build.
+  // evaluation at the largest ladder, every later model-memo miss reuses
+  // its level lanes instead of re-allocating them. A miss writes its cost
+  // columns straight into the new memo entry, so the scratch holds no
+  // per-layer results.
   costmodel::AllLevelsScratch scratch;
   for (models::TaskId task : models::all_tasks()) {
     const auto& graph = models::model_graph(task);

@@ -128,4 +128,41 @@ inline void expect_model_cost_eq(const ModelCost& a, const ModelCost& b) {
   }
 }
 
+/// Bit equality of cost columns with `expected`, one ModelCost per level:
+/// each level's totals, and the running sums of its layers added left to
+/// right from 0.0, which end on the level's totals bit for bit.
+inline void expect_columns_eq(const CostColumns& c,
+                              const std::vector<ModelCost>& expected) {
+  ASSERT_EQ(c.levels.size(), expected.size());
+  const std::size_t entries = expected.size() * (c.num_layers + 1);
+  ASSERT_EQ(c.latency_prefix_ms.size(), entries);
+  ASSERT_EQ(c.energy_prefix_mj.size(), entries);
+  ASSERT_EQ(c.static_prefix_mj.size(), entries);
+  for (std::size_t lvl = 0; lvl < expected.size(); ++lvl) {
+    SCOPED_TRACE("level " + std::to_string(lvl));
+    const ModelCost& mc = expected[lvl];
+    ASSERT_EQ(c.num_layers, mc.layers.size());
+    const ModelTotals& totals = c.levels[lvl];
+    EXPECT_EQ(totals.latency_ms, mc.latency_ms);
+    EXPECT_EQ(totals.energy_mj, mc.energy_mj);
+    EXPECT_EQ(totals.static_energy_mj, mc.static_energy_mj);
+    EXPECT_EQ(totals.avg_utilization, mc.avg_utilization);
+    double lat = 0.0, energy = 0.0, stat = 0.0;
+    for (std::size_t k = 0; k <= mc.layers.size(); ++k) {
+      const std::size_t i = c.prefix_index(lvl, k);
+      EXPECT_EQ(c.latency_prefix_ms[i], lat);
+      EXPECT_EQ(c.energy_prefix_mj[i], energy);
+      EXPECT_EQ(c.static_prefix_mj[i], stat);
+      if (k < mc.layers.size()) {
+        lat += mc.layers[k].latency_ms;
+        energy += mc.layers[k].energy_mj;
+        stat += mc.layers[k].static_energy_mj;
+      }
+    }
+    EXPECT_EQ(lat, mc.latency_ms);
+    EXPECT_EQ(energy, mc.energy_mj);
+    EXPECT_EQ(stat, mc.static_energy_mj);
+  }
+}
+
 }  // namespace xrbench::costmodel::reference

@@ -185,7 +185,9 @@ TEST_F(AdaptiveGovernorTest, OndemandStepsDownBelowDownThreshold) {
   ASSERT_GT(nominal, 0u);
   // One step per consultation — glide, don't cliff-dive...
   EXPECT_EQ(gov.level_for(gctx(0)), nominal - 1);
-  if (nominal >= 2) EXPECT_EQ(gov.level_for(gctx(0)), nominal - 2);
+  if (nominal >= 2) {
+    EXPECT_EQ(gov.level_for(gctx(0)), nominal - 2);
+  }
   // ...and saturate at the floor.
   for (int i = 0; i < 10; ++i) gov.level_for(gctx(0));
   EXPECT_EQ(gov.level_for(gctx(0)), 0u);

@@ -177,8 +177,14 @@ TEST(HwConfigIo, RejectsMalformedValuesWithLineNumber) {
     int error_line;
     std::string expect;
   };
+  // A strictly-ascending ladder one point longer than the cap allows.
+  std::string too_long = "dvfs_levels = ";
+  for (std::size_t i = 1; i <= hw::kMaxDvfsLevels + 1; ++i) {
+    too_long += (i > 1 ? ", " : "") + std::to_string(i) + "@0.8";
+  }
   const Case cases[] = {
       {10, "dvfs_levels = 0.5@0.8, 0.25@0.62", 10, "ascending"},
+      {10, too_long, 10, "at most " + std::to_string(hw::kMaxDvfsLevels)},
       {10, "dvfs_levels = 0.25@nan, 0.5@0.8", 10, "finite"},
       {10, "dvfs_levels = 0.25@0.62, 0.5@0.8, inf@0.9", 10, "finite"},
       {10, "dvfs_transition_ms = inf", 10, "dvfs_transition_ms"},
@@ -213,6 +219,23 @@ TEST(HwConfigIo, RejectsMalformedValuesWithLineNumber) {
       EXPECT_NE(message.find(c.expect), std::string::npos) << message;
     }
   }
+}
+
+TEST(HwConfigIo, DvfsLadderAtTheCapParses) {
+  // kMaxDvfsLevels ascending points ending on the chip clock: the longest
+  // ladder a config may list.
+  std::string ladder = "dvfs_levels = ";
+  for (std::size_t i = 1; i <= hw::kMaxDvfsLevels; ++i) {
+    ladder += (i > 1 ? ", " : "") + std::to_string(i) + "@0.8";
+  }
+  const auto sys = hw::from_config_text(
+      "[chip]\nid = X\nclock_ghz = " + std::to_string(hw::kMaxDvfsLevels) +
+      "\n[sub_accel]\ndataflow = WS\nnum_pes = 1024\nnoc_gbps = 64\n"
+      "offchip_gbps = 8\nsram_kib = 2048\n" +
+      ladder + "\n");
+  const auto& dvfs = sys.sub_accels.front().dvfs;
+  EXPECT_EQ(dvfs.num_levels(), hw::kMaxDvfsLevels);
+  EXPECT_EQ(dvfs.nominal_level, hw::kMaxDvfsLevels - 1);
 }
 
 TEST(HwConfigIo, DvfsRejectsOtherMalformedLadders) {

@@ -51,6 +51,25 @@ TEST(DvfsState, InvalidTablesAreRejected) {
                std::invalid_argument);
 }
 
+TEST(DvfsState, LadderLengthIsCapped) {
+  // Every level multiplies the cost columns a CostTable holds, so a ladder
+  // built in code may list at most hw::kMaxDvfsLevels points, like one
+  // read from a config file.
+  hw::DvfsState longest;
+  for (std::size_t i = 1; i <= hw::kMaxDvfsLevels; ++i) {
+    longest.levels.push_back({static_cast<double>(i), hw::kNominalVoltageV});
+  }
+  EXPECT_TRUE(longest.valid());
+  EXPECT_NO_THROW(hw::with_dvfs(hw::make_accelerator('A', 4096), longest));
+
+  hw::DvfsState too_long = longest;
+  too_long.levels.push_back(
+      {static_cast<double>(hw::kMaxDvfsLevels + 1), hw::kNominalVoltageV});
+  EXPECT_FALSE(too_long.valid());
+  EXPECT_THROW(hw::with_dvfs(hw::make_accelerator('A', 4096), too_long),
+               std::invalid_argument);
+}
+
 TEST(DvfsCostModel, NominalLevelIsBitIdenticalToLegacyPath) {
   costmodel::AnalyticalCostModel cm;
   const auto plain = hw::make_accelerator('J', 8192);

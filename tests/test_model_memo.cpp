@@ -158,41 +158,17 @@ TEST(ModelMemo, CountsAreExactUnderConcurrentLookups) {
 }
 
 TEST(ModelMemo, CachedValueMatchesUncachedKernel) {
-  // The cached columns are the uncached kernel's result reduced to what a
-  // CostTable reads: each level's totals, and running sums of its layers
+  // The cached columns equal the uncached kernel's result reduced to what
+  // a CostTable reads: each level's totals, and running sums of its layers
   // added left to right, which end on the level's totals bit for bit.
   costmodel::AnalyticalCostModel cm;
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('A', 4096));
   const auto& sa = sys.sub_accels[0];
   const auto& graph = models::model_graph(models::TaskId::kES);
   const auto cached = cm.cached_cost_columns(graph, sa);
-  const auto direct = cm.model_cost_all_levels(graph, sa);
-  ASSERT_EQ(cached->levels.size(), direct.size());
   ASSERT_EQ(cached->num_layers, graph.num_layers());
-  for (std::size_t lvl = 0; lvl < direct.size(); ++lvl) {
-    SCOPED_TRACE("level " + std::to_string(lvl));
-    const auto& mc = direct[lvl];
-    const auto& totals = cached->levels[lvl];
-    EXPECT_EQ(totals.latency_ms, mc.latency_ms);
-    EXPECT_EQ(totals.energy_mj, mc.energy_mj);
-    EXPECT_EQ(totals.static_energy_mj, mc.static_energy_mj);
-    EXPECT_EQ(totals.avg_utilization, mc.avg_utilization);
-    double lat = 0.0, energy = 0.0, stat = 0.0;
-    for (std::size_t k = 0; k <= mc.layers.size(); ++k) {
-      const std::size_t i = cached->prefix_index(lvl, k);
-      EXPECT_EQ(cached->latency_prefix_ms[i], lat);
-      EXPECT_EQ(cached->energy_prefix_mj[i], energy);
-      EXPECT_EQ(cached->static_prefix_mj[i], stat);
-      if (k < mc.layers.size()) {
-        lat += mc.layers[k].latency_ms;
-        energy += mc.layers[k].energy_mj;
-        stat += mc.layers[k].static_energy_mj;
-      }
-    }
-    EXPECT_EQ(lat, mc.latency_ms);
-    EXPECT_EQ(energy, mc.energy_mj);
-    EXPECT_EQ(stat, mc.static_energy_mj);
-  }
+  costmodel::reference::expect_columns_eq(
+      *cached, cm.model_cost_all_levels(graph, sa));
 }
 
 TEST(ModelMemo, KeyIsLayerShapesNotNames) {

@@ -90,7 +90,7 @@ TEST_F(RunnerTest, TimelineTiesHaveDeterministicTotalOrder) {
   // simulation event — equal start_ms entries are common. The report sort
   // must impose a full (start, sub_accel, task, frame) order so equal-time
   // entries cannot permute between runs or stdlib sort implementations.
-  RunConfig cfg{1000.0, 11, false, 2.0};
+  RunConfig cfg{1000.0, 11, false, 2.0, FaultSpec{}};
   const auto r = run('M', 8192, scenario_by_name("AR Assistant"), cfg);
   bool any_tie = false;
   for (std::size_t i = 1; i < r.timeline.size(); ++i) {
@@ -139,7 +139,7 @@ TEST_F(RunnerTest, NoHardwareOverlapPerSubAccel) {
   // Hardware occupancy condition (appendix B.2): one sub-accelerator never
   // runs two inferences at once.
   const auto r = run('J', 4096, scenario_by_name("AR Assistant"),
-                     RunConfig{1000.0, 7, true, 2.0});
+                     RunConfig{1000.0, 7, true, 2.0, FaultSpec{}});
   std::vector<std::vector<BusyInterval>> lanes(r.sub_accel_busy_ms.size());
   for (const auto& bi : r.timeline) {
     lanes[static_cast<std::size_t>(bi.sub_accel)].push_back(bi);
@@ -191,8 +191,8 @@ TEST_F(RunnerTest, ControlDependencyGatesDownstream) {
 }
 
 TEST_F(RunnerTest, JitterChangesArrivalNotCounts) {
-  RunConfig with{1000.0, 3, true, 2.0};
-  RunConfig without{1000.0, 3, false, 2.0};
+  RunConfig with{1000.0, 3, true, 2.0, FaultSpec{}};
+  RunConfig without{1000.0, 3, false, 2.0, FaultSpec{}};
   const auto a = run('A', 8192, scenario_by_name("VR Gaming"), with);
   const auto b = run('A', 8192, scenario_by_name("VR Gaming"), without);
   for (std::size_t i = 0; i < a.per_model.size(); ++i) {
@@ -214,7 +214,7 @@ TEST_F(RunnerTest, JitterChangesArrivalNotCounts) {
 }
 
 TEST_F(RunnerTest, DeterministicForSameSeed) {
-  RunConfig cfg{1000.0, 99, true, 2.0};
+  RunConfig cfg{1000.0, 99, true, 2.0, FaultSpec{}};
   const auto a = run('J', 4096, scenario_by_name("AR Assistant"), cfg);
   const auto b = run('J', 4096, scenario_by_name("AR Assistant"), cfg);
   ASSERT_EQ(a.per_model.size(), b.per_model.size());
@@ -355,7 +355,7 @@ TEST_P(RunnerSweep, CoreInvariants) {
   const ScenarioRunner runner(sys, table);
   LatencyGreedyScheduler sched;
   const auto r = runner.run(scenario_by_name(scenario_name), sched,
-                            RunConfig{1000.0, 5, true, 2.0});
+                            RunConfig{1000.0, 5, true, 2.0, FaultSpec{}});
   EXPECT_EQ(r.scenario_name, scenario_name);
   EXPECT_GT(r.total_energy_mj, 0.0);
   for (const auto& m : r.per_model) {

@@ -2,10 +2,11 @@
 // layer_cost, model_cost, model_cost_at and model_cost_all_levels — must be
 // BIT-identical to the test-only scalar reference walk (layer by layer,
 // across the model zoo, the default five-level ladder AND awkward level
-// counts), scratch reuse must be invisible to results, a warmed scratch
-// must make the kernel allocation-free and a model-memo hit must allocate
-// nothing (counting-probe-enforced), and the cost model's bits must match
-// committed golden digests.
+// counts), and so must the model memo's cost columns; scratch reuse must be
+// invisible to results, a warmed scratch must make the kernel
+// allocation-free and a model-memo hit must allocate nothing
+// (counting-probe-enforced), and the bits of the cost model and of its
+// cost columns must match committed golden digests.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,28 @@ costmodel::SubAccelConfig accel_with_levels(costmodel::Dataflow df,
   a.dvfs = ladder_with_levels(k, a.clock_ghz);
   return a;
 }
+
+/// The ladder shapes the cost-column tests cover on `df` at 4096 PEs: no
+/// ladder, the default five-point ladder, the 1/2/3/6/7-level ladders, and
+/// the 3-level ladder with its nominal point lifted off the calibration
+/// voltage.
+std::vector<costmodel::SubAccelConfig> column_configs(costmodel::Dataflow df) {
+  std::vector<costmodel::SubAccelConfig> accels;
+  accels.push_back(accel_with_levels(df, 4096, 1));
+  accels.back().dvfs = hw::DvfsState{};
+  accels.push_back(accels.back());
+  accels.back().dvfs = hw::default_dvfs_state(accels.back().clock_ghz);
+  for (std::size_t k : {1u, 2u, 3u, 6u, 7u}) {
+    accels.push_back(accel_with_levels(df, 4096, k));
+  }
+  accels.push_back(accel_with_levels(df, 4096, 3));
+  accels.back().dvfs.levels.back().voltage_v = 1.1 * hw::kNominalVoltageV;
+  return accels;
+}
+
+constexpr costmodel::Dataflow kDataflows[] = {
+    costmodel::Dataflow::kWS, costmodel::Dataflow::kOS,
+    costmodel::Dataflow::kRS};
 
 /// Every cost entry point on `a` against the reference walk: all levels,
 /// each level's model_cost_at, and the nominal-clock model_cost and
@@ -173,6 +196,25 @@ TEST(SimdLevels, ModelMemoHitIsAllocationFree) {
   EXPECT_EQ(cm.model_memo_stats().hits, 1u);
 }
 
+TEST(SimdLevels, ModelMemoMissBuildsNoLayerLists) {
+  // A memo miss writes its running sums straight into the new entry's
+  // columns and never materializes per-level LayerCost lists, so its
+  // allocation count does not grow with the ladder: a list per level would
+  // add one allocation per level.
+  const auto& graph = models::model_graph(models::TaskId::kHT);
+  std::vector<std::uint64_t> allocations;
+  for (std::size_t k : {1u, 7u}) {
+    const costmodel::AnalyticalCostModel cm;
+    const auto a = accel_with_levels(costmodel::Dataflow::kWS, 4096, k);
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const auto columns = cm.cached_cost_columns(graph, a);
+    allocations.push_back(g_alloc_count.load(std::memory_order_relaxed) -
+                          before);
+    EXPECT_EQ(columns->levels.size(), k);
+  }
+  EXPECT_EQ(allocations[0], allocations[1]);
+}
+
 TEST(SimdLevels, CostTableBitIdenticalToReference) {
   // A CostTable built through the memoized lane kernel equals the
   // reference walk cell by cell and layer prefix by layer prefix (prefixes
@@ -213,9 +255,30 @@ TEST(SimdLevels, CostTableBitIdenticalToReference) {
   }
 }
 
+TEST(SimdLevels, CostColumnsBitIdenticalToReference) {
+  // The model memo's cost columns, as a memo miss computes them, against
+  // the reference walk: every zoo model on every dataflow and ladder shape,
+  // level totals and layer prefixes alike.
+  const costmodel::AnalyticalCostModel cm;
+  for (costmodel::Dataflow df : kDataflows) {
+    for (const auto& a : column_configs(df)) {
+      ASSERT_TRUE(a.valid());
+      for (models::TaskId t : models::all_tasks()) {
+        SCOPED_TRACE(std::string(costmodel::dataflow_name(df)) + " levels " +
+                     std::to_string(a.dvfs.levels.size()) + " task " +
+                     std::string(models::task_code(t)));
+        const auto& graph = models::model_graph(t);
+        costmodel::reference::expect_columns_eq(
+            *cm.cached_cost_columns(graph, a),
+            costmodel::reference::all_levels(cm, graph, a));
+      }
+    }
+  }
+}
+
 /// 64-bit FNV-1a over 8-byte words: the bit pattern of every double and
-/// the value of every integer of every ModelCost and LayerCost, in a fixed
-/// order.
+/// the value of every integer of every ModelCost and LayerCost, or of every
+/// CostColumns field, in a fixed order.
 class Digest {
  public:
   void add(const costmodel::ModelCost& mc) {
@@ -234,6 +297,21 @@ class Digest {
       for (std::int64_t p : {lc.mapping.p0, lc.mapping.p1, lc.mapping.p2}) {
         word(static_cast<std::uint64_t>(p));
       }
+    }
+  }
+  void add(const costmodel::CostColumns& c) {
+    word(c.num_layers);
+    word(c.levels.size());
+    for (const auto& t : c.levels) {
+      for (double d : {t.latency_ms, t.energy_mj, t.static_energy_mj,
+                       t.avg_utilization}) {
+        add(d);
+      }
+    }
+    for (const auto* prefix :
+         {&c.latency_prefix_ms, &c.energy_prefix_mj, &c.static_prefix_mj}) {
+      word(prefix->size());
+      for (double d : *prefix) add(d);
     }
   }
   /// Every level of `sa` through model_cost_all_levels and model_cost_at,
@@ -288,6 +366,45 @@ TEST(SimdLevels, CostModelMatchesGoldenDigests) {
     for (std::size_t k : {1u, 2u, 3u, 6u, 7u}) {
       digest.add_config(cm, graph,
                         accel_with_levels(costmodel::Dataflow::kWS, 4096, k));
+    }
+    EXPECT_EQ(digest.value(), expected)
+        << code << ": got 0x" << std::hex << digest.value();
+  }
+}
+
+TEST(SimdLevels, CostColumnsMatchGoldenDigests) {
+  // One digest per task over every field of the model memo's cost columns,
+  // for the 13 Table-5 designs at 4096 PEs without and with the default
+  // DVFS ladder and for every column_configs() shape on each dataflow. The
+  // goldens were generated while a memo miss still reduced the columns
+  // from the kernel's per-layer LayerCost lists, before it wrote them
+  // inside the layer walk. A change to any column bit fails here; an
+  // intended one regenerates the table and says so.
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {"HT", 0xe940d6c036bd61e5ULL}, {"ES", 0xa8c9b2b30c789a67ULL},
+      {"GE", 0x4502dcc17ab05634ULL}, {"KD", 0x68101a6980c8d68eULL},
+      {"SR", 0xca72531b57d14df6ULL}, {"SS", 0xd0b1e66eaf1a93a0ULL},
+      {"OD", 0xf4b771c84b2e54c4ULL}, {"AS", 0x98067a46924dfe57ULL},
+      {"DE", 0xb30287cb681b649aULL}, {"DR", 0xa98d497859ddaa06ULL},
+      {"PD", 0x32031638b4fe4855ULL},
+  };
+  ASSERT_EQ(std::size(golden), models::kNumTasks);
+  for (const auto& [code, expected] : golden) {
+    const auto& graph = models::model_graph(models::parse_task_code(code));
+    const costmodel::AnalyticalCostModel cm;
+    Digest digest;
+    for (char id : hw::accelerator_ids()) {
+      const auto plain = hw::make_accelerator(id, 4096);
+      for (const auto& sys : {plain, hw::with_default_dvfs(plain)}) {
+        for (const auto& sa : sys.sub_accels) {
+          digest.add(*cm.cached_cost_columns(graph, sa));
+        }
+      }
+    }
+    for (costmodel::Dataflow df : kDataflows) {
+      for (const auto& a : column_configs(df)) {
+        digest.add(*cm.cached_cost_columns(graph, a));
+      }
     }
     EXPECT_EQ(digest.value(), expected)
         << code << ": got 0x" << std::hex << digest.value();
