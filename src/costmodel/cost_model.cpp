@@ -76,12 +76,16 @@ void check_accel(const SubAccelConfig& accel, const char* caller) {
 
 }  // namespace
 
-void AllLevelsScratch::ensure_lanes(std::size_t levels) {
+void AllLevelsScratch::ensure_lanes(std::size_t levels, std::size_t classes) {
   for (std::vector<double>* lane :
-       {&clock_ghz, &noc_bpc, &offchip_bpc, &vr, &noc_cycles, &dram_cycles,
-        &total_cycles, &latency_ms, &utilization, &static_mj, &energy_mj,
-        &avg_utilization}) {
+       {&clock_ghz, &noc_bpc, &offchip_bpc, &vr, &avg_utilization}) {
     if (lane->size() < levels) lane->resize(levels);
+  }
+  if (cores.size() < classes) cores.resize(classes);
+  for (std::vector<double>* lane : {&noc_cycles, &dram_cycles, &total_cycles,
+                                    &latency_ms, &utilization, &static_mj,
+                                    &energy_mj}) {
+    if (lane->size() < classes * levels) lane->resize(classes * levels);
   }
 }
 
@@ -394,13 +398,15 @@ LayerCost AnalyticalCostModel::layer_cost(const Layer& layer,
                                 "'");
   }
   check_accel(accel, "layer_cost");
-  return one_lane(&layer, 1, accel, nullptr).layers.front();
+  ModelGraph graph;
+  graph.add(layer);
+  return one_lane(graph, accel, nullptr).layers.front();
 }
 
 ModelCost AnalyticalCostModel::model_cost(const ModelGraph& graph,
                                           const SubAccelConfig& accel) const {
   check_accel(accel, "model_cost");
-  return one_lane(graph.layers().data(), graph.num_layers(), accel, nullptr);
+  return one_lane(graph, accel, nullptr);
 }
 
 ModelCost AnalyticalCostModel::model_cost_at(const ModelGraph& graph,
@@ -412,27 +418,28 @@ ModelCost AnalyticalCostModel::model_cost_at(const ModelGraph& graph,
                             accel.id + "'");
   }
   check_accel(accel, "model_cost_at");
-  return one_lane(graph.layers().data(), graph.num_layers(), accel,
+  return one_lane(graph, accel,
                   dvfs.levels.empty() ? nullptr : &dvfs.levels[dvfs_level]);
 }
 
 ModelCost AnalyticalCostModel::one_lane(
-    const Layer* layers, std::size_t num_layers, const SubAccelConfig& accel,
+    const ModelGraph& graph, const SubAccelConfig& accel,
     const hw::DvfsOperatingPoint* op) const {
   AllLevelsScratch scratch;
-  compute_all_levels(layers, num_layers, accel, op, 1, scratch);
+  compute_all_levels(graph, accel, op, 1, scratch);
   return std::move(scratch.result.front());
 }
 
 template <typename Reduce>
-void AnalyticalCostModel::walk_levels(const Layer* layers,
-                                      std::size_t num_layers,
+void AnalyticalCostModel::walk_levels(const ModelGraph& graph,
                                       const SubAccelConfig& accel,
                                       const hw::DvfsOperatingPoint* ops,
                                       std::size_t num_lanes,
                                       AllLevelsScratch& s,
                                       Reduce&& reduce) const {
-  s.ensure_lanes(num_lanes);
+  const std::vector<Layer>& layers = graph.layers();
+  const std::vector<std::uint32_t>& classes = graph.shape_classes();
+  s.ensure_lanes(num_lanes, graph.class_shapes().size());
 
   // Per-lane operating points, hoisted out of the layer walk into the
   // scratch's SoA lanes. A shifted clock rescales the per-cycle bandwidths
@@ -470,28 +477,39 @@ void AnalyticalCostModel::walk_levels(const Layer* layers,
   const double pe_mw = energy_.static_mw_per_pe * pes;
   double total_macs = 0.0;
 
-  // ONE walk over the layer list: the level-invariant core (mapping, cycle
-  // counts, traffic, switching energy) is computed once per layer, and the
-  // per-level tail runs across all lanes at once.
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    const LayerCostCore core = layer_core(layers[i], accel);
-    finish_levels_lanes(num_lanes, core.compute_cycles, core.noc_bytes,
-                        core.dram_traffic_bytes, core.macs, pes, pe_mw,
-                        core.dynamic_pj * 1e-9, s.clock_ghz.data(),
-                        s.noc_bpc.data(), s.offchip_bpc.data(), s.vr.data(),
-                        s.noc_cycles.data(), s.dram_cycles.data(),
-                        s.total_cycles.data(), s.latency_ms.data(),
-                        s.utilization.data(), s.static_mj.data(),
-                        s.energy_mj.data());
+  // ONE walk over the layer list, in order. Shape classes are numbered in
+  // first-occurrence order, so a layer opens a new class exactly when its
+  // class equals the count of classes costed so far. That layer costs the
+  // class: the level-invariant core (mapping, cycle counts, traffic,
+  // switching energy) once, and the per-level tail across all lanes at once
+  // into the class's lanes. Every layer then reduces from its class's
+  // lanes, which hold bit for bit what its own core and tail would give.
+  std::size_t costed = 0;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const std::size_t c = classes[i];
+    const std::size_t lanes = c * num_lanes;
+    LayerCostCore& core = s.cores[c];
+    if (c == costed) {
+      core = layer_core(layers[i], accel);
+      finish_levels_lanes(
+          num_lanes, core.compute_cycles, core.noc_bytes,
+          core.dram_traffic_bytes, core.macs, pes, pe_mw,
+          core.dynamic_pj * 1e-9, s.clock_ghz.data(), s.noc_bpc.data(),
+          s.offchip_bpc.data(), s.vr.data(), s.noc_cycles.data() + lanes,
+          s.dram_cycles.data() + lanes, s.total_cycles.data() + lanes,
+          s.latency_ms.data() + lanes, s.utilization.data() + lanes,
+          s.static_mj.data() + lanes, s.energy_mj.data() + lanes);
+      ++costed;
+    }
     // The average utilization is weighted by MACs over the MAC layers
     // (vector ops are left out), summed in layer order.
     if (!core.vector_op) {
       total_macs += core.macs;
       for (std::size_t l = 0; l < num_lanes; ++l) {
-        s.avg_utilization[l] += s.utilization[l] * core.macs;
+        s.avg_utilization[l] += s.utilization[lanes + l] * core.macs;
       }
     }
-    reduce(i, core);
+    reduce(i, core, lanes);
   }
   for (std::size_t l = 0; l < num_lanes; ++l) {
     s.avg_utilization[l] =
@@ -499,8 +517,7 @@ void AnalyticalCostModel::walk_levels(const Layer* layers,
   }
 }
 
-void AnalyticalCostModel::compute_all_levels(const Layer* layers,
-                                             std::size_t num_layers,
+void AnalyticalCostModel::compute_all_levels(const ModelGraph& graph,
                                              const SubAccelConfig& accel,
                                              const hw::DvfsOperatingPoint* ops,
                                              std::size_t num_lanes,
@@ -508,19 +525,19 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
   // Scatter the lanes into each lane's ModelCost, whose totals (zeroed by
   // reset_result) accumulate in layer order — the order a per-layer
   // summation uses.
-  const auto scatter = [&s, num_lanes](std::size_t,
-                                       const LayerCostCore& core) {
+  const auto scatter = [&s, num_lanes](std::size_t, const LayerCostCore& core,
+                                       std::size_t lanes) {
     for (std::size_t l = 0; l < num_lanes; ++l) {
       LayerCost lc;
       lc.mapping = core.mapping;
       lc.compute_cycles = core.compute_cycles;
-      lc.noc_cycles = s.noc_cycles[l];
-      lc.dram_cycles = s.dram_cycles[l];
-      lc.total_cycles = s.total_cycles[l];
-      lc.latency_ms = s.latency_ms[l];
-      lc.energy_mj = s.energy_mj[l];
-      lc.static_energy_mj = s.static_mj[l];
-      lc.utilization = core.vector_op ? 0.0 : s.utilization[l];
+      lc.noc_cycles = s.noc_cycles[lanes + l];
+      lc.dram_cycles = s.dram_cycles[lanes + l];
+      lc.total_cycles = s.total_cycles[lanes + l];
+      lc.latency_ms = s.latency_ms[lanes + l];
+      lc.energy_mj = s.energy_mj[lanes + l];
+      lc.static_energy_mj = s.static_mj[lanes + l];
+      lc.utilization = core.vector_op ? 0.0 : s.utilization[lanes + l];
       lc.sram_traffic_bytes = core.sram_traffic_bytes;
       lc.dram_traffic_bytes = core.dram_traffic_bytes;
       ModelCost& mc = s.result[l];
@@ -531,8 +548,8 @@ void AnalyticalCostModel::compute_all_levels(const Layer* layers,
       mc.layers.push_back(lc);
     }
   };
-  s.reset_result(num_lanes, num_layers);
-  walk_levels(layers, num_layers, accel, ops, num_lanes, s, scatter);
+  s.reset_result(num_lanes, graph.num_layers());
+  walk_levels(graph, accel, ops, num_lanes, s, scatter);
   for (std::size_t l = 0; l < num_lanes; ++l) {
     s.result[l].avg_utilization = s.avg_utilization[l];
   }
@@ -554,16 +571,16 @@ void AnalyticalCostModel::compute_columns(const ModelGraph& graph,
   double* const stat = c.static_prefix_mj.data();
   // Each lane's running sums, added left to right from 0.0 — the additions
   // a ModelCost total makes — so the last prefix is the level's total.
-  const auto running_sums = [&](std::size_t i, const LayerCostCore&) {
+  const auto running_sums = [&](std::size_t i, const LayerCostCore&,
+                                std::size_t lanes) {
     for (std::size_t l = 0; l < num_lanes; ++l) {
       const std::size_t at = c.prefix_index(l, i);
-      lat[at + 1] = lat[at] + s.latency_ms[l];
-      energy[at + 1] = energy[at] + s.energy_mj[l];
-      stat[at + 1] = stat[at] + s.static_mj[l];
+      lat[at + 1] = lat[at] + s.latency_ms[lanes + l];
+      energy[at + 1] = energy[at] + s.energy_mj[lanes + l];
+      stat[at + 1] = stat[at] + s.static_mj[lanes + l];
     }
   };
-  walk_levels(graph.layers().data(), num_layers, accel, ladder_ops(accel),
-              num_lanes, s, running_sums);
+  walk_levels(graph, accel, ladder_ops(accel), num_lanes, s, running_sums);
   c.levels.resize(num_lanes);
   for (std::size_t l = 0; l < num_lanes; ++l) {
     const std::size_t total = c.prefix_index(l, num_layers);
@@ -583,17 +600,20 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch& scratch) const {
   check_accel(accel, "model_cost_all_levels");
-  compute_all_levels(graph.layers().data(), graph.num_layers(), accel,
-                     ladder_ops(accel), accel.dvfs.num_levels(), scratch);
+  compute_all_levels(graph, accel, ladder_ops(accel), accel.dvfs.num_levels(),
+                     scratch);
   return scratch.result;
 }
 
 struct AnalyticalCostModel::MemoEntry {
-  /// The key: every input the columns depend on. Layer names are excluded
-  /// (graphs with equal layer shapes cost the same), and so are the
-  /// config's id, transition_ms, idle_mw and nominal_level, which never
-  /// enter a cost.
-  std::vector<std::array<std::int64_t, 8>> layer_shapes;
+  /// The key: every input the columns depend on. The layer shapes are held
+  /// as the graph's shape-class sequence and distinct shapes, which spell
+  /// out every layer's shape in 4 B per layer plus 64 B per distinct shape.
+  /// Layer names are excluded (graphs with equal layer shapes cost the
+  /// same), and so are the config's id, transition_ms, idle_mw and
+  /// nominal_level, which never enter a cost.
+  std::vector<std::uint32_t> shape_classes;
+  std::vector<std::array<std::int64_t, 8>> class_shapes;
   SubAccelConfig accel;
   CostColumns columns;
 
@@ -606,8 +626,7 @@ struct AnalyticalCostModel::MemoEntry {
         config.clock_ghz != accel.clock_ghz ||
         config.noc_bytes_per_cycle != accel.noc_bytes_per_cycle ||
         config.offchip_bytes_per_cycle != accel.offchip_bytes_per_cycle ||
-        other.size() != levels.size() ||
-        graph.num_layers() != layer_shapes.size()) {
+        other.size() != levels.size()) {
       return false;
     }
     for (std::size_t i = 0; i < levels.size(); ++i) {
@@ -616,10 +635,8 @@ struct AnalyticalCostModel::MemoEntry {
         return false;
       }
     }
-    for (std::size_t i = 0; i < layer_shapes.size(); ++i) {
-      if (graph.layers()[i].shape() != layer_shapes[i]) return false;
-    }
-    return true;
+    return graph.shape_classes() == shape_classes &&
+           graph.class_shapes() == class_shapes;
   }
 };
 
@@ -661,10 +678,8 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
   check_accel(accel, "cached_cost_columns");
   auto fresh = std::make_shared<MemoEntry>();
-  fresh->layer_shapes.reserve(graph.num_layers());
-  for (const Layer& layer : graph.layers()) {
-    fresh->layer_shapes.push_back(layer.shape());
-  }
+  fresh->shape_classes = graph.shape_classes();
+  fresh->class_shapes = graph.class_shapes();
   fresh->accel = accel;
   // The walk writes its running sums straight into the new entry.
   AllLevelsScratch local;

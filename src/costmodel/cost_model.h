@@ -132,17 +132,17 @@ struct CostColumns {
 
 /// Reusable scratch for the level-axis lane kernel: every per-call
 /// allocation of the layer walk (the SoA level-parameter lanes, the
-/// per-layer per-level output lanes, the per-level utilization sums, and
-/// model_cost_all_levels' result vector with its per-level layer lists)
+/// per-shape-class cores and output lanes, the per-level utilization sums,
+/// and model_cost_all_levels' result vector with its per-level layer lists)
 /// hoisted into a caller-owned object. A model-memo miss uses the lanes
 /// alone: it writes its running sums straight into the new entry's
-/// CostColumns and never touches the result. A CostTable build loop owns
-/// ONE of these across all (task x sub-accelerator x design) builds; after
-/// the first call at the largest (levels, layers) shape, subsequent calls
-/// perform zero heap allocations in the scratch (test-enforced with a
-/// counting allocator probe). The object is opaque — only
-/// AnalyticalCostModel reads or writes it — and single-threaded: share one
-/// per thread, never across threads.
+/// CostColumns and never touches the result. Each CostTable constructor
+/// owns ONE of these across its (task x sub-accelerator) builds; after the
+/// first call at the largest (levels, shape classes, layers) shape,
+/// subsequent calls perform zero heap allocations in the scratch
+/// (test-enforced with a counting allocator probe). The object is opaque —
+/// only AnalyticalCostModel reads or writes it — and single-threaded: share
+/// one per thread, never across threads.
 class AllLevelsScratch {
  public:
   AllLevelsScratch() = default;
@@ -152,9 +152,24 @@ class AllLevelsScratch {
  private:
   friend class AnalyticalCostModel;
 
-  /// Sizes every lane for `num_levels` lanes, retaining capacity from prior
-  /// calls.
-  void ensure_lanes(std::size_t num_levels);
+  /// The level-invariant part of one layer's cost: everything that does not
+  /// depend on the clock or the per-cycle bandwidths. The lane kernel turns
+  /// one core into a LayerCost per level lane.
+  struct LayerCostCore {
+    bool vector_op = false;
+    SpatialMapping mapping;
+    double compute_cycles = 0.0;
+    double noc_bytes = 0.0;  ///< Numerator of noc_cycles (SRAM<->PE bytes).
+    double sram_traffic_bytes = 0.0;
+    double dram_traffic_bytes = 0.0;
+    double macs = 0.0;        ///< MACs (or vector ops); 0-util for vectors.
+    double dynamic_pj = 0.0;  ///< Switching energy at the nominal voltage.
+  };
+
+  /// Sizes the operating-point lanes for `num_levels` lanes, and the cores
+  /// and output lanes for `num_classes` shape classes of `num_levels` lanes
+  /// each, retaining capacity from prior calls.
+  void ensure_lanes(std::size_t num_levels, std::size_t num_classes);
   /// Sizes the result to `num_levels` ModelCosts with room for `num_layers`
   /// layers each, retaining capacity; zeroes and clears it in place.
   void reset_result(std::size_t num_levels, std::size_t num_layers);
@@ -165,8 +180,13 @@ class AllLevelsScratch {
   std::vector<double> offchip_bpc;
   std::vector<double> vr;  ///< voltage_v / hw::kNominalVoltageV per lane.
 
-  /// Per-layer per-lane outputs of the lane kernel, consumed by the walk's
-  /// reduction before the next layer overwrites them.
+  /// Per shape class, the core every layer of the class shares.
+  std::vector<LayerCostCore> cores;
+
+  /// Per shape class per lane, the lane kernel's outputs for the class's
+  /// layers; class c's lanes sit at [c * num_levels, (c + 1) * num_levels).
+  /// The walk fills a class's lanes at its first layer and reduces that
+  /// layer and every later one of the class from them.
   std::vector<double> noc_cycles;
   std::vector<double> dram_cycles;
   std::vector<double> total_cycles;
@@ -227,14 +247,16 @@ class AnalyticalCostModel {
 
   /// Level-batched cost kernel: the costs of `graph` on `accel` at EVERY
   /// DVFS level of accel.dvfs (result[l] == model_cost_at(graph, accel, l)).
-  /// Walks the layer list ONCE: the level-invariant terms of each layer
+  /// Walks the layer list ONCE and costs each distinct layer shape once
+  /// (ModelGraph::shape_classes): the level-invariant terms of a shape
   /// (spatial mapping, compute cycles, SRAM/NoC/DRAM traffic, dynamic
   /// switching energy) are computed a single time, and only the per-level
   /// tail — the roofline against the shifted clock, the latency-proportional
   /// static energy and the (V/Vnom)^2 voltage scaling — runs across the
-  /// level lanes. CostTable builds run the same walk through
-  /// cached_cost_columns, so a five-level ladder pays one layer walk per
-  /// (task, sub-accelerator), not five.
+  /// level lanes. Layers that repeat a shape reuse its lane values, which
+  /// are bit for bit what their own walk would give. CostTable builds run
+  /// the same walk through cached_cost_columns, so a five-level ladder pays
+  /// one layer walk per (task, sub-accelerator), not five.
   std::vector<ModelCost> model_cost_all_levels(
       const ModelGraph& graph, const SubAccelConfig& accel) const;
 
@@ -260,11 +282,12 @@ class AnalyticalCostModel {
   /// read one cached copy — and stay valid after the memo is cleared or
   /// this model is destroyed. A hit allocates nothing: the lookup hashes
   /// graph.structure_hash() with the config, and a hit is confirmed by
-  /// comparing the cached layer shapes and config with `graph` and `accel`
-  /// in place, never by the hash alone, so a collision can not silently
-  /// alias two models. `scratch`, when given, supplies the walk's lanes on
-  /// a memo miss (hits never touch it) — the CostTable build loop passes
-  /// its own. Throws std::invalid_argument for an invalid config.
+  /// comparing the cached shape-class sequence, distinct shapes and config
+  /// with `graph` and `accel` in place — together the full key, never the
+  /// hash alone, so a collision can not silently alias two models.
+  /// `scratch`, when given, supplies the walk's lanes on a memo miss (hits
+  /// never touch it) — the CostTable build loop passes its own. Throws
+  /// std::invalid_argument for an invalid config.
   std::shared_ptr<const CostColumns> cached_cost_columns(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
@@ -293,19 +316,7 @@ class AnalyticalCostModel {
   void clear_model_memo() const;
 
  private:
-  /// The level-invariant part of one layer's cost: everything that does not
-  /// depend on the clock or the per-cycle bandwidths. The lane kernel turns
-  /// one core into a LayerCost per level lane.
-  struct LayerCostCore {
-    bool vector_op = false;
-    SpatialMapping mapping;
-    double compute_cycles = 0.0;
-    double noc_bytes = 0.0;  ///< Numerator of noc_cycles (SRAM<->PE bytes).
-    double sram_traffic_bytes = 0.0;
-    double dram_traffic_bytes = 0.0;
-    double macs = 0.0;        ///< MACs (or vector ops); 0-util for vectors.
-    double dynamic_pj = 0.0;  ///< Switching energy at the nominal voltage.
-  };
+  using LayerCostCore = AllLevelsScratch::LayerCostCore;
   LayerCostCore mac_layer_core(const Layer& layer,
                                const SubAccelConfig& accel) const;
   LayerCostCore vector_layer_core(const Layer& layer,
@@ -315,20 +326,21 @@ class AnalyticalCostModel {
 
   /// The one layer walk. Loads one lane of `scratch` per operating point
   /// in `ops[0, num_lanes)` — or a single lane at the configured clock and
-  /// unit voltage ratio when `ops` is null — then walks `layers` once:
-  /// each layer's core is computed a single time, the per-level tail runs
-  /// across every lane, and `reduce(i, core)` consumes layer i's lane
-  /// outputs before the next layer overwrites them. On return
-  /// scratch.avg_utilization holds each lane's average utilization.
+  /// unit voltage ratio when `ops` is null — then walks `graph`'s layers
+  /// once, in order. At the first layer of each shape class it computes the
+  /// class's core and runs the per-level tail across every lane into the
+  /// class's lanes; `reduce(i, core, lanes)` then consumes layer i from its
+  /// class's core and lanes, which start at index `lanes` of each output
+  /// lane vector. On return scratch.avg_utilization holds each lane's
+  /// average utilization.
   template <typename Reduce>
-  void walk_levels(const Layer* layers, std::size_t num_layers,
-                   const SubAccelConfig& accel,
+  void walk_levels(const ModelGraph& graph, const SubAccelConfig& accel,
                    const hw::DvfsOperatingPoint* ops, std::size_t num_lanes,
                    AllLevelsScratch& scratch, Reduce&& reduce) const;
 
   /// The layer walk reduced to one ModelCost per lane: scratch.result[l]
   /// holds lane l's LayerCosts and their layer-order totals.
-  void compute_all_levels(const Layer* layers, std::size_t num_layers,
+  void compute_all_levels(const ModelGraph& graph,
                           const SubAccelConfig& accel,
                           const hw::DvfsOperatingPoint* ops,
                           std::size_t num_lanes,
@@ -341,8 +353,7 @@ class AnalyticalCostModel {
                        AllLevelsScratch& scratch, CostColumns& columns) const;
 
   /// A one-lane call of compute_all_levels on a fresh scratch.
-  ModelCost one_lane(const Layer* layers, std::size_t num_layers,
-                     const SubAccelConfig& accel,
+  ModelCost one_lane(const ModelGraph& graph, const SubAccelConfig& accel,
                      const hw::DvfsOperatingPoint* op) const;
 
   /// DRAM traffic with SRAM-capacity-driven re-fetch (choose the cheaper of

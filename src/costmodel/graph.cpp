@@ -1,5 +1,6 @@
 #include "costmodel/graph.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "costmodel/hash.h"
@@ -11,10 +12,18 @@ void ModelGraph::add(Layer layer) {
     throw std::invalid_argument("ModelGraph::add: invalid layer '" +
                                 layer.name + "' in model '" + name_ + "'");
   }
-  for (std::int64_t v : layer.shape()) {
+  const auto shape = layer.shape();
+  for (std::int64_t v : shape) {
     structure_hash_ =
         hash_combine(structure_hash_, static_cast<std::uint64_t>(v));
   }
+  // A linear scan: graphs are built in code, and no zoo model has more
+  // than 64 distinct shapes.
+  const auto known =
+      std::find(class_shapes_.begin(), class_shapes_.end(), shape);
+  shape_classes_.push_back(
+      static_cast<std::uint32_t>(known - class_shapes_.begin()));
+  if (known == class_shapes_.end()) class_shapes_.push_back(shape);
   layers_.push_back(std::move(layer));
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +31,21 @@ class ModelGraph {
   /// re-reading the layers.
   std::uint64_t structure_hash() const { return structure_hash_; }
 
+  /// Per layer, its shape class: the ordinal of its Layer::shape() among
+  /// the graph's distinct shapes, numbered in first-occurrence order, so a
+  /// layer's class is at most the number of classes before it. Layers of
+  /// one class cost the same on any sub-accelerator, which lets the cost
+  /// model cost each class once; kept current by add().
+  const std::vector<std::uint32_t>& shape_classes() const {
+    return shape_classes_;
+  }
+
+  /// The graph's distinct layer shapes, indexed by shape class. With
+  /// shape_classes() it spells out every layer's shape.
+  const std::vector<std::array<std::int64_t, 8>>& class_shapes() const {
+    return class_shapes_;
+  }
+
   /// Aggregate multiply-accumulate count across layers.
   std::int64_t total_macs() const;
 
@@ -46,6 +62,8 @@ class ModelGraph {
   std::string name_;
   std::vector<Layer> layers_;
   std::uint64_t structure_hash_ = 0;
+  std::vector<std::uint32_t> shape_classes_;
+  std::vector<std::array<std::int64_t, 8>> class_shapes_;
 };
 
 }  // namespace xrbench::costmodel

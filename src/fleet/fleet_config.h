@@ -62,9 +62,10 @@ struct FleetConfig {
 };
 
 /// Throws std::invalid_argument on a malformed config: non-finite or
-/// non-positive arrival rate, non-positive window / pool size /
-/// max_sessions, negative zipf_s, non-positive class weight, class weights
-/// whose sum is not finite, or negative wait budget.
+/// non-positive arrival rate or window, non-positive pool size /
+/// max_sessions, non-finite or negative zipf_s, non-positive class weight,
+/// class weights whose sum is not finite, or a non-finite or negative wait
+/// budget.
 void validate_fleet_config(const FleetConfig& config);
 
 }  // namespace xrbench::fleet

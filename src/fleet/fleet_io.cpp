@@ -76,15 +76,18 @@ void parse_fleet_section(const util::IniDocument::Section& sec,
       }
     } else if (key == "zipf_s") {
       config.zipf_s = get_double_at(sec, key);
-      if (config.zipf_s < 0.0) reject("zipf_s must be >= 0", sec.line_of(key));
+      if (!std::isfinite(config.zipf_s) || config.zipf_s < 0.0) {
+        reject("zipf_s must be finite and >= 0", sec.line_of(key));
+      }
     } else if (key == "pool_size") {
       const std::int64_t n = get_int_at(sec, key);
       if (n < 1) reject("pool_size must be >= 1", sec.line_of(key));
       config.pool_size = static_cast<std::size_t>(n);
     } else if (key == "arrival_window_ms") {
       config.arrival_window_ms = get_double_at(sec, key);
-      if (config.arrival_window_ms <= 0.0) {
-        reject("arrival_window_ms must be > 0", sec.line_of(key));
+      if (!std::isfinite(config.arrival_window_ms) ||
+          config.arrival_window_ms <= 0.0) {
+        reject("arrival_window_ms must be finite and > 0", sec.line_of(key));
       }
     } else if (key == "max_sessions") {
       const std::int64_t n = get_int_at(sec, key);
@@ -115,8 +118,9 @@ PriorityClassSpec parse_class_section(
       }
     } else if (entry.key == "wait_budget_ms") {
       cls.wait_budget_ms = get_double_at(sec, entry.key);
-      if (cls.wait_budget_ms < 0.0) {
-        reject("class wait_budget_ms must be >= 0", sec.line_of(entry.key));
+      if (!std::isfinite(cls.wait_budget_ms) || cls.wait_budget_ms < 0.0) {
+        reject("class wait_budget_ms must be finite and >= 0",
+               sec.line_of(entry.key));
       }
     } else {
       reject("unknown [class] key '" + entry.key + "'", entry.line);

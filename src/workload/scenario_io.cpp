@@ -28,10 +28,13 @@ ScenarioModel parse_model_section(const util::IniDocument::Section& sec) {
   m.task = models::parse_task_code(sec.get("task"));
   m.target_fps = sec.get_double("fps");
   const auto& src = input_source(driving_source(m.task));
-  if (m.target_fps <= 0.0 || m.target_fps > src.fps) {
+  // NaN fails every comparison, so each range test names finiteness too.
+  if (!std::isfinite(m.target_fps) || m.target_fps <= 0.0 ||
+      m.target_fps > src.fps) {
     throw std::invalid_argument(
         "scenario config: fps for " + std::string(models::task_code(m.task)) +
-        " must be in (0, " + std::to_string(src.fps) + "]");
+        " must be in (0, " + std::to_string(src.fps) + "] (line " +
+        std::to_string(sec.line_of("fps")) + ")");
   }
   if (sec.has("depends_on")) {
     m.depends_on = models::parse_task_code(sec.get("depends_on"));
@@ -39,9 +42,11 @@ ScenarioModel parse_model_section(const util::IniDocument::Section& sec) {
     m.trigger_probability = sec.has("trigger_probability")
                                 ? sec.get_double("trigger_probability")
                                 : 1.0;
-    if (m.trigger_probability < 0.0 || m.trigger_probability > 1.0) {
+    if (!std::isfinite(m.trigger_probability) ||
+        m.trigger_probability < 0.0 || m.trigger_probability > 1.0) {
       throw std::invalid_argument(
-          "scenario config: trigger_probability must be in [0,1]");
+          "scenario config: trigger_probability must be in [0,1] (line " +
+          std::to_string(sec.line_of("trigger_probability")) + ")");
     }
   }
   return m;

@@ -369,6 +369,31 @@ TEST(ScenarioIo, RejectsInvalidScenarios) {
                    "[model]\ntask = GE\nfps = 30\ndepends_on = ES\n"
                    "dependency = data\n"),
                std::invalid_argument);
+  // NaN fails both range tests of fps and trigger_probability, so each is
+  // rejected on its own, at its source line (a NaN trigger probability
+  // used to run the dependent model 0/0 frames without a word).
+  const struct {
+    const char* text;
+    const char* key;
+    const char* line;
+  } non_finite[] = {
+      {"[scenario]\nname = x\n[model]\ntask = HT\nfps = nan\n", "fps",
+       "line 5"},
+      {"[scenario]\nname = x\n[model]\ntask = HT\nfps = 30\n"
+       "[model]\ntask = KD\nfps = 3\ndepends_on = HT\n"
+       "dependency = control\ntrigger_probability = nan\n",
+       "trigger_probability", "line 11"},
+  };
+  for (const auto& row : non_finite) {
+    try {
+      workload::from_config_text(row.text);
+      ADD_FAILURE() << "expected std::invalid_argument for " << row.key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(row.key), std::string::npos) << what;
+      EXPECT_NE(what.find(row.line), std::string::npos) << what;
+    }
+  }
   // The same rates parse fine, and a control dependency may diverge.
   EXPECT_NO_THROW(workload::from_config_text(
       "[scenario]\nname = x\n[model]\ntask = ES\nfps = 60\n"

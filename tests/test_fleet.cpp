@@ -114,6 +114,19 @@ TEST(FleetWorkload, ValidationRejectsNonFiniteRatesAndWeightOverflow) {
     config.classes = {{weight, 0.0}, {1e308, 0.0}};
     EXPECT_THROW(validate_fleet_config(config), std::invalid_argument);
   }
+  // NaN passes the sign tests of the window, the Zipf exponent and the
+  // wait budget; an infinite window would generate max_sessions sessions.
+  for (double value : {nan, inf}) {
+    auto window = small_config();
+    window.arrival_window_ms = value;
+    EXPECT_THROW(validate_fleet_config(window), std::invalid_argument);
+    auto zipf = small_config();
+    zipf.zipf_s = value;
+    EXPECT_THROW(validate_fleet_config(zipf), std::invalid_argument);
+    auto budget = small_config();
+    budget.classes = {{1.0, value}};
+    EXPECT_THROW(validate_fleet_config(budget), std::invalid_argument);
+  }
 }
 
 TEST(FleetWorkload, ArrivalRateOnlyRescalesTheSamePopulation) {
@@ -384,6 +397,14 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
                 "weights overflow", 7);
   expect_reject("[fleet]\nseed = 1\n\n[class]\nweight = -1\n", "weight", 5);
   expect_reject("[fleet]\nseed = 1\nzipf_s = abc\n", "not a number", 3);
+  // Non-finite values, which pass the sign tests.
+  expect_reject("[fleet]\nseed = 1\narrival_window_ms = nan\n",
+                "arrival_window_ms", 3);
+  expect_reject("[fleet]\narrival_window_ms = inf\n", "arrival_window_ms", 2);
+  expect_reject("[fleet]\nseed = 1\nzipf_s = nan\n", "zipf_s", 3);
+  expect_reject("[fleet]\nseed = 1\n\n[class]\nweight = 1\n"
+                "wait_budget_ms = nan\n",
+                "wait_budget_ms", 6);
   // Inline-program grammar errors surface with their lines too.
   expect_reject(
       "[fleet]\nseed = 1\n\n[phase]\nscenario = AR Assistant\n"

@@ -14,6 +14,7 @@
 #include "core/sweep.h"
 #include "cost_reference.h"
 #include "costmodel/cost_model.h"
+#include "costmodel/hash.h"
 #include "hw/accelerator.h"
 #include "models/zoo.h"
 #include "runtime/cost_table.h"
@@ -206,6 +207,72 @@ TEST(ModelMemo, KeyIsLayerShapesNotNames) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.entries, 3u);
+}
+
+TEST(ModelMemo, HashCollisionIsCaughtByKeyComparison) {
+  // Two graphs with equal structure hashes share one memo index, so only
+  // the full-key comparison tells them apart. hash_combine is
+  // (seed ^ v) * odd, invertible mod 2^64: solve for the elems of the
+  // forged graph's trailing vector op that lands its hash on `graph`'s,
+  // retrying on the leading conv's output channels until the solution is
+  // a valid positive value. Both graphs have shape classes {0, 1} and the
+  // same layer count, so only their shapes differ.
+  costmodel::ModelGraph graph("graph");
+  graph.add(costmodel::conv2d("conv", 4, 8, 8, 8, 3, 1));
+  graph.add(costmodel::elementwise("add", 512));
+
+  const std::uint64_t odd = costmodel::hash_combine(1, 0);  // (1 ^ 0) * odd
+  std::uint64_t inverse = odd;  // each Newton step doubles the exact bits
+  for (int i = 0; i < 5; ++i) inverse *= 2 - odd * inverse;
+  ASSERT_EQ(odd * inverse, 1u);
+
+  costmodel::ModelGraph forged("forged");
+  for (std::int64_t k = 9; forged.empty(); ++k) {
+    ASSERT_LT(k, 200) << "no positive elems solution";
+    const costmodel::Layer conv = costmodel::conv2d("conv", 4, k, 8, 8, 3, 1);
+    costmodel::Layer add = costmodel::elementwise("add", 1);
+    std::uint64_t h = 0;
+    for (std::int64_t v : conv.shape()) {
+      h = costmodel::hash_combine(h, static_cast<std::uint64_t>(v));
+    }
+    const auto shape = add.shape();
+    for (std::size_t f = 0; f + 1 < shape.size(); ++f) {
+      h = costmodel::hash_combine(h, static_cast<std::uint64_t>(shape[f]));
+    }
+    add.elems =
+        static_cast<std::int64_t>((graph.structure_hash() * inverse) ^ h);
+    if (add.elems <= 0) continue;
+    forged.add(conv);
+    forged.add(add);
+  }
+  ASSERT_EQ(forged.structure_hash(), graph.structure_hash());
+  ASSERT_EQ(forged.shape_classes(), graph.shape_classes());
+  ASSERT_NE(forged.class_shapes(), graph.class_shapes());
+
+  costmodel::AnalyticalCostModel cm;
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('A', 4096));
+  const auto& sa = sys.sub_accels[0];
+  const auto first = cm.cached_cost_columns(graph, sa);
+  const auto collided = cm.cached_cost_columns(forged, sa);
+  EXPECT_NE(collided.get(), first.get());
+  auto s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.entries, 1u);  // the collided key is left uncached
+  costmodel::reference::expect_columns_eq(
+      *first, cm.model_cost_all_levels(graph, sa));
+  costmodel::reference::expect_columns_eq(
+      *collided, cm.model_cost_all_levels(forged, sa));
+
+  // The cached entry still serves its own key, and only its own key.
+  EXPECT_EQ(cm.cached_cost_columns(graph, sa).get(), first.get());
+  costmodel::reference::expect_columns_eq(
+      *cm.cached_cost_columns(forged, sa),
+      cm.model_cost_all_levels(forged, sa));
+  s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.entries, 1u);
 }
 
 TEST(ModelMemo, CostTableOutlivesMemoAndModel) {

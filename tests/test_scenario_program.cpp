@@ -355,6 +355,28 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
           << e.what();
     }
   }
+  // A non-finite fps or trigger probability in an inline scenario names
+  // its line.
+  const struct {
+    const char* model;
+    const char* line;
+  } non_finite[] = {
+      {"[model]\ntask = HT\nfps = nan\n", "line 7"},
+      {"[model]\ntask = HT\nfps = 30\n[model]\ntask = KD\nfps = 3\n"
+       "depends_on = HT\ndependency = control\ntrigger_probability = nan\n",
+       "line 13"},
+  };
+  for (const auto& row : non_finite) {
+    try {
+      program_from_config_text(
+          std::string("[program]\nname = x\n[scenario]\nname = Inline\n") +
+          row.model + "[phase]\nscenario = Inline\nduration_ms = 100\n");
+      ADD_FAILURE() << "expected std::invalid_argument at " << row.line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.line), std::string::npos)
+          << e.what();
+    }
+  }
   // A [model] before any [scenario].
   EXPECT_THROW(program_from_config_text("[program]\nname = x\n"
                                         "[model]\ntask = HT\nfps = 30\n"
