@@ -412,6 +412,7 @@ costmodel::MemoStats SweepEngine::model_memo_stats() const {
     total.hits += s.hits;
     total.misses += s.misses;
     total.entries += s.entries;
+    total.prefix_builds += s.prefix_builds;
   }
   return total;
 }

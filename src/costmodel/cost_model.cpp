@@ -558,35 +558,45 @@ void AnalyticalCostModel::compute_all_levels(const ModelGraph& graph,
 void AnalyticalCostModel::compute_columns(const ModelGraph& graph,
                                           const SubAccelConfig& accel,
                                           AllLevelsScratch& s,
-                                          CostColumns& c) const {
-  const std::size_t num_layers = graph.num_layers();
+                                          LayerPrefixes* prefixes) const {
   const std::size_t num_lanes = accel.dvfs.num_levels();
-  c.num_layers = num_layers;
-  const std::size_t entries = num_lanes * (num_layers + 1);
-  c.latency_prefix_ms.resize(entries);  // zero-filled: every prefix[0] = 0
-  c.energy_prefix_mj.resize(entries);
-  c.static_prefix_mj.resize(entries);
-  double* const lat = c.latency_prefix_ms.data();
-  double* const energy = c.energy_prefix_mj.data();
-  double* const stat = c.static_prefix_mj.data();
+  const std::size_t stride = graph.num_layers() + 1;  // prefix_index's
+  for (std::vector<double>* sum :
+       {&s.sum_latency_ms, &s.sum_energy_mj, &s.sum_static_mj}) {
+    sum->assign(num_lanes, 0.0);  // keeps capacity: zero-alloc once warmed
+  }
+  double* lat = nullptr;
+  double* energy = nullptr;
+  double* stat = nullptr;
+  if (prefixes != nullptr) {
+    for (std::vector<double>* prefix :
+         {&prefixes->latency_prefix_ms, &prefixes->energy_prefix_mj,
+          &prefixes->static_prefix_mj}) {
+      prefix->assign(num_lanes * stride, 0.0);  // every prefix[0] = 0
+    }
+    lat = prefixes->latency_prefix_ms.data();
+    energy = prefixes->energy_prefix_mj.data();
+    stat = prefixes->static_prefix_mj.data();
+  }
   // Each lane's running sums, added left to right from 0.0 — the additions
-  // a ModelCost total makes — so the last prefix is the level's total.
+  // a ModelCost total makes — so after the walk they are the level's
+  // totals. Layer i's sums are prefix i + 1.
   const auto running_sums = [&](std::size_t i, const LayerCostCore&,
                                 std::size_t lanes) {
     for (std::size_t l = 0; l < num_lanes; ++l) {
-      const std::size_t at = c.prefix_index(l, i);
-      lat[at + 1] = lat[at] + s.latency_ms[lanes + l];
-      energy[at + 1] = energy[at] + s.energy_mj[lanes + l];
-      stat[at + 1] = stat[at] + s.static_mj[lanes + l];
+      s.sum_latency_ms[l] += s.latency_ms[lanes + l];
+      s.sum_energy_mj[l] += s.energy_mj[lanes + l];
+      s.sum_static_mj[l] += s.static_mj[lanes + l];
+    }
+    if (prefixes == nullptr) return;
+    for (std::size_t l = 0; l < num_lanes; ++l) {
+      const std::size_t at = l * stride + i + 1;
+      lat[at] = s.sum_latency_ms[l];
+      energy[at] = s.sum_energy_mj[l];
+      stat[at] = s.sum_static_mj[l];
     }
   };
   walk_levels(graph, accel, ladder_ops(accel), num_lanes, s, running_sums);
-  c.levels.resize(num_lanes);
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    const std::size_t total = c.prefix_index(l, num_layers);
-    c.levels[l] = ModelTotals{lat[total], energy[total], stat[total],
-                              s.avg_utilization[l]};
-  }
 }
 
 std::vector<ModelCost> AnalyticalCostModel::model_cost_all_levels(
@@ -605,7 +615,7 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
   return scratch.result;
 }
 
-struct AnalyticalCostModel::MemoEntry {
+struct AnalyticalCostModel::MemoEntry final : CostColumns {
   /// The key: every input the columns depend on. The layer shapes are held
   /// as the graph's shape-class sequence and distinct shapes, which spell
   /// out every layer's shape in 4 B per layer plus 64 B per distinct shape.
@@ -615,7 +625,11 @@ struct AnalyticalCostModel::MemoEntry {
   std::vector<std::uint32_t> shape_classes;
   std::vector<std::array<std::int64_t, 8>> class_shapes;
   SubAccelConfig accel;
-  CostColumns columns;
+  /// The energy constants of the model that made the entry, so the entry
+  /// can build its prefixes after that model is gone.
+  EnergyParams energy;
+  /// build_prefixes runs, for MemoStats::prefix_builds.
+  mutable std::atomic<std::uint64_t> prefix_builds{0};
 
   /// True when `graph` on `config` is this entry's key, compared in place.
   bool matches(const ModelGraph& graph, const SubAccelConfig& config) const {
@@ -637,6 +651,22 @@ struct AnalyticalCostModel::MemoEntry {
     }
     return graph.shape_classes() == shape_classes &&
            graph.class_shapes() == class_shapes;
+  }
+
+ private:
+  /// Re-runs the miss's walk and reducer on a graph rebuilt from the key,
+  /// one layer per class-sequence element, with every running sum stored.
+  /// A layer's shape is all that sets its cost, so the rebuilt graph walks
+  /// the same classes in the same order and the sums keep the miss's bits.
+  void build_prefixes(LayerPrefixes& prefixes) const override {
+    ModelGraph graph;
+    for (std::uint32_t c : shape_classes) {
+      graph.add(Layer::from_shape(class_shapes[c]));
+    }
+    AllLevelsScratch scratch;
+    AnalyticalCostModel(energy).compute_columns(graph, accel, scratch,
+                                                &prefixes);
+    ++prefix_builds;
   }
 };
 
@@ -673,7 +703,7 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   }
   if (entry != nullptr && entry->matches(graph, accel)) {
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    return {entry, &entry->columns};
+    return entry;
   }
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
   check_accel(accel, "cached_cost_columns");
@@ -681,10 +711,18 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   fresh->shape_classes = graph.shape_classes();
   fresh->class_shapes = graph.class_shapes();
   fresh->accel = accel;
-  // The walk writes its running sums straight into the new entry.
+  fresh->energy = energy_;
+  // The walk keeps each level's running sums in scratch lanes; the entry
+  // takes only their totals.
   AllLevelsScratch local;
-  compute_columns(graph, accel, scratch != nullptr ? *scratch : local,
-                  fresh->columns);
+  AllLevelsScratch& s = scratch != nullptr ? *scratch : local;
+  compute_columns(graph, accel, s, nullptr);
+  fresh->num_layers = graph.num_layers();
+  fresh->levels.resize(accel.dvfs.num_levels());
+  for (std::size_t l = 0; l < fresh->levels.size(); ++l) {
+    fresh->levels[l] = ModelTotals{s.sum_latency_ms[l], s.sum_energy_mj[l],
+                                   s.sum_static_mj[l], s.avg_utilization[l]};
+  }
   entry = std::move(fresh);
   std::shared_ptr<const MemoEntry> stored;
   {
@@ -693,7 +731,7 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   }
   // A racing winner's equal entry stays canonical.
   if (stored != entry && stored->matches(graph, accel)) entry = stored;
-  return {entry, &entry->columns};
+  return entry;
 }
 
 void AnalyticalCostModel::clear_model_memo() const {
@@ -709,6 +747,9 @@ MemoStats AnalyticalCostModel::model_memo_stats() const {
   stats.hits = memo_hits_.load(std::memory_order_relaxed);
   stats.misses = memo_misses_.load(std::memory_order_relaxed);
   stats.entries = memo_.size();
+  for (const auto& [hash, entry] : memo_) {
+    stats.prefix_builds += entry->prefix_builds;
+  }
   return stats;
 }
 

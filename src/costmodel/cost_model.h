@@ -81,6 +81,9 @@ struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t entries = 0;
+  /// Per-layer prefix builds among the entries (CostColumns::
+  /// layer_prefixes), counted exactly: at most one per entry.
+  std::uint64_t prefix_builds = 0;
 
   double hit_rate() const {
     const auto lookups = static_cast<double>(hits + misses);
@@ -109,34 +112,69 @@ struct ModelTotals {
   double avg_utilization = 0.0;
 };
 
-/// What a runtime::CostTable reads of one (model graph, sub-accelerator)
-/// pair at every DVFS level of the sub-accelerator: each level's totals and
-/// the per-layer running sums of latency, energy and static energy. The
-/// model-level memo stores exactly this, and tables share it instead of
-/// copying it.
-struct CostColumns {
-  std::size_t num_layers = 0;
-  std::vector<ModelTotals> levels;  ///< Level l's model_cost_at() totals.
-  /// Per level, num_layers + 1 running sums: entry prefix_index(l, k) sums
-  /// level l's first k layers, added left to right like the ModelCost
-  /// totals, so prefix_index(l, num_layers) holds level l's total bit for
-  /// bit (a checkpoint resumed at layer k pays exactly total - prefix[k]).
+/// The per-layer running sums of one (model graph, sub-accelerator) pair
+/// at every DVFS level. Per level, num_layers + 1 sums: entry
+/// CostColumns::prefix_index(l, k) sums level l's first k layers, added
+/// left to right like the ModelCost totals, so prefix_index(l, num_layers)
+/// holds level l's total bit for bit (a checkpoint resumed at layer k pays
+/// exactly total - prefix[k]).
+struct LayerPrefixes {
   std::vector<double> latency_prefix_ms;
   std::vector<double> energy_prefix_mj;
   std::vector<double> static_prefix_mj;
+};
+
+/// What a runtime::CostTable reads of one (model graph, sub-accelerator)
+/// pair at every DVFS level of the sub-accelerator. The model-level memo
+/// stores exactly this, and tables share it instead of copying it. A memo
+/// miss writes each level's totals, which every run reads. The per-layer
+/// running sums, which only checkpoint resumes and outage kills read, are
+/// built on the first layer_prefixes() call, so fault-free runs never
+/// build them. Only the memo makes columns (cached_cost_columns).
+class CostColumns {
+ public:
+  CostColumns(const CostColumns&) = delete;
+  CostColumns& operator=(const CostColumns&) = delete;
+  virtual ~CostColumns() = default;
+
+  std::size_t num_layers = 0;
+  std::vector<ModelTotals> levels;  ///< Level l's model_cost_at() totals.
 
   std::size_t prefix_index(std::size_t level, std::size_t layer) const {
     return level * (num_layers + 1) + layer;
   }
+
+  /// The per-layer running sums. The first call builds them with the
+  /// memo miss's layer walk, re-run from the memo entry's own key and
+  /// energy constants, so it needs neither the memo nor the cost model
+  /// that made the columns. Later calls, and every table holding these
+  /// columns, share the result. Thread-safe: concurrent first calls build
+  /// once.
+  const LayerPrefixes& layer_prefixes() const {
+    std::call_once(prefixes_built_, [this] { build_prefixes(prefixes_); });
+    return prefixes_;
+  }
+
+ protected:
+  CostColumns() = default;
+
+ private:
+  /// Fills `prefixes`; the model memo's entry implements it.
+  virtual void build_prefixes(LayerPrefixes& prefixes) const = 0;
+
+  mutable std::once_flag prefixes_built_;
+  mutable LayerPrefixes prefixes_;
 };
 
 /// Reusable scratch for the level-axis lane kernel: every per-call
 /// allocation of the layer walk (the SoA level-parameter lanes, the
-/// per-shape-class cores and output lanes, the per-level utilization sums,
+/// per-shape-class cores and output lanes, the per-level running sums,
 /// and model_cost_all_levels' result vector with its per-level layer lists)
 /// hoisted into a caller-owned object. A model-memo miss uses the lanes
-/// alone: it writes its running sums straight into the new entry's
-/// CostColumns and never touches the result. Each CostTable constructor
+/// alone: it copies each level's totals from the running-sum lanes into
+/// the new entry's CostColumns and never touches the result, and it writes
+/// no per-layer prefixes (CostColumns::layer_prefixes builds those on
+/// first use, with a scratch of its own). Each CostTable constructor
 /// owns ONE of these across its (task x sub-accelerator) builds; after the
 /// first call at the largest (levels, shape classes, layers) shape,
 /// subsequent calls perform zero heap allocations in the scratch
@@ -194,6 +232,13 @@ class AllLevelsScratch {
   std::vector<double> utilization;
   std::vector<double> static_mj;
   std::vector<double> energy_mj;
+
+  /// Per lane, compute_columns' running sums of the layers' latency,
+  /// energy and static energy, added in layer order from 0.0: after its
+  /// walk, the lane's totals.
+  std::vector<double> sum_latency_ms;
+  std::vector<double> sum_energy_mj;
+  std::vector<double> sum_static_mj;
 
   /// Per lane: the MAC-weighted utilization sum over the MAC layers during
   /// the walk, the average utilization after it.
@@ -274,20 +319,22 @@ class AnalyticalCostModel {
   /// sub-accel config x DVFS ladder), so repeated (model, sub-accelerator)
   /// pairs across sweep points skip the layer walk entirely (CostTable
   /// builds call this). A miss runs the same layer walk as
-  /// model_cost_all_levels but writes each level's latency, energy and
-  /// static running sums straight into the new entry's columns, never
-  /// building per-layer LayerCost lists; the sums add the same lane values
-  /// in the same order, so every bit equals the all-levels result's. The
-  /// returned columns are shared — concurrent builds of identical designs
-  /// read one cached copy — and stay valid after the memo is cleared or
-  /// this model is destroyed. A hit allocates nothing: the lookup hashes
-  /// graph.structure_hash() with the config, and a hit is confirmed by
-  /// comparing the cached shape-class sequence, distinct shapes and config
-  /// with `graph` and `accel` in place — together the full key, never the
-  /// hash alone, so a collision can not silently alias two models.
-  /// `scratch`, when given, supplies the walk's lanes on a memo miss (hits
-  /// never touch it) — the CostTable build loop passes its own. Throws
-  /// std::invalid_argument for an invalid config.
+  /// model_cost_all_levels but keeps only each level's latency, energy and
+  /// static running sums, in scratch lanes, and writes the new entry's
+  /// per-level totals from them after the walk: it builds no per-layer
+  /// LayerCost lists and no per-layer prefixes (CostColumns::layer_prefixes
+  /// builds those on first use). The sums add the same lane values in the
+  /// same order, so every bit equals the all-levels result's. The returned
+  /// columns are shared — concurrent builds of identical designs read one
+  /// cached copy — and stay valid, prefixes included, after the memo is
+  /// cleared or this model is destroyed. A hit allocates nothing: the
+  /// lookup hashes graph.structure_hash() with the config, and a hit is
+  /// confirmed by comparing the cached shape-class sequence, distinct
+  /// shapes and config with `graph` and `accel` in place — together the
+  /// full key, never the hash alone, so a collision can not silently alias
+  /// two models. `scratch`, when given, supplies the walk's lanes on a memo
+  /// miss (hits never touch it) — the CostTable build loop passes its own.
+  /// Throws std::invalid_argument for an invalid config.
   std::shared_ptr<const CostColumns> cached_cost_columns(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
@@ -309,9 +356,9 @@ class AnalyticalCostModel {
   /// Vector ops run on the PE array as SIMD lanes at reduced efficiency.
   static constexpr double kVectorOpEfficiency = 0.25;
 
-  /// Exact hit/miss counters and entry count of the model-level memo
-  /// (distinct (graph, sub-accel config) pairs evaluated through
-  /// cached_cost_columns).
+  /// Exact hit/miss counters, entry count and prefix builds of the
+  /// model-level memo (distinct (graph, sub-accel config) pairs evaluated
+  /// through cached_cost_columns).
   MemoStats model_memo_stats() const;
   void clear_model_memo() const;
 
@@ -346,11 +393,15 @@ class AnalyticalCostModel {
                           std::size_t num_lanes,
                           AllLevelsScratch& scratch) const;
 
-  /// The layer walk over `graph` at every DVFS level of `accel` reduced to
-  /// `columns`: each level's running sums are written into the prefix
-  /// arrays as the walk goes, and its totals are read off the last prefix.
+  /// The layer walk over `graph` at every DVFS level of `accel`, as cost
+  /// columns read it: on return the scratch's sum lanes hold each level's
+  /// totals. With `prefixes`, every level's running sums are also stored
+  /// as the walk reaches them, in CostColumns::prefix_index order. A memo
+  /// miss passes none; the first CostColumns::layer_prefixes call re-runs
+  /// the walk with them.
   void compute_columns(const ModelGraph& graph, const SubAccelConfig& accel,
-                       AllLevelsScratch& scratch, CostColumns& columns) const;
+                       AllLevelsScratch& scratch,
+                       LayerPrefixes* prefixes) const;
 
   /// A one-lane call of compute_all_levels on a fresh scratch.
   ModelCost one_lane(const ModelGraph& graph, const SubAccelConfig& accel,
@@ -360,9 +411,9 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// One model-level memo entry: its full key and its cost columns
-  /// (defined in cost_model.cpp). Callers hold the columns through an
-  /// aliasing pointer that keeps the entry alive.
+  /// One model-level memo entry: cost columns that carry their full key
+  /// and the energy constants they were computed with, from which they
+  /// build their prefixes (defined in cost_model.cpp).
   struct MemoEntry;
 
   EnergyParams energy_;

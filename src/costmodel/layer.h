@@ -75,6 +75,20 @@ struct Layer {
   std::array<std::int64_t, 8> shape() const {
     return {static_cast<std::int64_t>(type), k, c, y, x, r, s, elems};
   }
+
+  /// The unnamed layer whose shape() is `shape`.
+  static Layer from_shape(const std::array<std::int64_t, 8>& shape) {
+    Layer layer;
+    layer.type = static_cast<OpType>(shape[0]);
+    layer.k = shape[1];
+    layer.c = shape[2];
+    layer.y = shape[3];
+    layer.x = shape[4];
+    layer.r = shape[5];
+    layer.s = shape[6];
+    layer.elems = shape[7];
+    return layer;
+  }
 };
 
 // ---- Layer factory helpers (used by the model zoo) -------------------------

@@ -20,6 +20,12 @@ struct PriorityClassSpec {
   double wait_budget_ms = 100.0;
 };
 
+/// Upper bound on FleetConfig::max_sessions and pool_size. A fleet run
+/// holds every admitted session's run until it ends, about 20 KB each, so
+/// the cap keeps a fleet near 2 GB; a pool larger than the session cap
+/// could never be used.
+inline constexpr std::size_t kMaxFleetSessions = 100'000;
+
 /// Fleet workload + serving-pool description (the [fleet] config section).
 /// One FleetConfig describes a stochastic population of user sessions —
 /// Poisson arrivals, Zipf-distributed program popularity, weighted priority
@@ -34,14 +40,15 @@ struct FleetConfig {
   /// Zipf popularity exponent over the program catalog (rank 0 = most
   /// popular). 0 = uniform popularity.
   double zipf_s = 1.0;
-  /// Number of accelerator instances in the serving pool. Every instance
-  /// is a copy of the same design, so one CostTable serves the whole pool.
+  /// Number of accelerator instances in the serving pool, at most
+  /// kMaxFleetSessions. Every instance is a copy of the same design, so one
+  /// CostTable serves the whole pool.
   std::size_t pool_size = 2;
   /// Sessions arrive in [0, arrival_window_ms); later arrivals are not
   /// generated (the fleet run ends when the last admitted session ends).
   double arrival_window_ms = 4000.0;
   /// Hard cap on generated sessions (guards runaway configs; the window
-  /// normally binds first).
+  /// normally binds first), at most kMaxFleetSessions.
   std::size_t max_sessions = 256;
   /// Fleet-level admission policy, resolved through the PolicyRegistry
   /// admission family and consulted once per session at its arrival
@@ -62,10 +69,10 @@ struct FleetConfig {
 };
 
 /// Throws std::invalid_argument on a malformed config: non-finite or
-/// non-positive arrival rate or window, non-positive pool size /
-/// max_sessions, non-finite or negative zipf_s, non-positive class weight,
-/// class weights whose sum is not finite, or a non-finite or negative wait
-/// budget.
+/// non-positive arrival rate or window, a pool size or max_sessions outside
+/// [1, kMaxFleetSessions], non-finite or negative zipf_s, non-positive
+/// class weight, class weights whose sum is not finite, or a non-finite or
+/// negative wait budget.
 void validate_fleet_config(const FleetConfig& config);
 
 }  // namespace xrbench::fleet

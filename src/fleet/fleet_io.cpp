@@ -38,6 +38,17 @@ std::int64_t get_int_at(const util::IniDocument::Section& sec,
   }
 }
 
+/// A pool size or session cap, which must lie in [1, kMaxFleetSessions].
+std::size_t get_count_at(const util::IniDocument::Section& sec,
+                         const std::string& key) {
+  const std::int64_t n = get_int_at(sec, key);
+  if (n < 1 || static_cast<std::uint64_t>(n) > kMaxFleetSessions) {
+    reject(key + " must be in [1, " + std::to_string(kMaxFleetSessions) + "]",
+           sec.line_of(key));
+  }
+  return static_cast<std::size_t>(n);
+}
+
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t");
   if (begin == std::string::npos) return "";
@@ -80,9 +91,7 @@ void parse_fleet_section(const util::IniDocument::Section& sec,
         reject("zipf_s must be finite and >= 0", sec.line_of(key));
       }
     } else if (key == "pool_size") {
-      const std::int64_t n = get_int_at(sec, key);
-      if (n < 1) reject("pool_size must be >= 1", sec.line_of(key));
-      config.pool_size = static_cast<std::size_t>(n);
+      config.pool_size = get_count_at(sec, key);
     } else if (key == "arrival_window_ms") {
       config.arrival_window_ms = get_double_at(sec, key);
       if (!std::isfinite(config.arrival_window_ms) ||
@@ -90,9 +99,7 @@ void parse_fleet_section(const util::IniDocument::Section& sec,
         reject("arrival_window_ms must be finite and > 0", sec.line_of(key));
       }
     } else if (key == "max_sessions") {
-      const std::int64_t n = get_int_at(sec, key);
-      if (n < 1) reject("max_sessions must be >= 1", sec.line_of(key));
-      config.max_sessions = static_cast<std::size_t>(n);
+      config.max_sessions = get_count_at(sec, key);
     } else if (key == "admission") {
       config.admission = trim(entry.value);
     } else if (key == "scheduler") {

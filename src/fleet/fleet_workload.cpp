@@ -19,16 +19,18 @@ void validate_fleet_config(const FleetConfig& config) {
     throw std::invalid_argument(
         "fleet config: zipf_s must be finite and >= 0");
   }
-  if (config.pool_size == 0) {
-    throw std::invalid_argument("fleet config: pool_size must be >= 1");
+  if (config.pool_size == 0 || config.pool_size > kMaxFleetSessions) {
+    throw std::invalid_argument("fleet config: pool_size must be in [1, " +
+                                std::to_string(kMaxFleetSessions) + "]");
   }
   if (!std::isfinite(config.arrival_window_ms) ||
       config.arrival_window_ms <= 0.0) {
     throw std::invalid_argument(
         "fleet config: arrival_window_ms must be finite and > 0");
   }
-  if (config.max_sessions == 0) {
-    throw std::invalid_argument("fleet config: max_sessions must be >= 1");
+  if (config.max_sessions == 0 || config.max_sessions > kMaxFleetSessions) {
+    throw std::invalid_argument("fleet config: max_sessions must be in [1, " +
+                                std::to_string(kMaxFleetSessions) + "]");
   }
   double weight_sum = 0.0;
   for (const auto& cls : config.classes) {

@@ -37,9 +37,9 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   columns_.resize(models::kNumTasks * num_sub_accels_);
   // One scratch for the whole build loop: after the first (task, sub-accel)
   // evaluation at the largest ladder, every later model-memo miss reuses
-  // its level lanes instead of re-allocating them. A miss writes its cost
-  // columns straight into the new memo entry, so the scratch holds no
-  // per-layer results.
+  // its level lanes instead of re-allocating them. A miss writes only each
+  // level's totals into the new memo entry, so neither the scratch nor the
+  // entry holds per-layer results.
   costmodel::AllLevelsScratch scratch;
   for (models::TaskId task : models::all_tasks()) {
     const auto& graph = models::model_graph(task);
@@ -118,8 +118,8 @@ std::size_t CostTable::completed_layers(models::TaskId task,
   if (from_layer > num_layers) {
     throw std::out_of_range("CostTable::completed_layers: from_layer");
   }
-  const double* prefix =
-      column.latency_prefix_ms.data() + column.prefix_index(level, 0);
+  const double* prefix = column.layer_prefixes().latency_prefix_ms.data() +
+                         column.prefix_index(level, 0);
   const double start = prefix[from_layer];
   std::size_t k = from_layer;
   while (k < num_layers && prefix[k + 1] - start <= elapsed_ms) ++k;

@@ -78,7 +78,11 @@ class CostTable {
   // Per (task, sub-accel, level) prefix sums over the model's layers, in
   // graph order and summed left-to-right exactly like model_cost_at — so
   // prefix[num_layers] is bit-identical to the whole-model cost above, and
-  // a resume at layer k pays exactly (total - prefix[k]).
+  // a resume at layer k pays exactly (total - prefix[k]). Building the
+  // table writes no prefixes: the first read of a (task, sub-accel) pair
+  // builds that pair's columns' prefixes (CostColumns::layer_prefixes),
+  // once for every table sharing them, so fault-free runs, which never
+  // read them, never build them.
 
   /// Number of layers in `task`'s model graph.
   std::size_t num_layers(models::TaskId task) const {
@@ -88,19 +92,22 @@ class CostTable {
   double layer_latency_prefix_ms(models::TaskId task, std::size_t sub_accel,
                                  std::size_t level, std::size_t layer) const {
     const auto& col = checked_column(task, sub_accel, level, layer);
-    return col.latency_prefix_ms[col.prefix_index(level, layer)];
+    const auto& prefixes = col.layer_prefixes();
+    return prefixes.latency_prefix_ms[col.prefix_index(level, layer)];
   }
   /// Sum of the first `layer` layers' total energies.
   double layer_energy_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
     const auto& col = checked_column(task, sub_accel, level, layer);
-    return col.energy_prefix_mj[col.prefix_index(level, layer)];
+    const auto& prefixes = col.layer_prefixes();
+    return prefixes.energy_prefix_mj[col.prefix_index(level, layer)];
   }
   /// Sum of the first `layer` layers' static (leakage) energies.
   double layer_static_prefix_mj(models::TaskId task, std::size_t sub_accel,
                                 std::size_t level, std::size_t layer) const {
     const auto& col = checked_column(task, sub_accel, level, layer);
-    return col.static_prefix_mj[col.prefix_index(level, layer)];
+    const auto& prefixes = col.layer_prefixes();
+    return prefixes.static_prefix_mj[col.prefix_index(level, layer)];
   }
   /// Number of layers fully completed by an execution that started at layer
   /// `from_layer` and ran for `elapsed_ms` on (sub_accel, level): the
@@ -138,8 +145,8 @@ class CostTable {
   std::vector<double> idle_power_w_;
   /// The model memo's cost columns per [task][sub_accel], shared with the
   /// memo and with every other table of the same (model, sub-accelerator)
-  /// pair. They own their data, so the table stays valid after the memo is
-  /// cleared or the cost model is destroyed.
+  /// pair. They own their data and build their own prefixes, so the table
+  /// stays valid after the memo is cleared or the cost model is destroyed.
   std::vector<std::shared_ptr<const costmodel::CostColumns>> columns_;
 };
 

@@ -186,7 +186,11 @@ void RecordStore::push_back(const InferenceRecord& rec) {
 }
 
 void RecordStore::append_shifted(const RecordStore& other, double shift_ms) {
-  reserve(size_ + other.size_);
+  // At least doubling, like the one-record appends: a program appends one
+  // store per phase, and an exact fit would copy the whole session so far
+  // at every phase.
+  const std::size_t needed = size_ + other.size_;
+  if (needed > capacity_) rebase(std::max(needed, 2 * capacity_));
   for (std::size_t i = 0; i < other.size_; ++i) {
     const std::size_t j = size_++;
     task_[j] = other.task_[i];

@@ -38,6 +38,10 @@ class RecordStore {
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return capacity_; }
   void reserve(std::size_t n);
+  /// Reallocates to exactly size() records when capacity() is larger.
+  void shrink_to_fit() {
+    if (capacity_ > size_) rebase(size_);
+  }
   void clear() { size_ = 0; }
 
   /// Appends a dropped record (never dispatched; sub_accel/dvfs stay -1).
@@ -59,6 +63,8 @@ class RecordStore {
   /// completion times (dropped records keep their canonical zeroed
   /// execution fields). This is how a scenario program stitches per-phase
   /// stores onto one session timeline; a shift of 0 appends exact copies.
+  /// The capacity grows geometrically, so appending n stores one by one
+  /// copies O(total records), not O(n x total).
   void append_shifted(const RecordStore& other, double shift_ms);
 
   /// Materializes record `i` (AoS compatibility; not the hot path).

@@ -74,6 +74,17 @@ bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
   return a.frame < b.frame;
 }
 
+/// Records a run of `scenario` for `duration_ms` predicts: the sum over its
+/// models of target_fps x duration. Summed in double, so no duration can
+/// overflow the count.
+double predicted_records(const UsageScenario& scenario, double duration_ms) {
+  double records = 0.0;
+  for (const auto& sm : scenario.models) {
+    records += sm.target_fps * duration_ms / 1000.0;
+  }
+  return records;
+}
+
 }  // namespace
 
 /// Mutable state + dispatch machinery of one scenario run, owned by a
@@ -726,17 +737,14 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   workload::validate_dependency_rates(scenario);
   // Resource preflight: the storage reserved below grows with the predicted
   // record count, so a run too large to hold is rejected before anything is
-  // reserved. Summed in double, so no duration can overflow the count.
-  double predicted_records = 0.0;
-  for (const auto& sm : scenario.models) {
-    predicted_records += sm.target_fps * config.duration_ms / 1000.0;
-  }
-  if (!(predicted_records <= static_cast<double>(kMaxRunRecords))) {
+  // reserved.
+  const double predicted = predicted_records(scenario, config.duration_ms);
+  if (!(predicted <= static_cast<double>(kMaxRunRecords))) {
     throw std::invalid_argument(
         "ScenarioRunner::run: duration_ms = " +
         util::fmt_double_exact(config.duration_ms) + " predicts " +
-        util::fmt_double(predicted_records, 0) +
-        " records, above the bound of " + std::to_string(kMaxRunRecords));
+        util::fmt_double(predicted, 0) + " records, above the bound of " +
+        std::to_string(kMaxRunRecords));
   }
 
   // The fallback arena is constructed only when the caller brought none —
@@ -919,6 +927,19 @@ ScenarioRunResult ScenarioRunner::run_program(
     const RunConfig& config, FrequencyGovernor* governor, RunScratch* scratch,
     AdmissionController* admission) const {
   workload::validate_program(program);
+  // The session keeps every phase's records, so the record bound holds for
+  // the whole program, checked before any phase runs.
+  double predicted = 0.0;
+  for (const auto& phase : program.phases) {
+    predicted += predicted_records(phase.scenario, phase.duration_ms);
+  }
+  if (!(predicted <= static_cast<double>(kMaxRunRecords))) {
+    throw std::invalid_argument(
+        "ScenarioRunner::run_program: the " +
+        std::to_string(program.phases.size()) + " phases of program '" +
+        program.name + "' predict " + util::fmt_double(predicted, 0) +
+        " records, above the bound of " + std::to_string(kMaxRunRecords));
+  }
 
   // Program-level fault profile (when enabled) overrides the run config's
   // for every phase; the hardware spec stays the final fallback inside
@@ -971,7 +992,6 @@ ScenarioRunResult ScenarioRunner::run_program(
     for (std::size_t sa = 0; sa < phase_run.sub_accel_busy_ms.size(); ++sa) {
       out.sub_accel_busy_ms[sa] += phase_run.sub_accel_busy_ms[sa];
     }
-    out.timeline.reserve(out.timeline.size() + phase_run.timeline.size());
     for (BusyInterval iv : phase_run.timeline) {
       iv.start_ms += phase_start;
       iv.end_ms += phase_start;
@@ -1014,6 +1034,13 @@ ScenarioRunResult ScenarioRunner::run_program(
   // no-ops on the already-canonical phase result (the bit-identity anchor).
   std::sort(out.timeline.begin(), out.timeline.end(), timeline_less);
   for (auto& ms : out.per_model) ms.records.sort_canonical();
+  // Merging grew the session's stores by doubling, which can leave up to
+  // half of each unused, and a fleet holds every session's result until
+  // its call ends: trim them once, a linear copy.
+  if (program.phases.size() > 1) {
+    out.timeline.shrink_to_fit();
+    for (auto& ms : out.per_model) ms.records.shrink_to_fit();
+  }
   return out;
 }
 

@@ -186,7 +186,8 @@ class ScenarioRunner {
   /// 200 bytes each, and throws std::invalid_argument before reserving
   /// anything when the prediction exceeds the bound. That caps one run at
   /// ~0.8 GB, about six hours of the busiest Table-2 scenario (VR Gaming,
-  /// 180 inferences/s).
+  /// 180 inferences/s). run_program() applies the same bound to the sum
+  /// over all its phases, since the session keeps every phase's records.
   static constexpr std::int64_t kMaxRunRecords = 4'000'000;
 
   ScenarioRunner(const hw::AcceleratorSystem& system, const CostTable& costs);
@@ -228,7 +229,8 @@ class ScenarioRunner {
   /// its own FaultPlan from its derived phase seed, so phases decorrelate
   /// exactly like their jitter streams do. `admission` behaves as in run(),
   /// with controller state carrying across phase boundaries like the other
-  /// policies.
+  /// policies. Throws std::invalid_argument before any phase runs when the
+  /// phases together predict more than kMaxRunRecords records.
   ScenarioRunResult run_program(const workload::ScenarioProgram& program,
                                 Scheduler& scheduler, const RunConfig& config,
                                 FrequencyGovernor* governor = nullptr,

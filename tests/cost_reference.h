@@ -134,10 +134,11 @@ inline void expect_model_cost_eq(const ModelCost& a, const ModelCost& b) {
 inline void expect_columns_eq(const CostColumns& c,
                               const std::vector<ModelCost>& expected) {
   ASSERT_EQ(c.levels.size(), expected.size());
+  const LayerPrefixes& p = c.layer_prefixes();
   const std::size_t entries = expected.size() * (c.num_layers + 1);
-  ASSERT_EQ(c.latency_prefix_ms.size(), entries);
-  ASSERT_EQ(c.energy_prefix_mj.size(), entries);
-  ASSERT_EQ(c.static_prefix_mj.size(), entries);
+  ASSERT_EQ(p.latency_prefix_ms.size(), entries);
+  ASSERT_EQ(p.energy_prefix_mj.size(), entries);
+  ASSERT_EQ(p.static_prefix_mj.size(), entries);
   for (std::size_t lvl = 0; lvl < expected.size(); ++lvl) {
     SCOPED_TRACE("level " + std::to_string(lvl));
     const ModelCost& mc = expected[lvl];
@@ -150,9 +151,9 @@ inline void expect_columns_eq(const CostColumns& c,
     double lat = 0.0, energy = 0.0, stat = 0.0;
     for (std::size_t k = 0; k <= mc.layers.size(); ++k) {
       const std::size_t i = c.prefix_index(lvl, k);
-      EXPECT_EQ(c.latency_prefix_ms[i], lat);
-      EXPECT_EQ(c.energy_prefix_mj[i], energy);
-      EXPECT_EQ(c.static_prefix_mj[i], stat);
+      EXPECT_EQ(p.latency_prefix_ms[i], lat);
+      EXPECT_EQ(p.energy_prefix_mj[i], energy);
+      EXPECT_EQ(p.static_prefix_mj[i], stat);
       if (k < mc.layers.size()) {
         lat += mc.layers[k].latency_ms;
         energy += mc.layers[k].energy_mj;

@@ -127,6 +127,20 @@ TEST(FleetWorkload, ValidationRejectsNonFiniteRatesAndWeightOverflow) {
     budget.classes = {{1.0, value}};
     EXPECT_THROW(validate_fleet_config(budget), std::invalid_argument);
   }
+  // A pool or a session cap past kMaxFleetSessions would end in bad_alloc;
+  // the bound itself passes.
+  for (std::size_t n :
+       {kMaxFleetSessions + 1, std::size_t{1'000'000'000'000}}) {
+    auto pool = small_config();
+    pool.pool_size = n;
+    EXPECT_THROW(validate_fleet_config(pool), std::invalid_argument) << n;
+    auto cap = small_config();
+    cap.max_sessions = n;
+    EXPECT_THROW(validate_fleet_config(cap), std::invalid_argument) << n;
+  }
+  auto at_bound = small_config();
+  at_bound.pool_size = at_bound.max_sessions = kMaxFleetSessions;
+  EXPECT_NO_THROW(validate_fleet_config(at_bound));
 }
 
 TEST(FleetWorkload, ArrivalRateOnlyRescalesTheSamePopulation) {
@@ -405,6 +419,16 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
   expect_reject("[fleet]\nseed = 1\n\n[class]\nweight = 1\n"
                 "wait_budget_ms = nan\n",
                 "wait_budget_ms", 6);
+  // Counts past kMaxFleetSessions, which used to end in bad_alloc.
+  expect_reject("[fleet]\nseed = 1\npool_size = 1000000000000\n",
+                "pool_size", 3);
+  expect_reject("[fleet]\narrival_rate_per_s = 1e9\n"
+                "max_sessions = 1000000000000\n",
+                "max_sessions", 3);
+  expect_reject("[fleet]\nseed = 1\n\nmax_sessions = 100001\n",
+                "max_sessions", 4);
+  EXPECT_NO_THROW(fleet_from_config_text(
+      "[fleet]\npool_size = 100000\nmax_sessions = 100000\n"));
   // Inline-program grammar errors surface with their lines too.
   expect_reject(
       "[fleet]\nseed = 1\n\n[phase]\nscenario = AR Assistant\n"

@@ -2,11 +2,13 @@
 // all-levels kernel must be bit-identical to the per-level path, the
 // model-level memo must count hits and misses exactly (also under
 // concurrent lookups), key entries by layer shapes and config alone, and
-// hand out cost columns that outlive it, and a warm (memoized) full-suite
+// hand out cost columns that outlive it and build their per-layer
+// prefixes once, on first read only, and a warm (memoized) full-suite
 // sweep must reproduce the cold run bit-exactly at any worker count.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -309,6 +311,113 @@ TEST(ModelMemo, CostTableOutlivesMemoAndModel) {
         }
       }
     }
+  }
+}
+
+TEST(ModelMemo, ConcurrentFirstPrefixReadsBuildEachEntryOnce) {
+  // Eight threads read every prefix of one fresh table's columns at once:
+  // each sees the reference bits, and each memo entry builds its prefixes
+  // exactly once.
+  const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
+  const costmodel::AnalyticalCostModel cm;
+  const runtime::CostTable table(sys, cm);
+  const auto built = cm.model_memo_stats();
+  ASSERT_GT(built.entries, 0u);
+  ASSERT_EQ(built.prefix_builds, 0u);  // building a table reads none
+  std::vector<std::vector<costmodel::ModelCost>> reference;
+  for (models::TaskId t : models::all_tasks()) {
+    for (const auto& sa : sys.sub_accels) {
+      reference.push_back(cm.model_cost_all_levels(models::model_graph(t), sa));
+    }
+  }
+
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      std::size_t r = 0;
+      for (models::TaskId t : models::all_tasks()) {
+        for (const auto& sa : sys.sub_accels) {
+          costmodel::reference::expect_columns_eq(
+              *cm.cached_cost_columns(models::model_graph(t), sa),
+              reference[r++]);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const auto read = cm.model_memo_stats();
+  EXPECT_EQ(read.entries, built.entries);
+  EXPECT_EQ(read.prefix_builds, read.entries);
+
+  // The table reads the same columns: its prefixes end on its totals.
+  for (models::TaskId t : models::all_tasks()) {
+    for (std::size_t sa = 0; sa < table.num_sub_accels(); ++sa) {
+      for (std::size_t lvl = 0; lvl < table.num_levels(sa); ++lvl) {
+        const std::size_t n = table.num_layers(t);
+        const auto& total = table.cost(t, sa, lvl);
+        EXPECT_EQ(table.layer_latency_prefix_ms(t, sa, lvl, n),
+                  total.latency_ms);
+        EXPECT_EQ(table.layer_energy_prefix_mj(t, sa, lvl, n),
+                  total.energy_mj);
+        EXPECT_EQ(table.layer_static_prefix_mj(t, sa, lvl, n),
+                  total.static_energy_mj);
+      }
+    }
+  }
+  EXPECT_EQ(cm.model_memo_stats().prefix_builds, read.prefix_builds);
+}
+
+TEST(ModelMemo, OnlyCheckpointedRunsBuildPrefixes) {
+  // A memo miss writes each level's totals and no per-layer prefixes, so a
+  // fault-free sweep builds none. Checkpointed outage kills read them: each
+  // entry builds its prefixes at its first read, and a repeated sweep on
+  // the same engine reuses them.
+  core::HarnessOptions opt;
+  opt.run.duration_ms = 300.0;
+  opt.dynamic_trials = 1;
+  std::vector<core::SweepPoint> points;
+  for (char id : {'A', 'J', 'M'}) {
+    points.push_back({std::string(1, id),
+                      hw::with_default_dvfs(hw::make_accelerator(id, 4096)),
+                      opt});
+  }
+  core::SweepEngine engine(2);
+  engine.run_suite_points(points);
+  const auto fault_free = engine.model_memo_stats();
+  EXPECT_GT(fault_free.entries, 0u);
+  EXPECT_EQ(fault_free.prefix_builds, 0u);
+
+  auto checkpointed = points;
+  for (auto& point : checkpointed) {
+    auto& faults = point.options.run.faults;
+    faults.outage_rate_per_s = 3.0;
+    faults.outage_ms = 30.0;
+    faults.max_retries = 3;
+    faults.retry_backoff_ms = 1.0;
+    faults.checkpoint = true;
+  }
+  const auto first = engine.run_suite_points(checkpointed);
+  std::int64_t resumes = 0;
+  for (const auto& outcome : first) {
+    for (const auto& scenario : outcome.scenarios) {
+      resumes += scenario.last_run.resilience.resumes;
+    }
+  }
+  EXPECT_GT(resumes, 0);
+  const auto built = engine.model_memo_stats();
+  EXPECT_EQ(built.entries, fault_free.entries);
+  EXPECT_GT(built.prefix_builds, 0u);
+  EXPECT_LE(built.prefix_builds, built.entries);
+
+  const auto second = engine.run_suite_points(checkpointed);
+  EXPECT_EQ(engine.model_memo_stats().prefix_builds, built.prefix_builds);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t p = 0; p < first.size(); ++p) {
+    EXPECT_EQ(second[p].score.overall, first[p].score.overall);
   }
 }
 

@@ -115,6 +115,56 @@ TEST(RecordStore, SortCanonicalMatchesAosSort) {
   }
 }
 
+TEST(RecordStore, AppendShiftedGrowsGeometrically) {
+  // A scenario program appends one phase store per phase. An exact-fit
+  // growth would reallocate (and copy the session so far) on every one of
+  // these appends; doubling reallocates at most at 1, 2, 4, ..., 4096.
+  RecordStore session;
+  RecordStore phase;
+  int reallocations = 0;
+  for (int i = 0; i < 4096; ++i) {
+    phase.clear();
+    if (i % 3 == 0) {
+      phase.append_dropped(TaskId::kKD, i, 0.5 * i, 0.5 * i + 3.0);
+    } else {
+      phase.append_executed(TaskId::kHT, i, 1.0, 11.0, i % 2, i % 5, 2.0,
+                            4.0 + i, 0.25 * i, i % 7 == 0);
+    }
+    const std::size_t capacity = session.capacity();
+    session.append_shifted(phase, 10.0 * i);
+    if (session.capacity() != capacity) ++reallocations;
+  }
+  EXPECT_LE(reallocations, 13);
+  ASSERT_EQ(session.size(), 4096u);
+  session.shrink_to_fit();  // a program trims its session once at the end
+  EXPECT_EQ(session.capacity(), 4096u);
+  for (int i = 0; i < 4096; ++i) {
+    const InferenceRecord rec = session[static_cast<std::size_t>(i)];
+    const double shift = 10.0 * i;
+    EXPECT_EQ(rec.frame, i);
+    if (i % 3 == 0) {
+      EXPECT_EQ(rec.task, TaskId::kKD);
+      EXPECT_TRUE(rec.dropped);
+      EXPECT_EQ(rec.treq_ms, 0.5 * i + shift);
+      EXPECT_EQ(rec.tdl_ms, 0.5 * i + 3.0 + shift);
+      EXPECT_EQ(rec.dispatch_ms, 0.0);  // never dispatched: not shifted
+      EXPECT_EQ(rec.complete_ms, 0.0);
+      EXPECT_EQ(rec.sub_accel, -1);
+    } else {
+      EXPECT_EQ(rec.task, TaskId::kHT);
+      EXPECT_FALSE(rec.dropped);
+      EXPECT_EQ(rec.treq_ms, 1.0 + shift);
+      EXPECT_EQ(rec.tdl_ms, 11.0 + shift);
+      EXPECT_EQ(rec.dispatch_ms, 2.0 + shift);
+      EXPECT_EQ(rec.complete_ms, 4.0 + i + shift);
+      EXPECT_EQ(rec.energy_mj, 0.25 * i);
+      EXPECT_EQ(rec.sub_accel, i % 2);
+      EXPECT_EQ(rec.dvfs_level, i % 5);
+      EXPECT_EQ(rec.resumed, i % 7 == 0);
+    }
+  }
+}
+
 TEST(RecordStore, FullSuiteRunColumnsAgreeWithAosView) {
   // End-to-end SoA/AoS equivalence on a real workload: run the full
   // Table-2 suite and check every store's columns against its materialized

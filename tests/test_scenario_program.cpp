@@ -180,6 +180,11 @@ TEST(ScenarioProgram, PhasesStitchOntoOneContinuousTimeline) {
 
   EXPECT_EQ(run.duration_ms, program.total_duration_ms());
   ASSERT_EQ(run.phase_start_ms.size(), program.num_phases());
+  // The merged stores grew by doubling and are trimmed to their size.
+  EXPECT_EQ(run.timeline.capacity(), run.timeline.size());
+  for (const auto& ms : run.per_model) {
+    EXPECT_EQ(ms.records.capacity(), ms.records.size());
+  }
   double expected_start = 0.0;
   for (std::size_t p = 0; p < program.num_phases(); ++p) {
     EXPECT_EQ(run.phase_start_ms[p], expected_start);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "costmodel/cost_model.h"
@@ -298,6 +299,49 @@ TEST_F(RunnerTest, RecordBudgetPreflightRejectsBeforeReserving) {
   const auto r = runner.run(scenario_by_name("VR Gaming"), sched, long_run,
                             nullptr, &scratch);
   EXPECT_EQ(r.find(TaskId::kES)->frames_expected, 36000);
+}
+
+TEST_F(RunnerTest, ProgramRecordPreflightBoundsThePhaseSum) {
+  // Two 15 000 s phases of VR Gaming (165 inferences/s) predict 2.475M
+  // records each, under the bound, and 4.95M together, over it. The
+  // session would hold both, so the program is rejected, with the total
+  // and the bound, before any phase runs: the scheduler is never asked for
+  // a dispatch.
+  class CountingScheduler final : public Scheduler {
+   public:
+    const char* name() const override { return "counting"; }
+    std::optional<Assignment> pick(const DispatchContext& ctx) override {
+      ++picks;
+      return inner.pick(ctx);
+    }
+    LatencyGreedyScheduler inner;
+    int picks = 0;
+  };
+  const auto sys = hw::make_accelerator('A', 4096);
+  const CostTable table(sys, cost_model_);
+  const ScenarioRunner runner(sys, table);
+  workload::ScenarioProgram program;
+  program.name = "Two long phases";
+  for (std::uint64_t offset = 0; offset < 2; ++offset) {
+    program.phases.push_back({scenario_by_name("VR Gaming"), 1.5e7, offset});
+  }
+  double per_phase = 0.0;
+  for (const auto& sm : program.phases.front().scenario.models) {
+    per_phase += sm.target_fps * 1.5e4;
+  }
+  ASSERT_EQ(per_phase, 2.475e6);
+  CountingScheduler sched;
+  try {
+    runner.run_program(program, sched, RunConfig{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("4950000 records"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(ScenarioRunner::kMaxRunRecords)),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(sched.picks, 0);
 }
 
 TEST_F(RunnerTest, DependencyOnAbsentUpstreamNeverTriggers) {

@@ -308,8 +308,9 @@ class Digest {
         add(d);
       }
     }
+    const costmodel::LayerPrefixes& p = c.layer_prefixes();
     for (const auto* prefix :
-         {&c.latency_prefix_ms, &c.energy_prefix_mj, &c.static_prefix_mj}) {
+         {&p.latency_prefix_ms, &p.energy_prefix_mj, &p.static_prefix_mj}) {
       word(prefix->size());
       for (double d : *prefix) add(d);
     }
