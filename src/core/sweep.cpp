@@ -1,7 +1,10 @@
 #include "core/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "runtime/policy_registry.h"
@@ -119,23 +122,83 @@ TrialPolicies make_policies(const HarnessOptions& options,
   return p;
 }
 
+/// The trial loads of one sweep call: one slot per (load key, trial index).
+/// The first trial that needs a slot plans it under std::call_once; every
+/// other trial of that key and index reads the plan read-only. All adds
+/// happen on the calling thread before any trial runs; the plans are freed
+/// with this object when the call returns.
+class SharedLoads {
+ public:
+  explicit SharedLoads(std::atomic<std::uint64_t>& planned)
+      : planned_(&planned) {}
+
+  /// Registers a point whose trials 0..trials-1 run `scenario` under `run`
+  /// (at seed run.seed + trial) and returns its load id.
+  std::size_t add(const workload::UsageScenario& scenario,
+                  const runtime::RunConfig& run, int trials) {
+    for (std::size_t id = 0; id < loads_.size(); ++id) {
+      if (loads_[id].key.matches(scenario, run)) {
+        loads_[id].trials = std::max(loads_[id].trials, trials);
+        return id;
+      }
+    }
+    loads_.push_back({runtime::load_key(scenario, run), trials, nullptr});
+    return loads_.size() - 1;
+  }
+
+  /// Sizes every load's slots; call after the last add().
+  void allocate() {
+    for (auto& load : loads_) {
+      load.slots =
+          std::make_unique<Slot[]>(static_cast<std::size_t>(load.trials));
+    }
+  }
+
+  /// The plan of `load` at `trial`, whose run config is `cfg`.
+  const runtime::ArrivalPlan& plan(std::size_t load, int trial,
+                                   const workload::UsageScenario& scenario,
+                                   const runtime::RunConfig& cfg) {
+    Slot& slot = loads_[load].slots[static_cast<std::size_t>(trial)];
+    std::call_once(slot.once, [&] {
+      slot.plan = runtime::plan_arrivals(scenario, cfg);
+      planned_->fetch_add(1, std::memory_order_relaxed);
+    });
+    return slot.plan;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    runtime::ArrivalPlan plan;
+  };
+  struct Load {
+    runtime::LoadKey key;  ///< At the base seed (trial 0).
+    int trials = 1;
+    std::unique_ptr<Slot[]> slots;
+  };
+  std::vector<Load> loads_;
+  std::atomic<std::uint64_t>* planned_;
+};
+
 /// One trial: fresh scheduler, shared read-only cost table, deterministic
-/// seed = base seed + trial index. Identical to Harness::run_once. The
-/// worker's scratch arena (when provided) is reused across the trials that
-/// land on that worker and recycled after scoring — only the kept last run
-/// escapes the pool.
+/// seed = base seed + trial index, and the trial's shared load from
+/// `loads`. Identical to Harness::run_once. The worker's scratch arena
+/// (when provided) is reused across the trials that land on that worker and
+/// recycled after scoring — only the kept last run escapes the pool.
 void run_trial(const hw::AcceleratorSystem& system,
                const runtime::CostTable& table,
                const workload::UsageScenario& scenario,
                const HarnessOptions& options, int trial, ScenarioWork& work,
-               runtime::RunScratch* scratch) {
+               runtime::RunScratch* scratch, SharedLoads& loads,
+               std::size_t load) {
   runtime::RunConfig cfg = options.run;
   cfg.seed += static_cast<std::uint64_t>(trial);
+  const runtime::ArrivalPlan& plan = loads.plan(load, trial, scenario, cfg);
   auto policies = make_policies(options, "", "", "");
   const runtime::ScenarioRunner runner(system, table);
   auto run = runner.run(scenario, *policies.scheduler, cfg,
                         policies.governor.get(), scratch,
-                        policies.admission.get());
+                        policies.admission.get(), &plan);
   work.trial_scores[static_cast<std::size_t>(trial)] =
       score_scenario(run, options.score);
   if (trial == work.trials - 1) {
@@ -283,8 +346,10 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
   struct PointWork {
     std::unique_ptr<runtime::CostTable> table;
     std::vector<ScenarioWork> scenarios;
+    std::vector<std::size_t> loads;  ///< Load id per suite scenario.
   };
   std::vector<PointWork> work(points.size());
+  SharedLoads loads(loads_planned_);
   for (std::size_t p = 0; p < points.size(); ++p) {
     validate_governor_overrides(points[p].options, points[p].system);
     work[p].scenarios.resize(suite.size());
@@ -292,8 +357,11 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
       auto& sw = work[p].scenarios[s];
       sw.trials = trials_for(suite[s], points[p].options);
       sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
+      work[p].loads.push_back(
+          loads.add(suite[s], points[p].options.run, sw.trials));
     }
   }
+  loads.allocate();
 
   for (std::size_t p = 0; p < points.size(); ++p) {
     // One table-build job per point; it fans the point's trial jobs out as
@@ -301,7 +369,7 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
     // across points. Trials are chunked into batch tasks (see trial_chunk)
     // and enqueued with a single submit_batch — each trial still writes its
     // own submission-order slot, so chunking never changes a result.
-    pool_.submit([this, &points, &work, &suite, p] {
+    pool_.submit([this, &points, &work, &suite, &loads, p] {
       const SweepPoint& point = points[p];
       auto& pw = work[p];
       pw.table = std::make_unique<runtime::CostTable>(
@@ -313,11 +381,12 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
             static_cast<int>(trial_chunk(trials, pool_.num_threads()));
         for (int t0 = 0; t0 < trials; t0 += chunk) {
           const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back([this, &points, &work, &suite, p, s, t0, t1] {
+          batch.push_back([this, &points, &work, &suite, &loads, p, s, t0,
+                           t1] {
             for (int t = t0; t < t1; ++t) {
               run_trial(points[p].system, *work[p].table, suite[s],
                         points[p].options, t, work[p].scenarios[s],
-                        worker_scratch());
+                        worker_scratch(), loads, work[p].loads[s]);
             }
           });
         }
@@ -352,15 +421,24 @@ std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
       const costmodel::EnergyParams&)>
       model = [this](const costmodel::EnergyParams& e)
       -> costmodel::AnalyticalCostModel& { return model_for(e); };
+  const auto trials_of = [](const ScenarioSweepPoint& p) {
+    return trials_for(p.scenario, p.options);
+  };
+  SharedLoads loads(loads_planned_);
+  std::vector<std::size_t> load_of;
+  load_of.reserve(points.size());
+  for (const auto& p : points) {
+    load_of.push_back(loads.add(p.scenario, p.options.run, trials_of(p)));
+  }
+  loads.allocate();
   return run_grouped_points(
-      pool_, model, points,
-      [](const ScenarioSweepPoint& p) {
-        return trials_for(p.scenario, p.options);
-      },
-      [this, &points](std::size_t p, const runtime::CostTable& table, int t,
-                      ScenarioWork& w) {
+      pool_, model, points, trials_of,
+      [this, &points, &loads, &load_of](std::size_t p,
+                                        const runtime::CostTable& table, int t,
+                                        ScenarioWork& w) {
         run_trial(points[p].system, table, points[p].scenario,
-                  points[p].options, t, w, worker_scratch());
+                  points[p].options, t, w, worker_scratch(), loads,
+                  load_of[p]);
       });
 }
 
@@ -402,6 +480,10 @@ std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(
   pool_.submit_batch(std::move(batch));
   pool_.wait_idle();
   return tables;
+}
+
+std::uint64_t SweepEngine::loads_planned() const {
+  return loads_planned_.load(std::memory_order_relaxed);
 }
 
 costmodel::MemoStats SweepEngine::model_memo_stats() const {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +61,14 @@ struct ProgramSweepPoint {
 /// worker reuse the same simulator event pool, request/timeline vectors and
 /// SoA record arenas instead of reallocating them (results stay
 /// bit-identical — reuse is invisible to the determinism contract).
+///
+/// Shared trial loads: a trial's arrivals depend only on its
+/// runtime::LoadKey (source models, duration, seed, jitter flag), never on
+/// the design or the policies. run_suite_points and run_scenario_points
+/// plan each (load key, trial index) once per call: the first trial that
+/// needs it fills the slot (std::call_once), the rest replay the plan
+/// read-only, and the plans are freed when the call returns. Program
+/// points plan each phase inside run_program: their phase seeds differ.
 class SweepEngine {
  public:
   SweepEngine() : SweepEngine(util::ThreadPool::default_num_threads()) {}
@@ -109,6 +119,11 @@ class SweepEngine {
   /// a snapshot.
   costmodel::MemoStats model_memo_stats() const;
 
+  /// Trial loads (runtime::ArrivalPlan) planned over every call so far: one
+  /// per distinct (load key, trial index) per run_suite_points or
+  /// run_scenario_points call. Exact at any worker count.
+  std::uint64_t loads_planned() const;
+
  private:
   /// Shared cost model for a point's energy constants. Points with equal
   /// EnergyParams share one model instance (and so its model-level memo),
@@ -129,6 +144,7 @@ class SweepEngine {
                         std::unique_ptr<costmodel::AnalyticalCostModel>>>
       models_;
   mutable std::mutex models_mutex_;
+  std::atomic<std::uint64_t> loads_planned_{0};
 };
 
 }  // namespace xrbench::core

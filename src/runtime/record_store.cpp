@@ -239,17 +239,24 @@ std::vector<InferenceRecord> RecordStore::view() const {
 void RecordStore::sort_canonical() {
   const std::size_t n = size_;
   if (n < 2) return;
+  const auto less = [this](std::size_t a, std::size_t b) {
+    if (frame_[a] != frame_[b]) return frame_[a] < frame_[b];
+    if (treq_ms_[a] != treq_ms_[b]) return treq_ms_[a] < treq_ms_[b];
+    if (dropped_[a] != dropped_[b]) {
+      return dropped_[b] != 0;  // executed before dropped
+    }
+    return dispatch_ms_[a] < dispatch_ms_[b];
+  };
+  // Strictly ascending keys admit exactly one sorted order, the one the
+  // permutation below would produce, so already-canonical records (the
+  // common case for a run's per-model appends) cost one linear pass. Equal
+  // keys take the permutation path, whatever order they arrived in.
+  std::size_t ascending = 1;
+  while (ascending < n && less(ascending - 1, ascending)) ++ascending;
+  if (ascending == n) return;
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [this](std::size_t a, std::size_t b) {
-              if (frame_[a] != frame_[b]) return frame_[a] < frame_[b];
-              if (treq_ms_[a] != treq_ms_[b]) return treq_ms_[a] < treq_ms_[b];
-              if (dropped_[a] != dropped_[b]) {
-                return dropped_[b] != 0;  // executed before dropped
-              }
-              return dispatch_ms_[a] < dispatch_ms_[b];
-            });
+  std::sort(order.begin(), order.end(), less);
   // Apply the permutation in place, cycle by cycle (at most n-1 row swaps,
   // no per-column scratch copies — this runs once per model per trial).
   auto swap_rows = [this](std::size_t a, std::size_t b) {

@@ -96,10 +96,11 @@ class RecordStore {
   }
 
   /// Sorts all columns by the runner's canonical record order — (frame,
-  /// treq, executed-before-dropped, dispatch) — via one index permutation
-  /// applied in place, cycle by cycle. Same full tie-break as the former
-  /// AoS std::sort: equal keys must not permute between runs or stdlib
-  /// implementations.
+  /// treq, executed-before-dropped, dispatch). Records already in strictly
+  /// ascending order return after one linear check, allocating nothing;
+  /// otherwise one index permutation is applied in place, cycle by cycle.
+  /// Same full tie-break as the former AoS std::sort: equal keys must not
+  /// permute between runs or stdlib implementations.
   void sort_canonical();
 
   /// Proxy iterator: dereferences to a materialized InferenceRecord by

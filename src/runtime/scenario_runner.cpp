@@ -74,6 +74,26 @@ bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
   return a.frame < b.frame;
 }
 
+/// Sorts one run's timeline by timeline_less. Each unit appends its
+/// intervals in start order, each as it ends, so an entry is passed only
+/// by intervals appended after it that started before it: intervals of
+/// other units in flight across its start, at most one per unit. An
+/// insertion sort therefore makes at most entries x (units - 1) moves. With
+/// positive latencies a unit's intervals have distinct starts, so the
+/// sorted order is unique — the one std::sort gives.
+void sort_timeline(std::vector<BusyInterval>& timeline) {
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    if (!timeline_less(timeline[i], timeline[i - 1])) continue;
+    const BusyInterval moved = timeline[i];
+    std::size_t j = i;
+    do {
+      timeline[j] = timeline[j - 1];
+      --j;
+    } while (j > 0 && timeline_less(moved, timeline[j - 1]));
+    timeline[j] = moved;
+  }
+}
+
 /// Records a run of `scenario` for `duration_ms` predicts: the sum over its
 /// models of target_fps x duration. Summed in double, so no duration can
 /// overflow the count.
@@ -85,7 +105,131 @@ double predicted_records(const UsageScenario& scenario, double duration_ms) {
   return records;
 }
 
+/// A model's frame budget over the run window: target_fps x duration,
+/// rounded. The request count of a source model, the QoE denominator of a
+/// source or data-dependent one, and the record reservation of each.
+std::int64_t frame_budget(const ScenarioModel& sm, double duration_ms) {
+  return static_cast<std::int64_t>(
+      std::llround(sm.target_fps * duration_ms / 1000.0));
+}
+
+/// The preflight of run() and plan_arrivals(); `who` prefixes the messages.
+void validate_run(const UsageScenario& scenario, const RunConfig& config,
+                  const char* who) {
+  if (config.duration_ms <= 0.0) {
+    throw std::invalid_argument(std::string(who) + ": duration must be > 0");
+  }
+  for (const auto& sm : scenario.models) {
+    const auto& src =
+        workload::input_source(workload::driving_source(sm.task));
+    if (sm.target_fps <= 0.0) {
+      throw std::invalid_argument(std::string(who) + ": target FPS <= 0 for " +
+                                  models::task_code(sm.task));
+    }
+    if (sm.target_fps > src.fps + 1e-9) {
+      throw std::invalid_argument(
+          std::string(who) + ": target FPS exceeds sensor rate for " +
+          models::task_code(sm.task));
+    }
+  }
+  // Shared with scenario_io::from_config_text: the parser rejects rate
+  // mismatches at load time, this preflight catches programmatically-built
+  // scenarios.
+  workload::validate_dependency_rates(scenario);
+  // Resource preflight: the storage a run reserves grows with the predicted
+  // record count, so a run too large to hold is rejected before anything is
+  // reserved.
+  const double predicted = predicted_records(scenario, config.duration_ms);
+  if (!(predicted <= static_cast<double>(ScenarioRunner::kMaxRunRecords))) {
+    throw std::invalid_argument(
+        std::string(who) + ": duration_ms = " +
+        util::fmt_double_exact(config.duration_ms) + " predicts " +
+        util::fmt_double(predicted, 0) + " records, above the bound of " +
+        std::to_string(ScenarioRunner::kMaxRunRecords));
+  }
+}
+
+/// Figure 2's load generator, the only one: fills `out` with every
+/// source-model request of a run of `scenario` under `config`, sorted by
+/// (when, order). Every source-model arrival time is known before the first
+/// event fires, so the requests go into this array instead of the event
+/// queue. Reads exactly what load_key() records.
+void generate_arrivals(const UsageScenario& scenario, const RunConfig& config,
+                       std::vector<Arrival>& out) {
+  out.clear();
+  std::int64_t total = 0;
+  for (const auto& sm : scenario.models) {
+    if (!sm.depends_on) total += frame_budget(sm, config.duration_ms);
+  }
+  out.reserve(static_cast<std::size_t>(total));
+  for (const auto& sm : scenario.models) {
+    // Dependent models' requests are created by upstream completions.
+    if (sm.depends_on) continue;
+    const auto& spec = workload::unit_model_spec(sm.task);
+    const auto& driving = workload::input_source(spec.inputs.front());
+    const std::int64_t num_frames = frame_budget(sm, config.duration_ms);
+    for (std::int64_t f = 0; f < num_frames; ++f) {
+      // Multi-modal models wait for the latest of their input streams.
+      double treq = 0.0;
+      for (const auto in : spec.inputs) {
+        const auto& src = workload::input_source(in);
+        const std::int64_t sf = sensor_frame_for(src.fps, sm.target_fps, f);
+        treq = std::max(treq, workload::frame_arrival_ms(
+                                  src, sf, config.seed, config.enable_jitter));
+      }
+      InferenceRequest req;
+      req.task = sm.task;
+      req.frame = f;
+      req.treq_ms = treq;
+      req.tdl_ms = deadline_ms(driving, sm.target_fps, f);
+      // The clamp to the run start is the one Simulator::schedule_at applies.
+      out.push_back({std::max(treq, 0.0), out.size(), req});
+    }
+  }
+  // std::sort needs no temporary buffer (std::stable_sort would take one
+  // per run); the explicit generation index makes the order total anyway.
+  std::sort(out.begin(), out.end());
+}
+
 }  // namespace
+
+bool LoadKey::matches(const UsageScenario& scenario,
+                      const RunConfig& config) const {
+  if (duration_ms != config.duration_ms || seed != config.seed ||
+      enable_jitter != config.enable_jitter) {
+    return false;
+  }
+  std::size_t i = 0;
+  for (const auto& sm : scenario.models) {
+    if (sm.depends_on) continue;
+    if (i == sources.size() || sources[i].task != sm.task ||
+        sources[i].target_fps != sm.target_fps) {
+      return false;
+    }
+    ++i;
+  }
+  return i == sources.size();
+}
+
+LoadKey load_key(const UsageScenario& scenario, const RunConfig& config) {
+  LoadKey key;
+  for (const auto& sm : scenario.models) {
+    if (!sm.depends_on) key.sources.push_back({sm.task, sm.target_fps});
+  }
+  key.duration_ms = config.duration_ms;
+  key.seed = config.seed;
+  key.enable_jitter = config.enable_jitter;
+  return key;
+}
+
+ArrivalPlan plan_arrivals(const UsageScenario& scenario,
+                          const RunConfig& config) {
+  validate_run(scenario, config, "plan_arrivals");
+  ArrivalPlan plan;
+  plan.key_ = load_key(scenario, config);
+  generate_arrivals(scenario, config, plan.arrivals_);
+  return plan;
+}
 
 /// Mutable state + dispatch machinery of one scenario run, owned by a
 /// RunScratch so the runner itself stays const / reusable AND the buffers
@@ -106,20 +250,9 @@ struct RunScratch::Impl {
   sim::Simulator sim;
   util::Rng rng;
   Telemetry telemetry;
-  /// One source-model request with its firing key: `when` is its request
-  /// time clamped to the run start and `order` its generation index (model
-  /// slot, then frame).
-  struct Arrival {
-    double when;
-    std::size_t order;
-    InferenceRequest req;
-    bool operator<(const Arrival& o) const {
-      if (when != o.when) return when < o.when;
-      return order < o.order;
-    }
-  };
-  /// Every source-model request of the run, sorted by (when, order) before
-  /// the event loop walks it.
+  /// The run's load when the caller brought no ArrivalPlan: every
+  /// source-model request, sorted by (when, order) before the event loop
+  /// walks it.
   std::vector<Arrival> arrivals;
   std::vector<InferenceRequest> pending;
   std::vector<char> accel_busy;
@@ -186,7 +319,6 @@ struct RunScratch::Impl {
     governor = g;
     sim.reset();
     rng.reseed(config.seed);
-    arrivals.clear();
     pending.clear();
     const std::size_t n = sys.sub_accels.size();
     accel_busy.assign(n, 0);
@@ -713,38 +845,13 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
                                       const RunConfig& config,
                                       FrequencyGovernor* governor,
                                       RunScratch* scratch,
-                                      AdmissionController* admission) const {
-  if (config.duration_ms <= 0.0) {
-    throw std::invalid_argument("ScenarioRunner::run: duration must be > 0");
-  }
-  for (const auto& sm : scenario.models) {
-    const auto& src =
-        workload::input_source(workload::driving_source(sm.task));
-    if (sm.target_fps <= 0.0) {
-      throw std::invalid_argument("ScenarioRunner::run: target FPS <= 0 for " +
-                                  std::string(models::task_code(sm.task)));
-    }
-    if (sm.target_fps > src.fps + 1e-9) {
-      throw std::invalid_argument(
-          std::string("ScenarioRunner::run: target FPS exceeds sensor rate "
-                      "for ") +
-          models::task_code(sm.task));
-    }
-  }
-  // Shared with scenario_io::from_config_text: the parser rejects rate
-  // mismatches at load time, this preflight catches programmatically-built
-  // scenarios.
-  workload::validate_dependency_rates(scenario);
-  // Resource preflight: the storage reserved below grows with the predicted
-  // record count, so a run too large to hold is rejected before anything is
-  // reserved.
-  const double predicted = predicted_records(scenario, config.duration_ms);
-  if (!(predicted <= static_cast<double>(kMaxRunRecords))) {
+                                      AdmissionController* admission,
+                                      const ArrivalPlan* plan) const {
+  validate_run(scenario, config, "ScenarioRunner::run");
+  if (plan != nullptr && !plan->key().matches(scenario, config)) {
     throw std::invalid_argument(
-        "ScenarioRunner::run: duration_ms = " +
-        util::fmt_double_exact(config.duration_ms) + " predicts " +
-        util::fmt_double(predicted, 0) + " records, above the bound of " +
-        std::to_string(kMaxRunRecords));
+        "ScenarioRunner::run: the arrival plan is for another load (its "
+        "source models, duration, seed or jitter flag differ)");
   }
 
   // The fallback arena is constructed only when the caller brought none —
@@ -783,56 +890,23 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   // rate), so the hot loop never reallocates.
   for (std::size_t sl = 0; sl < num_models; ++sl) {
     const auto& sm = scenario.models[sl];
-    const auto budget = static_cast<std::int64_t>(
-        std::llround(sm.target_fps * config.duration_ms / 1000.0));
+    const std::int64_t budget = frame_budget(sm, config.duration_ms);
     eng.stats[sl].records.reserve(static_cast<std::size_t>(budget) + 8);
     total_expected += budget;
+    // NumFrm: one request per frame for source models, one per upstream
+    // target frame for data-dependent ones. Control-dependent models count
+    // their triggered requests as they fire.
+    if (!sm.depends_on || sm.dependency == DependencyType::kData) {
+      eng.stats[sl].frames_expected = budget;
+    }
   }
   eng.timeline.reserve(static_cast<std::size_t>(total_expected) + 8);
   eng.pending.reserve(static_cast<std::size_t>(total_expected) + 8);
-  eng.arrivals.reserve(static_cast<std::size_t>(total_expected));
 
   // ---- Load generation (Figure 2's load generator) ---------------------
-  // Every source-model arrival time is known before the first event fires,
-  // so the requests go into the arrival array instead of the event queue.
-
-  for (const auto& sm : scenario.models) {
-    auto& ms = eng.stats[eng.slot(sm.task)];
-    if (sm.depends_on) {
-      if (sm.dependency == DependencyType::kData) {
-        // Data-dependent: one request expected per upstream target frame.
-        ms.frames_expected = static_cast<std::int64_t>(
-            std::llround(sm.target_fps * config.duration_ms / 1000.0));
-      }
-      continue;  // requests created by upstream completions
-    }
-    const auto& spec = workload::unit_model_spec(sm.task);
-    const auto& driver = workload::input_source(spec.inputs.front());
-    const auto num_frames = static_cast<std::int64_t>(
-        std::llround(sm.target_fps * config.duration_ms / 1000.0));
-    ms.frames_expected = num_frames;
-    for (std::int64_t f = 0; f < num_frames; ++f) {
-      // Multi-modal models wait for the latest of their input streams.
-      double treq = 0.0;
-      for (const auto in : spec.inputs) {
-        const auto& src = workload::input_source(in);
-        const std::int64_t sf = sensor_frame_for(src.fps, sm.target_fps, f);
-        treq = std::max(treq, workload::frame_arrival_ms(
-                                  src, sf, config.seed, config.enable_jitter));
-      }
-      InferenceRequest req;
-      req.task = sm.task;
-      req.frame = f;
-      req.treq_ms = treq;
-      req.tdl_ms = deadline_ms(driver, sm.target_fps, f);
-      // The clamp to the run start is the one Simulator::schedule_at applies.
-      eng.arrivals.push_back(
-          {std::max(treq, 0.0), eng.arrivals.size(), req});
-    }
-  }
-  // std::sort needs no temporary buffer (std::stable_sort would take one
-  // per run); the explicit generation index makes the order total anyway.
-  std::sort(eng.arrivals.begin(), eng.arrivals.end());
+  if (plan == nullptr) generate_arrivals(scenario, config, eng.arrivals);
+  const std::vector<Arrival>& arrivals =
+      plan != nullptr ? plan->arrivals() : eng.arrivals;
 
   // ---- Fault schedule (precomputed; worker count cannot reorder it) -----
   if (eng.injector.active()) {
@@ -874,7 +948,7 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   // fires; events at the arrival's own time fire after it, and equal-time
   // arrivals keep generation order — the order the queue's FIFO tie-break
   // would give had every arrival been scheduled ahead of all other events.
-  for (const auto& a : eng.arrivals) {
+  for (const auto& a : arrivals) {
     eng.sim.run_before(a.when);
     eng.arrive(a.req);
     eng.try_dispatch();
@@ -904,7 +978,7 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   result.total_energy_mj = eng.total_energy_mj;
   result.sub_accel_busy_ms = std::move(eng.accel_busy_ms);
   result.timeline = std::move(eng.timeline);
-  std::sort(result.timeline.begin(), result.timeline.end(), timeline_less);
+  sort_timeline(result.timeline);
   result.telemetry = eng.telemetry;
   result.resilience = eng.resilience;
   // An inactive injector with zero drop-early rejections leaves the section

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -92,23 +93,86 @@ struct ScenarioRunResult {
   double utilization(std::size_t sa) const;
 };
 
+/// One source-model request of a trial load with its firing key: `when` is
+/// its request time clamped to the run start and `order` its generation
+/// index (model slot, then frame).
+struct Arrival {
+  double when = 0.0;
+  std::size_t order = 0;
+  InferenceRequest req;
+  bool operator<(const Arrival& o) const {
+    if (when != o.when) return when < o.when;
+    return order < o.order;
+  }
+};
+
+/// Everything load generation (Figure 2's load generator, Definitions 7-8)
+/// reads: each source model's (task, target FPS) in scenario order, the run
+/// window, the trial seed and the jitter flag. The design, energy constants,
+/// policies, faults, trigger probabilities and dependent models never change
+/// a trial's arrivals, so runs that differ only in those share one load.
+struct LoadKey {
+  struct Source {
+    models::TaskId task = models::TaskId::kHT;
+    double target_fps = 0.0;
+  };
+  std::vector<Source> sources;
+  double duration_ms = 0.0;
+  std::uint64_t seed = 0;
+  bool enable_jitter = true;
+
+  /// True when this key is load_key(scenario, config). Compares in place,
+  /// allocating nothing.
+  bool matches(const workload::UsageScenario& scenario,
+               const RunConfig& config) const;
+};
+
+/// The load key of running `scenario` under `config`.
+LoadKey load_key(const workload::UsageScenario& scenario,
+                 const RunConfig& config);
+
+/// One trial's source-model arrivals, sorted by (when, order), with the key
+/// they were generated from. Only plan_arrivals() fills one, so a plan's
+/// arrivals are always its key's; a default-constructed plan is empty and
+/// matches no run.
+class ArrivalPlan {
+ public:
+  const LoadKey& key() const { return key_; }
+  const std::vector<Arrival>& arrivals() const { return arrivals_; }
+
+ private:
+  friend ArrivalPlan plan_arrivals(const workload::UsageScenario& scenario,
+                                   const RunConfig& config);
+  LoadKey key_;
+  std::vector<Arrival> arrivals_;
+};
+
+/// Generates the load a run of `scenario` under `config` replays: the same
+/// arrivals ScenarioRunner::run generates when given no plan. A plan is
+/// read-only, so any number of concurrent runs of its key may share it.
+/// Throws std::invalid_argument for a scenario or config run() rejects.
+ArrivalPlan plan_arrivals(const workload::UsageScenario& scenario,
+                          const RunConfig& config);
+
 /// Reusable run-state arena for ScenarioRunner::run/run_program. A sweep
 /// runs thousands of sub-millisecond trials, so per-run allocations are a
 /// measurable tax. A RunScratch keeps a run's bulk storage alive between
-/// runs: the simulator's event pool and queue, the arrival array, the
-/// pending and timeline vectors, the per-unit and per-model state and the
-/// telemetry's level histories. The runner clear()s and reuses all of it
-/// (capacity is retained — enforced by test), and recycle() returns a
-/// consumed result's SoA record stores and timeline to the pool.
+/// runs: the simulator's event pool and queue, the arrival array (used only
+/// by runs given no ArrivalPlan), the pending and timeline vectors, the
+/// per-unit and per-model state and the telemetry's level histories. The
+/// runner clear()s and reuses all of it (capacity is retained — enforced by
+/// test), and recycle() returns a consumed result's SoA record stores and
+/// timeline to the pool.
 ///
 /// A warm run still allocates a few small buffers, and their number does
 /// not grow with the run's length (enforced by test): the result's per-model
 /// vector, busy-time vector and telemetry snapshot (one vector plus one
 /// level history per sub-accelerator), the scenario name when it outgrows
 /// the small-string buffer, one dependency fan-out list per upstream model,
-/// and one sort permutation per model's records. On J @ 8192 PEs with DVFS
-/// over the Table-2 suite that is 8-12 operator-new calls per warm run;
-/// policies allocate on their own besides (ondemand adds one).
+/// and one sort permutation per model whose records finish out of
+/// canonical order. On J @ 8192 PEs with DVFS over the Table-2 suite that
+/// is at most 12 operator-new calls per warm run; policies allocate on
+/// their own besides (ondemand adds one).
 ///
 /// A scratch is single-threaded state: never share one across concurrent
 /// runs (SweepEngine keys one per worker thread). Results produced with a
@@ -202,11 +266,17 @@ class ScenarioRunner {
   /// instant; a rejection drops the frame immediately (drop-early). Null —
   /// or the built-in "admit-all" — admits everything, leaving results
   /// byte-identical to admission-free runs.
+  /// A non-null `plan` replays that plan's arrivals instead of generating
+  /// them into the scratch (bit-identical results: generation is the same
+  /// code either way). Throws std::invalid_argument when the plan's key
+  /// does not match (scenario, config), so a plan for another load never
+  /// runs.
   ScenarioRunResult run(const workload::UsageScenario& scenario,
                         Scheduler& scheduler, const RunConfig& config,
                         FrequencyGovernor* governor = nullptr,
                         RunScratch* scratch = nullptr,
-                        AdmissionController* admission = nullptr) const;
+                        AdmissionController* admission = nullptr,
+                        const ArrivalPlan* plan = nullptr) const;
 
   /// Executes a scenario program as one continuous timeline. Each phase
   /// runs for its duration with a seed derived from `config.seed` and the

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/table.h"
+
 namespace xrbench::util {
 namespace {
 
@@ -97,10 +99,7 @@ void IniDocument::Section::set(const std::string& key, std::string value) {
 }
 
 void IniDocument::Section::set_double(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(12);
-  os << value;
-  set(key, os.str());
+  set(key, fmt_double_exact(value));
 }
 
 void IniDocument::Section::set_int(const std::string& key,

@@ -45,6 +45,8 @@ class IniDocument {
     /// Source line of `key` (last occurrence), or 0 when absent/programmatic.
     int line_of(const std::string& key) const;
     void set(const std::string& key, std::string value);
+    /// Writes `value` with max_digits10 digits, so parsing it back
+    /// reproduces every bit (util::fmt_double_exact).
     void set_double(const std::string& key, double value);
     void set_int(const std::string& key, std::int64_t value);
   };

@@ -316,6 +316,32 @@ TEST(ScenarioIo, RoundTripsTable2Suite) {
   }
 }
 
+TEST(ScenarioIo, RoundTripsNonShortDoublesExactly) {
+  // Rates and probabilities with no short decimal form reload bit for bit
+  // (a 12-digit writer reloaded 0.1 + 0.2 as 0.29999999999999999).
+  workload::UsageScenario scenario;
+  scenario.name = "Exact";
+  workload::ScenarioModel ht;
+  ht.task = models::TaskId::kHT;
+  ht.target_fps = 100.0 / 3.0;
+  workload::ScenarioModel kd;
+  kd.task = models::TaskId::kKD;
+  kd.target_fps = 3.0;
+  workload::ScenarioModel sr;
+  sr.task = models::TaskId::kSR;
+  sr.target_fps = 3.0;
+  sr.depends_on = models::TaskId::kKD;
+  sr.dependency = workload::DependencyType::kControl;
+  sr.trigger_probability = 0.1 + 0.2;
+  scenario.models = {ht, kd, sr};
+  const auto loaded =
+      workload::from_config_text(workload::to_config_text(scenario));
+  ASSERT_EQ(loaded.models.size(), 3u);
+  EXPECT_EQ(loaded.models[0].target_fps, scenario.models[0].target_fps);
+  EXPECT_EQ(loaded.models[2].trigger_probability,
+            scenario.models[2].trigger_probability);
+}
+
 TEST(ScenarioIo, ParsesCustomScenario) {
   const auto scenario = workload::from_config_text(
       "[scenario]\n"

@@ -337,6 +337,25 @@ TEST(FleetIo, ConfigRoundTripsThroughText) {
   EXPECT_EQ(setup.catalog[1].name, "Multi-User Co-Presence");
 }
 
+TEST(FleetIo, NonShortDoublesRoundTripExactly) {
+  // Every fleet double reloads bit for bit, including values with no short
+  // decimal form (a 12-digit writer reloaded 1/3 as 0.33333333333300003).
+  FleetConfig config;
+  config.arrival_rate_per_s = 1.0 / 3.0;
+  config.zipf_s = 0.1 + 0.2;
+  config.arrival_window_ms = 1000.0 / 3.0;
+  config.classes = {{2.0 / 3.0, 100.0 / 7.0}};
+  config.programs = {"Scenario Hand-Off"};
+  const auto setup = fleet_from_config_text(to_config_text(config));
+  EXPECT_EQ(setup.config.arrival_rate_per_s, config.arrival_rate_per_s);
+  EXPECT_EQ(setup.config.zipf_s, config.zipf_s);
+  EXPECT_EQ(setup.config.arrival_window_ms, config.arrival_window_ms);
+  ASSERT_EQ(setup.config.classes.size(), 1u);
+  EXPECT_EQ(setup.config.classes[0].weight, config.classes[0].weight);
+  EXPECT_EQ(setup.config.classes[0].wait_budget_ms,
+            config.classes[0].wait_budget_ms);
+}
+
 TEST(FleetIo, InlineProgramsFormTheCatalog) {
   const std::string text = R"(
 [fleet]

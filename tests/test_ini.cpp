@@ -81,12 +81,19 @@ TEST(Ini, RoundTripPreservesContent) {
   a.set("k", "v with spaces");
   a.set_int("n", -7);
   a.set_double("d", 0.125);
+  // Values with no short decimal form must come back bit for bit, too.
+  const double tenths = 0.1 + 0.2;
+  const double third = 1.0 / 3.0;
+  a.set_double("tenths", tenths);
+  a.set_double("third", third);
   auto& b = doc.add_section("second");
   b.set("x", "y");
   const auto reparsed = IniDocument::parse(doc.to_string());
   EXPECT_EQ(reparsed.section("first").get("k"), "v with spaces");
   EXPECT_EQ(reparsed.section("first").get_int("n"), -7);
-  EXPECT_DOUBLE_EQ(reparsed.section("first").get_double("d"), 0.125);
+  EXPECT_EQ(reparsed.section("first").get_double("d"), 0.125);
+  EXPECT_EQ(reparsed.section("first").get_double("tenths"), tenths);
+  EXPECT_EQ(reparsed.section("first").get_double("third"), third);
   EXPECT_EQ(reparsed.section("second").get("x"), "y");
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "costmodel/cost_model.h"
 #include "hw/accelerator.h"
@@ -156,6 +157,31 @@ class Rig {
     return digest.value();
   }
 
+  /// Digests of `scenario` at `cfg` run twice under fresh `sched` / `gov`
+  /// instances on one scratch: first generating its own load, then
+  /// replaying plan_arrivals' plan (the scratch's arrival array still holds
+  /// the first run's load, which the second must ignore).
+  std::pair<std::uint64_t, std::uint64_t> plan_free_and_planned(
+      const workload::UsageScenario& scenario, const std::string& sched,
+      const std::string& gov, const RunConfig& cfg) {
+    const auto& registry = PolicyRegistry::instance();
+    const ArrivalPlan plan = plan_arrivals(scenario, cfg);
+    RunScratch scratch;
+    std::uint64_t digests[2] = {};
+    for (const ArrivalPlan* p : {static_cast<const ArrivalPlan*>(nullptr),
+                                 &plan}) {
+      auto scheduler = registry.make_scheduler(sched);
+      auto governor = registry.make_governor(gov);
+      auto run = runner_.run(scenario, *scheduler, cfg, governor.get(),
+                             &scratch, nullptr, p);
+      Digest digest;
+      digest.add(run);
+      digests[p == nullptr ? 0 : 1] = digest.value();
+      scratch.recycle(std::move(run));
+    }
+    return {digests[0], digests[1]};
+  }
+
   std::uint64_t program_digest(const std::string& program,
                                const std::string& sched,
                                const std::string& gov) {
@@ -229,10 +255,9 @@ TEST(RunnerGolden, SuiteOnJWithDvfsWithoutJitter) {
   expect_suite_goldens(rig, cfg, golden);
 }
 
-TEST(RunnerGolden, SuiteOnMWithEveryFaultClass) {
-  // Transient faults with retries and give-ups, outage kills with
-  // checkpointed resumes and failovers, and throttle clamps all occur.
-  Rig rig(hw::with_default_dvfs(hw::make_accelerator('M', 8192)));
+/// Transient faults with retries and give-ups, outage kills with
+/// checkpointed resumes and failovers, and throttle clamps all occur on M.
+RunConfig every_fault_class() {
   RunConfig cfg;
   cfg.faults.transient_rate = 0.05;
   cfg.faults.max_retries = 2;
@@ -244,11 +269,47 @@ TEST(RunnerGolden, SuiteOnMWithEveryFaultClass) {
   cfg.faults.throttle_max_level = 1;
   cfg.faults.checkpoint = true;
   cfg.faults.checkpoint_overhead_ms = 0.2;
+  return cfg;
+}
+
+TEST(RunnerGolden, SuiteOnMWithEveryFaultClass) {
+  Rig rig(hw::with_default_dvfs(hw::make_accelerator('M', 8192)));
+  const RunConfig cfg = every_fault_class();
   const Golden golden[] = {
       {"latency-greedy", "ondemand", 0x91d97df582223e76ULL},
       {"fault-aware", "deadline-aware", 0xe68f5412ec1f80f0ULL},
   };
   expect_suite_goldens(rig, cfg, golden);
+}
+
+TEST(RunnerGolden, PlannedRunsMatchPlanFreeRuns) {
+  // A shared ArrivalPlan replays exactly the load run() generates itself:
+  // every Table-2 and extension scenario, jitter on and off, two seeds, on
+  // a fault-free and a fully faulted rig.
+  Rig clean(hw::with_default_dvfs(hw::make_accelerator('J', 8192)));
+  Rig faulty(hw::with_default_dvfs(hw::make_accelerator('M', 8192)));
+  std::vector<workload::UsageScenario> scenarios = workload::benchmark_suite();
+  for (const auto& s : workload::extension_scenarios()) scenarios.push_back(s);
+  for (const auto& scenario : scenarios) {
+    for (bool jitter : {true, false}) {
+      for (std::uint64_t seed : {1, 42}) {
+        RunConfig cfg;
+        cfg.enable_jitter = jitter;
+        cfg.seed = seed;
+        RunConfig faulted = every_fault_class();
+        faulted.enable_jitter = jitter;
+        faulted.seed = seed;
+        const auto a = clean.plan_free_and_planned(scenario, "latency-greedy",
+                                                   "ondemand", cfg);
+        const auto b = faulty.plan_free_and_planned(scenario, "fault-aware",
+                                                    "deadline-aware", faulted);
+        EXPECT_EQ(a.first, a.second)
+            << scenario.name << ", jitter " << jitter << ", seed " << seed;
+        EXPECT_EQ(b.first, b.second) << scenario.name << " with faults, jitter "
+                                     << jitter << ", seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(RunnerGolden, HandOffProgram) {

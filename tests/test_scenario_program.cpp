@@ -317,6 +317,35 @@ TEST(ScenarioProgramIo, RoundTripsThroughConfigText) {
   }
 }
 
+TEST(ScenarioProgramIo, RoundTripsNonShortDoublesExactly) {
+  // An inline scenario's rates and probabilities reload bit for bit, like
+  // the phase durations do.
+  UsageScenario scenario;
+  scenario.name = "Exact";
+  ScenarioModel kd;
+  kd.task = TaskId::kKD;
+  kd.target_fps = 3.0;
+  ScenarioModel sr;
+  sr.task = TaskId::kSR;
+  sr.target_fps = 3.0;
+  sr.depends_on = TaskId::kKD;
+  sr.dependency = DependencyType::kControl;
+  sr.trigger_probability = 0.1 + 0.2;
+  ScenarioModel ht;
+  ht.task = TaskId::kHT;
+  ht.target_fps = 100.0 / 3.0;
+  scenario.models = {kd, sr, ht};
+  const ScenarioProgram program =
+      single_phase_program(scenario, 1000.0 / 3.0);
+  const auto parsed = program_from_config_text(to_config_text(program));
+  ASSERT_EQ(parsed.phases.size(), 1u);
+  const auto& models = parsed.phases[0].scenario.models;
+  ASSERT_EQ(models.size(), 3u);
+  EXPECT_EQ(models[1].trigger_probability, sr.trigger_probability);
+  EXPECT_EQ(models[2].target_fps, ht.target_fps);
+  EXPECT_EQ(parsed.phases[0].duration_ms, program.phases[0].duration_ms);
+}
+
 TEST(ScenarioProgramIo, ParsesPoliciesAndRegistryReferences) {
   const std::string text =
       "[program]\n"

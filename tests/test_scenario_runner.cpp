@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "costmodel/cost_model.h"
 #include "workload/input_source.h"
@@ -299,6 +300,75 @@ TEST_F(RunnerTest, RecordBudgetPreflightRejectsBeforeReserving) {
   const auto r = runner.run(scenario_by_name("VR Gaming"), sched, long_run,
                             nullptr, &scratch);
   EXPECT_EQ(r.find(TaskId::kES)->frames_expected, 36000);
+}
+
+TEST_F(RunnerTest, PlanningRejectsWhatRunRejects) {
+  // plan_arrivals reserves storage too, so it applies run()'s preflight.
+  RunConfig too_long;
+  too_long.duration_ms = 1e12;
+  EXPECT_THROW(plan_arrivals(scenario_by_name("VR Gaming"), too_long),
+               std::invalid_argument);
+  workload::UsageScenario bad = scenario_by_name("VR Gaming");
+  bad.models[0].target_fps = 120.0;  // exceeds the 60 FPS camera
+  EXPECT_THROW(plan_arrivals(bad, RunConfig{}), std::invalid_argument);
+}
+
+TEST_F(RunnerTest, PlanForAnotherLoadIsRejected) {
+  const auto sys = hw::make_accelerator('A', 4096);
+  const CostTable table(sys, cost_model_);
+  const ScenarioRunner runner(sys, table);
+  LatencyGreedyScheduler sched;
+  // Social Interaction A: sources HT 30, ES 60, DR 30; GE depends on ES.
+  const auto& scenario = scenario_by_name("Social Interaction A");
+  RunConfig cfg;
+  cfg.duration_ms = 200.0;
+  const ArrivalPlan plan = plan_arrivals(scenario, cfg);
+  EXPECT_NO_THROW(
+      runner.run(scenario, sched, cfg, nullptr, nullptr, nullptr, &plan));
+
+  // What generation never reads may differ: the plan still serves.
+  workload::UsageScenario dependent_changed = scenario;
+  dependent_changed.models[2].trigger_probability = 0.5;
+  RunConfig faulted = cfg;
+  faulted.faults.transient_rate = 0.1;
+  faulted.system_baseline_w = 0.0;
+  EXPECT_NO_THROW(runner.run(dependent_changed, sched, faulted, nullptr,
+                             nullptr, nullptr, &plan));
+
+  const auto expect_rejected = [&](const workload::UsageScenario& s,
+                                   const RunConfig& c, const char* what) {
+    EXPECT_THROW(runner.run(s, sched, c, nullptr, nullptr, nullptr, &plan),
+                 std::invalid_argument)
+        << what;
+  };
+  RunConfig other = cfg;
+  other.seed += 1;
+  expect_rejected(scenario, other, "seed");
+  other = cfg;
+  other.duration_ms = 400.0;
+  expect_rejected(scenario, other, "duration");
+  other = cfg;
+  other.enable_jitter = false;
+  expect_rejected(scenario, other, "jitter flag");
+  workload::UsageScenario fps = scenario;
+  fps.models[0].target_fps = 15.0;
+  expect_rejected(fps, cfg, "source fps");
+  workload::UsageScenario reordered = scenario;
+  std::swap(reordered.models[0], reordered.models[3]);
+  expect_rejected(reordered, cfg, "source order");
+  workload::UsageScenario fewer = scenario;
+  fewer.models.pop_back();  // drops DR
+  expect_rejected(fewer, cfg, "one source fewer");
+  workload::UsageScenario more = scenario;
+  workload::ScenarioModel as;
+  as.task = TaskId::kAS;
+  more.models.push_back(as);
+  expect_rejected(more, cfg, "one source more");
+  expect_rejected(scenario_by_name("VR Gaming"), cfg, "another scenario");
+  const ArrivalPlan empty;
+  EXPECT_THROW(
+      runner.run(scenario, sched, cfg, nullptr, nullptr, nullptr, &empty),
+      std::invalid_argument);
 }
 
 TEST_F(RunnerTest, ProgramRecordPreflightBoundsThePhaseSum) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 namespace xrbench::core {
 namespace {
@@ -203,6 +206,188 @@ TEST(SweepEngine, EmptyPointListIsFine) {
   SweepEngine engine(2);
   EXPECT_TRUE(engine.run_suite_points({}).empty());
   EXPECT_TRUE(engine.run_scenario_points({}).empty());
+  EXPECT_EQ(engine.loads_planned(), 0u);
+}
+
+/// Exact equality of two scenario outcomes: every score bit and the kept
+/// last run's energy, timeline and per-model record counts.
+void expect_same_outcome(const ScenarioOutcome& a, const ScenarioOutcome& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.trials, b.trials) << where;
+  EXPECT_EQ(a.score.overall, b.score.overall) << where;
+  EXPECT_EQ(a.score.realtime, b.score.realtime) << where;
+  EXPECT_EQ(a.score.energy, b.score.energy) << where;
+  EXPECT_EQ(a.score.qoe, b.score.qoe) << where;
+  EXPECT_EQ(a.score.total_energy_mj, b.score.total_energy_mj) << where;
+  EXPECT_EQ(a.last_run.total_energy_mj, b.last_run.total_energy_mj) << where;
+  ASSERT_EQ(a.last_run.timeline.size(), b.last_run.timeline.size()) << where;
+  for (std::size_t i = 0; i < a.last_run.timeline.size(); ++i) {
+    EXPECT_EQ(a.last_run.timeline[i].start_ms, b.last_run.timeline[i].start_ms)
+        << where;
+  }
+  ASSERT_EQ(a.last_run.per_model.size(), b.last_run.per_model.size()) << where;
+  for (std::size_t m = 0; m < a.last_run.per_model.size(); ++m) {
+    EXPECT_EQ(a.last_run.per_model[m].records.size(),
+              b.last_run.per_model[m].records.size())
+        << where;
+  }
+}
+
+/// Runs `points` on a fresh engine at every worker count and checks each
+/// outcome against Harness::run_scenario and the number of trial loads the
+/// call planned.
+void expect_shared_loads(const std::vector<ScenarioSweepPoint>& points,
+                         std::uint64_t plans) {
+  std::vector<ScenarioOutcome> expected;
+  for (const auto& p : points) {
+    expected.push_back(Harness(p.system, p.options).run_scenario(p.scenario));
+  }
+  for (std::size_t workers : {0u, 1u, 4u, 8u}) {
+    SweepEngine engine(workers);
+    const auto got = engine.run_scenario_points(points);
+    EXPECT_EQ(engine.loads_planned(), plans) << workers << " workers";
+    ASSERT_EQ(got.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_same_outcome(got[p], expected[p],
+                          points[p].label + " @ " + std::to_string(workers) +
+                              " workers");
+    }
+  }
+}
+
+TEST(SweepEngine, PolicyPointsShareOneLoadPerScenarioAndTrial) {
+  // The perfbench trial_sweep shape: one design, every Table-2 scenario x
+  // 3 schedulers x 2 governors, 30 dynamic trials. The three dynamic
+  // scenarios run 30 trials and the four static ones one, so each policy
+  // triple runs 94 trials over the same 94 loads.
+  const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 8192));
+  HarnessOptions base;
+  base.dynamic_trials = 30;
+  std::vector<ScenarioSweepPoint> points;
+  for (const auto& scenario : workload::benchmark_suite()) {
+    for (const char* scheduler : {"latency-greedy", "edf", "least-loaded"}) {
+      for (const char* governor : {"deadline-aware", "ondemand"}) {
+        HarnessOptions o = base;
+        o.scheduler = scheduler;
+        o.governor = governor;
+        points.push_back({scenario.name + "/" + scheduler + "/" + governor,
+                          system, o, scenario});
+      }
+    }
+  }
+  SweepEngine engine(4);
+  const auto outcomes = engine.run_scenario_points(points);
+  int trials = 0;
+  for (const auto& o : outcomes) trials += o.trials;
+  EXPECT_EQ(trials, 564);
+  EXPECT_EQ(engine.loads_planned(), 94u);
+  // A second call plans its own loads again: plans live for one call.
+  engine.run_scenario_points(points);
+  EXPECT_EQ(engine.loads_planned(), 188u);
+}
+
+TEST(SweepEngine, DesignPointsShareOneLoadPerScenario) {
+  // The perfbench design_sweep shape: 13 Table-5 designs x 9 chip sizes
+  // against the full suite at one trial per scenario.
+  HarnessOptions options;
+  options.run.duration_ms = 200.0;
+  options.dynamic_trials = 1;
+  std::vector<SweepPoint> points;
+  for (std::int64_t k = 0; k < 9; ++k) {
+    for (char id : hw::accelerator_ids()) {
+      points.push_back({std::string(1, id), hw::with_default_dvfs(
+                            hw::make_accelerator(id, 1024 + 1536 * k)),
+                        options});
+    }
+  }
+  SweepEngine engine(4);
+  const auto outcomes = engine.run_suite_points(points);
+  int trials = 0;
+  for (const auto& o : outcomes) {
+    for (const auto& s : o.scenarios) trials += s.trials;
+  }
+  EXPECT_EQ(trials, 819);
+  EXPECT_EQ(engine.loads_planned(), 7u);
+}
+
+TEST(SweepEngine, CascadeSweepSharesOneLoadPerTrial) {
+  // Figure 7's shape: designs x ES->GE cascade probabilities. GE is not a
+  // source model, so every point replays the same load at each trial index
+  // (p = 1 is static and runs trial 0 only).
+  HarnessOptions opt = fast_options();
+  opt.dynamic_trials = 10;
+  std::vector<ScenarioSweepPoint> points;
+  for (char id : {'B', 'J'}) {
+    for (double p : {0.25, 0.5, 0.75, 1.0}) {
+      points.push_back({std::string(1, id) + "@" + std::to_string(p),
+                        hw::make_accelerator(id, 4096), opt,
+                        workload::with_cascade_probability(
+                            workload::scenario_by_name("VR Gaming"),
+                            models::TaskId::kGE, p)});
+    }
+  }
+  expect_shared_loads(points, 10);
+}
+
+TEST(SweepEngine, PointsWithDifferentLoadsShareNone) {
+  // Each point changes one input of load generation: seed, duration,
+  // jitter flag, a source model's rate. Social Interaction A is static,
+  // so every point runs one trial and plans its own load.
+  const auto& scenario = workload::scenario_by_name("Social Interaction A");
+  const HarnessOptions opt = fast_options();
+  std::vector<ScenarioSweepPoint> points;
+  const auto add = [&](const std::string& label, HarnessOptions o,
+                       workload::UsageScenario s) {
+    points.push_back({label, hw::make_accelerator('J', 4096), o, s});
+  };
+  add("base", opt, scenario);
+  HarnessOptions o = opt;
+  o.run.seed += 1000;
+  add("seed", o, scenario);
+  o = opt;
+  o.run.duration_ms = 300.0;
+  add("duration", o, scenario);
+  o = opt;
+  o.run.enable_jitter = false;
+  add("jitter", o, scenario);
+  workload::UsageScenario slower = scenario;
+  slower.models[0].target_fps = 15.0;
+  add("fps", opt, slower);
+  expect_shared_loads(points, 5);
+}
+
+TEST(SweepEngine, ConcurrentFirstUseOfOneLoad) {
+  // Every point needs the same slot (one static scenario, one trial), so
+  // all 8 workers race to plan it as the batch fans out; one plans it and
+  // the rest wait, then replay it. Repeated so the race actually occurs.
+  const auto& scenario = workload::scenario_by_name("AR Gaming");
+  std::vector<ScenarioSweepPoint> points;
+  for (const char* scheduler : {"latency-greedy", "edf", "least-loaded"}) {
+    for (const char* governor : {"deadline-aware", "ondemand"}) {
+      for (std::int64_t pes : {4096, 8192}) {
+        HarnessOptions o = fast_options();
+        o.scheduler = scheduler;
+        o.governor = governor;
+        points.push_back({std::string(scheduler) + "/" + governor,
+                          hw::with_default_dvfs(hw::make_accelerator('J', pes)),
+                          o, scenario});
+      }
+    }
+  }
+  std::vector<ScenarioOutcome> expected;
+  for (const auto& p : points) {
+    expected.push_back(Harness(p.system, p.options).run_scenario(p.scenario));
+  }
+  SweepEngine engine(8);
+  constexpr int kCalls = 20;
+  for (int call = 0; call < kCalls; ++call) {
+    const auto got = engine.run_scenario_points(points);
+    ASSERT_EQ(got.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_same_outcome(got[p], expected[p], points[p].label);
+    }
+  }
+  EXPECT_EQ(engine.loads_planned(), static_cast<std::uint64_t>(kCalls));
 }
 
 }  // namespace
