@@ -69,7 +69,7 @@ int main() {
 
   std::int64_t total_runs = 0;
   for (const auto& out : outcomes) {
-    for (const auto& s : out.scenarios) total_runs += s.trials;
+    for (int trials : out.trials) total_runs += trials;
   }
 
   std::size_t idx = 0;
@@ -81,7 +81,7 @@ int main() {
       const auto& out = outcomes[idx];
       avg_points.push_back(core::make_point(points[idx].label, out.score));
       ar_points.push_back(
-          core::make_point(points[idx].label, out.scenarios[5].score));
+          core::make_point(points[idx].label, out.score.scenarios[5]));
       ++idx;
     }
     report("Benchmark-average frontier, " + std::to_string(pes) + " PEs",

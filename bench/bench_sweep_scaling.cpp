@@ -112,7 +112,7 @@ int main() {
   const auto set_pin_env = [](bool) {};
 #endif
 
-  std::vector<core::BenchmarkOutcome> reference;
+  std::vector<core::SuitePointScore> reference;
   double base_jobs_per_sec = 0.0;
   bool all_pinned = util::affinity::supported();
   for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {

@@ -54,8 +54,8 @@ int main() {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& out = outcomes[i];
     double energy = 0.0;
-    for (const auto& s : out.scenarios) energy += s.score.total_energy_mj;
-    energy /= static_cast<double>(out.scenarios.size());
+    for (const auto& s : out.score.scenarios) energy += s.total_energy_mj;
+    energy /= static_cast<double>(out.score.scenarios.size());
     rows.push_back({points[i].label, out.score.overall, out.score.realtime,
                     out.score.qoe, energy,
                     out.score.overall / (energy / 1000.0)});

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/policy_registry.h"
@@ -85,6 +85,16 @@ int trials_for(const workload::ScenarioProgram& program,
              : 1;
 }
 
+/// A pool job whose captures live in util::Task's inline buffer: every
+/// sweep job captures one pointer to its call's shared state plus its own
+/// indices, so enqueueing it allocates nothing.
+template <typename F>
+util::Task inline_job(F&& fn) {
+  static_assert(util::Task::fits_inline<std::decay_t<F>>,
+                "a sweep job's captures must fit util::Task's inline buffer");
+  return util::Task(std::forward<F>(fn));
+}
+
 /// Per-(point, scenario) accumulation slots; every trial job writes only
 /// its own pre-sized slot, so no synchronization beyond the pool's queue is
 /// needed and reduction order equals submission order.
@@ -92,6 +102,14 @@ struct ScenarioWork {
   int trials = 1;
   std::vector<ScenarioScore> trial_scores;
   runtime::ScenarioRunResult last_run;
+};
+
+/// A suite scenario's slots: scores and the last trial's resilience
+/// counters, never a run.
+struct SuiteScenarioWork {
+  int trials = 1;
+  std::vector<ScenarioScore> trial_scores;
+  runtime::ResilienceStats last_resilience;
 };
 
 /// Policy instances for one trial, resolved through the registry exactly
@@ -182,49 +200,48 @@ class SharedLoads {
 
 /// One trial: fresh scheduler, shared read-only cost table, deterministic
 /// seed = base seed + trial index, and the trial's shared load from
-/// `loads`. Identical to Harness::run_once. The worker's scratch arena
-/// (when provided) is reused across the trials that land on that worker and
-/// recycled after scoring — only the kept last run escapes the pool.
-void run_trial(const hw::AcceleratorSystem& system,
-               const runtime::CostTable& table,
-               const workload::UsageScenario& scenario,
-               const HarnessOptions& options, int trial, ScenarioWork& work,
-               runtime::RunScratch* scratch, SharedLoads& loads,
-               std::size_t load) {
+/// `loads`. Identical to Harness::run_once. The run's storage comes from
+/// the worker's scratch arena when one is given; the caller scores the run
+/// and then keeps or recycles it.
+runtime::ScenarioRunResult run_trial(const hw::AcceleratorSystem& system,
+                                     const runtime::CostTable& table,
+                                     const workload::UsageScenario& scenario,
+                                     const HarnessOptions& options, int trial,
+                                     runtime::RunScratch* scratch,
+                                     SharedLoads& loads, std::size_t load) {
   runtime::RunConfig cfg = options.run;
   cfg.seed += static_cast<std::uint64_t>(trial);
   const runtime::ArrivalPlan& plan = loads.plan(load, trial, scenario, cfg);
   auto policies = make_policies(options, "", "", "");
   const runtime::ScenarioRunner runner(system, table);
-  auto run = runner.run(scenario, *policies.scheduler, cfg,
-                        policies.governor.get(), scratch,
-                        policies.admission.get(), &plan);
-  work.trial_scores[static_cast<std::size_t>(trial)] =
-      score_scenario(run, options.score);
-  if (trial == work.trials - 1) {
-    work.last_run = std::move(run);
-  } else if (scratch != nullptr) {
-    scratch->recycle(std::move(run));
-  }
+  return runner.run(scenario, *policies.scheduler, cfg,
+                    policies.governor.get(), scratch,
+                    policies.admission.get(), &plan);
 }
 
 /// One program trial — the run_program analogue, identical to
 /// Harness::run_program_once at seed base + trial.
-void run_program_trial(const hw::AcceleratorSystem& system,
-                       const runtime::CostTable& table,
-                       const workload::ScenarioProgram& program,
-                       const HarnessOptions& options, int trial,
-                       ScenarioWork& work, runtime::RunScratch* scratch) {
+runtime::ScenarioRunResult run_program_trial(
+    const hw::AcceleratorSystem& system, const runtime::CostTable& table,
+    const workload::ScenarioProgram& program, const HarnessOptions& options,
+    int trial, runtime::RunScratch* scratch) {
   runtime::RunConfig cfg = options.run;
   cfg.seed += static_cast<std::uint64_t>(trial);
   auto policies = make_policies(options, program.scheduler, program.governor,
                                 program.admission);
   const runtime::ScenarioRunner runner(system, table);
-  auto run = runner.run_program(program, *policies.scheduler, cfg,
-                                policies.governor.get(), scratch,
-                                policies.admission.get());
+  return runner.run_program(program, *policies.scheduler, cfg,
+                            policies.governor.get(), scratch,
+                            policies.admission.get());
+}
+
+/// Scores trial `trial` of a scenario or program point into `work`. The
+/// last trial's run is kept for the outcome; every other run goes back to
+/// the worker's arena.
+void keep_trial(ScenarioWork& work, int trial, runtime::ScenarioRunResult&& run,
+                const ScoreConfig& score, runtime::RunScratch* scratch) {
   work.trial_scores[static_cast<std::size_t>(trial)] =
-      score_scenario(run, options.score);
+      score_scenario(run, score);
   if (trial == work.trials - 1) {
     work.last_run = std::move(run);
   } else if (scratch != nullptr) {
@@ -232,32 +249,35 @@ void run_program_trial(const hw::AcceleratorSystem& system,
   }
 }
 
-ScenarioOutcome assemble(ScenarioWork&& work) {
-  ScenarioOutcome outcome;
-  outcome.score = average_scores(work.trial_scores);
-  outcome.last_run = std::move(work.last_run);
-  outcome.trials = work.trials;
-  return outcome;
+/// Scores trial `trial` of a suite scenario into `work`, copies the last
+/// trial's resilience counters, and hands every run back to the worker's
+/// arena.
+void tally_trial(SuiteScenarioWork& work, int trial,
+                 runtime::ScenarioRunResult&& run, const ScoreConfig& score,
+                 runtime::RunScratch* scratch) {
+  work.trial_scores[static_cast<std::size_t>(trial)] =
+      score_scenario(run, score);
+  if (trial == work.trials - 1) work.last_resilience = run.resilience;
+  if (scratch != nullptr) scratch->recycle(std::move(run));
+}
+
+/// The trial-averaged score of a scenario's slots. A single trial's score
+/// is its own average (average_scores returns a copy of it), so it moves.
+ScenarioScore averaged(std::vector<ScenarioScore>& trial_scores) {
+  return trial_scores.size() == 1 ? std::move(trial_scores.front())
+                                  : average_scores(trial_scores);
 }
 
 /// Shared body of run_scenario_points / run_program_points: group points
 /// that share a (system, energy) pair behind one CostTable build, chunk
 /// each point's trials into batch tasks, reduce in submission order.
+/// `build_table(system, energy)` builds a group's table and
 /// `run_one(p, table, trial, work)` runs one trial of point `p`.
-template <typename Point, typename TrialsFn, typename RunFn>
+template <typename Point, typename BuildFn, typename TrialsFn, typename RunFn>
 std::vector<ScenarioOutcome> run_grouped_points(
-    util::ThreadPool& pool,
-    const std::function<costmodel::AnalyticalCostModel&(
-        const costmodel::EnergyParams&)>& model_for,
-    const std::vector<Point>& points, TrialsFn trials_of, RunFn run_one) {
-  std::vector<ScenarioWork> work(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    validate_governor_overrides(points[p].options, points[p].system);
-    auto& sw = work[p];
-    sw.trials = trials_of(points[p]);
-    sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
-  }
-
+    util::ThreadPool& pool, const BuildFn& build_table,
+    const std::vector<Point>& points, TrialsFn trials_of,
+    const RunFn& run_one) {
   // Points that share an accelerator system and energy constants share one
   // CostTable build (governor/scenario sweeps like bench_ablation_dvfs vary
   // only the policy across many points of a single design).
@@ -265,10 +285,27 @@ std::vector<ScenarioOutcome> run_grouped_points(
     std::unique_ptr<runtime::CostTable> table;
     std::vector<std::size_t> members;  ///< Point indices, ascending.
   };
-  std::vector<TableGroup> groups;
+  // Everything the jobs read; each job captures a pointer to it.
+  struct Call {
+    util::ThreadPool& pool;
+    const BuildFn& build_table;
+    const std::vector<Point>& points;
+    const RunFn& run_one;
+    std::vector<ScenarioWork> work;
+    std::vector<TableGroup> groups;
+  } call{pool, build_table, points, run_one, {}, {}};
+
+  call.work.resize(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    validate_governor_overrides(points[p].options, points[p].system);
+    auto& sw = call.work[p];
+    sw.trials = trials_of(points[p]);
+    sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
+  }
+
   for (std::size_t p = 0; p < points.size(); ++p) {
     TableGroup* home = nullptr;
-    for (auto& g : groups) {
+    for (auto& g : call.groups) {
       const std::size_t rep = g.members.front();
       if (same_system(points[rep].system, points[p].system) &&
           same_energy(points[rep].options.energy, points[p].options.energy)) {
@@ -277,51 +314,65 @@ std::vector<ScenarioOutcome> run_grouped_points(
       }
     }
     if (home == nullptr) {
-      groups.emplace_back();
-      home = &groups.back();
+      call.groups.emplace_back();
+      home = &call.groups.back();
     }
     home->members.push_back(p);
   }
 
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    pool.submit([&pool, &model_for, &points, &work, &groups, &run_one, gi] {
-      TableGroup& group = groups[gi];
-      const std::size_t rep = group.members.front();
-      group.table = std::make_unique<runtime::CostTable>(
-          points[rep].system, model_for(points[rep].options.energy));
+  for (std::size_t gi = 0; gi < call.groups.size(); ++gi) {
+    pool.submit(inline_job([c = &call, gi] {
+      TableGroup& group = c->groups[gi];
+      const auto& rep = c->points[group.members.front()];
+      group.table = c->build_table(rep.system, rep.options.energy);
       std::vector<util::Task> batch;
       for (std::size_t p : group.members) {
-        const int trials = work[p].trials;
+        const int trials = c->work[p].trials;
         const auto chunk =
-            static_cast<int>(trial_chunk(trials, pool.num_threads()));
+            static_cast<int>(trial_chunk(trials, c->pool.num_threads()));
         for (int t0 = 0; t0 < trials; t0 += chunk) {
           const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back([&work, &groups, &run_one, gi, p, t0, t1] {
+          batch.push_back(inline_job([c, gi, p, t0, t1] {
             for (int t = t0; t < t1; ++t) {
-              run_one(p, *groups[gi].table, t, work[p]);
+              c->run_one(p, *c->groups[gi].table, t, c->work[p]);
             }
-          });
+          }));
         }
       }
-      pool.submit_batch(std::move(batch));
-    });
+      c->pool.submit_batch(std::move(batch));
+    }));
   }
   pool.wait_idle();
 
-  std::vector<ScenarioOutcome> outcomes;
-  outcomes.reserve(points.size());
-  for (auto& sw : work) outcomes.push_back(assemble(std::move(sw)));
+  std::vector<ScenarioOutcome> outcomes(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    auto& sw = call.work[p];
+    outcomes[p].score = averaged(sw.trial_scores);
+    outcomes[p].last_run = std::move(sw.last_run);
+    outcomes[p].trials = sw.trials;
+  }
   return outcomes;
 }
 
 }  // namespace
 
 SweepEngine::SweepEngine(std::size_t num_threads)
-    : pool_(num_threads), scratch_(pool_.num_threads() + 1) {}
+    : pool_(num_threads),
+      scratch_(pool_.num_threads() + 1),
+      table_scratch_(pool_.num_threads() + 1) {}
 
 runtime::RunScratch* SweepEngine::worker_scratch() {
   const std::size_t slot = util::ThreadPool::current_worker_slot();
   return slot < scratch_.size() ? &scratch_[slot] : nullptr;
+}
+
+std::unique_ptr<runtime::CostTable> SweepEngine::build_table(
+    const hw::AcceleratorSystem& system,
+    const costmodel::AnalyticalCostModel& model) {
+  const std::size_t slot = util::ThreadPool::current_worker_slot();
+  return std::make_unique<runtime::CostTable>(
+      system, model,
+      slot < table_scratch_.size() ? &table_scratch_[slot] : nullptr);
 }
 
 SweepEngine::~SweepEngine() = default;
@@ -337,7 +388,7 @@ costmodel::AnalyticalCostModel& SweepEngine::model_for(
   return *models_.back().second;
 }
 
-std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
+std::vector<SuitePointScore> SweepEngine::run_suite_points(
     const std::vector<SweepPoint>& points) {
   // Touch lazily-initialized registries on this thread first; worker
   // threads then only read them.
@@ -345,23 +396,43 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
 
   struct PointWork {
     std::unique_ptr<runtime::CostTable> table;
-    std::vector<ScenarioWork> scenarios;
+    std::vector<SuiteScenarioWork> scenarios;
     std::vector<std::size_t> loads;  ///< Load id per suite scenario.
   };
-  std::vector<PointWork> work(points.size());
-  SharedLoads loads(loads_planned_);
+  // Everything the jobs read; each job captures a pointer to it.
+  struct Call {
+    SweepEngine& engine;
+    const std::vector<SweepPoint>& points;
+    const std::vector<workload::UsageScenario>& suite;
+    SharedLoads loads;
+    std::vector<PointWork> work;
+
+    /// Runs trial `t` of point `p`'s suite scenario `s` into its slot.
+    void trial(std::size_t p, std::size_t s, int t) {
+      const SweepPoint& point = points[p];
+      PointWork& pw = work[p];
+      runtime::RunScratch* scratch = engine.worker_scratch();
+      tally_trial(pw.scenarios[s], t,
+                  run_trial(point.system, *pw.table, suite[s], point.options,
+                            t, scratch, loads, pw.loads[s]),
+                  point.options.score, scratch);
+    }
+  } call{*this, points, suite, SharedLoads(loads_planned_), {}};
+
+  call.work.resize(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     validate_governor_overrides(points[p].options, points[p].system);
-    work[p].scenarios.resize(suite.size());
+    auto& pw = call.work[p];
+    pw.scenarios.resize(suite.size());
     for (std::size_t s = 0; s < suite.size(); ++s) {
-      auto& sw = work[p].scenarios[s];
+      auto& sw = pw.scenarios[s];
       sw.trials = trials_for(suite[s], points[p].options);
       sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
-      work[p].loads.push_back(
-          loads.add(suite[s], points[p].options.run, sw.trials));
+      pw.loads.push_back(
+          call.loads.add(suite[s], points[p].options.run, sw.trials));
     }
   }
-  loads.allocate();
+  call.loads.allocate();
 
   for (std::size_t p = 0; p < points.size(); ++p) {
     // One table-build job per point; it fans the point's trial jobs out as
@@ -369,58 +440,55 @@ std::vector<BenchmarkOutcome> SweepEngine::run_suite_points(
     // across points. Trials are chunked into batch tasks (see trial_chunk)
     // and enqueued with a single submit_batch — each trial still writes its
     // own submission-order slot, so chunking never changes a result.
-    pool_.submit([this, &points, &work, &suite, &loads, p] {
-      const SweepPoint& point = points[p];
-      auto& pw = work[p];
-      pw.table = std::make_unique<runtime::CostTable>(
-          point.system, model_for(point.options.energy));
+    pool_.submit(inline_job([c = &call, p] {
+      const SweepPoint& point = c->points[p];
+      auto& pw = c->work[p];
+      pw.table = c->engine.build_table(
+          point.system, c->engine.model_for(point.options.energy));
       std::vector<util::Task> batch;
-      for (std::size_t s = 0; s < suite.size(); ++s) {
+      for (std::size_t s = 0; s < c->suite.size(); ++s) {
         const int trials = pw.scenarios[s].trials;
-        const auto chunk =
-            static_cast<int>(trial_chunk(trials, pool_.num_threads()));
+        const auto chunk = static_cast<int>(
+            trial_chunk(trials, c->engine.pool_.num_threads()));
         for (int t0 = 0; t0 < trials; t0 += chunk) {
           const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back([this, &points, &work, &suite, &loads, p, s, t0,
-                           t1] {
-            for (int t = t0; t < t1; ++t) {
-              run_trial(points[p].system, *work[p].table, suite[s],
-                        points[p].options, t, work[p].scenarios[s],
-                        worker_scratch(), loads, work[p].loads[s]);
-            }
-          });
+          batch.push_back(inline_job([c, p, s, t0, t1] {
+            for (int t = t0; t < t1; ++t) c->trial(p, s, t);
+          }));
         }
       }
-      pool_.submit_batch(std::move(batch));
-    });
+      c->engine.pool_.submit_batch(std::move(batch));
+    }));
   }
   pool_.wait_idle();
 
-  std::vector<BenchmarkOutcome> outcomes;
-  outcomes.reserve(points.size());
+  // Assembled on the calling thread, in point order: each scenario's
+  // averaged score is stored once, in score.scenarios.
+  std::vector<SuitePointScore> outcomes(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
-    BenchmarkOutcome out;
+    SuitePointScore& out = outcomes[p];
     out.accelerator_id = points[p].system.id;
     out.total_pes = points[p].system.total_pes();
     std::vector<ScenarioScore> scores;
     scores.reserve(suite.size());
-    for (auto& sw : work[p].scenarios) {
-      auto outcome = assemble(std::move(sw));
-      scores.push_back(outcome.score);
-      out.scenarios.push_back(std::move(outcome));
+    out.trials.reserve(suite.size());
+    out.last_resilience.reserve(suite.size());
+    for (auto& sw : call.work[p].scenarios) {
+      scores.push_back(averaged(sw.trial_scores));
+      out.trials.push_back(sw.trials);
+      out.last_resilience.push_back(sw.last_resilience);
     }
     out.score = combine_scenarios(std::move(scores));
-    outcomes.push_back(std::move(out));
   }
   return outcomes;
 }
 
 std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
     const std::vector<ScenarioSweepPoint>& points) {
-  const std::function<costmodel::AnalyticalCostModel&(
-      const costmodel::EnergyParams&)>
-      model = [this](const costmodel::EnergyParams& e)
-      -> costmodel::AnalyticalCostModel& { return model_for(e); };
+  const auto build = [this](const hw::AcceleratorSystem& system,
+                            const costmodel::EnergyParams& energy) {
+    return build_table(system, model_for(energy));
+  };
   const auto trials_of = [](const ScenarioSweepPoint& p) {
     return trials_for(p.scenario, p.options);
   };
@@ -432,13 +500,16 @@ std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
   }
   loads.allocate();
   return run_grouped_points(
-      pool_, model, points, trials_of,
+      pool_, build, points, trials_of,
       [this, &points, &loads, &load_of](std::size_t p,
                                         const runtime::CostTable& table, int t,
                                         ScenarioWork& w) {
-        run_trial(points[p].system, table, points[p].scenario,
-                  points[p].options, t, w, worker_scratch(), loads,
-                  load_of[p]);
+        const ScenarioSweepPoint& point = points[p];
+        runtime::RunScratch* scratch = worker_scratch();
+        keep_trial(w, t,
+                   run_trial(point.system, table, point.scenario,
+                             point.options, t, scratch, loads, load_of[p]),
+                   point.options.score, scratch);
       });
 }
 
@@ -449,19 +520,23 @@ std::vector<ScenarioOutcome> SweepEngine::run_program_points(
   // through program phases, the policy registry through trial policies).
   workload::extension_programs();
   runtime::PolicyRegistry::instance();
-  const std::function<costmodel::AnalyticalCostModel&(
-      const costmodel::EnergyParams&)>
-      model = [this](const costmodel::EnergyParams& e)
-      -> costmodel::AnalyticalCostModel& { return model_for(e); };
+  const auto build = [this](const hw::AcceleratorSystem& system,
+                            const costmodel::EnergyParams& energy) {
+    return build_table(system, model_for(energy));
+  };
   return run_grouped_points(
-      pool_, model, points,
+      pool_, build, points,
       [](const ProgramSweepPoint& p) {
         return trials_for(p.program, p.options);
       },
       [this, &points](std::size_t p, const runtime::CostTable& table, int t,
                       ScenarioWork& w) {
-        run_program_trial(points[p].system, table, points[p].program,
-                          points[p].options, t, w, worker_scratch());
+        const ProgramSweepPoint& point = points[p];
+        runtime::RunScratch* scratch = worker_scratch();
+        keep_trial(w, t,
+                   run_program_trial(point.system, table, point.program,
+                                     point.options, t, scratch),
+                   point.options.score, scratch);
       });
 }
 
@@ -472,10 +547,9 @@ std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(
   std::vector<util::Task> batch;
   batch.reserve(systems.size());
   for (std::size_t i = 0; i < systems.size(); ++i) {
-    batch.push_back([&systems, &cost_model, &tables, i] {
-      tables[i] =
-          std::make_unique<runtime::CostTable>(systems[i], cost_model);
-    });
+    batch.push_back(inline_job([this, &systems, &cost_model, &tables, i] {
+      tables[i] = build_table(systems[i], cost_model);
+    }));
   }
   pool_.submit_batch(std::move(batch));
   pool_.wait_idle();
@@ -495,6 +569,7 @@ costmodel::MemoStats SweepEngine::model_memo_stats() const {
     total.misses += s.misses;
     total.entries += s.entries;
     total.prefix_builds += s.prefix_builds;
+    total.graph_keys += s.graph_keys;
   }
   return total;
 }

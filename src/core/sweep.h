@@ -38,6 +38,22 @@ struct ProgramSweepPoint {
   workload::ScenarioProgram program;
 };
 
+/// Scores of one design point against the full Table-2 suite: exactly the
+/// scores, trial counts and last-trial resilience counters that
+/// Harness::run_suite reports, without its raw runs.
+struct SuitePointScore {
+  std::string accelerator_id;
+  std::int64_t total_pes = 0;
+  /// The benchmark score; score.scenarios[s] is suite scenario s's
+  /// trial-averaged score (Harness: scenarios[s].score).
+  BenchmarkScore score;
+  /// Per suite scenario, the trials averaged (Harness: scenarios[s].trials).
+  std::vector<int> trials;
+  /// Per suite scenario, the last trial's fault and degradation counters
+  /// (Harness: scenarios[s].last_run.resilience).
+  std::vector<runtime::ResilienceStats> last_resilience;
+};
+
 /// Parallel evaluation engine for accelerator/scenario sweeps.
 ///
 /// Fans (config x scenario x trial) evaluation jobs out over a worker pool:
@@ -56,11 +72,15 @@ struct ProgramSweepPoint {
 /// (the serial baseline).
 ///
 /// Arena reuse: every task-running thread (each pool worker plus the
-/// calling thread in inline mode) owns a runtime::RunScratch keyed by
+/// calling thread in inline mode) owns a runtime::RunScratch and a
+/// costmodel::AllLevelsScratch keyed by
 /// util::ThreadPool::current_worker_slot(); consecutive trials on one
 /// worker reuse the same simulator event pool, request/timeline vectors and
-/// SoA record arenas instead of reallocating them (results stay
-/// bit-identical — reuse is invisible to the determinism contract).
+/// SoA record arenas, and consecutive CostTable builds the same layer-walk
+/// lanes, instead of reallocating them (results stay bit-identical — reuse
+/// is invisible to the determinism contract). Every trial whose run no
+/// outcome keeps goes back to its worker's arena: all of a suite point's,
+/// all but the last of a scenario or program point's.
 ///
 /// Shared trial loads: a trial's arrivals depend only on its
 /// runtime::LoadKey (source models, duration, seed, jitter flag), never on
@@ -86,10 +106,17 @@ class SweepEngine {
   /// determinism contract — only where the workers run.
   bool workers_pinned() const { return pool_.workers_pinned(); }
 
-  /// Benchmarks every point against the full Table-2 suite. Equivalent to
-  /// (but parallel across points, scenarios and trials):
+  /// Benchmarks every point against the full Table-2 suite and returns
+  /// exactly the scores of (but parallel across points, scenarios and
+  /// trials):
   ///   for (p : points) Harness(p.system, p.options).run_suite()
-  std::vector<BenchmarkOutcome> run_suite_points(
+  /// bit for bit: every BenchmarkScore, ScenarioScore and ModelScore field,
+  /// the trial counts and the last trial's resilience counters. It keeps
+  /// no raw run — every trial's storage goes back to its worker's arena.
+  /// Callers that need a suite scenario's records, timeline or telemetry
+  /// run it through run_scenario_points (or run_program_points), whose
+  /// outcomes carry the last trial's run.
+  std::vector<SuitePointScore> run_suite_points(
       const std::vector<SweepPoint>& points);
 
   /// Benchmarks each (system, scenario) pair. Equivalent to:
@@ -131,15 +158,23 @@ class SweepEngine {
   costmodel::AnalyticalCostModel& model_for(
       const costmodel::EnergyParams& energy);
 
-  /// The calling thread's per-worker scratch arena, or null when the call
+  /// The calling thread's per-worker run arena, or null when the call
   /// comes from a thread outside this engine's pool slots (a foreign
   /// pool's worker) — the runner then falls back to a local arena.
   runtime::RunScratch* worker_scratch();
 
+  /// `system`'s CostTable under `model`, built with the calling thread's
+  /// per-worker layer-walk lanes (the table's own scratch on a thread
+  /// outside this engine's pool slots).
+  std::unique_ptr<runtime::CostTable> build_table(
+      const hw::AcceleratorSystem& system,
+      const costmodel::AnalyticalCostModel& model);
+
   util::ThreadPool pool_;
-  /// One arena per task-running thread: slot 0 = the calling thread
+  /// One arena pair per task-running thread: slot 0 = the calling thread
   /// (inline mode), slots 1..N = pool workers.
   std::vector<runtime::RunScratch> scratch_;
+  std::vector<costmodel::AllLevelsScratch> table_scratch_;
   std::vector<std::pair<costmodel::EnergyParams,
                         std::unique_ptr<costmodel::AnalyticalCostModel>>>
       models_;

@@ -616,14 +616,13 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
 }
 
 struct AnalyticalCostModel::MemoEntry final : CostColumns {
-  /// The key: every input the columns depend on. The layer shapes are held
-  /// as the graph's shape-class sequence and distinct shapes, which spell
-  /// out every layer's shape in 4 B per layer plus 64 B per distinct shape.
+  /// The key: every input the columns depend on. The layer shapes are the
+  /// graph's GraphKey, shared by every entry of the graph (the entry's own
+  /// copy only when its graph's structure hash collides with another's).
   /// Layer names are excluded (graphs with equal layer shapes cost the
   /// same), and so are the config's id, transition_ms, idle_mw and
   /// nominal_level, which never enter a cost.
-  std::vector<std::uint32_t> shape_classes;
-  std::vector<std::array<std::int64_t, 8>> class_shapes;
+  std::shared_ptr<const GraphKey> key;
   SubAccelConfig accel;
   /// The energy constants of the model that made the entry, so the entry
   /// can build its prefixes after that model is gone.
@@ -649,9 +648,10 @@ struct AnalyticalCostModel::MemoEntry final : CostColumns {
         return false;
       }
     }
-    return graph.shape_classes() == shape_classes &&
-           graph.class_shapes() == class_shapes;
+    return key->matches(graph);
   }
+
+  const GraphKey& graph_key() const override { return *key; }
 
  private:
   /// Re-runs the miss's walk and reducer on a graph rebuilt from the key,
@@ -660,8 +660,8 @@ struct AnalyticalCostModel::MemoEntry final : CostColumns {
   /// the same classes in the same order and the sums keep the miss's bits.
   void build_prefixes(LayerPrefixes& prefixes) const override {
     ModelGraph graph;
-    for (std::uint32_t c : shape_classes) {
-      graph.add(Layer::from_shape(class_shapes[c]));
+    for (std::uint32_t c : key->shape_classes) {
+      graph.add(Layer::from_shape(key->class_shapes[c]));
     }
     AllLevelsScratch scratch;
     AnalyticalCostModel(energy).compute_columns(graph, accel, scratch,
@@ -696,10 +696,16 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
     AllLevelsScratch* scratch) const {
   const std::uint64_t hash = memo_hash(graph, accel);
   std::shared_ptr<const MemoEntry> entry;
+  std::shared_ptr<const GraphKey> key;
   {
     const auto lock = lock_memo(memo_mutex_);
     const auto it = memo_.find(hash);
-    if (it != memo_.end()) entry = it->second;
+    if (it != memo_.end()) {
+      entry = it->second;
+    } else {
+      const auto k = graph_keys_.find(graph.structure_hash());
+      if (k != graph_keys_.end()) key = k->second;
+    }
   }
   if (entry != nullptr && entry->matches(graph, accel)) {
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -708,8 +714,7 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   memo_misses_.fetch_add(1, std::memory_order_relaxed);
   check_accel(accel, "cached_cost_columns");
   auto fresh = std::make_shared<MemoEntry>();
-  fresh->shape_classes = graph.shape_classes();
-  fresh->class_shapes = graph.class_shapes();
+  fresh->key = shared_graph_key(graph, std::move(key));
   fresh->accel = accel;
   fresh->energy = energy_;
   // The walk keeps each level's running sums in scratch lanes; the entry
@@ -734,9 +739,31 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   return entry;
 }
 
+std::shared_ptr<const GraphKey> AnalyticalCostModel::shared_graph_key(
+    const ModelGraph& graph, std::shared_ptr<const GraphKey> interned) const {
+  if (interned == nullptr) {
+    // No key interned yet (or the memo lookup found a colliding entry and
+    // skipped the key map): intern one built from the graph unless a
+    // racing miss got there first, whose key is checked below.
+    auto own = std::make_shared<const GraphKey>(
+        GraphKey{graph.shape_classes(), graph.class_shapes()});
+    {
+      const auto lock = lock_memo(memo_mutex_);
+      interned =
+          graph_keys_.emplace(graph.structure_hash(), own).first->second;
+    }
+    if (interned == own) return interned;
+  }
+  if (interned->matches(graph)) return interned;
+  // Another graph with the same structure hash owns the shared key.
+  return std::make_shared<const GraphKey>(
+      GraphKey{graph.shape_classes(), graph.class_shapes()});
+}
+
 void AnalyticalCostModel::clear_model_memo() const {
   std::lock_guard lock(memo_mutex_);
   memo_.clear();
+  graph_keys_.clear();
   memo_hits_ = 0;
   memo_misses_ = 0;
 }
@@ -747,6 +774,7 @@ MemoStats AnalyticalCostModel::model_memo_stats() const {
   stats.hits = memo_hits_.load(std::memory_order_relaxed);
   stats.misses = memo_misses_.load(std::memory_order_relaxed);
   stats.entries = memo_.size();
+  stats.graph_keys = graph_keys_.size();
   for (const auto& [hash, entry] : memo_) {
     stats.prefix_builds += entry->prefix_builds;
   }

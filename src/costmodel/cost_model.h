@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -84,6 +85,9 @@ struct MemoStats {
   /// Per-layer prefix builds among the entries (CostColumns::
   /// layer_prefixes), counted exactly: at most one per entry.
   std::uint64_t prefix_builds = 0;
+  /// Shared graph keys (GraphKey) the memo holds, counted exactly: one per
+  /// distinct structure hash a miss saw, so 11 after any full-zoo sweep.
+  std::size_t graph_keys = 0;
 
   double hit_rate() const {
     const auto lookups = static_cast<double>(hits + misses);
@@ -124,6 +128,22 @@ struct LayerPrefixes {
   std::vector<double> static_prefix_mj;
 };
 
+/// The layer shapes of one model graph as the model-level memo keys them:
+/// the graph's shape-class sequence (4 B per layer) and its distinct shapes
+/// (64 B each), which together spell out every layer's shape; layer names
+/// are not part of it. The memo keeps one immutable key per graph, and all
+/// of that graph's entries share it, whatever their sub-accelerator.
+struct GraphKey {
+  std::vector<std::uint32_t> shape_classes;
+  std::vector<std::array<std::int64_t, 8>> class_shapes;
+
+  /// True when `graph`'s layer shapes are this key, compared in place.
+  bool matches(const ModelGraph& graph) const {
+    return graph.shape_classes() == shape_classes &&
+           graph.class_shapes() == class_shapes;
+  }
+};
+
 /// What a runtime::CostTable reads of one (model graph, sub-accelerator)
 /// pair at every DVFS level of the sub-accelerator. The model-level memo
 /// stores exactly this, and tables share it instead of copying it. A memo
@@ -155,6 +175,10 @@ class CostColumns {
     return prefixes_;
   }
 
+  /// The layer shapes the columns were computed for: the memo's shared
+  /// key of their model graph.
+  virtual const GraphKey& graph_key() const = 0;
+
  protected:
   CostColumns() = default;
 
@@ -174,13 +198,15 @@ class CostColumns {
 /// alone: it copies each level's totals from the running-sum lanes into
 /// the new entry's CostColumns and never touches the result, and it writes
 /// no per-layer prefixes (CostColumns::layer_prefixes builds those on
-/// first use, with a scratch of its own). Each CostTable constructor
-/// owns ONE of these across its (task x sub-accelerator) builds; after the
-/// first call at the largest (levels, shape classes, layers) shape,
-/// subsequent calls perform zero heap allocations in the scratch
-/// (test-enforced with a counting allocator probe). The object is opaque —
-/// only AnalyticalCostModel reads or writes it — and single-threaded: share
-/// one per thread, never across threads.
+/// first use, with a scratch of its own). A CostTable build uses ONE of
+/// these across its (task x sub-accelerator) lookups: the caller's when it
+/// passes one (SweepEngine keeps one per worker, so a worker's table
+/// builds share it), else one the constructor owns. After the first call
+/// at the largest (levels, shape classes, layers) shape, subsequent calls
+/// perform zero heap allocations in the scratch (test-enforced with a
+/// counting allocator probe). The object is opaque — only
+/// AnalyticalCostModel reads or writes it — and single-threaded: share one
+/// per thread, never across threads.
 class AllLevelsScratch {
  public:
   AllLevelsScratch() = default;
@@ -329,12 +355,15 @@ class AnalyticalCostModel {
   /// cached copy — and stay valid, prefixes included, after the memo is
   /// cleared or this model is destroyed. A hit allocates nothing: the
   /// lookup hashes graph.structure_hash() with the config, and a hit is
-  /// confirmed by comparing the cached shape-class sequence, distinct
-  /// shapes and config with `graph` and `accel` in place — together the
-  /// full key, never the hash alone, so a collision can not silently alias
-  /// two models. `scratch`, when given, supplies the walk's lanes on a memo
-  /// miss (hits never touch it) — the CostTable build loop passes its own.
-  /// Throws std::invalid_argument for an invalid config.
+  /// confirmed by comparing the entry's config and GraphKey with `accel`
+  /// and `graph` in place — together the full key, never the hash alone,
+  /// so a collision can not silently alias two models. A miss's entry
+  /// points at the model's shared key of `graph` (interned by structure
+  /// hash) only after that key compares equal to `graph` in place; a graph
+  /// whose hash collides with another's gets a key of its own. `scratch`,
+  /// when given, supplies the walk's lanes on a memo miss (hits never
+  /// touch it) — the CostTable build loop passes its own. Throws
+  /// std::invalid_argument for an invalid config.
   std::shared_ptr<const CostColumns> cached_cost_columns(
       const ModelGraph& graph, const SubAccelConfig& accel,
       AllLevelsScratch* scratch = nullptr) const;
@@ -356,10 +385,12 @@ class AnalyticalCostModel {
   /// Vector ops run on the PE array as SIMD lanes at reduced efficiency.
   static constexpr double kVectorOpEfficiency = 0.25;
 
-  /// Exact hit/miss counters, entry count and prefix builds of the
-  /// model-level memo (distinct (graph, sub-accel config) pairs evaluated
-  /// through cached_cost_columns).
+  /// Exact hit/miss counters, entry count, prefix builds and shared graph
+  /// keys of the model-level memo (distinct (graph, sub-accel config) pairs
+  /// evaluated through cached_cost_columns).
   MemoStats model_memo_stats() const;
+  /// Empties the memo and its shared graph keys. Columns handed out before
+  /// keep their entries, keys included.
   void clear_model_memo() const;
 
  private:
@@ -411,9 +442,17 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// One model-level memo entry: cost columns that carry their full key
-  /// and the energy constants they were computed with, from which they
-  /// build their prefixes (defined in cost_model.cpp).
+  /// The key a miss's entry of `graph` points at: `interned`, the model's
+  /// shared key for graph.structure_hash() (interning one built from
+  /// `graph` when null), once it compares equal to `graph` in place; a key
+  /// of its own when it does not, so a hash collision never aliases.
+  std::shared_ptr<const GraphKey> shared_graph_key(
+      const ModelGraph& graph, std::shared_ptr<const GraphKey> interned) const;
+
+  /// One model-level memo entry: cost columns that carry their full key —
+  /// the config and a shared GraphKey — and the energy constants they were
+  /// computed with, from which they build their prefixes (defined in
+  /// cost_model.cpp).
   struct MemoEntry;
 
   EnergyParams energy_;
@@ -429,6 +468,11 @@ class AnalyticalCostModel {
   mutable std::mutex memo_mutex_;
   mutable std::unordered_map<std::uint64_t, std::shared_ptr<const MemoEntry>>
       memo_;
+  /// One immutable GraphKey per model graph, indexed by its structure hash
+  /// and guarded by memo_mutex_: a design sweep's ~1,100 entries share the
+  /// zoo's 11 keys instead of each copying ~3 KB of layer shapes.
+  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const GraphKey>>
+      graph_keys_;
   mutable std::atomic<std::uint64_t> memo_hits_{0};
   mutable std::atomic<std::uint64_t> memo_misses_{0};
 };

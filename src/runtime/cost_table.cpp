@@ -7,7 +7,8 @@
 namespace xrbench::runtime {
 
 CostTable::CostTable(const hw::AcceleratorSystem& system,
-                     const costmodel::AnalyticalCostModel& cost_model)
+                     const costmodel::AnalyticalCostModel& cost_model,
+                     costmodel::AllLevelsScratch* scratch)
     : num_sub_accels_(system.sub_accels.size()) {
   if (num_sub_accels_ == 0) {
     throw std::invalid_argument("CostTable: accelerator system is empty");
@@ -40,7 +41,8 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
   // its level lanes instead of re-allocating them. A miss writes only each
   // level's totals into the new memo entry, so neither the scratch nor the
   // entry holds per-layer results.
-  costmodel::AllLevelsScratch scratch;
+  costmodel::AllLevelsScratch local;
+  costmodel::AllLevelsScratch& lanes = scratch != nullptr ? *scratch : local;
   for (models::TaskId task : models::all_tasks()) {
     const auto& graph = models::model_graph(task);
     const std::size_t t = models::task_index(task);
@@ -50,7 +52,7 @@ CostTable::CostTable(const hw::AcceleratorSystem& system,
       // (bit-identical to per-level model_cost_at, test-enforced), and the
       // model memo makes repeated designs across sweep points free.
       auto column = cost_model.cached_cost_columns(
-          graph, system.sub_accels[sa], &scratch);
+          graph, system.sub_accels[sa], &lanes);
       for (std::size_t lvl = 0; lvl < num_levels_[sa]; ++lvl) {
         costs_[t * total_levels_ + level_offset_[sa] + lvl] =
             column->levels[lvl];

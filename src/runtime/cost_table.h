@@ -23,9 +23,14 @@ using ExecutionCost = costmodel::ModelTotals;
 class CostTable {
  public:
   /// Evaluates all 11 unit models on each (sub-accelerator, level) of
-  /// `system`.
+  /// `system`. `scratch`, when given, supplies the layer walk's lanes for
+  /// every model-memo miss of the build (the caller keeps it, one per
+  /// thread, across builds: SweepEngine passes its worker's); without one
+  /// the build owns a scratch of its own for its duration. The table
+  /// holds no reference to either.
   CostTable(const hw::AcceleratorSystem& system,
-            const costmodel::AnalyticalCostModel& cost_model);
+            const costmodel::AnalyticalCostModel& cost_model,
+            costmodel::AllLevelsScratch* scratch = nullptr);
 
   /// Cost at the sub-accelerator's nominal level. One bounds check and one
   /// multiply-add, same as the pre-DVFS table — this is the scheduler's hot

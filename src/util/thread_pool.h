@@ -18,13 +18,20 @@ namespace xrbench::util {
 /// Move-only type-erased callable with small-buffer storage.
 ///
 /// The pool's task unit. A capture list of a few pointers and indices — the
-/// shape of every sweep trial job — lives inline in the 48-byte buffer, so
+/// shape of every sweep job — lives inline in the 48-byte buffer, so
 /// enqueueing a task performs no heap allocation (std::function typically
 /// allocates past 2-3 captured words). Larger or throwing-move callables
-/// fall back to a single heap cell.
+/// fall back to a single heap cell; fits_inline tells which, at compile
+/// time, so a caller can pin a job's captures to the inline path.
 class Task {
  public:
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// True when a Task holds an `Fn` in its inline buffer (no heap cell).
+  template <typename Fn>
+  static constexpr bool fits_inline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
   Task() = default;
 
@@ -34,9 +41,7 @@ class Task {
                 std::is_invocable_v<std::decay_t<F>&>>>
   Task(F&& fn) {  // NOLINT(google-explicit-constructor): drop-in for lambdas
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       static const VTable vt = {
           [](void* p) { (*static_cast<Fn*>(p))(); },

@@ -574,12 +574,29 @@ TEST(FaultSweep, EmptyPlanSuiteSweepMatchesFaultFreeBaseline) {
   const auto b = engine.run_suite_points({with_empty_faults});
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.front().score.overall, b.front().score.overall);
-  ASSERT_EQ(a.front().scenarios.size(), b.front().scenarios.size());
-  for (std::size_t s = 0; s < a.front().scenarios.size(); ++s) {
-    EXPECT_EQ(a.front().scenarios[s].score.overall,
-              b.front().scenarios[s].score.overall);
-    expect_identical(a.front().scenarios[s].last_run,
-                     b.front().scenarios[s].last_run);
+  ASSERT_EQ(a.front().score.scenarios.size(),
+            b.front().score.scenarios.size());
+  for (std::size_t s = 0; s < a.front().score.scenarios.size(); ++s) {
+    EXPECT_EQ(a.front().score.scenarios[s].overall,
+              b.front().score.scenarios[s].overall);
+    EXPECT_FALSE(b.front().last_resilience[s].enabled);
+  }
+  // The suite's raw runs, compared through scenario points: the same
+  // (design, suite scenario, seed) trials with their last runs kept.
+  std::vector<core::ScenarioSweepPoint> plain_runs, empty_runs;
+  for (const auto& scenario : workload::benchmark_suite()) {
+    plain_runs.push_back(
+        {scenario.name, plain.system, plain.options, scenario});
+    empty_runs.push_back({scenario.name, with_empty_faults.system,
+                          with_empty_faults.options, scenario});
+  }
+  const auto ra = engine.run_scenario_points(plain_runs);
+  const auto rb = engine.run_scenario_points(empty_runs);
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t s = 0; s < ra.size(); ++s) {
+    EXPECT_EQ(ra[s].score.overall, a.front().score.scenarios[s].overall);
+    EXPECT_EQ(rb[s].score.overall, b.front().score.scenarios[s].overall);
+    expect_identical(ra[s].last_run, rb[s].last_run);
   }
 }
 

@@ -117,19 +117,29 @@ TEST(ModelMemo, CountsHitsAndMisses) {
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.graph_keys, 1u);
   EXPECT_DOUBLE_EQ(s.hit_rate(), 2.0 / 3.0);
 
-  // A different config is a distinct key.
-  cm.cached_cost_columns(graph, accel(costmodel::Dataflow::kOS, 4096));
+  // A different config is a distinct entry of the same graph: it shares
+  // the graph's key.
+  const auto os =
+      cm.cached_cost_columns(graph, accel(costmodel::Dataflow::kOS, 4096));
+  EXPECT_EQ(&os->graph_key(), &first->graph_key());
+  EXPECT_TRUE(os->graph_key().matches(graph));
   s = cm.model_memo_stats();
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.graph_keys, 1u);
 
   cm.clear_model_memo();
   s = cm.model_memo_stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.graph_keys, 0u);
+  // Entries handed out before keep their shared key.
+  EXPECT_EQ(&os->graph_key(), &first->graph_key());
+  EXPECT_TRUE(first->graph_key().matches(graph));
 }
 
 TEST(ModelMemo, CountsAreExactUnderConcurrentLookups) {
@@ -209,6 +219,16 @@ TEST(ModelMemo, KeyIsLayerShapesNotNames) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.entries, 3u);
+  EXPECT_EQ(s.graph_keys, 3u);
+
+  // The renamed graph's entry on another config shares the zoo graph's
+  // key; the other graphs have keys of their own.
+  const auto renamed_os =
+      cm.cached_cost_columns(renamed, accel(costmodel::Dataflow::kOS, 4096));
+  EXPECT_EQ(&renamed_os->graph_key(), &first->graph_key());
+  EXPECT_NE(&wide->graph_key(), &first->graph_key());
+  EXPECT_NE(&more->graph_key(), &first->graph_key());
+  EXPECT_EQ(cm.model_memo_stats().graph_keys, 3u);
 }
 
 TEST(ModelMemo, HashCollisionIsCaughtByKeyComparison) {
@@ -261,6 +281,14 @@ TEST(ModelMemo, HashCollisionIsCaughtByKeyComparison) {
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 1u);  // the collided key is left uncached
+  // The forged graph's entry does not share the other graph's key: the
+  // shared key failed its in-place comparison, so the entry keeps its own,
+  // which is the forged graph's, and only one key is interned.
+  EXPECT_NE(&collided->graph_key(), &first->graph_key());
+  EXPECT_TRUE(collided->graph_key().matches(forged));
+  EXPECT_FALSE(collided->graph_key().matches(graph));
+  EXPECT_TRUE(first->graph_key().matches(graph));
+  EXPECT_EQ(s.graph_keys, 1u);
   costmodel::reference::expect_columns_eq(
       *first, cm.model_cost_all_levels(graph, sa));
   costmodel::reference::expect_columns_eq(
@@ -275,6 +303,19 @@ TEST(ModelMemo, HashCollisionIsCaughtByKeyComparison) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.entries, 1u);
+
+  // A forged miss on a config the graph has no entry for meets no
+  // colliding entry, only the graph's interned key, and must not take it.
+  const auto sys_j = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
+  const auto& sa_j = sys_j.sub_accels[0];
+  const auto other = cm.cached_cost_columns(forged, sa_j);
+  EXPECT_NE(&other->graph_key(), &first->graph_key());
+  EXPECT_TRUE(other->graph_key().matches(forged));
+  costmodel::reference::expect_columns_eq(
+      *other, cm.model_cost_all_levels(forged, sa_j));
+  s = cm.model_memo_stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.graph_keys, 1u);
 }
 
 TEST(ModelMemo, CostTableOutlivesMemoAndModel) {
@@ -371,6 +412,64 @@ TEST(ModelMemo, ConcurrentFirstPrefixReadsBuildEachEntryOnce) {
   EXPECT_EQ(cm.model_memo_stats().prefix_builds, read.prefix_builds);
 }
 
+TEST(ModelMemo, ConcurrentColdBuildsShareOneKeyPerGraph) {
+  // Eight threads build the tables of the same designs on one cold model
+  // at once, each starting from a different design, so the first misses
+  // of every graph race to intern its key. Each graph ends with exactly
+  // one shared key, every entry of the graph points at it, and every
+  // column equals the uncached kernel's.
+  std::vector<hw::AcceleratorSystem> systems;
+  for (char id : {'A', 'J', 'M'}) {
+    systems.push_back(hw::with_default_dvfs(hw::make_accelerator(id, 4096)));
+  }
+  const costmodel::AnalyticalCostModel cm;
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::vector<std::unique_ptr<runtime::CostTable>>> tables(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (std::size_t k = 0; k < systems.size(); ++k) {
+        tables[static_cast<std::size_t>(i)].push_back(
+            std::make_unique<runtime::CostTable>(
+                systems[(static_cast<std::size_t>(i) + k) % systems.size()],
+                cm));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const costmodel::AnalyticalCostModel serial;
+  for (const auto& sys : systems) {
+    const runtime::CostTable table(sys, serial);
+  }
+  const auto once = serial.model_memo_stats();
+  const auto stats = cm.model_memo_stats();
+  EXPECT_EQ(stats.graph_keys, models::kNumTasks);
+  EXPECT_EQ(stats.entries, once.entries);
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<std::uint64_t>(kThreads) * (once.hits + once.misses));
+  for (models::TaskId t : models::all_tasks()) {
+    const auto& graph = models::model_graph(t);
+    const costmodel::GraphKey* key = nullptr;
+    for (const auto& sys : systems) {
+      for (const auto& sa : sys.sub_accels) {
+        const auto columns = cm.cached_cost_columns(graph, sa);
+        if (key == nullptr) key = &columns->graph_key();
+        EXPECT_EQ(&columns->graph_key(), key);
+        costmodel::reference::expect_columns_eq(
+            *columns, cm.model_cost_all_levels(graph, sa));
+      }
+    }
+    ASSERT_NE(key, nullptr);
+    EXPECT_TRUE(key->matches(graph));
+  }
+  EXPECT_EQ(cm.model_memo_stats().graph_keys, models::kNumTasks);
+}
+
 TEST(ModelMemo, OnlyCheckpointedRunsBuildPrefixes) {
   // A memo miss writes each level's totals and no per-layer prefixes, so a
   // fault-free sweep builds none. Checkpointed outage kills read them: each
@@ -403,8 +502,8 @@ TEST(ModelMemo, OnlyCheckpointedRunsBuildPrefixes) {
   const auto first = engine.run_suite_points(checkpointed);
   std::int64_t resumes = 0;
   for (const auto& outcome : first) {
-    for (const auto& scenario : outcome.scenarios) {
-      resumes += scenario.last_run.resilience.resumes;
+    for (const auto& resilience : outcome.last_resilience) {
+      resumes += resilience.resumes;
     }
   }
   EXPECT_GT(resumes, 0);

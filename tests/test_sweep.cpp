@@ -25,30 +25,148 @@ std::vector<SweepPoint> two_points() {
   };
 }
 
-/// Bit-identical score comparison: exact double equality, not
+/// A faulted design: transient faults with retries, outages with
+/// checkpoints and throttle windows, so the last trial's resilience
+/// counters are non-zero.
+SweepPoint faulted_point() {
+  HarnessOptions opt = fast_options();
+  auto& faults = opt.run.faults;
+  faults.transient_rate = 0.03;
+  faults.max_retries = 2;
+  faults.retry_backoff_ms = 1.0;
+  faults.outage_rate_per_s = 3.0;
+  faults.outage_ms = 30.0;
+  faults.checkpoint = true;
+  faults.throttle_rate_per_s = 4.0;
+  faults.throttle_ms = 20.0;
+  return {"M@4096/faults",
+          hw::with_default_dvfs(hw::make_accelerator('M', 4096)), opt};
+}
+
+/// Each point's suite scenarios as scenario points, point-major: the same
+/// (design, suite scenario, seed) trials a suite sweep runs, with the last
+/// trial's raw run kept.
+std::vector<ScenarioSweepPoint> suite_scenario_points(
+    const std::vector<SweepPoint>& points) {
+  std::vector<ScenarioSweepPoint> out;
+  for (const auto& p : points) {
+    for (const auto& scenario : workload::benchmark_suite()) {
+      out.push_back({p.label + "/" + scenario.name, p.system, p.options,
+                     scenario});
+    }
+  }
+  return out;
+}
+
+/// Harness::run_suite's outcome reduced to what a suite sweep returns.
+SuitePointScore lean(const BenchmarkOutcome& outcome) {
+  SuitePointScore out;
+  out.accelerator_id = outcome.accelerator_id;
+  out.total_pes = outcome.total_pes;
+  out.score = outcome.score;
+  for (const auto& s : outcome.scenarios) {
+    out.trials.push_back(s.trials);
+    out.last_resilience.push_back(s.last_run.resilience);
+  }
+  return out;
+}
+
+/// Bit-identical comparisons: exact double equality, not
 /// EXPECT_DOUBLE_EQ's 4-ULP tolerance — the sweep engine promises the very
-/// same bits as a serial run.
-void expect_identical(const BenchmarkOutcome& a, const BenchmarkOutcome& b) {
+/// same bits as a serial run, on every field.
+void expect_identical(const ModelScore& a, const ModelScore& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.task, b.task) << where;
+  EXPECT_EQ(a.active, b.active) << where;
+  EXPECT_EQ(a.rt, b.rt) << where;
+  EXPECT_EQ(a.energy, b.energy) << where;
+  EXPECT_EQ(a.accuracy, b.accuracy) << where;
+  EXPECT_EQ(a.per_model, b.per_model) << where;
+  EXPECT_EQ(a.qoe, b.qoe) << where;
+  EXPECT_EQ(a.combined, b.combined) << where;
+  EXPECT_EQ(a.frames_expected, b.frames_expected) << where;
+  EXPECT_EQ(a.frames_executed, b.frames_executed) << where;
+  EXPECT_EQ(a.frames_dropped, b.frames_dropped) << where;
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses) << where;
+}
+
+void expect_identical(const ScenarioScore& a, const ScenarioScore& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.scenario_name, b.scenario_name) << where;
+  EXPECT_EQ(a.realtime, b.realtime) << where;
+  EXPECT_EQ(a.energy, b.energy) << where;
+  EXPECT_EQ(a.accuracy, b.accuracy) << where;
+  EXPECT_EQ(a.qoe, b.qoe) << where;
+  EXPECT_EQ(a.overall, b.overall) << where;
+  EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << where;
+  EXPECT_EQ(a.frame_drop_rate, b.frame_drop_rate) << where;
+  ASSERT_EQ(a.models.size(), b.models.size()) << where;
+  for (std::size_t m = 0; m < a.models.size(); ++m) {
+    expect_identical(a.models[m], b.models[m],
+                     where + ", model " + std::to_string(m));
+  }
+}
+
+void expect_identical(const runtime::ResilienceStats& a,
+                      const runtime::ResilienceStats& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.enabled, b.enabled) << where;
+  EXPECT_EQ(a.transient_faults, b.transient_faults) << where;
+  EXPECT_EQ(a.retries, b.retries) << where;
+  EXPECT_EQ(a.retry_give_ups, b.retry_give_ups) << where;
+  EXPECT_EQ(a.outage_kills, b.outage_kills) << where;
+  EXPECT_EQ(a.failovers, b.failovers) << where;
+  EXPECT_EQ(a.throttle_clamps, b.throttle_clamps) << where;
+  EXPECT_EQ(a.drops_early, b.drops_early) << where;
+  EXPECT_EQ(a.drops_late, b.drops_late) << where;
+  EXPECT_EQ(a.resumes, b.resumes) << where;
+  EXPECT_EQ(a.checkpoint_saved_ms, b.checkpoint_saved_ms) << where;
+}
+
+void expect_identical(const SuitePointScore& a, const SuitePointScore& b) {
+  const std::string where = a.accelerator_id;
   EXPECT_EQ(a.accelerator_id, b.accelerator_id);
-  EXPECT_EQ(a.total_pes, b.total_pes);
-  EXPECT_EQ(a.score.overall, b.score.overall);
-  EXPECT_EQ(a.score.realtime, b.score.realtime);
-  EXPECT_EQ(a.score.energy, b.score.energy);
-  EXPECT_EQ(a.score.qoe, b.score.qoe);
-  ASSERT_EQ(a.scenarios.size(), b.scenarios.size());
-  for (std::size_t s = 0; s < a.scenarios.size(); ++s) {
-    const auto& sa = a.scenarios[s];
-    const auto& sb = b.scenarios[s];
-    EXPECT_EQ(sa.trials, sb.trials);
-    EXPECT_EQ(sa.score.overall, sb.score.overall) << "scenario " << s;
-    EXPECT_EQ(sa.score.realtime, sb.score.realtime) << "scenario " << s;
-    EXPECT_EQ(sa.score.energy, sb.score.energy) << "scenario " << s;
-    EXPECT_EQ(sa.score.qoe, sb.score.qoe) << "scenario " << s;
-    EXPECT_EQ(sa.score.total_energy_mj, sb.score.total_energy_mj)
-        << "scenario " << s;
-    EXPECT_EQ(sa.last_run.total_energy_mj, sb.last_run.total_energy_mj)
-        << "scenario " << s;
-    ASSERT_EQ(sa.last_run.timeline.size(), sb.last_run.timeline.size());
+  EXPECT_EQ(a.total_pes, b.total_pes) << where;
+  EXPECT_EQ(a.score.overall, b.score.overall) << where;
+  EXPECT_EQ(a.score.realtime, b.score.realtime) << where;
+  EXPECT_EQ(a.score.energy, b.score.energy) << where;
+  EXPECT_EQ(a.score.qoe, b.score.qoe) << where;
+  EXPECT_EQ(a.trials, b.trials) << where;
+  ASSERT_EQ(a.score.scenarios.size(), b.score.scenarios.size()) << where;
+  ASSERT_EQ(a.last_resilience.size(), b.last_resilience.size()) << where;
+  for (std::size_t s = 0; s < a.score.scenarios.size(); ++s) {
+    const std::string at = where + ", scenario " + std::to_string(s);
+    expect_identical(a.score.scenarios[s], b.score.scenarios[s], at);
+    expect_identical(a.last_resilience[s], b.last_resilience[s], at);
+  }
+}
+
+/// Every record of two raw runs, field by field, plus the run totals.
+void expect_same_records(const runtime::ScenarioRunResult& a,
+                         const runtime::ScenarioRunResult& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << where;
+  ASSERT_EQ(a.timeline.size(), b.timeline.size()) << where;
+  ASSERT_EQ(a.per_model.size(), b.per_model.size()) << where;
+  for (std::size_t m = 0; m < a.per_model.size(); ++m) {
+    const auto va = a.per_model[m].records.view();
+    const auto vb = b.per_model[m].records.view();
+    ASSERT_EQ(va.size(), vb.size()) << where;
+    for (std::size_t r = 0; r < va.size(); ++r) {
+      // Exact equality on every field (memcmp would trip on struct
+      // padding): dispatch/complete/energy are the bits the determinism
+      // contract actually promises.
+      EXPECT_EQ(va[r].frame, vb[r].frame);
+      EXPECT_EQ(va[r].treq_ms, vb[r].treq_ms);
+      EXPECT_EQ(va[r].tdl_ms, vb[r].tdl_ms);
+      EXPECT_EQ(va[r].dropped, vb[r].dropped);
+      EXPECT_EQ(va[r].sub_accel, vb[r].sub_accel);
+      EXPECT_EQ(va[r].dvfs_level, vb[r].dvfs_level);
+      EXPECT_EQ(va[r].dispatch_ms, vb[r].dispatch_ms);
+      EXPECT_EQ(va[r].complete_ms, vb[r].complete_ms);
+      EXPECT_EQ(va[r].energy_mj, vb[r].energy_mj)
+          << where << ", model " << m << ", record " << r;
+    }
   }
 }
 
@@ -67,59 +185,70 @@ TEST(SweepEngine, ParallelSuiteIsBitIdenticalToSerial) {
 
 TEST(SweepEngine, MergeOrderByteIdenticalAcross1248Workers) {
   // The work-stealing pool executes batches in a nondeterministic order;
-  // the submission-order result slots must erase that. Compare the full
-  // outcome byte pattern — every score, every record of every trial's last
-  // run — across 1/2/4/8 workers against the inline serial baseline.
+  // the submission-order result slots must erase that. Compare every
+  // field of the suite sweep's results, and every record of each
+  // (design, suite scenario) last run through run_scenario_points, across
+  // 1/2/4/8 workers against the inline serial baseline.
   const auto points = two_points();
+  const auto scenario_points = suite_scenario_points(points);
   SweepEngine serial(0);
   const auto baseline = serial.run_suite_points(points);
+  const auto baseline_runs = serial.run_scenario_points(scenario_points);
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     SweepEngine engine(workers);
     const auto got = engine.run_suite_points(points);
     ASSERT_EQ(got.size(), baseline.size()) << workers << " workers";
     for (std::size_t p = 0; p < points.size(); ++p) {
       expect_identical(got[p], baseline[p]);
-      // Byte-level record comparison of the kept last runs.
-      ASSERT_EQ(got[p].scenarios.size(), baseline[p].scenarios.size());
-      for (std::size_t s = 0; s < got[p].scenarios.size(); ++s) {
-        const auto& ra = got[p].scenarios[s].last_run;
-        const auto& rb = baseline[p].scenarios[s].last_run;
-        ASSERT_EQ(ra.per_model.size(), rb.per_model.size());
-        for (std::size_t m = 0; m < ra.per_model.size(); ++m) {
-          const auto va = ra.per_model[m].records.view();
-          const auto vb = rb.per_model[m].records.view();
-          ASSERT_EQ(va.size(), vb.size()) << workers << " workers";
-          for (std::size_t r = 0; r < va.size(); ++r) {
-            // Exact equality on every field (memcmp would trip on struct
-            // padding): dispatch/complete/energy are the bits the
-            // determinism contract actually promises.
-            EXPECT_EQ(va[r].frame, vb[r].frame);
-            EXPECT_EQ(va[r].treq_ms, vb[r].treq_ms);
-            EXPECT_EQ(va[r].tdl_ms, vb[r].tdl_ms);
-            EXPECT_EQ(va[r].dropped, vb[r].dropped);
-            EXPECT_EQ(va[r].sub_accel, vb[r].sub_accel);
-            EXPECT_EQ(va[r].dvfs_level, vb[r].dvfs_level);
-            EXPECT_EQ(va[r].dispatch_ms, vb[r].dispatch_ms);
-            EXPECT_EQ(va[r].complete_ms, vb[r].complete_ms);
-            EXPECT_EQ(va[r].energy_mj, vb[r].energy_mj)
-                << workers << " workers, point " << p << ", scenario " << s
-                << ", model " << m << ", record " << r;
-          }
-        }
-      }
+    }
+    const auto runs = engine.run_scenario_points(scenario_points);
+    ASSERT_EQ(runs.size(), baseline_runs.size()) << workers << " workers";
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      expect_same_records(runs[i].last_run, baseline_runs[i].last_run,
+                          scenario_points[i].label + " @ " +
+                              std::to_string(workers) + " workers");
     }
   }
 }
 
 TEST(SweepEngine, MatchesHarnessExactly) {
-  const auto points = two_points();
+  // Every field of a suite point's result equals Harness::run_suite's at
+  // any worker count: scores down to each model, trial counts and the
+  // last trial's resilience counters (non-zero on the faulted design).
+  // The records of each (design, suite scenario) last run equal the
+  // harness's through run_scenario_points.
+  auto points = two_points();
+  points.push_back(faulted_point());
+  std::vector<BenchmarkOutcome> expected;
+  for (const auto& p : points) {
+    expected.push_back(Harness(p.system, p.options).run_suite());
+  }
+  std::int64_t faults = 0;
+  for (const auto& s : expected.back().scenarios) {
+    faults += s.last_run.resilience.transient_faults +
+              s.last_run.resilience.resumes;
+  }
+  EXPECT_GT(faults, 0);
+  for (std::size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SweepEngine engine(workers);
+    const auto outcomes = engine.run_suite_points(points);
+    ASSERT_EQ(outcomes.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_identical(outcomes[p], lean(expected[p]));
+    }
+  }
+  const auto scenario_points = suite_scenario_points(points);
   SweepEngine engine(4);
-  const auto outcomes = engine.run_suite_points(points);
-  ASSERT_EQ(outcomes.size(), points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const Harness harness(points[p].system, points[p].options);
-    const auto expected = harness.run_suite();
-    expect_identical(outcomes[p], expected);
+  const auto runs = engine.run_scenario_points(scenario_points);
+  const std::size_t per_point = workload::benchmark_suite().size();
+  ASSERT_EQ(runs.size(), points.size() * per_point);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& want = expected[i / per_point].scenarios[i % per_point];
+    EXPECT_EQ(runs[i].trials, want.trials);
+    expect_identical(runs[i].score, want.score, scenario_points[i].label);
+    expect_same_records(runs[i].last_run, want.last_run,
+                        scenario_points[i].label);
   }
 }
 
@@ -148,12 +277,22 @@ TEST(SweepEngine, ScenarioPointsMatchHarness) {
 }
 
 TEST(SweepEngine, RepeatedParallelRunsAreStable) {
+  // A second call on the same engine reuses its warm memo and worker
+  // arenas, and must change nothing: neither the scores nor the records.
   const auto points = two_points();
   SweepEngine engine(3);
   const auto a = engine.run_suite_points(points);
   const auto b = engine.run_suite_points(points);
   for (std::size_t p = 0; p < points.size(); ++p) {
     expect_identical(a[p], b[p]);
+  }
+  const auto scenario_points = suite_scenario_points(points);
+  const auto ra = engine.run_scenario_points(scenario_points);
+  const auto rb = engine.run_scenario_points(scenario_points);
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    expect_same_records(ra[i].last_run, rb[i].last_run,
+                        scenario_points[i].label);
   }
 }
 
@@ -304,10 +443,14 @@ TEST(SweepEngine, DesignPointsShareOneLoadPerScenario) {
   const auto outcomes = engine.run_suite_points(points);
   int trials = 0;
   for (const auto& o : outcomes) {
-    for (const auto& s : o.scenarios) trials += s.trials;
+    for (int t : o.trials) trials += t;
   }
   EXPECT_EQ(trials, 819);
   EXPECT_EQ(engine.loads_planned(), 7u);
+  // The 117 points' memo entries share one key per zoo model graph.
+  const auto memo = engine.model_memo_stats();
+  EXPECT_EQ(memo.entries, 1089u);
+  EXPECT_EQ(memo.graph_keys, 11u);
 }
 
 TEST(SweepEngine, CascadeSweepSharesOneLoadPerTrial) {

@@ -185,10 +185,9 @@ TEST(ThreadPool, IdleWorkerStealsFromBusyWorkerQueue) {
 }
 
 TEST(ThreadPool, TaskSmallBufferAvoidsHeapForSmallCaptures) {
-  // The sweep's trial jobs capture a few pointers and indices; those must
-  // fit the inline buffer. (Compile-time property surfaced as a test so a
-  // future capture-list growth that silently re-introduces per-task heap
-  // allocation fails loudly here.)
+  // The sweep's jobs capture a few pointers and indices; those must fit
+  // the inline buffer. (Compile-time property surfaced as a test; the
+  // sweep engine also asserts fits_inline on every job it builds.)
   struct SmallCapture {
     void* a;
     void* b;
@@ -198,11 +197,25 @@ TEST(ThreadPool, TaskSmallBufferAvoidsHeapForSmallCaptures) {
   };
   static_assert(sizeof(SmallCapture) <= Task::kInlineBytes,
                 "sweep-shaped captures must stay inline");
+  static_assert(Task::fits_inline<SmallCapture>);
+  // One word more, or a move that may throw, takes the heap cell.
+  struct OneWordTooMany {
+    SmallCapture small;
+    void* extra;
+  };
+  struct ThrowingMove {
+    ThrowingMove() = default;
+    ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  };
+  static_assert(!Task::fits_inline<OneWordTooMany>);
+  static_assert(!Task::fits_inline<ThrowingMove>);
   // Oversized captures still work through the heap fallback.
   std::array<double, 32> big{};
   big[7] = 42.0;
   double seen = 0.0;
-  Task task([big, &seen] { seen = big[7]; });
+  const auto job = [big, &seen] { seen = big[7]; };
+  static_assert(!Task::fits_inline<decltype(job)>);
+  Task task(job);
   task();
   EXPECT_EQ(seen, 42.0);
 }
