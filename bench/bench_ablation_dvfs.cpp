@@ -12,14 +12,12 @@
 
 #include "core/sweep.h"
 #include "runtime/policy_registry.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("ablation_dvfs");
   util::CsvWriter csv("bench_output/ablation_dvfs.csv");
   csv.header({"scenario", "governor", "realtime", "energy", "qoe", "overall",
               "drop_rate"});
@@ -53,7 +51,6 @@ int main() {
   core::SweepEngine engine;
   const auto outcomes = engine.run_scenario_points(points);
 
-  std::int64_t total_runs = 0;
   const std::size_t per_scenario = governors.size();
   for (std::size_t s = 0; s < scenario_names.size(); ++s) {
     std::cout << "=== DVFS governor sweep: " << scenario_names[s]
@@ -63,7 +60,6 @@ int main() {
     for (std::size_t g = 0; g < per_scenario; ++g) {
       const auto& point = points[s * per_scenario + g];
       const auto& out = outcomes[s * per_scenario + g];
-      total_runs += out.trials;
       const std::string& governor = governors[g];
       table.add_row({governor, util::fmt_double(out.score.realtime),
                      util::fmt_double(out.score.energy),
@@ -110,7 +106,6 @@ int main() {
         {"Governor", "Overall", "QoE", "Total mJ (last trial)"});
     for (std::size_t g = 0; g < per_scenario; ++g) {
       const auto& out = idle_outcomes[s * per_scenario + g];
-      total_runs += out.trials;
       table.add_row({governors[g], util::fmt_double(out.score.overall),
                      util::fmt_double(out.score.qoe),
                      util::fmt_double(out.last_run.total_energy_mj, 2)});
@@ -125,6 +120,5 @@ int main() {
                "race-to-idle undercuts fixed-highest by parking low, and "
                "ondemand undercuts both by only sprinting under load.\n"
             << "CSV written to bench_output/ablation_dvfs.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "core/harness.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -25,8 +24,6 @@ core::ScenarioOutcome run_with(const core::HarnessOptions& opt) {
 }  // namespace
 
 int main() {
-  util::BenchJson bench("ablation_score_params");
-  std::int64_t total_runs = 0;
   util::CsvWriter csv("bench_output/ablation_score_params.csv");
   csv.header({"sweep", "value", "realtime", "energy", "qoe", "overall"});
   auto emit = [&csv](const std::string& sweep, double value,
@@ -45,7 +42,6 @@ int main() {
       core::HarnessOptions opt;
       opt.score.k = k;
       const auto out = run_with(opt);
-      total_runs += out.trials;
       t.add_row({util::fmt_double(k, 0), util::fmt_double(out.score.realtime),
                  util::fmt_double(out.score.overall)});
       emit("k", k, out);
@@ -62,7 +58,6 @@ int main() {
       core::HarnessOptions opt;
       opt.score.enmax_mj = enmax;
       const auto out = run_with(opt);
-      total_runs += out.trials;
       t.add_row({util::fmt_double(enmax, 0),
                  util::fmt_double(out.score.energy),
                  util::fmt_double(out.score.overall)});
@@ -80,7 +75,6 @@ int main() {
       core::HarnessOptions opt;
       opt.run.enable_jitter = jitter;
       const auto out = run_with(opt);
-      total_runs += out.trials;
       t.add_row({jitter ? "on" : "off", util::fmt_double(out.score.realtime),
                  util::fmt_double(out.score.qoe),
                  util::fmt_double(out.score.overall)});
@@ -98,7 +92,6 @@ int main() {
       core::HarnessOptions opt;
       opt.run.system_baseline_w = w;
       const auto out = run_with(opt);
-      total_runs += out.trials;
       t.add_row({util::fmt_double(w, 1), util::fmt_double(out.score.energy),
                  util::fmt_double(out.score.overall)});
       emit("baseline_w", w, out);
@@ -107,6 +100,5 @@ int main() {
   }
 
   std::cout << "CSV written to bench_output/ablation_score_params.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -8,15 +8,13 @@
 //
 // Every point runs through the SweepEngine, so serial (XRBENCH_THREADS=0)
 // and parallel runs produce byte-identical reports (CI diffs 1 vs 4
-// workers). Deterministic tables go to stdout; wall-clock timing goes to
-// BENCH_fault_resilience.json.
+// workers).
 
 #include <iostream>
 #include <vector>
 
 #include "core/sweep.h"
 #include "hw/accelerator.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/scenario_program.h"
@@ -43,7 +41,6 @@ runtime::FaultSpec profile(double rate, int retries, double backoff_ms) {
 }  // namespace
 
 int main() {
-  util::BenchJson bench("fault_resilience");
   util::CsvWriter csv("bench_output/fault_resilience.csv");
   csv.header({"section", "fault_rate", "scheduler", "governor", "recovery",
               "qoe", "overall", "energy_mj", "drop_rate"});
@@ -166,7 +163,6 @@ int main() {
   core::SweepEngine engine;
   const auto outcomes = engine.run_program_points(points);
 
-  std::int64_t total_runs = 0;
   std::cout << "=== QoE / energy vs fault rate (Bursty Notification, J @ 4K "
                "PEs, retries 2, backoff 2 ms) ===\n\n";
   for (const auto& gov : governors) {
@@ -182,7 +178,6 @@ int main() {
         const std::size_t i =
             (r * schedulers.size() + s) * governors.size() + g;
         const auto& out = outcomes[i];
-        total_runs += out.trials;
         row.push_back(util::fmt_double(out.score.qoe));
         last_mj = out.score.total_energy_mj;
         csv.row({"rate_sweep", util::CsvWriter::cell(rates[r]), schedulers[s],
@@ -211,7 +206,6 @@ int main() {
     for (std::size_t rec = 0; rec < recoveries.size(); ++rec) {
       const std::size_t i = section_a + rec * schedulers.size() + s;
       const auto& out = outcomes[i];
-      total_runs += out.trials;
       row.push_back(util::fmt_double(out.score.qoe));
       last_mj = out.score.total_energy_mj;
       if (rec == 0) qoe_no_recovery += out.score.qoe;
@@ -237,11 +231,8 @@ int main() {
                "fault domains {0,1} {2,3}, identical fault schedule) ===\n\n";
   util::TablePrinter ladder_table({"Recovery", "QoE", "overall", "energy_mJ",
                                    "drop", "resumes", "saved_ms"});
-  std::vector<double> ladder_qoe(ladder.size(), 0.0);
   for (std::size_t l = 0; l < ladder.size(); ++l) {
     const auto& out = outcomes[section_b_end + l];
-    total_runs += out.trials;
-    ladder_qoe[l] = out.score.qoe;
     const auto& res = out.last_run.resilience;
     ladder_table.add_row({ladder[l].name, util::fmt_double(out.score.qoe),
                           util::fmt_double(out.score.overall),
@@ -258,13 +249,5 @@ int main() {
   }
   ladder_table.print(std::cout);
 
-  bench.set_runs(total_runs);
-  bench.add_metric("points", static_cast<double>(points.size()));
-  bench.add_metric("qoe_no_recovery", qoe_no_recovery / n);
-  bench.add_metric("qoe_retry_drop_early", qoe_retry_drop_early / n);
-  bench.add_metric("qoe_ladder_none", ladder_qoe[0]);
-  bench.add_metric("qoe_ladder_retry", ladder_qoe[1]);
-  bench.add_metric("qoe_ladder_retry_ckpt", ladder_qoe[2]);
-  bench.add_metric("qoe_ladder_retry_ckpt_fault_aware", ladder_qoe[3]);
   return 0;
 }

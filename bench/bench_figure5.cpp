@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/harness.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -46,8 +45,6 @@ void spot_checks(const std::vector<core::BenchmarkOutcome>& outs,
 }  // namespace
 
 int main() {
-  util::BenchJson bench("figure5");
-  std::int64_t total_runs = 0;
   core::HarnessOptions opt;
   opt.dynamic_trials = 20;
 
@@ -61,7 +58,6 @@ int main() {
       const auto sys = hw::make_accelerator(id, pes);
       core::Harness harness(sys, opt);
       outs.push_back(harness.run_suite());
-      for (const auto& sc : outs.back().scenarios) total_runs += sc.trials;
       for (const auto& sc : outs.back().scenarios) {
         csv.row({util::CsvWriter::cell(pes), outs.back().accelerator_id,
                  hw::accel_style_name(sys.style), sc.score.scenario_name,
@@ -109,6 +105,5 @@ int main() {
     spot_checks(outs, pes);
   }
   std::cout << "\nCSV written to bench_output/figure5_scores.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

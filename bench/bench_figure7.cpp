@@ -9,14 +9,12 @@
 #include <iostream>
 
 #include "core/sweep.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("figure7");
   constexpr int kTrials = 200;  // paper: "We run 200 experiments"
   core::HarnessOptions opt;
   opt.dynamic_trials = kTrials;
@@ -44,7 +42,6 @@ int main() {
   const auto outcomes = engine.run_scenario_points(points);
 
   std::size_t idx = 0;
-  std::int64_t total_runs = 0;
   for (char id : {'B', 'J'}) {
     std::cout << "=== Figure 7: accelerator " << id
               << " (4K PEs), VR Gaming, ES->GE cascade sweep ("
@@ -55,7 +52,6 @@ int main() {
     double first_rt = 0.0, last_rt = 0.0, first_qoe = 0.0, last_qoe = 0.0;
     for (double p : probabilities) {
       const auto& out = outcomes[idx++];
-      total_runs += out.trials;
       table.add_row({util::fmt_percent(p, 0),
                      util::fmt_double(out.score.realtime),
                      util::fmt_double(out.score.energy),
@@ -82,8 +78,5 @@ int main() {
               << ", QoE " << util::fmt_double(last_qoe - first_qoe) << ")\n\n";
   }
   std::cout << "CSV written to bench_output/figure7_cascade_sweep.csv\n";
-  bench.set_runs(total_runs);
-  bench.add_metric("worker_threads",
-                   static_cast<double>(engine.num_threads()));
   return 0;
 }

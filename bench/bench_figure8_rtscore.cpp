@@ -8,14 +8,11 @@
 #include <vector>
 
 #include "core/score.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("figure8_rtscore");
-  std::int64_t total_runs = 0;
   // The paper's figure uses a 1 s (=1000 ms) request-to-deadline window and
   // k in {0, 1, 15, 50}; our k operates per millisecond, so the figure's
   // per-second constants map to k/1000 per ms.
@@ -37,7 +34,6 @@ int main() {
       const double k_per_ms = ks_per_s[i] / 1000.0;
       const double score =
           core::rt_score(latency_s * 1000.0, kSlackMs, k_per_ms);
-      ++total_runs;
       row.push_back(util::CsvWriter::cell(score));
       const int r = kRows - static_cast<int>(score * kRows + 0.5);
       canvas[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
@@ -62,6 +58,5 @@ int main() {
   std::cout << "k=15/ms at the deadline exactly:          "
             << core::rt_score(10.0, 10.0, 15.0) << " (=0.5)\n";
   std::cout << "\nCSV written to bench_output/figure8_rtscore.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -8,15 +8,13 @@
 //
 // Every (design x program x governor) point runs through the SweepEngine,
 // so serial (XRBENCH_THREADS=0) and parallel runs produce byte-identical
-// reports (CI diffs them). Deterministic tables go to stdout; wall-clock
-// timing goes to BENCH_program_ablation.json.
+// reports (CI diffs them).
 
 #include <iostream>
 
 #include "core/sweep.h"
 #include "hw/accelerator.h"
 #include "runtime/policy_registry.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/scenario_program.h"
@@ -24,7 +22,6 @@
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("program_ablation");
   util::CsvWriter csv("bench_output/program_ablation.csv");
   csv.header({"accelerator", "program", "governor", "realtime", "energy",
               "qoe", "overall", "drop_rate"});
@@ -64,7 +61,6 @@ int main() {
   core::SweepEngine engine;
   const auto outcomes = engine.run_program_points(points);
 
-  std::int64_t total_runs = 0;
   const std::size_t per_program = governors.size();
   const std::size_t per_design = programs.size() * per_program;
   for (std::size_t pr = 0; pr < programs.size(); ++pr) {
@@ -80,7 +76,6 @@ int main() {
       for (std::size_t d = 0; d < family.size(); ++d) {
         const std::size_t i = d * per_design + pr * per_program + g;
         const auto& out = outcomes[i];
-        total_runs += out.trials;
         sum_overall += out.score.overall;
         sum_qoe += out.score.qoe;
         if (out.score.overall > best_overall) {
@@ -105,7 +100,5 @@ int main() {
 
   std::cout << "Rows aggregate the 13 Table-5 designs; per-design scores are "
                "in bench_output/program_ablation.csv\n";
-  bench.set_runs(total_runs);
-  bench.add_metric("points", static_cast<double>(points.size()));
   return 0;
 }

@@ -3,7 +3,6 @@
 
 #include <iostream>
 
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "workload/input_source.h"
@@ -12,8 +11,6 @@
 using namespace xrbench;
 
 int main() {
-  util::BenchJson bench("table2_scenarios");
-  std::int64_t total_runs = 0;
   std::cout << "=== Table 2: Target processing rates (FPS) per usage "
                "scenario ===\n\n";
   std::vector<std::string> cols = {"Usage Scenario"};
@@ -31,7 +28,6 @@ int main() {
   csv.header(csv_cols);
 
   for (const auto& scenario : workload::benchmark_suite()) {
-    ++total_runs;  // one scenario summarized
     std::vector<std::string> row = {scenario.name};
     std::vector<std::string> csv_row = {scenario.name};
     for (models::TaskId t : models::all_tasks()) {
@@ -73,6 +69,5 @@ int main() {
   }
   sources.print(std::cout);
   std::cout << "\nCSV written to bench_output/table2_scenarios.csv\n";
-  bench.set_runs(total_runs);
   return 0;
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Runs every bench binary and collects the BENCH_<name>.json emitters into
-# one place. Usage:
+# Runs every bench binary, logging each one's output and wall-clock time.
+# Usage:
 #   bench/run_all.sh [build-dir]          (default: ./build)
 # Environment:
 #   XRBENCH_THREADS  worker count for the SweepEngine benches
 #                    (0 = serial baseline; unset = hardware concurrency)
+# Repeatable performance numbers come from perfbench/run.py, not from here.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -12,8 +13,6 @@ if [[ ! -d "$BUILD_DIR" ]]; then
   echo "build dir '$BUILD_DIR' not found; run: cmake -B build -S . && cmake --build build -j" >&2
   exit 1
 fi
-
-SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
 cd "$BUILD_DIR"
 mkdir -p bench_output
@@ -24,56 +23,17 @@ if [[ ${#benches[@]} -eq 0 ]]; then
   exit 1
 fi
 
+failed=0
 for b in "${benches[@]}"; do
   [[ -x $b && ! -d $b ]] || continue
-  if [[ $b == bench_microbench ]]; then
-    # google-benchmark harness: bounded repetitions, own output format
-    echo "== $b"
-    ./"$b" --benchmark_min_time=0.05 || echo "($b failed)" >&2
-    continue
-  fi
   echo "== $b"
   start_ns=$(date +%s%N)
-  ./"$b" > "bench_output/${b}.log" 2>&1 || { echo "($b failed, see bench_output/${b}.log)" >&2; continue; }
+  if ! ./"$b" > "bench_output/${b}.log" 2>&1; then
+    echo "($b failed, see bench_output/${b}.log)" >&2
+    failed=1
+    continue
+  fi
   end_ns=$(date +%s%N)
   echo "   $(( (end_ns - start_ns) / 1000000 )) ms  (log: bench_output/${b}.log)"
 done
-
-echo
-echo "== sharded multi-process sweep (2 shards + merge + byte-diff)"
-if [[ ! -x ./xrbench_cli ]]; then
-  # xrbench_cli is both the sharded sweep runner and the merge tool; a
-  # build without it means the sharded rung silently vanishes from the
-  # perf record — treat that as fatal, not as a skipped bench.
-  echo "FATAL: xrbench_cli (sharded merge tool) missing from $BUILD_DIR" >&2
-  exit 1
-fi
-"$SCRIPT_DIR/run_sharded.sh" "$(pwd)" 2
-
-echo
-echo "== JSON perf records:"
-ls -1 bench_output/BENCH_*.json
-
-# Every study is expected to leave its BENCH_<name>.json perf record — a
-# bench that crashed (logged above) or silently stopped emitting is an
-# error, not a gap in the listing. bench_microbench is the one exception
-# (google-benchmark owns its output format).
-required=(
-  ablation_dvfs ablation_scheduler ablation_score_params cli_sweep
-  cli_sweep_merged cli_sweep_shard0of2 cli_sweep_shard1of2 costmodel_layers
-  fault_resilience figure5 figure6 figure7 figure8_rtscore fleet_load
-  pareto program_ablation sweep_scaling table1_models table2_scenarios
-  table5_accels
-)
-missing=0
-for name in "${required[@]}"; do
-  if [[ ! -f "bench_output/BENCH_${name}.json" ]]; then
-    echo "MISSING bench_output/BENCH_${name}.json" >&2
-    missing=1
-  fi
-done
-if [[ $missing -ne 0 ]]; then
-  echo "one or more expected bench emitters did not produce JSON" >&2
-  exit 1
-fi
-echo "all ${#required[@]} expected JSON emitters present"
+exit "$failed"

@@ -4,6 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
+// -ffast-math lets the compiler reassociate, contract and flush to zero, so
+// scores, tables and digests would drift from the committed goldens.
+#ifdef __FAST_MATH__
+#error "xrbench must not be built with -ffast-math: its outputs are bit-exact"
+#endif
+
 namespace xrbench::core {
 
 double rt_score(double latency_ms, double slack_ms, double k) {

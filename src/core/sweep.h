@@ -100,12 +100,6 @@ class SweepEngine {
 
   std::size_t num_threads() const { return pool_.num_threads(); }
 
-  /// True when every pool worker is pinned to its round-robin CPU
-  /// (XRBENCH_PIN=1 opt-in; see util::ThreadPoolOptions). Pinning never
-  /// changes results — scheduling is placement-invariant by the
-  /// determinism contract — only where the workers run.
-  bool workers_pinned() const { return pool_.workers_pinned(); }
-
   /// Benchmarks every point against the full Table-2 suite and returns
   /// exactly the scores of (but parallel across points, scenarios and
   /// trials):

@@ -2,19 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "util/affinity.h"
-
 namespace xrbench::util {
-
-ThreadPoolOptions ThreadPoolOptions::from_env() {
-  ThreadPoolOptions options;
-  const char* env = std::getenv("XRBENCH_PIN");
-  options.pin_workers = env != nullptr && std::strcmp(env, "1") == 0;
-  return options;
-}
 
 namespace {
 /// 0 on non-worker threads; worker i of its owning pool sees i + 1. A
@@ -23,11 +13,7 @@ namespace {
 thread_local std::size_t t_worker_slot = 0;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads)
-    : ThreadPool(num_threads, ThreadPoolOptions::from_env()) {}
-
-ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options)
-    : options_(options) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   queues_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
@@ -36,19 +22,6 @@ ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options)
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  // Wait for every worker to report its pin attempt so workers_pinned() is
-  // meaningful the moment construction returns. Only when pinning was
-  // requested — the default path takes no startup synchronization.
-  if (options_.pin_workers) {
-    while (pin_attempted_.load(std::memory_order_acquire) < workers_.size()) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-bool ThreadPool::workers_pinned() const {
-  return options_.pin_workers && !workers_.empty() &&
-         pin_succeeded_.load(std::memory_order_acquire) == workers_.size();
 }
 
 ThreadPool::~ThreadPool() {
@@ -165,12 +138,6 @@ bool ThreadPool::try_run_one(std::size_t self) {
 
 void ThreadPool::worker_loop(std::size_t self) {
   t_worker_slot = self + 1;
-  if (options_.pin_workers) {
-    if (affinity::pin_current_thread(self)) {
-      pin_succeeded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    pin_attempted_.fetch_add(1, std::memory_order_release);
-  }
   for (;;) {
     if (try_run_one(self)) continue;
     std::unique_lock lock(signal_mutex_);

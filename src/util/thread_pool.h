@@ -108,22 +108,6 @@ class Task {
   const VTable* vtable_ = nullptr;
 };
 
-/// Construction-time knobs for ThreadPool.
-struct ThreadPoolOptions {
-  /// Pin worker i to allowed-CPU i % cpu_count (util::affinity round-robin).
-  /// Off by default: pinning is an explicit opt-in so default behavior and
-  /// the existing byte-diff contracts are untouched. On platforms without
-  /// an affinity API the request degrades to a no-op (workers_pinned()
-  /// reports false).
-  bool pin_workers = false;
-
-  /// Options from the environment: pin_workers is true iff XRBENCH_PIN is
-  /// set to exactly "1". This is what the single-argument ThreadPool
-  /// constructor uses, so `XRBENCH_PIN=1 ./xrbench_cli --sweep` pins every
-  /// pool in the process without any call-site changes.
-  static ThreadPoolOptions from_env();
-};
-
 /// Work-stealing worker pool.
 ///
 /// Each worker owns a deque behind its own mutex; submissions distribute
@@ -146,7 +130,6 @@ struct ThreadPoolOptions {
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
-  ThreadPool(std::size_t num_threads, ThreadPoolOptions options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -165,14 +148,6 @@ class ThreadPool {
   void wait_idle();
 
   std::size_t num_threads() const { return workers_.size(); }
-
-  /// True when pinning was requested AND every worker thread successfully
-  /// pinned itself to its round-robin CPU. False for inline pools (no
-  /// workers to pin), when pinning was not requested, and on platforms
-  /// where affinity is unsupported (the request degraded to a no-op).
-  /// Reliable immediately after construction: the constructor waits for
-  /// every worker to report its pin attempt before returning.
-  bool workers_pinned() const;
 
   /// Worker count for "auto": the XRBENCH_THREADS environment variable when
   /// set (0 allowed, meaning inline), otherwise std::thread::hardware_concurrency().
@@ -205,10 +180,6 @@ class ThreadPool {
   std::atomic<std::size_t> queued_{0};   ///< Queued, not yet dequeued.
   std::atomic<std::size_t> next_queue_{0};  ///< Round-robin cursor.
   std::atomic<bool> stop_{false};
-
-  ThreadPoolOptions options_;
-  std::atomic<std::size_t> pin_attempted_{0};  ///< Workers past their pin try.
-  std::atomic<std::size_t> pin_succeeded_{0};
 
   /// Wakeup/idle signaling. Submitters touch this lock once per submit (or
   /// once per batch); the per-task queue traffic goes through the sharded

@@ -1,0 +1,62 @@
+# Runs a program on a list of command lines and checks how each one ends.
+# ctest invokes it through xrbench_cli_check() in the root CMakeLists.txt:
+#
+#   cmake -DPROGRAM=<binary> -DCASES=<a|b|...> [-DTHREADS=<0|4|...>]
+#         [-DEXIT=<code>] [-DGOLDEN=<file>] -P tests/cli_check.cmake
+#
+#   CASES    command lines separated by '|'; each is split like a shell
+#            command line (quotes group words).
+#   THREADS  XRBENCH_THREADS values separated by '|'. Every case runs once
+#            per value; when empty, once with the environment unchanged.
+#   EXIT     the exit code every run must end with (default 0).
+#   GOLDEN   a file that every run's stdout must equal byte for byte.
+#
+# A run expected to fail (EXIT other than 0) must also name the first word
+# of its command line, the flag it rejects, on stderr.
+cmake_minimum_required(VERSION 3.16)
+
+if("${EXIT}" STREQUAL "")
+  set(EXIT 0)
+endif()
+string(REPLACE "|" ";" cases "${CASES}")
+string(REPLACE "|" ";" thread_values "${THREADS}")
+if(NOT thread_values)
+  set(thread_values "inherit")
+endif()
+if(NOT "${GOLDEN}" STREQUAL "")
+  file(READ "${GOLDEN}" expected)
+endif()
+
+set(failures 0)
+foreach(case IN LISTS cases)
+  separate_arguments(args UNIX_COMMAND "${case}")
+  list(GET args 0 flag)
+  foreach(threads IN LISTS thread_values)
+    set(run "'${case}'")
+    if(NOT threads STREQUAL "inherit")
+      set(ENV{XRBENCH_THREADS} "${threads}")
+      string(APPEND run " at XRBENCH_THREADS=${threads}")
+    endif()
+    execute_process(COMMAND "${PROGRAM}" ${args}
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT "${rc}" STREQUAL "${EXIT}")
+      message(SEND_ERROR "${run}: exit ${rc}, expected ${EXIT}\nstderr:\n${err}")
+      math(EXPR failures "${failures} + 1")
+    endif()
+    if(DEFINED expected AND NOT "${out}" STREQUAL "${expected}")
+      message(SEND_ERROR "${run}: stdout differs from ${GOLDEN}:\n${out}")
+      math(EXPR failures "${failures} + 1")
+    endif()
+    if(NOT EXIT EQUAL 0)
+      string(FIND "${err}" "${flag}" at)
+      if(at EQUAL -1)
+        message(SEND_ERROR "${run}: stderr does not name ${flag}:\n${err}")
+        math(EXPR failures "${failures} + 1")
+      endif()
+    endif()
+  endforeach()
+endforeach()
+
+if(failures GREATER 0)
+  message(FATAL_ERROR "${failures} check(s) failed")
+endif()
