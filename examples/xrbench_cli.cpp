@@ -59,6 +59,7 @@
 //   xrbench_cli --program-config examples/configs/handoff_program.ini
 //   xrbench_cli --hw-config my_chip.ini --csv scores.csv
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -87,6 +88,27 @@ namespace {
             << "\nSee the header comment of examples/xrbench_cli.cpp for "
                "usage.\n";
   std::exit(2);
+}
+
+/// The value of numeric flag `flag`. std::stod reads "nan" and "inf",
+/// which no flag can mean.
+double finite_value(const std::string& flag, const std::string& text) {
+  const double value = std::stod(text);
+  if (!std::isfinite(value)) {
+    usage_error(flag + " must be a finite number, got '" + text + "'");
+  }
+  return value;
+}
+
+/// `text`, unless it is negative: std::stoull and std::stoul would wrap a
+/// leading '-' round to a huge unsigned value.
+const std::string& unsigned_text(const std::string& flag,
+                                 const std::string& text) {
+  const auto first = text.find_first_not_of(" \t\n\v\f\r");
+  if (first != std::string::npos && text[first] == '-') {
+    usage_error(flag + " must not be negative, got '" + text + "'");
+  }
+  return text;
 }
 
 /// Registry-backed name checks: unknown policies fail fast at flag-parse
@@ -206,35 +228,42 @@ int main(int argc, char** argv) {
         admission_flag = true;
       }
       else if (arg == "--fault-rate")
-        opt.run.faults.transient_rate = std::stod(next());
+        opt.run.faults.transient_rate = finite_value(arg, next());
       else if (arg == "--fault-retries")
         opt.run.faults.max_retries = std::stoi(next());
       else if (arg == "--fault-backoff")
-        opt.run.faults.retry_backoff_ms = std::stod(next());
+        opt.run.faults.retry_backoff_ms = finite_value(arg, next());
       else if (arg == "--fault-outage-rate")
-        opt.run.faults.outage_rate_per_s = std::stod(next());
+        opt.run.faults.outage_rate_per_s = finite_value(arg, next());
       else if (arg == "--fault-outage-ms")
-        opt.run.faults.outage_ms = std::stod(next());
+        opt.run.faults.outage_ms = finite_value(arg, next());
       else if (arg == "--fault-throttle-rate")
-        opt.run.faults.throttle_rate_per_s = std::stod(next());
+        opt.run.faults.throttle_rate_per_s = finite_value(arg, next());
       else if (arg == "--fault-throttle-ms")
-        opt.run.faults.throttle_ms = std::stod(next());
+        opt.run.faults.throttle_ms = finite_value(arg, next());
       else if (arg == "--fault-throttle-level")
-        opt.run.faults.throttle_max_level =
-            static_cast<std::size_t>(std::stoul(next()));
+        opt.run.faults.throttle_max_level = static_cast<std::size_t>(
+            std::stoul(unsigned_text(arg, next())));
       else if (arg == "--fault-checkpoint")
         opt.run.faults.checkpoint = true;
       else if (arg == "--fault-checkpoint-overhead")
-        opt.run.faults.checkpoint_overhead_ms = std::stod(next());
-      else if (arg == "--duration") opt.run.duration_ms = std::stod(next());
-      else if (arg == "--trials") opt.dynamic_trials = std::stoi(next());
+        opt.run.faults.checkpoint_overhead_ms = finite_value(arg, next());
+      else if (arg == "--duration")
+        opt.run.duration_ms = finite_value(arg, next());
+      else if (arg == "--trials") {
+        opt.dynamic_trials = std::stoi(next());
+        if (opt.dynamic_trials < 1) {
+          usage_error("--trials must be at least 1, got '" +
+                      std::string(argv[i]) + "'");
+        }
+      }
       else if (arg == "--seed") {
-        opt.run.seed = std::stoull(next());
+        opt.run.seed = std::stoull(unsigned_text(arg, next()));
         seed_flag = true;
       }
       else if (arg == "--no-jitter") opt.run.enable_jitter = false;
-      else if (arg == "--enmax") opt.score.enmax_mj = std::stod(next());
-      else if (arg == "--k") opt.score.k = std::stod(next());
+      else if (arg == "--enmax") opt.score.enmax_mj = finite_value(arg, next());
+      else if (arg == "--k") opt.score.k = finite_value(arg, next());
       else if (arg == "--csv") csv_path = next();
       else if (arg == "--energy-csv") energy_csv_path = next();
       else if (arg == "--timeline") timeline = true;

@@ -1,5 +1,7 @@
 #include "core/harness.h"
 
+#include <algorithm>
+
 #include "runtime/policy_registry.h"
 
 namespace xrbench::core {
@@ -35,41 +37,46 @@ Harness::Harness(hw::AcceleratorSystem system, HarnessOptions options)
 runtime::ScenarioRunResult Harness::run_once(
     const workload::UsageScenario& scenario, std::uint64_t seed,
     runtime::RunScratch* scratch) const {
-  runtime::RunConfig cfg = options_.run;
-  cfg.seed = seed;
-  const auto& registry = runtime::PolicyRegistry::instance();
-  auto scheduler = registry.make_scheduler(options_.scheduler);
-  scheduler->reset();
-  auto governor = registry.make_governor_map(options_.governor,
-                                             options_.governor_overrides);
-  governor->reset();
-  auto admission = registry.make_admission(options_.admission);
-  admission->reset();
-  return runner_.run(scenario, *scheduler, cfg, governor.get(), scratch,
-                     admission.get());
+  return run_trial(runner_, scenario, options_, seed, scratch);
 }
 
 runtime::ScenarioRunResult Harness::run_program_once(
     const workload::ScenarioProgram& program, std::uint64_t seed,
     runtime::RunScratch* scratch) const {
-  runtime::RunConfig cfg = options_.run;
-  cfg.seed = seed;
-  const auto& registry = runtime::PolicyRegistry::instance();
-  auto scheduler = registry.make_scheduler(
-      program.scheduler.empty() ? options_.scheduler : program.scheduler);
-  scheduler->reset();
-  auto governor = registry.make_governor_map(
-      program.governor.empty() ? options_.governor : program.governor,
-      options_.governor_overrides);
-  governor->reset();
-  auto admission = registry.make_admission(
-      program.admission.empty() ? options_.admission : program.admission);
-  admission->reset();
-  return runner_.run_program(program, *scheduler, cfg, governor.get(), scratch,
-                             admission.get());
+  return run_trial(runner_, program, options_, seed, scratch);
 }
 
 namespace {
+
+/// The three policies of one trial, resolved through the registry and
+/// reset: `options` name them, and a program's own names, when set, win.
+struct TrialPolicies {
+  std::unique_ptr<runtime::Scheduler> scheduler;
+  std::unique_ptr<runtime::FrequencyGovernor> governor;
+  std::unique_ptr<runtime::AdmissionController> admission;
+};
+
+TrialPolicies make_policies(const HarnessOptions& options,
+                            const workload::ScenarioProgram* program) {
+  const std::string* scheduler = &options.scheduler;
+  const std::string* governor = &options.governor;
+  const std::string* admission = &options.admission;
+  if (program != nullptr) {
+    if (!program->scheduler.empty()) scheduler = &program->scheduler;
+    if (!program->governor.empty()) governor = &program->governor;
+    if (!program->admission.empty()) admission = &program->admission;
+  }
+  const auto& registry = runtime::PolicyRegistry::instance();
+  TrialPolicies p;
+  p.scheduler = registry.make_scheduler(*scheduler);
+  p.scheduler->reset();
+  p.governor =
+      registry.make_governor_map(*governor, options.governor_overrides);
+  p.governor->reset();
+  p.admission = registry.make_admission(*admission);
+  p.admission->reset();
+  return p;
+}
 
 /// Shared trial-averaging shape of run_scenario / run_program: runs
 /// `trials` raw runs with consecutive seeds and averages their scores. One
@@ -100,12 +107,49 @@ ScenarioOutcome run_trials(int trials, std::uint64_t base_seed,
 
 }  // namespace
 
+int trials_for(const workload::UsageScenario& scenario,
+               const HarnessOptions& options) {
+  return workload::is_dynamic_scenario(scenario)
+             ? std::max(1, options.dynamic_trials)
+             : 1;
+}
+
+int trials_for(const workload::ScenarioProgram& program,
+               const HarnessOptions& options) {
+  return workload::is_dynamic_program(program)
+             ? std::max(1, options.dynamic_trials)
+             : 1;
+}
+
+runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
+                                     const workload::UsageScenario& scenario,
+                                     const HarnessOptions& options,
+                                     std::uint64_t seed,
+                                     runtime::RunScratch* scratch,
+                                     const runtime::ArrivalPlan* plan) {
+  runtime::RunConfig cfg = options.run;
+  cfg.seed = seed;
+  auto p = make_policies(options, nullptr);
+  return runner.run(scenario, *p.scheduler, cfg, p.governor.get(), scratch,
+                    p.admission.get(), plan);
+}
+
+runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
+                                     const workload::ScenarioProgram& program,
+                                     const HarnessOptions& options,
+                                     std::uint64_t seed,
+                                     runtime::RunScratch* scratch) {
+  runtime::RunConfig cfg = options.run;
+  cfg.seed = seed;
+  auto p = make_policies(options, &program);
+  return runner.run_program(program, *p.scheduler, cfg, p.governor.get(),
+                            scratch, p.admission.get());
+}
+
 ScenarioOutcome Harness::run_scenario(
     const workload::UsageScenario& scenario) const {
-  const int trials = workload::is_dynamic_scenario(scenario)
-                         ? std::max(1, options_.dynamic_trials)
-                         : 1;
-  return run_trials(trials, options_.run.seed, options_.score,
+  return run_trials(trials_for(scenario, options_), options_.run.seed,
+                    options_.score,
                     [&](std::uint64_t seed, runtime::RunScratch* scratch) {
                       return run_once(scenario, seed, scratch);
                     });
@@ -113,10 +157,8 @@ ScenarioOutcome Harness::run_scenario(
 
 ScenarioOutcome Harness::run_program(
     const workload::ScenarioProgram& program) const {
-  const int trials = workload::is_dynamic_program(program)
-                         ? std::max(1, options_.dynamic_trials)
-                         : 1;
-  return run_trials(trials, options_.run.seed, options_.score,
+  return run_trials(trials_for(program, options_), options_.run.seed,
+                    options_.score,
                     [&](std::uint64_t seed, runtime::RunScratch* scratch) {
                       return run_program_once(program, seed, scratch);
                     });

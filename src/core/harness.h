@@ -49,6 +49,38 @@ struct HarnessOptions {
 void validate_governor_overrides(const HarnessOptions& options,
                                  const hw::AcceleratorSystem& system);
 
+/// Trials a scenario point averages: options.dynamic_trials (at least one)
+/// when the scenario is dynamic (stochastic), one when it is static.
+int trials_for(const workload::UsageScenario& scenario,
+               const HarnessOptions& options);
+
+/// Trials a program point averages: as for a scenario, where a program is
+/// dynamic when any of its phases is.
+int trials_for(const workload::ScenarioProgram& program,
+               const HarnessOptions& options);
+
+/// One trial of `scenario` on `runner` at `seed` (options.run with its seed
+/// replaced): fresh scheduler, governor map and admission controller, named
+/// by `options` and reset. Harness::run_once and every SweepEngine trial
+/// run through here, so a sweep point's trial t is this call at seed
+/// options.run.seed + t. A non-null `scratch` lends the run its arenas and
+/// a non-null `plan` its arrivals (both bit-identical; see
+/// ScenarioRunner::run).
+runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
+                                     const workload::UsageScenario& scenario,
+                                     const HarnessOptions& options,
+                                     std::uint64_t seed,
+                                     runtime::RunScratch* scratch = nullptr,
+                                     const runtime::ArrivalPlan* plan = nullptr);
+
+/// One trial of `program`, as above; a scheduler, governor or admission
+/// name the program sets wins over the one in `options`.
+runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
+                                     const workload::ScenarioProgram& program,
+                                     const HarnessOptions& options,
+                                     std::uint64_t seed,
+                                     runtime::RunScratch* scratch = nullptr);
+
 /// Outcome of benchmarking one scenario on one accelerator system.
 struct ScenarioOutcome {
   ScenarioScore score;              ///< Averaged over trials if dynamic.
@@ -81,29 +113,32 @@ class Harness {
   const HarnessOptions& options() const { return options_; }
   const runtime::CostTable& cost_table() const { return *cost_table_; }
 
-  /// One raw run of `scenario` with an explicit seed (no score averaging).
-  /// A non-null `scratch` reuses that arena across runs (bit-identical
-  /// results; trial loops pass one so the big per-trial allocations —
-  /// simulator event pool, record arenas, request/timeline vectors — are
-  /// reused instead of reallocated).
+  /// One raw run of `scenario` with an explicit seed (no score averaging):
+  /// run_trial on this harness's runner and options. A non-null `scratch`
+  /// reuses that arena across runs (bit-identical results; trial loops pass
+  /// one so the big per-trial allocations — simulator event pool, record
+  /// arenas, request/timeline vectors — are reused instead of
+  /// reallocated).
   runtime::ScenarioRunResult run_once(const workload::UsageScenario& scenario,
                                       std::uint64_t seed,
                                       runtime::RunScratch* scratch =
                                           nullptr) const;
 
-  /// Benchmarks one scenario; dynamic scenarios are averaged over
-  /// options.dynamic_trials trials (seeds seed, seed+1, ...).
+  /// Benchmarks one scenario: averages trials_for(scenario, options)
+  /// trials at seeds seed, seed+1, ... This serial loop is the reference
+  /// SweepEngine is held to.
   ScenarioOutcome run_scenario(const workload::UsageScenario& scenario) const;
 
-  /// One raw run of a scenario program (continuous multi-phase timeline).
-  /// A program naming its own scheduler/governor overrides the harness
+  /// One raw run of a scenario program (continuous multi-phase timeline):
+  /// run_trial on this harness's runner and options. A program naming its
+  /// own scheduler, governor or admission policy overrides the harness
   /// options for that run.
   runtime::ScenarioRunResult run_program_once(
       const workload::ScenarioProgram& program, std::uint64_t seed,
       runtime::RunScratch* scratch = nullptr) const;
 
-  /// Benchmarks one program; programs with any dynamic phase are averaged
-  /// over options.dynamic_trials trials, mirroring run_scenario.
+  /// Benchmarks one program over trials_for(program, options) trials,
+  /// mirroring run_scenario.
   ScenarioOutcome run_program(const workload::ScenarioProgram& program) const;
 
   /// Benchmarks every Table-2 scenario and combines them into the

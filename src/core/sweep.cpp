@@ -71,20 +71,6 @@ bool same_system(const hw::AcceleratorSystem& a,
   return true;
 }
 
-int trials_for(const workload::UsageScenario& scenario,
-               const HarnessOptions& options) {
-  return workload::is_dynamic_scenario(scenario)
-             ? std::max(1, options.dynamic_trials)
-             : 1;
-}
-
-int trials_for(const workload::ScenarioProgram& program,
-               const HarnessOptions& options) {
-  return workload::is_dynamic_program(program)
-             ? std::max(1, options.dynamic_trials)
-             : 1;
-}
-
 /// A pool job whose captures live in util::Task's inline buffer: every
 /// sweep job captures one pointer to its call's shared state plus its own
 /// indices, so enqueueing it allocates nothing.
@@ -93,51 +79,6 @@ util::Task inline_job(F&& fn) {
   static_assert(util::Task::fits_inline<std::decay_t<F>>,
                 "a sweep job's captures must fit util::Task's inline buffer");
   return util::Task(std::forward<F>(fn));
-}
-
-/// Per-(point, scenario) accumulation slots; every trial job writes only
-/// its own pre-sized slot, so no synchronization beyond the pool's queue is
-/// needed and reduction order equals submission order.
-struct ScenarioWork {
-  int trials = 1;
-  std::vector<ScenarioScore> trial_scores;
-  runtime::ScenarioRunResult last_run;
-};
-
-/// A suite scenario's slots: scores and the last trial's resilience
-/// counters, never a run.
-struct SuiteScenarioWork {
-  int trials = 1;
-  std::vector<ScenarioScore> trial_scores;
-  runtime::ResilienceStats last_resilience;
-};
-
-/// Policy instances for one trial, resolved through the registry exactly
-/// like Harness does: point options name the policies, a program's own
-/// names (when set) win over the options'.
-struct TrialPolicies {
-  std::unique_ptr<runtime::Scheduler> scheduler;
-  std::unique_ptr<runtime::FrequencyGovernor> governor;
-  std::unique_ptr<runtime::AdmissionController> admission;
-};
-
-TrialPolicies make_policies(const HarnessOptions& options,
-                            const std::string& scheduler_override,
-                            const std::string& governor_override,
-                            const std::string& admission_override) {
-  const auto& registry = runtime::PolicyRegistry::instance();
-  TrialPolicies p;
-  p.scheduler = registry.make_scheduler(
-      scheduler_override.empty() ? options.scheduler : scheduler_override);
-  p.scheduler->reset();
-  p.governor = registry.make_governor_map(
-      governor_override.empty() ? options.governor : governor_override,
-      options.governor_overrides);
-  p.governor->reset();
-  p.admission = registry.make_admission(
-      admission_override.empty() ? options.admission : admission_override);
-  p.admission->reset();
-  return p;
 }
 
 /// The trial loads of one sweep call: one slot per (load key, trial index).
@@ -172,12 +113,15 @@ class SharedLoads {
     }
   }
 
-  /// The plan of `load` at `trial`, whose run config is `cfg`.
+  /// The plan of `load` at `trial`: `scenario` under `run` at seed
+  /// run.seed + trial.
   const runtime::ArrivalPlan& plan(std::size_t load, int trial,
                                    const workload::UsageScenario& scenario,
-                                   const runtime::RunConfig& cfg) {
+                                   const runtime::RunConfig& run) {
     Slot& slot = loads_[load].slots[static_cast<std::size_t>(trial)];
     std::call_once(slot.once, [&] {
+      runtime::RunConfig cfg = run;
+      cfg.seed += static_cast<std::uint64_t>(trial);
       slot.plan = runtime::plan_arrivals(scenario, cfg);
       planned_->fetch_add(1, std::memory_order_relaxed);
     });
@@ -198,160 +142,11 @@ class SharedLoads {
   std::atomic<std::uint64_t>* planned_;
 };
 
-/// One trial: fresh scheduler, shared read-only cost table, deterministic
-/// seed = base seed + trial index, and the trial's shared load from
-/// `loads`. Identical to Harness::run_once. The run's storage comes from
-/// the worker's scratch arena when one is given; the caller scores the run
-/// and then keeps or recycles it.
-runtime::ScenarioRunResult run_trial(const hw::AcceleratorSystem& system,
-                                     const runtime::CostTable& table,
-                                     const workload::UsageScenario& scenario,
-                                     const HarnessOptions& options, int trial,
-                                     runtime::RunScratch* scratch,
-                                     SharedLoads& loads, std::size_t load) {
-  runtime::RunConfig cfg = options.run;
-  cfg.seed += static_cast<std::uint64_t>(trial);
-  const runtime::ArrivalPlan& plan = loads.plan(load, trial, scenario, cfg);
-  auto policies = make_policies(options, "", "", "");
-  const runtime::ScenarioRunner runner(system, table);
-  return runner.run(scenario, *policies.scheduler, cfg,
-                    policies.governor.get(), scratch,
-                    policies.admission.get(), &plan);
-}
-
-/// One program trial — the run_program analogue, identical to
-/// Harness::run_program_once at seed base + trial.
-runtime::ScenarioRunResult run_program_trial(
-    const hw::AcceleratorSystem& system, const runtime::CostTable& table,
-    const workload::ScenarioProgram& program, const HarnessOptions& options,
-    int trial, runtime::RunScratch* scratch) {
-  runtime::RunConfig cfg = options.run;
-  cfg.seed += static_cast<std::uint64_t>(trial);
-  auto policies = make_policies(options, program.scheduler, program.governor,
-                                program.admission);
-  const runtime::ScenarioRunner runner(system, table);
-  return runner.run_program(program, *policies.scheduler, cfg,
-                            policies.governor.get(), scratch,
-                            policies.admission.get());
-}
-
-/// Scores trial `trial` of a scenario or program point into `work`. The
-/// last trial's run is kept for the outcome; every other run goes back to
-/// the worker's arena.
-void keep_trial(ScenarioWork& work, int trial, runtime::ScenarioRunResult&& run,
-                const ScoreConfig& score, runtime::RunScratch* scratch) {
-  work.trial_scores[static_cast<std::size_t>(trial)] =
-      score_scenario(run, score);
-  if (trial == work.trials - 1) {
-    work.last_run = std::move(run);
-  } else if (scratch != nullptr) {
-    scratch->recycle(std::move(run));
-  }
-}
-
-/// Scores trial `trial` of a suite scenario into `work`, copies the last
-/// trial's resilience counters, and hands every run back to the worker's
-/// arena.
-void tally_trial(SuiteScenarioWork& work, int trial,
-                 runtime::ScenarioRunResult&& run, const ScoreConfig& score,
-                 runtime::RunScratch* scratch) {
-  work.trial_scores[static_cast<std::size_t>(trial)] =
-      score_scenario(run, score);
-  if (trial == work.trials - 1) work.last_resilience = run.resilience;
-  if (scratch != nullptr) scratch->recycle(std::move(run));
-}
-
 /// The trial-averaged score of a scenario's slots. A single trial's score
 /// is its own average (average_scores returns a copy of it), so it moves.
 ScenarioScore averaged(std::vector<ScenarioScore>& trial_scores) {
   return trial_scores.size() == 1 ? std::move(trial_scores.front())
                                   : average_scores(trial_scores);
-}
-
-/// Shared body of run_scenario_points / run_program_points: group points
-/// that share a (system, energy) pair behind one CostTable build, chunk
-/// each point's trials into batch tasks, reduce in submission order.
-/// `build_table(system, energy)` builds a group's table and
-/// `run_one(p, table, trial, work)` runs one trial of point `p`.
-template <typename Point, typename BuildFn, typename TrialsFn, typename RunFn>
-std::vector<ScenarioOutcome> run_grouped_points(
-    util::ThreadPool& pool, const BuildFn& build_table,
-    const std::vector<Point>& points, TrialsFn trials_of,
-    const RunFn& run_one) {
-  // Points that share an accelerator system and energy constants share one
-  // CostTable build (governor/scenario sweeps like bench_ablation_dvfs vary
-  // only the policy across many points of a single design).
-  struct TableGroup {
-    std::unique_ptr<runtime::CostTable> table;
-    std::vector<std::size_t> members;  ///< Point indices, ascending.
-  };
-  // Everything the jobs read; each job captures a pointer to it.
-  struct Call {
-    util::ThreadPool& pool;
-    const BuildFn& build_table;
-    const std::vector<Point>& points;
-    const RunFn& run_one;
-    std::vector<ScenarioWork> work;
-    std::vector<TableGroup> groups;
-  } call{pool, build_table, points, run_one, {}, {}};
-
-  call.work.resize(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    validate_governor_overrides(points[p].options, points[p].system);
-    auto& sw = call.work[p];
-    sw.trials = trials_of(points[p]);
-    sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
-  }
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    TableGroup* home = nullptr;
-    for (auto& g : call.groups) {
-      const std::size_t rep = g.members.front();
-      if (same_system(points[rep].system, points[p].system) &&
-          same_energy(points[rep].options.energy, points[p].options.energy)) {
-        home = &g;
-        break;
-      }
-    }
-    if (home == nullptr) {
-      call.groups.emplace_back();
-      home = &call.groups.back();
-    }
-    home->members.push_back(p);
-  }
-
-  for (std::size_t gi = 0; gi < call.groups.size(); ++gi) {
-    pool.submit(inline_job([c = &call, gi] {
-      TableGroup& group = c->groups[gi];
-      const auto& rep = c->points[group.members.front()];
-      group.table = c->build_table(rep.system, rep.options.energy);
-      std::vector<util::Task> batch;
-      for (std::size_t p : group.members) {
-        const int trials = c->work[p].trials;
-        const auto chunk =
-            static_cast<int>(trial_chunk(trials, c->pool.num_threads()));
-        for (int t0 = 0; t0 < trials; t0 += chunk) {
-          const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back(inline_job([c, gi, p, t0, t1] {
-            for (int t = t0; t < t1; ++t) {
-              c->run_one(p, *c->groups[gi].table, t, c->work[p]);
-            }
-          }));
-        }
-      }
-      c->pool.submit_batch(std::move(batch));
-    }));
-  }
-  pool.wait_idle();
-
-  std::vector<ScenarioOutcome> outcomes(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    auto& sw = call.work[p];
-    outcomes[p].score = averaged(sw.trial_scores);
-    outcomes[p].last_run = std::move(sw.last_run);
-    outcomes[p].trials = sw.trials;
-  }
-  return outcomes;
 }
 
 }  // namespace
@@ -388,72 +183,126 @@ costmodel::AnalyticalCostModel& SweepEngine::model_for(
   return *models_.back().second;
 }
 
-std::vector<SuitePointScore> SweepEngine::run_suite_points(
-    const std::vector<SweepPoint>& points) {
-  // Touch lazily-initialized registries on this thread first; worker
-  // threads then only read them.
-  const auto& suite = workload::benchmark_suite();
+/// One scenario or program whose trials a sweep call averages on one
+/// point's design: a suite point gives one unit per suite scenario, a
+/// scenario or program point gives one unit. Each trial writes only its
+/// own slot, so no result depends on which worker ran it.
+struct SweepEngine::Unit {
+  const hw::AcceleratorSystem* system = nullptr;  ///< Its point's.
+  const HarnessOptions* options = nullptr;        ///< Its point's.
+  const workload::UsageScenario* scenario = nullptr;  ///< Or a program:
+  const workload::ScenarioProgram* program = nullptr;
+  /// Its point's outcome on scenario and program calls, which receives
+  /// the averaged score, the trial count and the last trial's run. Null on
+  /// suite calls: the caller combines the unit's own fields, and every run
+  /// goes back to its worker's arena.
+  ScenarioOutcome* outcome = nullptr;
+  int trials = 1;
+  std::vector<ScenarioScore> trial_scores{};   ///< One slot per trial.
+  runtime::ResilienceStats last_resilience{};  ///< Suite calls only.
+  std::size_t group = 0;  ///< Its table build.
+  std::size_t load = 0;   ///< Its SharedLoads id; scenario units only.
+};
 
-  struct PointWork {
+void SweepEngine::run_units(std::vector<Unit>& units) {
+  // Touch the lazily-initialized policy registry on this thread first;
+  // worker threads then only read it.
+  runtime::PolicyRegistry::instance();
+
+  // Units whose points share an accelerator system and energy constants
+  // share one CostTable build (policy and cascade sweeps vary only the
+  // policy or the scenario across many points of a single design).
+  struct TableGroup {
     std::unique_ptr<runtime::CostTable> table;
-    std::vector<SuiteScenarioWork> scenarios;
-    std::vector<std::size_t> loads;  ///< Load id per suite scenario.
+    std::vector<std::size_t> units;  ///< Ascending.
   };
   // Everything the jobs read; each job captures a pointer to it.
   struct Call {
     SweepEngine& engine;
-    const std::vector<SweepPoint>& points;
-    const std::vector<workload::UsageScenario>& suite;
+    std::vector<Unit>& units;
     SharedLoads loads;
-    std::vector<PointWork> work;
+    std::vector<TableGroup> groups;
 
-    /// Runs trial `t` of point `p`'s suite scenario `s` into its slot.
-    void trial(std::size_t p, std::size_t s, int t) {
-      const SweepPoint& point = points[p];
-      PointWork& pw = work[p];
+    /// Runs trial `t` of unit `u` into its slot. The last trial's run goes
+    /// to the unit's outcome when it has one; every other run goes back to
+    /// the worker's arena.
+    void trial(std::size_t u, int t) {
+      Unit& unit = units[u];
+      const runtime::ScenarioRunner runner(*unit.system,
+                                           *groups[unit.group].table);
       runtime::RunScratch* scratch = engine.worker_scratch();
-      tally_trial(pw.scenarios[s], t,
-                  run_trial(point.system, *pw.table, suite[s], point.options,
-                            t, scratch, loads, pw.loads[s]),
-                  point.options.score, scratch);
+      const std::uint64_t seed =
+          unit.options->run.seed + static_cast<std::uint64_t>(t);
+      auto run = unit.program != nullptr
+                     ? run_trial(runner, *unit.program, *unit.options, seed,
+                                 scratch)
+                     : run_trial(runner, *unit.scenario, *unit.options, seed,
+                                 scratch,
+                                 &loads.plan(unit.load, t, *unit.scenario,
+                                             unit.options->run));
+      unit.trial_scores[static_cast<std::size_t>(t)] =
+          score_scenario(run, unit.options->score);
+      if (t == unit.trials - 1) {
+        if (unit.outcome != nullptr) {
+          unit.outcome->last_run = std::move(run);
+          return;
+        }
+        unit.last_resilience = run.resilience;
+      }
+      if (scratch != nullptr) scratch->recycle(std::move(run));
     }
-  } call{*this, points, suite, SharedLoads(loads_planned_), {}};
+  } call{*this, units, SharedLoads(loads_planned_), {}};
 
-  call.work.resize(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    validate_governor_overrides(points[p].options, points[p].system);
-    auto& pw = call.work[p];
-    pw.scenarios.resize(suite.size());
-    for (std::size_t s = 0; s < suite.size(); ++s) {
-      auto& sw = pw.scenarios[s];
-      sw.trials = trials_for(suite[s], points[p].options);
-      sw.trial_scores.resize(static_cast<std::size_t>(sw.trials));
-      pw.loads.push_back(
-          call.loads.add(suite[s], points[p].options.run, sw.trials));
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    Unit& unit = units[u];
+    validate_governor_overrides(*unit.options, *unit.system);
+    unit.trials = unit.program != nullptr
+                      ? trials_for(*unit.program, *unit.options)
+                      : trials_for(*unit.scenario, *unit.options);
+    unit.trial_scores.resize(static_cast<std::size_t>(unit.trials));
+    if (unit.scenario != nullptr) {
+      unit.load = call.loads.add(*unit.scenario, unit.options->run,
+                                 unit.trials);
     }
+    // A suite point's units are adjacent and share its system.
+    if (u > 0 && units[u - 1].system == unit.system) {
+      unit.group = units[u - 1].group;
+    } else {
+      unit.group = 0;
+      while (unit.group < call.groups.size()) {
+        const Unit& rep = units[call.groups[unit.group].units.front()];
+        if (same_system(*rep.system, *unit.system) &&
+            same_energy(rep.options->energy, unit.options->energy)) {
+          break;
+        }
+        ++unit.group;
+      }
+      if (unit.group == call.groups.size()) call.groups.emplace_back();
+    }
+    call.groups[unit.group].units.push_back(u);
   }
   call.loads.allocate();
 
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    // One table-build job per point; it fans the point's trial jobs out as
+  for (std::size_t g = 0; g < call.groups.size(); ++g) {
+    // One table-build job per group; it fans the group's trial jobs out as
     // soon as its cost table exists, so table builds and trials overlap
-    // across points. Trials are chunked into batch tasks (see trial_chunk)
+    // across groups. Trials are chunked into batch tasks (see trial_chunk)
     // and enqueued with a single submit_batch — each trial still writes its
-    // own submission-order slot, so chunking never changes a result.
-    pool_.submit(inline_job([c = &call, p] {
-      const SweepPoint& point = c->points[p];
-      auto& pw = c->work[p];
-      pw.table = c->engine.build_table(
-          point.system, c->engine.model_for(point.options.energy));
+    // own slot, so chunking never changes a result.
+    pool_.submit(inline_job([c = &call, g] {
+      TableGroup& group = c->groups[g];
+      const Unit& rep = c->units[group.units.front()];
+      group.table = c->engine.build_table(
+          *rep.system, c->engine.model_for(rep.options->energy));
       std::vector<util::Task> batch;
-      for (std::size_t s = 0; s < c->suite.size(); ++s) {
-        const int trials = pw.scenarios[s].trials;
+      for (std::size_t u : group.units) {
+        const int trials = c->units[u].trials;
         const auto chunk = static_cast<int>(
             trial_chunk(trials, c->engine.pool_.num_threads()));
         for (int t0 = 0; t0 < trials; t0 += chunk) {
           const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back(inline_job([c, p, s, t0, t1] {
-            for (int t = t0; t < t1; ++t) c->trial(p, s, t);
+          batch.push_back(inline_job([c, u, t0, t1] {
+            for (int t = t0; t < t1; ++t) c->trial(u, t);
           }));
         }
       }
@@ -462,8 +311,27 @@ std::vector<SuitePointScore> SweepEngine::run_suite_points(
   }
   pool_.wait_idle();
 
-  // Assembled on the calling thread, in point order: each scenario's
-  // averaged score is stored once, in score.scenarios.
+  for (Unit& unit : units) {
+    if (unit.outcome == nullptr) continue;
+    unit.outcome->score = averaged(unit.trial_scores);
+    unit.outcome->trials = unit.trials;
+  }
+}
+
+std::vector<SuitePointScore> SweepEngine::run_suite_points(
+    const std::vector<SweepPoint>& points) {
+  const auto& suite = workload::benchmark_suite();
+  std::vector<Unit> units;
+  units.reserve(points.size() * suite.size());
+  for (const SweepPoint& point : points) {
+    for (const auto& scenario : suite) {
+      units.push_back({&point.system, &point.options, &scenario});
+    }
+  }
+  run_units(units);
+
+  // Assembled in point order: each scenario's averaged score is stored
+  // once, in score.scenarios.
   std::vector<SuitePointScore> outcomes(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     SuitePointScore& out = outcomes[p];
@@ -473,10 +341,11 @@ std::vector<SuitePointScore> SweepEngine::run_suite_points(
     scores.reserve(suite.size());
     out.trials.reserve(suite.size());
     out.last_resilience.reserve(suite.size());
-    for (auto& sw : call.work[p].scenarios) {
-      scores.push_back(averaged(sw.trial_scores));
-      out.trials.push_back(sw.trials);
-      out.last_resilience.push_back(sw.last_resilience);
+    for (std::size_t s = 0; s < suite.size(); ++s) {
+      Unit& unit = units[p * suite.size() + s];
+      scores.push_back(averaged(unit.trial_scores));
+      out.trials.push_back(unit.trials);
+      out.last_resilience.push_back(unit.last_resilience);
     }
     out.score = combine_scenarios(std::move(scores));
   }
@@ -485,59 +354,31 @@ std::vector<SuitePointScore> SweepEngine::run_suite_points(
 
 std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
     const std::vector<ScenarioSweepPoint>& points) {
-  const auto build = [this](const hw::AcceleratorSystem& system,
-                            const costmodel::EnergyParams& energy) {
-    return build_table(system, model_for(energy));
-  };
-  const auto trials_of = [](const ScenarioSweepPoint& p) {
-    return trials_for(p.scenario, p.options);
-  };
-  SharedLoads loads(loads_planned_);
-  std::vector<std::size_t> load_of;
-  load_of.reserve(points.size());
-  for (const auto& p : points) {
-    load_of.push_back(loads.add(p.scenario, p.options.run, trials_of(p)));
+  std::vector<ScenarioOutcome> outcomes(points.size());
+  std::vector<Unit> units;
+  units.reserve(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    units.push_back({&points[p].system, &points[p].options,
+                     &points[p].scenario, nullptr, &outcomes[p]});
   }
-  loads.allocate();
-  return run_grouped_points(
-      pool_, build, points, trials_of,
-      [this, &points, &loads, &load_of](std::size_t p,
-                                        const runtime::CostTable& table, int t,
-                                        ScenarioWork& w) {
-        const ScenarioSweepPoint& point = points[p];
-        runtime::RunScratch* scratch = worker_scratch();
-        keep_trial(w, t,
-                   run_trial(point.system, table, point.scenario,
-                             point.options, t, scratch, loads, load_of[p]),
-                   point.options.score, scratch);
-      });
+  run_units(units);
+  return outcomes;
 }
 
 std::vector<ScenarioOutcome> SweepEngine::run_program_points(
     const std::vector<ProgramSweepPoint>& points) {
-  // Touch the lazily-initialized registries on this thread first; worker
-  // threads then only read them (the scenario registries are reached
-  // through program phases, the policy registry through trial policies).
+  // Touch the lazily-initialized scenario registries on this thread first;
+  // worker threads then only read them through program phases.
   workload::extension_programs();
-  runtime::PolicyRegistry::instance();
-  const auto build = [this](const hw::AcceleratorSystem& system,
-                            const costmodel::EnergyParams& energy) {
-    return build_table(system, model_for(energy));
-  };
-  return run_grouped_points(
-      pool_, build, points,
-      [](const ProgramSweepPoint& p) {
-        return trials_for(p.program, p.options);
-      },
-      [this, &points](std::size_t p, const runtime::CostTable& table, int t,
-                      ScenarioWork& w) {
-        const ProgramSweepPoint& point = points[p];
-        runtime::RunScratch* scratch = worker_scratch();
-        keep_trial(w, t,
-                   run_program_trial(point.system, table, point.program,
-                                     point.options, t, scratch),
-                   point.options.score, scratch);
-      });
+  std::vector<ScenarioOutcome> outcomes(points.size());
+  std::vector<Unit> units;
+  units.reserve(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    units.push_back({&points[p].system, &points[p].options, nullptr,
+                     &points[p].program, &outcomes[p]});
+  }
+  run_units(units);
+  return outcomes;
 }
 
 std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(

@@ -56,15 +56,17 @@ struct SuitePointScore {
 
 /// Parallel evaluation engine for accelerator/scenario sweeps.
 ///
-/// Fans (config x scenario x trial) evaluation jobs out over a worker pool:
-/// each design point gets one CostTable build job, then its trials are
-/// chunked into batch tasks (~4 chunks per worker, submitted with one
-/// submit_batch call) where every trial gets its own ScenarioRunner,
-/// scheduler instance and deterministic per-trial seed (options.run.seed +
-/// trial). Results land in pre-sized slots indexed by submission order and
-/// are reduced in that same order, so the output is bit-identical to a
-/// serial run of the Harness — the worker count and chunking only change
-/// wall-clock time, never a score.
+/// Every call runs through one fan-out. It turns each point into units: a
+/// suite point gives one unit per suite scenario, a scenario or program
+/// point gives one unit. Units whose points share an accelerator system
+/// and energy constants share one CostTable build job, which then chunks
+/// its units' trials into batch tasks (~4 chunks per worker, submitted
+/// with one submit_batch call). Every trial is one core::run_trial call on
+/// a fresh ScenarioRunner with fresh policy instances, at the
+/// deterministic seed options.run.seed + trial. Results land in pre-sized
+/// slots and are reduced in submission order, so the output is
+/// bit-identical to a serial run of the Harness — the worker count and
+/// chunking only change wall-clock time, never a score.
 ///
 /// Thread count: pass the worker count explicitly, or use the default
 /// constructor for "auto" (XRBENCH_THREADS env var when set, else hardware
@@ -84,11 +86,11 @@ struct SuitePointScore {
 ///
 /// Shared trial loads: a trial's arrivals depend only on its
 /// runtime::LoadKey (source models, duration, seed, jitter flag), never on
-/// the design or the policies. run_suite_points and run_scenario_points
-/// plan each (load key, trial index) once per call: the first trial that
-/// needs it fills the slot (std::call_once), the rest replay the plan
-/// read-only, and the plans are freed when the call returns. Program
-/// points plan each phase inside run_program: their phase seeds differ.
+/// the design or the policies. Each call plans every scenario unit's (load
+/// key, trial index) once: the first trial that needs it fills the slot
+/// (std::call_once), the rest replay the plan read-only, and the plans are
+/// freed when the call returns. Program units plan each phase inside
+/// run_program: their phase seeds differ.
 class SweepEngine {
  public:
   SweepEngine() : SweepEngine(util::ThreadPool::default_num_threads()) {}
@@ -116,7 +118,8 @@ class SweepEngine {
   /// Benchmarks each (system, scenario) pair. Equivalent to:
   ///   for (p : points) Harness(p.system, p.options).run_scenario(p.scenario)
   /// Points sharing an identical system and energy constants share one
-  /// CostTable build (policy sweeps over a single design build it once).
+  /// CostTable build (policy sweeps over a single design build it once),
+  /// as they do in run_suite_points and run_program_points.
   std::vector<ScenarioOutcome> run_scenario_points(
       const std::vector<ScenarioSweepPoint>& points);
 
@@ -141,11 +144,18 @@ class SweepEngine {
   costmodel::MemoStats model_memo_stats() const;
 
   /// Trial loads (runtime::ArrivalPlan) planned over every call so far: one
-  /// per distinct (load key, trial index) per run_suite_points or
-  /// run_scenario_points call. Exact at any worker count.
+  /// per distinct scenario (load key, trial index) per call. Exact at any
+  /// worker count.
   std::uint64_t loads_planned() const;
 
  private:
+  struct Unit;
+
+  /// The one fan-out behind run_suite_points, run_scenario_points and
+  /// run_program_points: runs every trial of `units` and fills their slots
+  /// (see the class comment).
+  void run_units(std::vector<Unit>& units);
+
   /// Shared cost model for a point's energy constants. Points with equal
   /// EnergyParams share one model instance (and so its model-level memo),
   /// which is what makes repeated designs stop re-walking identical models.

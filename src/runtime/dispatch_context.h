@@ -94,10 +94,4 @@ struct DispatchContext {
   const hw::AcceleratorSystem* system = nullptr;
 };
 
-/// Compatibility aliases for the pre-telemetry context types. The two
-/// policy interfaces now share one context; existing out-of-tree policies
-/// written against SchedulerContext/GovernorContext compile unchanged.
-using SchedulerContext = DispatchContext;
-using GovernorContext = DispatchContext;
-
 }  // namespace xrbench::runtime

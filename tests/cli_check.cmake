@@ -1,15 +1,17 @@
 # Runs a program on a list of command lines and checks how each one ends.
 # ctest invokes it through xrbench_cli_check() in the root CMakeLists.txt:
 #
-#   cmake -DPROGRAM=<binary> -DCASES=<a|b|...> [-DTHREADS=<0|4|...>]
+#   cmake -DPROGRAM=<binary> [-DCASES=<a|b|...>] [-DTHREADS=<0|4|...>]
 #         [-DEXIT=<code>] [-DGOLDEN=<file>] -P tests/cli_check.cmake
 #
 #   CASES    command lines separated by '|'; each is split like a shell
-#            command line (quotes group words).
+#            command line (quotes group words). When empty, the program
+#            runs once with no arguments.
 #   THREADS  XRBENCH_THREADS values separated by '|'. Every case runs once
 #            per value; when empty, once with the environment unchanged.
 #   EXIT     the exit code every run must end with (default 0).
-#   GOLDEN   a file that every run's stdout must equal byte for byte.
+#   GOLDEN   a file that every run's stdout must equal byte for byte, once
+#            lines naming the worker count ("worker threads") are dropped.
 #
 # A run expected to fail (EXIT other than 0) must also name the first word
 # of its command line, the flag it rejects, on stderr.
@@ -18,7 +20,6 @@ cmake_minimum_required(VERSION 3.16)
 if("${EXIT}" STREQUAL "")
   set(EXIT 0)
 endif()
-string(REPLACE "|" ";" cases "${CASES}")
 string(REPLACE "|" ";" thread_values "${THREADS}")
 if(NOT thread_values)
   set(thread_values "inherit")
@@ -28,9 +29,9 @@ if(NOT "${GOLDEN}" STREQUAL "")
 endif()
 
 set(failures 0)
-foreach(case IN LISTS cases)
+
+function(check_case case)
   separate_arguments(args UNIX_COMMAND "${case}")
-  list(GET args 0 flag)
   foreach(threads IN LISTS thread_values)
     set(run "'${case}'")
     if(NOT threads STREQUAL "inherit")
@@ -43,11 +44,15 @@ foreach(case IN LISTS cases)
       message(SEND_ERROR "${run}: exit ${rc}, expected ${EXIT}\nstderr:\n${err}")
       math(EXPR failures "${failures} + 1")
     endif()
-    if(DEFINED expected AND NOT "${out}" STREQUAL "${expected}")
-      message(SEND_ERROR "${run}: stdout differs from ${GOLDEN}:\n${out}")
-      math(EXPR failures "${failures} + 1")
+    if(DEFINED expected)
+      string(REGEX REPLACE "[^\n]*worker threads[^\n]*\n" "" out "${out}")
+      if(NOT "${out}" STREQUAL "${expected}")
+        message(SEND_ERROR "${run}: stdout differs from ${GOLDEN}:\n${out}")
+        math(EXPR failures "${failures} + 1")
+      endif()
     endif()
-    if(NOT EXIT EQUAL 0)
+    if(NOT EXIT EQUAL 0 AND args)
+      list(GET args 0 flag)
       string(FIND "${err}" "${flag}" at)
       if(at EQUAL -1)
         message(SEND_ERROR "${run}: stderr does not name ${flag}:\n${err}")
@@ -55,7 +60,17 @@ foreach(case IN LISTS cases)
       endif()
     endif()
   endforeach()
-endforeach()
+  set(failures ${failures} PARENT_SCOPE)
+endfunction()
+
+if("${CASES}" STREQUAL "")
+  check_case("")
+else()
+  string(REPLACE "|" ";" cases "${CASES}")
+  foreach(case IN LISTS cases)
+    check_case("${case}")
+  endforeach()
+endif()
 
 if(failures GREATER 0)
   message(FATAL_ERROR "${failures} check(s) failed")

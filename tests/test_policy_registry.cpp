@@ -91,7 +91,7 @@ TEST(PolicyRegistry, HarnessRejectsUnknownPolicyNames) {
 class NamedTestScheduler final : public Scheduler {
  public:
   const char* name() const override { return "test-only-sched"; }
-  std::optional<Assignment> pick(const SchedulerContext& ctx) override {
+  std::optional<Assignment> pick(const DispatchContext& ctx) override {
     if (ctx.pending == nullptr || ctx.pending->empty() ||
         ctx.idle_sub_accels == nullptr || ctx.idle_sub_accels->empty()) {
       return std::nullopt;
@@ -130,7 +130,7 @@ TEST(PolicyRegistry, GovernorMapRoutesPerSubAccelerator) {
   InferenceRequest req;
   req.task = TaskId::kHT;
   req.tdl_ms = 1e9;
-  GovernorContext ctx;
+  DispatchContext ctx;
   ctx.request = &req;
   ctx.costs = &costs;
 

@@ -16,8 +16,8 @@ class SchedulerTest : public ::testing::Test {
       : system_(hw::make_accelerator('J', 8192)),  // WS + OS halves
         table_(system_, cost_model_) {}
 
-  SchedulerContext ctx() {
-    SchedulerContext c;
+  DispatchContext ctx() {
+    DispatchContext c;
     c.now_ms = now_;
     c.pending = &pending_;
     c.idle_sub_accels = &idle_;
@@ -201,7 +201,7 @@ TEST_P(SchedulerValidity, AlwaysReturnsValidAssignment) {
     pending.push_back(r);
   }
   const std::vector<std::size_t> idle = {1, 3};
-  SchedulerContext ctx;
+  DispatchContext ctx;
   ctx.now_ms = 10.0;
   ctx.pending = &pending;
   ctx.idle_sub_accels = &idle;

@@ -533,5 +533,68 @@ TEST(SweepEngine, ConcurrentFirstUseOfOneLoad) {
   EXPECT_EQ(engine.loads_planned(), static_cast<std::uint64_t>(kCalls));
 }
 
+TEST(SweepEngine, SuitePointsShareTableBuilds) {
+  // Suite points that share a system and energy constants share one
+  // CostTable build, like scenario and program points: a repeated point
+  // makes no memo lookup of its own and scores exactly as the first.
+  const SweepPoint point = two_points().front();
+  const auto lookups = [](const costmodel::MemoStats& s) {
+    return s.hits + s.misses;
+  };
+  for (std::size_t workers : {0u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SweepEngine once(workers);
+    SweepEngine twice(workers);
+    const auto a = once.run_suite_points({point});
+    const auto b = twice.run_suite_points({point, point});
+    EXPECT_GT(lookups(once.model_memo_stats()), 0u);
+    EXPECT_EQ(lookups(twice.model_memo_stats()),
+              lookups(once.model_memo_stats()));
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 2u);
+    expect_identical(b[0], a[0]);
+    expect_identical(b[1], a[0]);
+  }
+}
+
+TEST(SweepEngine, ProgramPoliciesMatchHarness) {
+  // No built-in program names a policy. A program that names its own
+  // scheduler, governor and admission policy runs them, through the engine
+  // exactly as through Harness::run_program, and each name changes the
+  // score against the same program that leaves it to the options.
+  const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
+  const HarnessOptions opt = fast_options();
+  workload::ScenarioProgram named =
+      workload::program_by_name("Scenario Hand-Off");
+  named.scheduler = "edf";
+  named.governor = "deadline-aware";
+  named.admission = "drop-early";
+  std::vector<ProgramSweepPoint> points = {{"named", system, opt, named}};
+  for (auto clear : {&workload::ScenarioProgram::scheduler,
+                     &workload::ScenarioProgram::governor,
+                     &workload::ScenarioProgram::admission}) {
+    workload::ScenarioProgram program = named;
+    (program.*clear).clear();
+    points.push_back({"cleared", system, opt, program});
+  }
+  const ScenarioOutcome expected = Harness(system, opt).run_program(named);
+  EXPECT_GT(expected.trials, 1);
+  EXPECT_GT(expected.last_run.resilience.drops_early, 0);
+  for (std::size_t workers : {0u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SweepEngine engine(workers);
+    const auto got = engine.run_program_points(points);
+    ASSERT_EQ(got.size(), points.size());
+    EXPECT_EQ(got[0].trials, expected.trials);
+    expect_identical(got[0].score, expected.score, "named");
+    expect_identical(got[0].last_run.resilience, expected.last_run.resilience,
+                     "named");
+    expect_same_records(got[0].last_run, expected.last_run, "named");
+    for (std::size_t p = 1; p < points.size(); ++p) {
+      EXPECT_NE(got[p].score.overall, got[0].score.overall) << "point " << p;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xrbench::core
