@@ -6,21 +6,35 @@
 // the harness, and prints the Figure-5-style score breakdown plus the
 // overall XRBench SCORE.
 
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/harness.h"
 #include "core/report.h"
+#include "util/ini.h"
 
 using namespace xrbench;
 
 int main(int argc, char** argv) {
-  const char accel_id = argc > 1 ? argv[1][0] : 'J';
-  const std::int64_t pes = argc > 2 ? std::atoll(argv[2]) : 8192;
-
   // 1. Pick a hardware design (Table 5). Resources follow the paper's §4.1
   //    chip: 256 GB/s NoC, 8 MiB SRAM, 1 GHz, partitioned per sub-accel.
-  const auto system = hw::make_accelerator(accel_id, pes);
+  const std::string id = argc > 1 ? argv[1] : "J";
+  const std::string pes = argc > 2 ? argv[2] : "8192";
+  hw::AcceleratorSystem system;
+  try {
+    const auto total_pes = util::parse_number<std::int64_t>(pes);
+    if (id.size() != 1 || !total_pes) {
+      throw std::invalid_argument("expected one accelerator letter and an "
+                                  "integer PE count, got '" + id + "' '" +
+                                  pes + "'");
+    }
+    system = hw::make_accelerator(id[0], *total_pes);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: " << e.what()
+              << "\nusage: quickstart [accelerator A..M] [total PEs]\n";
+    return 2;
+  }
   std::cout << "Accelerator " << system.id << " ("
             << hw::accel_style_name(system.style) << ", "
             << system.dataflow_desc << ", " << system.total_pes()

@@ -6,20 +6,38 @@
 // Example:
 //   ./scenario_explorer "AR Assistant" M 8192 7
 
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/harness.h"
 #include "core/report.h"
+#include "util/ini.h"
 
 using namespace xrbench;
 
 int main(int argc, char** argv) {
   const std::string scenario_name = argc > 1 ? argv[1] : "Social Interaction A";
-  const char accel_id = argc > 2 ? argv[2][0] : 'J';
-  const std::int64_t pes = argc > 3 ? std::atoll(argv[3]) : 4096;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                      : 42;
+  const std::string id = argc > 2 ? argv[2] : "J";
+  const std::string pes = argc > 3 ? argv[3] : "4096";
+  const std::string seed_text = argc > 4 ? argv[4] : "42";
+  const auto seed = util::parse_number<std::uint64_t>(seed_text);
+  hw::AcceleratorSystem system;
+  try {
+    const auto total_pes = util::parse_number<std::int64_t>(pes);
+    if (id.size() != 1 || !total_pes || !seed) {
+      throw std::invalid_argument(
+          "expected one accelerator letter, an integer PE count and a "
+          "non-negative integer seed, got '" + id + "' '" + pes + "' '" +
+          seed_text + "'");
+    }
+    system = hw::make_accelerator(id[0], *total_pes);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "scenario_explorer: " << e.what()
+              << "\nusage: scenario_explorer \"<scenario name>\" "
+                 "[accelerator A..M] [PEs] [seed]\n";
+    return 2;
+  }
 
   const workload::UsageScenario* scenario = nullptr;
   try {
@@ -46,8 +64,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  core::Harness harness(hw::make_accelerator(accel_id, pes));
-  const auto run = harness.run_once(*scenario, seed);
+  core::Harness harness(system);
+  const auto run = harness.run_once(*scenario, *seed);
   const auto score = core::score_scenario(run, core::ScoreConfig{});
 
   core::ScenarioOutcome outcome;

@@ -59,12 +59,12 @@
 //   xrbench_cli --program-config examples/configs/handoff_program.ini
 //   xrbench_cli --hw-config my_chip.ini --csv scores.csv
 
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/harness.h"
@@ -76,6 +76,7 @@
 #include "fleet/fleet_workload.h"
 #include "hw/config_io.h"
 #include "runtime/policy_registry.h"
+#include "util/ini.h"
 #include "util/table.h"
 #include "workload/scenario_io.h"
 
@@ -90,25 +91,19 @@ namespace {
   std::exit(2);
 }
 
-/// The value of numeric flag `flag`. std::stod reads "nan" and "inf",
-/// which no flag can mean.
-double finite_value(const std::string& flag, const std::string& text) {
-  const double value = std::stod(text);
-  if (!std::isfinite(value)) {
-    usage_error(flag + " must be a finite number, got '" + text + "'");
+/// The value of numeric flag `flag`: exactly one finite number that fits
+/// in T (util::parse_number).
+template <typename T>
+T number(const std::string& flag, const std::string& text) {
+  const auto value = util::parse_number<T>(text);
+  if (!value) {
+    usage_error(flag + " is not " +
+                (std::is_same_v<T, double>          ? "a finite number"
+                 : std::is_same_v<T, std::uint64_t> ? "a non-negative integer"
+                                                    : "an integer") +
+                ": '" + text + "'");
   }
-  return value;
-}
-
-/// `text`, unless it is negative: std::stoull and std::stoul would wrap a
-/// leading '-' round to a huge unsigned value.
-const std::string& unsigned_text(const std::string& flag,
-                                 const std::string& text) {
-  const auto first = text.find_first_not_of(" \t\n\v\f\r");
-  if (first != std::string::npos && text[first] == '-') {
-    usage_error(flag + " must not be negative, got '" + text + "'");
-  }
-  return text;
+  return *value;
 }
 
 /// Registry-backed name checks: unknown policies fail fast at flag-parse
@@ -208,8 +203,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     try {
-      if (arg == "--accel") accel_id = next()[0];
-      else if (arg == "--pes") pes = std::stoll(next());
+      if (arg == "--accel") {
+        const std::string id = next();
+        if (id.size() != 1) {
+          usage_error("--accel must be one design letter A..M, got '" + id +
+                      "'");
+        }
+        accel_id = id[0];
+      }
+      else if (arg == "--pes") pes = number<std::int64_t>(arg, next());
       else if (arg == "--hw-config") hw_config = next();
       else if (arg == "--scenario") scenario_name = next();
       else if (arg == "--scenario-config") scenario_config = next();
@@ -228,42 +230,43 @@ int main(int argc, char** argv) {
         admission_flag = true;
       }
       else if (arg == "--fault-rate")
-        opt.run.faults.transient_rate = finite_value(arg, next());
+        opt.run.faults.transient_rate = number<double>(arg, next());
       else if (arg == "--fault-retries")
-        opt.run.faults.max_retries = std::stoi(next());
+        opt.run.faults.max_retries = number<int>(arg, next());
       else if (arg == "--fault-backoff")
-        opt.run.faults.retry_backoff_ms = finite_value(arg, next());
+        opt.run.faults.retry_backoff_ms = number<double>(arg, next());
       else if (arg == "--fault-outage-rate")
-        opt.run.faults.outage_rate_per_s = finite_value(arg, next());
+        opt.run.faults.outage_rate_per_s = number<double>(arg, next());
       else if (arg == "--fault-outage-ms")
-        opt.run.faults.outage_ms = finite_value(arg, next());
+        opt.run.faults.outage_ms = number<double>(arg, next());
       else if (arg == "--fault-throttle-rate")
-        opt.run.faults.throttle_rate_per_s = finite_value(arg, next());
+        opt.run.faults.throttle_rate_per_s = number<double>(arg, next());
       else if (arg == "--fault-throttle-ms")
-        opt.run.faults.throttle_ms = finite_value(arg, next());
+        opt.run.faults.throttle_ms = number<double>(arg, next());
       else if (arg == "--fault-throttle-level")
-        opt.run.faults.throttle_max_level = static_cast<std::size_t>(
-            std::stoul(unsigned_text(arg, next())));
+        opt.run.faults.throttle_max_level =
+            static_cast<std::size_t>(number<std::uint64_t>(arg, next()));
       else if (arg == "--fault-checkpoint")
         opt.run.faults.checkpoint = true;
       else if (arg == "--fault-checkpoint-overhead")
-        opt.run.faults.checkpoint_overhead_ms = finite_value(arg, next());
+        opt.run.faults.checkpoint_overhead_ms = number<double>(arg, next());
       else if (arg == "--duration")
-        opt.run.duration_ms = finite_value(arg, next());
+        opt.run.duration_ms = number<double>(arg, next());
       else if (arg == "--trials") {
-        opt.dynamic_trials = std::stoi(next());
+        opt.dynamic_trials = number<int>(arg, next());
         if (opt.dynamic_trials < 1) {
           usage_error("--trials must be at least 1, got '" +
                       std::string(argv[i]) + "'");
         }
       }
       else if (arg == "--seed") {
-        opt.run.seed = std::stoull(unsigned_text(arg, next()));
+        opt.run.seed = number<std::uint64_t>(arg, next());
         seed_flag = true;
       }
       else if (arg == "--no-jitter") opt.run.enable_jitter = false;
-      else if (arg == "--enmax") opt.score.enmax_mj = finite_value(arg, next());
-      else if (arg == "--k") opt.score.k = finite_value(arg, next());
+      else if (arg == "--enmax")
+        opt.score.enmax_mj = number<double>(arg, next());
+      else if (arg == "--k") opt.score.k = number<double>(arg, next());
       else if (arg == "--csv") csv_path = next();
       else if (arg == "--energy-csv") energy_csv_path = next();
       else if (arg == "--timeline") timeline = true;
@@ -276,8 +279,6 @@ int main(int argc, char** argv) {
       else usage_error("unknown option '" + arg + "'");
     } catch (const std::invalid_argument& e) {
       usage_error(e.what());
-    } catch (const std::out_of_range&) {
-      usage_error("value out of range for " + arg + ": '" + argv[i] + "'");
     }
   }
 

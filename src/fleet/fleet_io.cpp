@@ -1,8 +1,6 @@
 #include "fleet/fleet_io.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -13,41 +11,7 @@
 namespace xrbench::fleet {
 namespace {
 
-[[noreturn]] void reject(const std::string& what, int line) {
-  throw std::invalid_argument("fleet config: " + what + " (line " +
-                              std::to_string(line) + ")");
-}
-
-/// get_double with the key's source line appended to parse failures (the
-/// ini layer reports section+key but not where).
-double get_double_at(const util::IniDocument::Section& sec,
-                     const std::string& key) {
-  try {
-    return sec.get_double(key);
-  } catch (const std::invalid_argument& e) {
-    reject(e.what(), sec.line_of(key));
-  }
-}
-
-std::int64_t get_int_at(const util::IniDocument::Section& sec,
-                        const std::string& key) {
-  try {
-    return sec.get_int(key);
-  } catch (const std::invalid_argument& e) {
-    reject(e.what(), sec.line_of(key));
-  }
-}
-
-/// A pool size or session cap, which must lie in [1, kMaxFleetSessions].
-std::size_t get_count_at(const util::IniDocument::Section& sec,
-                         const std::string& key) {
-  const std::int64_t n = get_int_at(sec, key);
-  if (n < 1 || static_cast<std::uint64_t>(n) > kMaxFleetSessions) {
-    reject(key + " must be in [1, " + std::to_string(kMaxFleetSessions) + "]",
-           sec.line_of(key));
-  }
-  return static_cast<std::size_t>(n);
-}
+using Section = util::IniDocument::Section;
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t");
@@ -56,14 +20,17 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-std::vector<std::string> split_names(const std::string& csv, int line) {
+std::vector<std::string> split_names(const Section& sec) {
+  const std::string& csv = sec.get("programs");
   std::vector<std::string> names;
   std::size_t start = 0;
   while (start <= csv.size()) {
     const auto comma = csv.find(',', start);
     const auto end = comma == std::string::npos ? csv.size() : comma;
     const std::string name = trim(csv.substr(start, end - start));
-    if (name.empty()) reject("empty program name in 'programs'", line);
+    if (name.empty()) {
+      sec.reject("programs", "empty program name in 'programs'");
+    }
     names.push_back(name);
     if (comma == std::string::npos) break;
     start = comma + 1;
@@ -71,69 +38,124 @@ std::vector<std::string> split_names(const std::string& csv, int line) {
   return names;
 }
 
-void parse_fleet_section(const util::IniDocument::Section& sec,
-                         FleetConfig& config) {
+void parse_fleet_section(const Section& sec, FleetConfig& config) {
+  constexpr auto kMaxCount = static_cast<std::int64_t>(kMaxFleetSessions);
   for (const auto& entry : sec.entries) {
     const std::string& key = entry.key;
     if (key == "seed") {
-      const std::int64_t seed = get_int_at(sec, key);
-      if (seed < 0) reject("seed must be >= 0", sec.line_of(key));
-      config.seed = static_cast<std::uint64_t>(seed);
+      config.seed = static_cast<std::uint64_t>(sec.get_int(key, 0));
     } else if (key == "arrival_rate_per_s") {
-      config.arrival_rate_per_s = get_double_at(sec, key);
-      if (!std::isfinite(config.arrival_rate_per_s) ||
-          config.arrival_rate_per_s <= 0.0) {
-        reject("arrival_rate_per_s must be finite and > 0", sec.line_of(key));
-      }
+      config.arrival_rate_per_s =
+          sec.get_double(key, 0.0, util::kUnbounded, /*lo_open=*/true);
     } else if (key == "zipf_s") {
-      config.zipf_s = get_double_at(sec, key);
-      if (!std::isfinite(config.zipf_s) || config.zipf_s < 0.0) {
-        reject("zipf_s must be finite and >= 0", sec.line_of(key));
-      }
+      config.zipf_s = sec.get_double(key, 0.0);
     } else if (key == "pool_size") {
-      config.pool_size = get_count_at(sec, key);
+      config.pool_size =
+          static_cast<std::size_t>(sec.get_int(key, 1, kMaxCount));
     } else if (key == "arrival_window_ms") {
-      config.arrival_window_ms = get_double_at(sec, key);
-      if (!std::isfinite(config.arrival_window_ms) ||
-          config.arrival_window_ms <= 0.0) {
-        reject("arrival_window_ms must be finite and > 0", sec.line_of(key));
-      }
+      config.arrival_window_ms =
+          sec.get_double(key, 0.0, util::kUnbounded, /*lo_open=*/true);
     } else if (key == "max_sessions") {
-      config.max_sessions = get_count_at(sec, key);
+      config.max_sessions =
+          static_cast<std::size_t>(sec.get_int(key, 1, kMaxCount));
     } else if (key == "admission") {
-      config.admission = trim(entry.value);
+      config.admission = entry.value;
     } else if (key == "scheduler") {
-      config.scheduler = trim(entry.value);
+      config.scheduler = entry.value;
     } else if (key == "governor") {
-      config.governor = trim(entry.value);
+      config.governor = entry.value;
     } else if (key == "programs") {
-      config.programs = split_names(entry.value, sec.line_of(key));
+      config.programs = split_names(sec);
     } else {
-      reject("unknown [fleet] key '" + key + "'", entry.line);
+      sec.reject(key, "unknown [fleet] key '" + key + "'");
     }
   }
 }
 
-PriorityClassSpec parse_class_section(
-    const util::IniDocument::Section& sec) {
+PriorityClassSpec parse_class_section(const Section& sec) {
   PriorityClassSpec cls;
   for (const auto& entry : sec.entries) {
     if (entry.key == "weight") {
-      cls.weight = get_double_at(sec, entry.key);
-      if (!std::isfinite(cls.weight) || cls.weight <= 0.0) {
-        reject("class weight must be finite and > 0", sec.line_of(entry.key));
-      }
+      cls.weight =
+          sec.get_double("weight", 0.0, util::kUnbounded, /*lo_open=*/true);
     } else if (entry.key == "wait_budget_ms") {
-      cls.wait_budget_ms = get_double_at(sec, entry.key);
-      if (!std::isfinite(cls.wait_budget_ms) || cls.wait_budget_ms < 0.0) {
-        reject("class wait_budget_ms must be finite and >= 0",
-               sec.line_of(entry.key));
-      }
+      cls.wait_budget_ms = sec.get_double("wait_budget_ms", 0.0);
     } else {
-      reject("unknown [class] key '" + entry.key + "'", entry.line);
+      sec.reject(entry.key, "unknown [class] key '" + entry.key + "'");
     }
   }
   return cls;
+}
+
+FleetSetup fleet_from_document(const util::IniDocument& doc) {
+  if (!doc.has_section("fleet")) {
+    throw std::invalid_argument("fleet config: missing [fleet] section");
+  }
+  const auto& fleet = doc.section("fleet");
+
+  FleetSetup setup;
+  parse_fleet_section(fleet, setup.config);
+
+  // Sections beyond [fleet]/[class] belong to the inline session-program
+  // grammar; anything else is a typo worth a line number.
+  bool has_program_sections = false;  // anything the program grammar owns
+  double weight_sum = 0.0;
+  for (const auto& sec : doc.all_sections()) {
+    if (sec.name == "fleet") continue;
+    if (sec.name == "class") {
+      setup.config.classes.push_back(parse_class_section(sec));
+      weight_sum += setup.config.classes.back().weight;
+      if (!std::isfinite(weight_sum)) {
+        sec.reject("", "class weights overflow their sum");
+      }
+    } else if (sec.name == "program" || sec.name == "phase" ||
+               sec.name == "faults") {
+      // A [phase]/[faults] without a [program] must reach the program
+      // parser so it is rejected with its source line, not ignored.
+      has_program_sections = true;
+    } else if (sec.name != "scenario" && sec.name != "model") {
+      sec.reject("", "unexpected [" + sec.name + "] section");
+    }
+  }
+
+  std::vector<workload::ScenarioProgram> inline_programs;
+  if (has_program_sections) {
+    inline_programs = workload::programs_from_document(doc);
+  }
+
+  if (!setup.config.programs.empty()) {
+    // Named catalog: inline definitions first, then the registry.
+    for (const auto& name : setup.config.programs) {
+      const workload::ScenarioProgram* found = nullptr;
+      for (const auto& program : inline_programs) {
+        if (program.name == name) {
+          found = &program;
+          break;
+        }
+      }
+      if (found == nullptr) {
+        try {
+          found = &workload::program_by_name(name);
+        } catch (const std::invalid_argument& e) {
+          fleet.reject("programs", e.what());
+        }
+      }
+      setup.catalog.push_back(*found);
+    }
+  } else if (!inline_programs.empty()) {
+    setup.catalog = std::move(inline_programs);
+  } else {
+    setup.catalog = resolve_catalog(setup.config);
+  }
+  for (const auto& program : setup.catalog) {
+    if (program.total_duration_ms() <= 0.0) {
+      throw std::invalid_argument("fleet config: program '" + program.name +
+                                  "' has no duration");
+    }
+  }
+
+  validate_fleet_config(setup.config);
+  return setup;
 }
 
 }  // namespace
@@ -168,69 +190,7 @@ std::string to_config_text(const FleetConfig& config) {
 }
 
 FleetSetup fleet_from_config_text(const std::string& text) {
-  const auto doc = util::IniDocument::parse(text);
-  if (!doc.has_section("fleet")) {
-    throw std::invalid_argument("fleet config: missing [fleet] section");
-  }
-
-  FleetSetup setup;
-  parse_fleet_section(doc.section("fleet"), setup.config);
-
-  // Sections beyond [fleet]/[class] belong to the inline session-program
-  // grammar; anything else is a typo worth a line number.
-  bool has_program_sections = false;  // anything the program grammar owns
-  double weight_sum = 0.0;
-  for (const auto& sec : doc.all_sections()) {
-    if (sec.name == "fleet") continue;
-    if (sec.name == "class") {
-      setup.config.classes.push_back(parse_class_section(sec));
-      weight_sum += setup.config.classes.back().weight;
-      if (!std::isfinite(weight_sum)) {
-        reject("class weights overflow their sum", sec.line);
-      }
-    } else if (sec.name == "program" || sec.name == "phase" ||
-               sec.name == "faults") {
-      // A [phase]/[faults] without a [program] must reach the program
-      // parser so it is rejected with its source line, not ignored.
-      has_program_sections = true;
-    } else if (sec.name != "scenario" && sec.name != "model") {
-      reject("unexpected [" + sec.name + "] section", sec.line);
-    }
-  }
-
-  std::vector<workload::ScenarioProgram> inline_programs;
-  if (has_program_sections) {
-    inline_programs = workload::programs_from_document(doc);
-  }
-
-  if (!setup.config.programs.empty()) {
-    // Named catalog: inline definitions first, then the registry.
-    for (const auto& name : setup.config.programs) {
-      const workload::ScenarioProgram* found = nullptr;
-      for (const auto& program : inline_programs) {
-        if (program.name == name) {
-          found = &program;
-          break;
-        }
-      }
-      setup.catalog.push_back(found != nullptr
-                                  ? *found
-                                  : workload::program_by_name(name));
-    }
-  } else if (!inline_programs.empty()) {
-    setup.catalog = std::move(inline_programs);
-  } else {
-    setup.catalog = resolve_catalog(setup.config);
-  }
-  for (const auto& program : setup.catalog) {
-    if (program.total_duration_ms() <= 0.0) {
-      throw std::invalid_argument("fleet config: program '" + program.name +
-                                  "' has no duration");
-    }
-  }
-
-  validate_fleet_config(setup.config);
-  return setup;
+  return fleet_from_document(util::IniDocument::parse(text, "fleet config"));
 }
 
 void save_fleet(const FleetConfig& config,
@@ -239,13 +199,7 @@ void save_fleet(const FleetConfig& config,
 }
 
 FleetSetup load_fleet(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("fleet config: cannot read " + path.string());
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return fleet_from_config_text(ss.str());
+  return fleet_from_document(util::IniDocument::load(path, "fleet config"));
 }
 
 }  // namespace xrbench::fleet

@@ -1,7 +1,5 @@
 #include "hw/config_io.h"
 
-#include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -20,108 +18,55 @@ namespace {
 /// clock with exact equality — a lower-precision clock write would make the
 /// library reject its own output for non-short-decimal clocks.
 using util::fmt_double_exact;
+using Section = util::IniDocument::Section;
 
-[[noreturn]] void config_error(int line, const std::string& message) {
-  throw std::invalid_argument("accelerator config line " +
-                              std::to_string(line) + ": " + message);
-}
-
-/// Reads `key` of `sec` as a finite number > 0, rejecting NaN, +-inf and
-/// non-positive values with the key's source line.
-double positive_double(const util::IniDocument::Section& sec,
-                       const std::string& key) {
-  const double v = sec.get_double(key);
-  if (!std::isfinite(v) || v <= 0.0) {
-    config_error(sec.line_of(key),
-                 key + " must be a finite number > 0, got '" + sec.get(key) +
-                     "'");
-  }
-  return v;
-}
-
-/// Reads `key` of `sec` as a finite number >= 0, rejecting NaN, +-inf and
-/// negative values with the key's source line.
-double non_negative_double(const util::IniDocument::Section& sec,
-                           const std::string& key) {
-  const double v = sec.get_double(key);
-  if (!std::isfinite(v) || v < 0.0) {
-    config_error(sec.line_of(key),
-                 key + " must be a finite number >= 0, got '" + sec.get(key) +
-                     "'");
-  }
-  return v;
-}
-
-/// Parses "f1@v1, f2@v2, ..." into an operating-point list, enforcing a
-/// strictly-ascending positive V/f ladder of at most kMaxDvfsLevels points.
-/// `line` is the source line of the dvfs_levels key, reported in every
-/// rejection.
-std::vector<DvfsOperatingPoint> parse_dvfs_levels(const std::string& text,
-                                                  int line) {
+/// Parses the dvfs_levels key, "f1@v1, f2@v2, ...", into a strictly
+/// ascending ladder of at most kMaxDvfsLevels finite, positive points.
+std::vector<DvfsOperatingPoint> parse_dvfs_levels(const Section& sec) {
   std::vector<DvfsOperatingPoint> levels;
-  std::istringstream in(text);
+  std::istringstream in(sec.get("dvfs_levels"));
   std::string token;
   while (std::getline(in, token, ',')) {
     if (levels.size() == kMaxDvfsLevels) {
-      config_error(line, "dvfs_levels must list at most " +
-                             std::to_string(kMaxDvfsLevels) +
-                             " operating points");
+      sec.reject("dvfs_levels", "dvfs_levels must list at most " +
+                                    std::to_string(kMaxDvfsLevels) +
+                                    " operating points");
     }
     const auto at = token.find('@');
-    if (at == std::string::npos) {
-      config_error(line,
-                   "dvfs_levels entries must be freq_ghz@voltage_v, got '" +
-                       token + "'");
+    const auto freq = util::parse_number<double>(token.substr(0, at));
+    const auto volt = at == std::string::npos
+                          ? std::nullopt
+                          : util::parse_number<double>(token.substr(at + 1));
+    if (!freq || !volt || *freq <= 0.0 || *volt <= 0.0) {
+      sec.reject("dvfs_levels",
+                 "dvfs_levels entries must be freq_ghz@voltage_v with "
+                 "finite numbers > 0, got '" + token + "'");
     }
-    DvfsOperatingPoint op;
-    try {
-      std::size_t fpos = 0, vpos = 0;
-      const std::string fstr = token.substr(0, at);
-      const std::string vstr = token.substr(at + 1);
-      op.freq_ghz = std::stod(fstr, &fpos);
-      op.voltage_v = std::stod(vstr, &vpos);
-      if (fstr.find_first_not_of(" \t", fpos) != std::string::npos ||
-          vstr.find_first_not_of(" \t", vpos) != std::string::npos) {
-        throw std::invalid_argument("trailing characters");
-      }
-    } catch (const std::exception&) {
-      config_error(line, "dvfs_levels entry '" + token + "' is not numeric");
+    if (!levels.empty() && *freq <= levels.back().freq_ghz) {
+      sec.reject("dvfs_levels",
+                 "dvfs_levels must be strictly ascending in frequency (" +
+                     fmt_double_exact(*freq) + " GHz after " +
+                     fmt_double_exact(levels.back().freq_ghz) + " GHz)");
     }
-    if (!std::isfinite(op.freq_ghz) || op.freq_ghz <= 0.0 ||
-        !std::isfinite(op.voltage_v) || op.voltage_v <= 0.0) {
-      config_error(line, "dvfs_levels frequencies and voltages must be "
-                         "finite and > 0");
-    }
-    if (!levels.empty() && op.freq_ghz <= levels.back().freq_ghz) {
-      config_error(line,
-                   "dvfs_levels must be strictly ascending in frequency (" +
-                       fmt_double_exact(op.freq_ghz) + " GHz after " +
-                       fmt_double_exact(levels.back().freq_ghz) + " GHz)");
-    }
-    levels.push_back(op);
+    levels.push_back({*freq, *volt});
   }
   if (levels.empty()) {
-    config_error(line, "dvfs_levels must list at least one operating point");
+    sec.reject("dvfs_levels",
+               "dvfs_levels must list at least one operating point");
   }
   return levels;
 }
 
 /// Reads the optional DVFS keys of one [sub_accel] section into a DvfsState
 /// anchored at `clock_ghz`.
-DvfsState parse_dvfs(const util::IniDocument::Section& sec, double clock_ghz) {
+DvfsState parse_dvfs(const Section& sec, double clock_ghz) {
   DvfsState dvfs;
   if (sec.has("dvfs_levels")) {
-    const int line = sec.line_of("dvfs_levels");
-    dvfs.levels = parse_dvfs_levels(sec.get("dvfs_levels"), line);
+    dvfs.levels = parse_dvfs_levels(sec);
     if (sec.has("dvfs_nominal")) {
-      const std::int64_t nominal = sec.get_int("dvfs_nominal");
-      if (nominal < 0 ||
-          nominal >= static_cast<std::int64_t>(dvfs.levels.size())) {
-        config_error(sec.line_of("dvfs_nominal"),
-                     "dvfs_nominal must index a dvfs_levels entry (0.." +
-                         std::to_string(dvfs.levels.size() - 1) + ")");
-      }
-      dvfs.nominal_level = static_cast<std::size_t>(nominal);
+      dvfs.nominal_level = static_cast<std::size_t>(sec.get_int(
+          "dvfs_nominal", 0,
+          static_cast<std::int64_t>(dvfs.levels.size()) - 1));
     } else {
       // Default: the level whose frequency equals the chip clock.
       std::size_t anchored = dvfs.levels.size();
@@ -129,76 +74,117 @@ DvfsState parse_dvfs(const util::IniDocument::Section& sec, double clock_ghz) {
         if (dvfs.levels[i].freq_ghz == clock_ghz) anchored = i;
       }
       if (anchored == dvfs.levels.size()) {
-        config_error(line,
-                     "dvfs_levels has no level at the chip clock; set "
-                     "dvfs_nominal explicitly or add a clock-rate level");
+        sec.reject("dvfs_levels",
+                   "dvfs_levels has no level at the chip clock; set "
+                   "dvfs_nominal explicitly or add a clock-rate level");
       }
       dvfs.nominal_level = anchored;
     }
     if (!dvfs.anchored_at(clock_ghz)) {
-      config_error(line,
-                   "the nominal dvfs level must run at the chip clock (" +
-                       fmt_double_exact(clock_ghz) +
-                       " GHz) to keep nominal costs bit-identical to the "
-                       "fixed-clock path");
+      sec.reject("dvfs_levels",
+                 "the nominal dvfs level must run at the chip clock (" +
+                     fmt_double_exact(clock_ghz) +
+                     " GHz) to keep nominal costs bit-identical to the "
+                     "fixed-clock path");
     }
   }
   if (sec.has("dvfs_transition_ms")) {
-    dvfs.transition_ms = non_negative_double(sec, "dvfs_transition_ms");
+    dvfs.transition_ms = sec.get_double("dvfs_transition_ms", 0.0);
   }
   if (sec.has("dvfs_idle_mw")) {
-    dvfs.idle_mw = non_negative_double(sec, "dvfs_idle_mw");
+    dvfs.idle_mw = sec.get_double("dvfs_idle_mw", 0.0);
   }
   return dvfs;
 }
 
 /// Parses one [fault_domain] section's `members` key — a comma list of
 /// sub-accelerator indices — validating every index against `num_sub_accels`
-/// and against `claimed` (a unit may belong to at most one domain). All
-/// rejections carry the 1-based source line of the members key, matching
-/// the [faults]/dvfs error convention.
-std::vector<std::size_t> parse_fault_domain(
-    const util::IniDocument::Section& sec, std::size_t num_sub_accels,
-    std::vector<char>& claimed) {
-  if (!sec.has("members")) {
-    throw std::invalid_argument(
-        "accelerator config: [fault_domain] requires a members key");
-  }
-  const int line = sec.line_of("members");
-  auto fail = [line](const std::string& msg) {
-    config_error(line, msg);
-  };
+/// and against `claimed` (a unit may belong to at most one domain).
+std::vector<std::size_t> parse_fault_domain(const Section& sec,
+                                            std::size_t num_sub_accels,
+                                            std::vector<char>& claimed) {
   std::vector<std::size_t> members;
   std::istringstream in(sec.get("members"));
   std::string token;
   while (std::getline(in, token, ',')) {
-    std::int64_t index = 0;
-    try {
-      std::size_t pos = 0;
-      index = std::stoll(token, &pos);
-      if (token.find_first_not_of(" \t", pos) != std::string::npos) {
-        throw std::invalid_argument("trailing characters");
-      }
-    } catch (const std::exception&) {
-      fail("fault_domain members entry '" + token + "' is not an integer");
+    const auto index = util::parse_number<std::int64_t>(token);
+    if (!index) {
+      sec.reject("members", "fault_domain members entry '" + token +
+                                "' is not an integer");
     }
-    if (index < 0 || index >= static_cast<std::int64_t>(num_sub_accels)) {
-      fail("fault_domain member " + std::to_string(index) +
-           " does not name a [sub_accel] (system has " +
-           std::to_string(num_sub_accels) + ")");
+    if (*index < 0 || *index >= static_cast<std::int64_t>(num_sub_accels)) {
+      sec.reject("members", "fault_domain member " + std::to_string(*index) +
+                                " does not name a [sub_accel] (system has " +
+                                std::to_string(num_sub_accels) + ")");
     }
-    const auto sa = static_cast<std::size_t>(index);
+    const auto sa = static_cast<std::size_t>(*index);
     if (claimed[sa] != 0) {
-      fail("sub-accelerator " + std::to_string(index) +
-           " already belongs to a fault domain");
+      sec.reject("members", "sub-accelerator " + std::to_string(sa) +
+                                " already belongs to a fault domain");
     }
     claimed[sa] = 1;
     members.push_back(sa);
   }
   if (members.empty()) {
-    fail("fault_domain members must list at least one sub-accelerator");
+    sec.reject("members",
+               "fault_domain members must list at least one sub-accelerator");
   }
   return members;
+}
+
+AcceleratorSystem from_document(const util::IniDocument& doc) {
+  const auto& chip = doc.section("chip");
+
+  AcceleratorSystem system;
+  system.id = chip.get_or("id", "custom");
+  system.style = chip.has("style")
+                     ? chip.get_as("style", parse_accel_style)
+                     : AccelStyle::kFDA;
+  system.dataflow_desc = chip.get_or("dataflow_desc", "");
+  const double clock =
+      chip.has("clock_ghz")
+          ? chip.get_double("clock_ghz", 0.0, util::kUnbounded,
+                            /*lo_open=*/true)
+          : 1.0;
+
+  if (doc.has_section("faults")) {
+    system.faults = runtime::parse_fault_section(doc.section("faults"));
+  }
+
+  const auto subs = doc.sections("sub_accel");
+  if (subs.empty()) {
+    chip.reject("", "at least one [sub_accel] section is required");
+  }
+  // sram_kib * 1024 must not overflow a signed byte count.
+  constexpr std::int64_t kMaxSramKib =
+      std::numeric_limits<std::int64_t>::max() / 1024;
+  std::size_t index = 0;
+  for (const auto* sec : subs) {
+    costmodel::SubAccelConfig sa;
+    sa.id = system.id + "." + std::to_string(index++);
+    sa.dataflow = sec->get_as("dataflow", costmodel::parse_dataflow);
+    sa.num_pes = sec->get_int("num_pes", 1);
+    sa.clock_ghz = clock;
+    sa.noc_bytes_per_cycle =
+        sec->get_double("noc_gbps", 0.0, util::kUnbounded, true) / clock;
+    sa.offchip_bytes_per_cycle =
+        sec->get_double("offchip_gbps", 0.0, util::kUnbounded, true) / clock;
+    sa.sram_bytes = sec->get_int("sram_kib", 1, kMaxSramKib) * 1024;
+    sa.dvfs = parse_dvfs(*sec, clock);
+    if (!sa.valid()) {
+      // Every key passed its own check, so a bandwidth over- or underflowed
+      // when converted to bytes per cycle at the chip clock.
+      sec->reject("", "invalid [sub_accel] resources for " + sa.id +
+                          ": a bandwidth per clock cycle is out of range");
+    }
+    system.sub_accels.push_back(std::move(sa));
+  }
+  std::vector<char> claimed(system.sub_accels.size(), 0);
+  for (const auto* sec : doc.sections("fault_domain")) {
+    system.fault_domains.push_back(
+        parse_fault_domain(*sec, system.sub_accels.size(), claimed));
+  }
+  return system;
 }
 
 }  // namespace
@@ -265,66 +251,8 @@ std::string to_config_text(const AcceleratorSystem& system) {
 }
 
 AcceleratorSystem from_config_text(const std::string& text) {
-  const auto doc = util::IniDocument::parse(text);
-  const auto& chip = doc.section("chip");
-
-  AcceleratorSystem system;
-  system.id = chip.get_or("id", "custom");
-  system.style = parse_accel_style(chip.get_or("style", "FDA"));
-  system.dataflow_desc = chip.get_or("dataflow_desc", "");
-  const double clock =
-      chip.has("clock_ghz") ? positive_double(chip, "clock_ghz") : 1.0;
-
-  if (doc.has_section("faults")) {
-    system.faults =
-        runtime::parse_fault_section(doc.section("faults"), "accelerator config");
-  }
-
-  const auto subs = doc.sections("sub_accel");
-  if (subs.empty()) {
-    throw std::invalid_argument(
-        "accelerator config: at least one [sub_accel] section is required");
-  }
-  std::size_t index = 0;
-  for (const auto* sec : subs) {
-    costmodel::SubAccelConfig sa;
-    sa.id = system.id + "." + std::to_string(index++);
-    sa.dataflow = costmodel::parse_dataflow(sec->get("dataflow"));
-    sa.num_pes = sec->get_int("num_pes");
-    if (sa.num_pes <= 0) {
-      config_error(sec->line_of("num_pes"), "num_pes must be > 0");
-    }
-    sa.clock_ghz = clock;
-    sa.noc_bytes_per_cycle = positive_double(*sec, "noc_gbps") / clock;
-    sa.offchip_bytes_per_cycle = positive_double(*sec, "offchip_gbps") / clock;
-    // Checked before the multiply: a signed overflow is undefined.
-    constexpr std::int64_t kMaxSramKib =
-        std::numeric_limits<std::int64_t>::max() / 1024;
-    const std::int64_t sram_kib = sec->get_int("sram_kib");
-    if (sram_kib <= 0 || sram_kib > kMaxSramKib) {
-      config_error(sec->line_of("sram_kib"),
-                   "sram_kib must be in 1.." + std::to_string(kMaxSramKib));
-    }
-    sa.sram_bytes = sram_kib * 1024;
-    sa.dvfs = parse_dvfs(*sec, clock);
-    if (!sa.valid()) {
-      // Every key passed its own check, so a bandwidth over- or underflowed
-      // when converted to bytes per cycle at the chip clock.
-      config_error(sec->line, "invalid [sub_accel] resources for " + sa.id +
-                                  ": a bandwidth per clock cycle is out of "
-                                  "range");
-    }
-    system.sub_accels.push_back(std::move(sa));
-  }
-  const auto domains = doc.sections("fault_domain");
-  if (!domains.empty()) {
-    std::vector<char> claimed(system.sub_accels.size(), 0);
-    for (const auto* sec : domains) {
-      system.fault_domains.push_back(
-          parse_fault_domain(*sec, system.sub_accels.size(), claimed));
-    }
-  }
-  return system;
+  return from_document(
+      util::IniDocument::parse(text, "accelerator config"));
 }
 
 void save_accelerator(const AcceleratorSystem& system,
@@ -333,13 +261,7 @@ void save_accelerator(const AcceleratorSystem& system,
 }
 
 AcceleratorSystem load_accelerator(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_accelerator: cannot read " + path.string());
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return from_config_text(ss.str());
+  return from_document(util::IniDocument::load(path, "accelerator config"));
 }
 
 }  // namespace xrbench::hw

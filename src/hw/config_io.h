@@ -36,17 +36,19 @@ namespace xrbench::hw {
 ///   retry_backoff_ms = 2   ; pre-fault output)
 ///
 /// Ratios/partitioning are explicit per sub-accelerator, so arbitrary
-/// systems beyond Table 5 can be described. Malformed DVFS ladders
-/// (non-monotonic frequencies, non-positive voltages, out-of-range or
-/// unanchored nominal) and malformed [faults] keys are rejected with the
-/// offending line number.
+/// systems beyond Table 5 can be described. Every rejection reads
+/// "accelerator config line N: ..." (util::IniDocument): a malformed or
+/// out-of-range key, DVFS ladder (non-monotonic frequencies, non-positive
+/// voltages, out-of-range or unanchored nominal), [faults] key or
+/// [fault_domain] member names its own line; a bandwidth that over- or
+/// underflows bytes per cycle at the chip clock names its [sub_accel].
 
 /// Serializes a system to INI text.
 std::string to_config_text(const AcceleratorSystem& system);
 
 /// Parses a system from INI text. Throws std::invalid_argument on
 /// malformed configs (no sub-accelerators, bad dataflow, non-positive
-/// resources).
+/// resources), or std::out_of_range for a missing key.
 AcceleratorSystem from_config_text(const std::string& text);
 
 /// File variants.

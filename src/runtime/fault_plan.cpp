@@ -1,6 +1,7 @@
 #include "runtime/fault_plan.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/rng.h"
@@ -161,78 +162,44 @@ std::optional<std::size_t> FaultInjector::throttle_cap(std::size_t sub_accel,
   return std::nullopt;
 }
 
-FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
-                              const std::string& context) {
-  auto fail = [&](const std::string& key, const std::string& msg) {
-    throw std::invalid_argument(context + " line " +
-                                std::to_string(sec.line_of(key)) + ": " + msg);
-  };
-  // NaN passes every range check below, and an infinite rate or window
-  // has no schedule, so each number must be finite first.
-  auto number = [&](const std::string& key) {
-    const double v = sec.get_double(key);
-    if (!std::isfinite(v)) fail(key, key + " must be finite");
-    return v;
-  };
+FaultSpec parse_fault_section(const util::IniDocument::Section& sec) {
   FaultSpec spec;
   if (sec.has("transient_rate")) {
-    spec.transient_rate = number("transient_rate");
-    if (spec.transient_rate < 0.0 || spec.transient_rate > 1.0) {
-      fail("transient_rate", "transient_rate must be in [0, 1]");
-    }
+    spec.transient_rate = sec.get_double("transient_rate", 0.0, 1.0);
   }
   if (sec.has("outage_rate_per_s")) {
-    spec.outage_rate_per_s = number("outage_rate_per_s");
-    if (spec.outage_rate_per_s < 0.0) {
-      fail("outage_rate_per_s", "outage_rate_per_s must be >= 0");
-    }
+    spec.outage_rate_per_s = sec.get_double("outage_rate_per_s", 0.0);
   }
-  if (sec.has("outage_ms")) {
-    spec.outage_ms = number("outage_ms");
-    if (spec.outage_ms < 0.0) fail("outage_ms", "outage_ms must be >= 0");
-  }
+  if (sec.has("outage_ms")) spec.outage_ms = sec.get_double("outage_ms", 0.0);
   if (spec.outage_rate_per_s > 0.0 && spec.outage_ms <= 0.0) {
-    fail(sec.has("outage_ms") ? "outage_ms" : "outage_rate_per_s",
-         "outage_ms must be > 0 when outage_rate_per_s > 0");
+    sec.reject(sec.has("outage_ms") ? "outage_ms" : "outage_rate_per_s",
+               "outage_ms must be > 0 when outage_rate_per_s > 0");
   }
   if (sec.has("throttle_rate_per_s")) {
-    spec.throttle_rate_per_s = number("throttle_rate_per_s");
-    if (spec.throttle_rate_per_s < 0.0) {
-      fail("throttle_rate_per_s", "throttle_rate_per_s must be >= 0");
-    }
+    spec.throttle_rate_per_s = sec.get_double("throttle_rate_per_s", 0.0);
   }
   if (sec.has("throttle_ms")) {
-    spec.throttle_ms = number("throttle_ms");
-    if (spec.throttle_ms < 0.0) fail("throttle_ms", "throttle_ms must be >= 0");
+    spec.throttle_ms = sec.get_double("throttle_ms", 0.0);
   }
   if (spec.throttle_rate_per_s > 0.0 && spec.throttle_ms <= 0.0) {
-    fail(sec.has("throttle_ms") ? "throttle_ms" : "throttle_rate_per_s",
-         "throttle_ms must be > 0 when throttle_rate_per_s > 0");
+    sec.reject(sec.has("throttle_ms") ? "throttle_ms" : "throttle_rate_per_s",
+               "throttle_ms must be > 0 when throttle_rate_per_s > 0");
   }
   if (sec.has("throttle_max_level")) {
-    const std::int64_t level = sec.get_int("throttle_max_level");
-    if (level < 0) fail("throttle_max_level", "throttle_max_level must be >= 0");
-    spec.throttle_max_level = static_cast<std::size_t>(level);
+    spec.throttle_max_level =
+        static_cast<std::size_t>(sec.get_int("throttle_max_level", 0));
   }
   if (sec.has("max_retries")) {
-    const std::int64_t retries = sec.get_int("max_retries");
-    if (retries < 0) fail("max_retries", "max_retries must be >= 0");
-    spec.max_retries = static_cast<int>(retries);
+    spec.max_retries = static_cast<int>(
+        sec.get_int("max_retries", 0, std::numeric_limits<int>::max()));
   }
   if (sec.has("retry_backoff_ms")) {
-    spec.retry_backoff_ms = number("retry_backoff_ms");
-    if (spec.retry_backoff_ms < 0.0) {
-      fail("retry_backoff_ms", "retry_backoff_ms must be >= 0");
-    }
+    spec.retry_backoff_ms = sec.get_double("retry_backoff_ms", 0.0);
   }
-  if (sec.has("checkpoint")) {
-    spec.checkpoint = sec.get_bool("checkpoint");
-  }
+  if (sec.has("checkpoint")) spec.checkpoint = sec.get_bool("checkpoint");
   if (sec.has("checkpoint_overhead_ms")) {
-    spec.checkpoint_overhead_ms = number("checkpoint_overhead_ms");
-    if (spec.checkpoint_overhead_ms < 0.0) {
-      fail("checkpoint_overhead_ms", "checkpoint_overhead_ms must be >= 0");
-    }
+    spec.checkpoint_overhead_ms =
+        sec.get_double("checkpoint_overhead_ms", 0.0);
   }
   return spec;
 }

@@ -163,11 +163,10 @@ struct ResilienceStats {
   }
 };
 
-/// Parses a [faults] section into a FaultSpec. Throws std::invalid_argument
-/// with "`context` line N: ..." on out-of-range values, using the entry's
-/// source line — the same diagnostic shape as the DVFS config parser.
-FaultSpec parse_fault_section(const util::IniDocument::Section& sec,
-                              const std::string& context);
+/// Parses a [faults] section into a FaultSpec. Rejects a malformed or
+/// out-of-range value at its source line, through the section's own
+/// "<source> line N: ..." diagnostics (util::IniDocument).
+FaultSpec parse_fault_section(const util::IniDocument::Section& sec);
 
 /// Appends a [faults] section to `doc` when the spec differs from the
 /// default (writers omit the section entirely for a default spec, keeping

@@ -1,20 +1,22 @@
 #include "util/ini.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
+#include <type_traits>
 
 #include "util/table.h"
 
 namespace xrbench::util {
 namespace {
 
+constexpr const char* kBlanks = " \t\n\v\f\r";
+
 std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+  const auto b = s.find_first_not_of(kBlanks);
+  if (b == std::string::npos) return "";
+  return s.substr(b, s.find_last_not_of(kBlanks) - b + 1);
 }
 
 std::string lower(std::string s) {
@@ -22,7 +24,64 @@ std::string lower(std::string s) {
   return s;
 }
 
+[[noreturn]] void reject_line(const std::string& source, int line,
+                              const std::string& problem) {
+  throw std::invalid_argument(source + " line " + std::to_string(line) +
+                              ": " + problem);
+}
+
+/// "in [lo, hi]", "in (lo, hi]", ">= lo" or "> lo": the range a reader
+/// enforces.
+template <typename T>
+std::string range_text(T lo, T hi, bool lo_open, T unbounded) {
+  auto fmt = [](T v) {
+    if constexpr (std::is_floating_point_v<T>) return fmt_double_exact(v);
+    else return std::to_string(v);
+  };
+  if (hi == unbounded) return (lo_open ? "> " : ">= ") + fmt(lo);
+  return (lo_open ? "in (" : "in [") + fmt(lo) + ", " + fmt(hi) + "]";
+}
+
 }  // namespace
+
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, int> ||
+                std::is_same_v<T, std::int64_t> ||
+                std::is_same_v<T, std::uint64_t>);
+  std::size_t pos = 0;
+  T value{};
+  try {
+    if constexpr (std::is_same_v<T, double>) {
+      value = std::stod(text, &pos);
+      if (!std::isfinite(value)) return std::nullopt;
+    } else if constexpr (std::is_same_v<T, int>) {
+      value = std::stoi(text, &pos);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      value = std::stoll(text, &pos);
+    } else {
+      // std::stoull wraps a leading '-' round to a huge value.
+      const auto first = text.find_first_not_of(kBlanks);
+      if (first != std::string::npos && text[first] == '-') {
+        return std::nullopt;
+      }
+      value = std::stoull(text, &pos);
+    }
+  } catch (const std::logic_error&) {  // no number, or out of range
+    return std::nullopt;
+  }
+  if (text.find_first_not_of(kBlanks, pos) != std::string::npos) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+template std::optional<double> parse_number<double>(const std::string&);
+template std::optional<int> parse_number<int>(const std::string&);
+template std::optional<std::int64_t> parse_number<std::int64_t>(
+    const std::string&);
+template std::optional<std::uint64_t> parse_number<std::uint64_t>(
+    const std::string&);
 
 bool IniDocument::Section::has(const std::string& key) const {
   for (const auto& e : entries) {
@@ -37,18 +96,19 @@ const std::string& IniDocument::Section::get(const std::string& key) const {
     if (e.key == key) found = &e.value;  // last wins
   }
   if (found == nullptr) {
-    throw std::out_of_range("ini: missing key '" + key + "' in section [" +
-                            name + "]");
+    throw std::out_of_range(source + " line " + std::to_string(line) +
+                            ": missing key '" + key + "' in [" + name + "]");
   }
   return *found;
 }
 
-int IniDocument::Section::line_of(const std::string& key) const {
-  int line = 0;
+void IniDocument::Section::reject(const std::string& key,
+                                  const std::string& problem) const {
+  int at = line;
   for (const auto& e : entries) {
-    if (e.key == key) line = e.line;  // last wins, matching get()
+    if (e.key == key) at = e.line;  // last wins, matching get()
   }
-  return line;
+  reject_line(source, at, problem);
 }
 
 std::string IniDocument::Section::get_or(const std::string& key,
@@ -56,36 +116,38 @@ std::string IniDocument::Section::get_or(const std::string& key,
   return has(key) ? get(key) : std::move(fallback);
 }
 
-double IniDocument::Section::get_double(const std::string& key) const {
+double IniDocument::Section::get_double(const std::string& key, double lo,
+                                        double hi, bool lo_open) const {
   const std::string& v = get(key);
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (trim(v.substr(pos)).empty()) return d;
-  } catch (const std::exception&) {
+  const auto value = parse_number<double>(v);
+  if (!value) reject(key, key + " is not a number: '" + v + "'");
+  if (*value < lo || (lo_open && *value == lo) || *value > hi) {
+    reject(key, key + " must be " + range_text(lo, hi, lo_open, kUnbounded) +
+                    ", got '" + v + "'");
   }
-  throw std::invalid_argument("ini: key '" + key + "' in section [" + name +
-                              "] is not a number: '" + v + "'");
+  return *value;
 }
 
-std::int64_t IniDocument::Section::get_int(const std::string& key) const {
+std::int64_t IniDocument::Section::get_int(const std::string& key,
+                                           std::int64_t lo,
+                                           std::int64_t hi) const {
   const std::string& v = get(key);
-  try {
-    std::size_t pos = 0;
-    const std::int64_t i = std::stoll(v, &pos);
-    if (trim(v.substr(pos)).empty()) return i;
-  } catch (const std::exception&) {
+  const auto value = parse_number<std::int64_t>(v);
+  if (!value) reject(key, key + " is not an integer: '" + v + "'");
+  if (*value < lo || *value > hi) {
+    reject(key, key + " must be " +
+                    range_text(lo, hi, false,
+                               std::numeric_limits<std::int64_t>::max()) +
+                    ", got '" + v + "'");
   }
-  throw std::invalid_argument("ini: key '" + key + "' in section [" + name +
-                              "] is not an integer: '" + v + "'");
+  return *value;
 }
 
 bool IniDocument::Section::get_bool(const std::string& key) const {
   const std::string v = lower(trim(get(key)));
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("ini: key '" + key + "' in section [" + name +
-                              "] is not a boolean: '" + v + "'");
+  reject(key, key + " is not a boolean: '" + get(key) + "'");
 }
 
 void IniDocument::Section::set(const std::string& key, std::string value) {
@@ -107,8 +169,10 @@ void IniDocument::Section::set_int(const std::string& key,
   set(key, std::to_string(value));
 }
 
-IniDocument IniDocument::parse(const std::string& text) {
+IniDocument IniDocument::parse(const std::string& text,
+                               const std::string& source) {
   IniDocument doc;
+  doc.source_ = source;
   Section* current = nullptr;
   std::istringstream in(text);
   std::string raw;
@@ -122,8 +186,7 @@ IniDocument IniDocument::parse(const std::string& text) {
     if (line.empty()) continue;
     if (line.front() == '[') {
       if (line.back() != ']') {
-        throw std::invalid_argument("ini: unterminated section header at line " +
-                                    std::to_string(line_no));
+        reject_line(source, line_no, "unterminated section header");
       }
       current = &doc.add_section(trim(line.substr(1, line.size() - 2)));
       current->line = line_no;
@@ -131,15 +194,13 @@ IniDocument IniDocument::parse(const std::string& text) {
     }
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw std::invalid_argument("ini: expected 'key = value' at line " +
-                                  std::to_string(line_no));
+      reject_line(source, line_no, "expected 'key = value'");
     }
     if (current == nullptr) {
-      throw std::invalid_argument("ini: entry before any section at line " +
-                                  std::to_string(line_no));
+      reject_line(source, line_no, "entry before any section");
     }
     // Not Section::set: duplicate keys must record the *latest* line so
-    // line_of() agrees with get()'s last-wins value.
+    // reject() names the line of get()'s last-wins value.
     const std::string key = trim(line.substr(0, eq));
     std::string value = trim(line.substr(eq + 1));
     bool replaced = false;
@@ -158,14 +219,15 @@ IniDocument IniDocument::parse(const std::string& text) {
   return doc;
 }
 
-IniDocument IniDocument::load(const std::filesystem::path& path) {
+IniDocument IniDocument::load(const std::filesystem::path& path,
+                              const std::string& source) {
   std::ifstream in(path);
   if (!in) {
-    throw std::runtime_error("ini: cannot read " + path.string());
+    throw std::runtime_error(source + ": cannot read " + path.string());
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  return parse(ss.str());
+  return parse(ss.str(), source);
 }
 
 std::string IniDocument::to_string() const {
@@ -192,7 +254,7 @@ void IniDocument::save(const std::filesystem::path& path) const {
 }
 
 IniDocument::Section& IniDocument::add_section(std::string name) {
-  sections_.push_back(Section{std::move(name), {}, 0});
+  sections_.push_back(Section{std::move(name), {}, 0, source_});
   return sections_.back();
 }
 
@@ -209,10 +271,12 @@ const IniDocument::Section& IniDocument::section(
     const std::string& name) const {
   const auto matches = sections(name);
   if (matches.empty()) {
-    throw std::out_of_range("ini: missing section [" + name + "]");
+    throw std::out_of_range(source_ + ": missing section [" + name + "]");
   }
   if (matches.size() > 1) {
-    throw std::out_of_range("ini: duplicated section [" + name + "]");
+    throw std::out_of_range(source_ + " line " +
+                            std::to_string(matches[1]->line) +
+                            ": duplicated section [" + name + "]");
   }
   return *matches.front();
 }

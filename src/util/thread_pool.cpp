@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
+
+#include "util/ini.h"
 
 namespace xrbench::util {
 
@@ -171,15 +172,9 @@ std::size_t ThreadPool::current_worker_slot() { return t_worker_slot; }
 
 std::size_t ThreadPool::default_num_threads() {
   if (const char* env = std::getenv("XRBENCH_THREADS")) {
-    // Strict parse: digits only, bounded. stoul() would accept "-1" by
-    // wrapping to SIZE_MAX and ask for eighteen quintillion workers.
-    const std::string s(env);
-    constexpr std::size_t kMaxThreads = 1024;
-    if (!s.empty() && s.size() <= 4 &&
-        s.find_first_not_of("0123456789") == std::string::npos) {
-      const auto n = static_cast<std::size_t>(std::stoul(s));
-      if (n <= kMaxThreads) return n;
-    }
+    constexpr std::uint64_t kMaxThreads = 1024;
+    const auto n = parse_number<std::uint64_t>(env);
+    if (n && *n <= kMaxThreads) return static_cast<std::size_t>(*n);
     // Malformed or out of range: fall through to hardware concurrency.
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -155,18 +155,21 @@ const UsageScenario& scenario_by_name(const std::string& name) {
                               "'");
 }
 
-void validate_dependency_rates(const UsageScenario& scenario) {
-  for (const auto& m : scenario.models) {
-    if (!m.depends_on || m.dependency != DependencyType::kData) continue;
-    const ScenarioModel* up = scenario.find(*m.depends_on);
-    if (up != nullptr && up->target_fps != m.target_fps) {
-      throw std::invalid_argument(
-          "data-dependent model " + std::string(models::task_code(m.task)) +
-          " targets " + std::to_string(m.target_fps) +
-          " FPS but its upstream " + models::task_code(up->task) +
-          " runs at " + std::to_string(up->target_fps) + " FPS");
-    }
+void validate_dependency_rate(const UsageScenario& scenario,
+                              const ScenarioModel& m) {
+  if (!m.depends_on || m.dependency != DependencyType::kData) return;
+  const ScenarioModel* up = scenario.find(*m.depends_on);
+  if (up != nullptr && up->target_fps != m.target_fps) {
+    throw std::invalid_argument(
+        "data-dependent model " + std::string(models::task_code(m.task)) +
+        " targets " + std::to_string(m.target_fps) +
+        " FPS but its upstream " + models::task_code(up->task) +
+        " runs at " + std::to_string(up->target_fps) + " FPS");
   }
+}
+
+void validate_dependency_rates(const UsageScenario& scenario) {
+  for (const auto& m : scenario.models) validate_dependency_rate(scenario, m);
 }
 
 bool is_dynamic_scenario(const UsageScenario& scenario) {

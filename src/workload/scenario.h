@@ -64,12 +64,17 @@ const UsageScenario& scenario_by_name(const std::string& name);
 /// should average multiple trials — paper §4.1 / appendix D.6).
 bool is_dynamic_scenario(const UsageScenario& scenario);
 
-/// Throws std::invalid_argument when a data-dependent model's target_fps
-/// differs from its (active) upstream's rate. Such a model is requested
-/// once per upstream completion but scores its QoE against its own target
-/// rate, so a mismatch silently skews QoE. Shared by the scenario parser
-/// and the runner's preflight checks; an absent upstream is not an error
-/// here (the runner tolerates it — the model is simply never triggered).
+/// Throws std::invalid_argument when `model`, one of `scenario`'s models,
+/// is data-dependent and its target_fps differs from its (active)
+/// upstream's rate. Such a model is requested once per upstream completion
+/// but scores its QoE against its own target rate, so a mismatch silently
+/// skews QoE. An absent upstream is not an error here (the runner
+/// tolerates it — the model is simply never triggered).
+void validate_dependency_rate(const UsageScenario& scenario,
+                              const ScenarioModel& model);
+
+/// validate_dependency_rate for every model: the runner's preflight check.
+/// The scenario parser checks each model on its own, to name its line.
 void validate_dependency_rates(const UsageScenario& scenario);
 
 /// Returns a copy of `scenario` with every data/control trigger probability

@@ -1,10 +1,8 @@
 #include "workload/scenario_io.h"
 
-#include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/fault_plan.h"
 #include "util/ini.h"
@@ -15,67 +13,85 @@
 namespace xrbench::workload {
 namespace {
 
+using Section = util::IniDocument::Section;
+
 DependencyType parse_dependency(const std::string& s) {
   if (s == "data") return DependencyType::kData;
   if (s == "control") return DependencyType::kControl;
-  throw std::invalid_argument(
-      "scenario config: dependency must be 'data' or 'control', got '" + s +
-      "'");
+  throw std::invalid_argument("dependency must be 'data' or 'control', got '" +
+                              s + "'");
 }
 
-ScenarioModel parse_model_section(const util::IniDocument::Section& sec) {
+ScenarioModel parse_model_section(const Section& sec) {
   ScenarioModel m;
-  m.task = models::parse_task_code(sec.get("task"));
-  m.target_fps = sec.get_double("fps");
-  const auto& src = input_source(driving_source(m.task));
-  // NaN fails every comparison, so each range test names finiteness too.
-  if (!std::isfinite(m.target_fps) || m.target_fps <= 0.0 ||
-      m.target_fps > src.fps) {
-    throw std::invalid_argument(
-        "scenario config: fps for " + std::string(models::task_code(m.task)) +
-        " must be in (0, " + std::to_string(src.fps) + "] (line " +
-        std::to_string(sec.line_of("fps")) + ")");
-  }
+  m.task = sec.get_as("task", models::parse_task_code);
+  m.target_fps = sec.get_double("fps", 0.0,
+                                input_source(driving_source(m.task)).fps,
+                                /*lo_open=*/true);
   if (sec.has("depends_on")) {
-    m.depends_on = models::parse_task_code(sec.get("depends_on"));
-    m.dependency = parse_dependency(sec.get("dependency"));
-    m.trigger_probability = sec.has("trigger_probability")
-                                ? sec.get_double("trigger_probability")
-                                : 1.0;
-    if (!std::isfinite(m.trigger_probability) ||
-        m.trigger_probability < 0.0 || m.trigger_probability > 1.0) {
-      throw std::invalid_argument(
-          "scenario config: trigger_probability must be in [0,1] (line " +
-          std::to_string(sec.line_of("trigger_probability")) + ")");
+    m.depends_on = sec.get_as("depends_on", models::parse_task_code);
+    m.dependency = sec.get_as("dependency", parse_dependency);
+    if (sec.has("trigger_probability")) {
+      m.trigger_probability = sec.get_double("trigger_probability", 0.0, 1.0);
     }
   }
   return m;
 }
 
-/// Whole-scenario validations shared by the single-scenario and program
-/// parsers: at least one model, no duplicate tasks, dependencies reference
-/// active models, data-dependent rates match their upstream.
-void validate_parsed_scenario(const UsageScenario& scenario) {
-  if (scenario.models.empty()) {
-    throw std::invalid_argument(
-        "scenario config: at least one [model] section is required");
+/// One scenario from its [scenario] header and [model] sections. Whole-
+/// scenario rules, rejected at the header or the offending [model] header:
+/// at least one model, no duplicate tasks, dependencies on active models,
+/// data-dependent rates equal to their upstream's.
+UsageScenario parse_scenario(const Section& head,
+                             const std::vector<const Section*>& model_secs) {
+  UsageScenario scenario;
+  scenario.name = head.get("name");
+  scenario.description = head.get_or("description", "");
+  if (model_secs.empty()) {
+    head.reject("", "at least one [model] section is required");
+  }
+  for (const auto* sec : model_secs) {
+    scenario.models.push_back(parse_model_section(*sec));
   }
   std::set<models::TaskId> seen;
-  for (const auto& m : scenario.models) {
-    if (!seen.insert(m.task).second) {
-      throw std::invalid_argument("scenario config: duplicate task " +
-                                  std::string(models::task_code(m.task)));
-    }
-  }
-  for (const auto& m : scenario.models) {
+  for (std::size_t i = 0; i < scenario.models.size(); ++i) {
+    const auto& m = scenario.models[i];
+    const Section& sec = *model_secs[i];
+    const std::string code = models::task_code(m.task);
+    if (!seen.insert(m.task).second) sec.reject("", "duplicate task " + code);
     if (m.depends_on && scenario.find(*m.depends_on) == nullptr) {
-      throw std::invalid_argument(
-          "scenario config: " + std::string(models::task_code(m.task)) +
-          " depends on inactive model " +
-          std::string(models::task_code(*m.depends_on)));
+      sec.reject("", code + " depends on inactive model " +
+                         models::task_code(*m.depends_on));
+    }
+    try {
+      validate_dependency_rate(scenario, m);
+    } catch (const std::invalid_argument& e) {
+      sec.reject("", e.what());
     }
   }
-  validate_dependency_rates(scenario);
+  return scenario;
+}
+
+/// One [phase]; its scenario resolves against `inline_scenarios` before
+/// the built-in registries.
+ScenarioPhase parse_phase(const Section& sec,
+                          const std::vector<UsageScenario>& inline_scenarios) {
+  ScenarioPhase phase;
+  const std::string& ref = sec.get("scenario");
+  const UsageScenario* resolved = nullptr;
+  for (const auto& s : inline_scenarios) {
+    if (s.name == ref) resolved = &s;
+  }
+  phase.scenario = resolved != nullptr
+                       ? *resolved
+                       : sec.get_as("scenario", scenario_by_name);
+  phase.duration_ms = sec.get_double("duration_ms", 0.0, util::kUnbounded,
+                                     /*lo_open=*/true);
+  if (sec.has("seed_offset")) {
+    phase.seed_offset =
+        static_cast<std::uint64_t>(sec.get_int("seed_offset", 0));
+  }
+  return phase;
 }
 
 void append_scenario_sections(util::IniDocument& doc,
@@ -118,17 +134,8 @@ std::string to_config_text(const UsageScenario& scenario) {
 }
 
 UsageScenario from_config_text(const std::string& text) {
-  const auto doc = util::IniDocument::parse(text);
-  const auto& head = doc.section("scenario");
-
-  UsageScenario scenario;
-  scenario.name = head.get("name");
-  scenario.description = head.get_or("description", "");
-  for (const auto* sec : doc.sections("model")) {
-    scenario.models.push_back(parse_model_section(*sec));
-  }
-  validate_parsed_scenario(scenario);
-  return scenario;
+  const auto doc = util::IniDocument::parse(text, "scenario config");
+  return parse_scenario(doc.section("scenario"), doc.sections("model"));
 }
 
 void save_scenario(const UsageScenario& scenario,
@@ -137,13 +144,8 @@ void save_scenario(const UsageScenario& scenario,
 }
 
 UsageScenario load_scenario(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_scenario: cannot read " + path.string());
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return from_config_text(ss.str());
+  const auto doc = util::IniDocument::load(path, "scenario config");
+  return parse_scenario(doc.section("scenario"), doc.sections("model"));
 }
 
 std::string to_config_text(const ScenarioProgram& program) {
@@ -192,40 +194,40 @@ std::string to_config_text(const ScenarioProgram& program) {
 
 std::vector<ScenarioProgram> programs_from_document(
     const util::IniDocument& doc) {
-  // First pass: collect inline scenario definitions in section order —
-  // each [scenario] header owns the [model] sections that follow it.
-  // Inline definitions are file-global: every program's phases may
-  // reference any of them.
-  std::vector<UsageScenario> inline_scenarios;
+  // First pass: inline scenario definitions in section order — each
+  // [scenario] header owns the [model] sections that follow it. Inline
+  // definitions are file-global: every program's phases may reference any
+  // of them.
+  std::vector<std::pair<const Section*, std::vector<const Section*>>> defs;
   for (const auto& sec : doc.all_sections()) {
     if (sec.name == "scenario") {
-      UsageScenario s;
-      s.name = sec.get("name");
-      s.description = sec.get_or("description", "");
-      for (const auto& existing : inline_scenarios) {
-        if (existing.name == s.name) {
-          throw std::invalid_argument(
-              "program config: duplicate inline scenario '" + s.name + "'");
-        }
-      }
-      inline_scenarios.push_back(std::move(s));
+      defs.push_back({&sec, {}});
     } else if (sec.name == "model") {
-      if (inline_scenarios.empty()) {
-        throw std::invalid_argument(
-            "program config: [model] section before any [scenario] (line " +
-            std::to_string(sec.line) + ")");
+      if (defs.empty()) {
+        sec.reject("", "[model] section before any [scenario]");
       }
-      inline_scenarios.back().models.push_back(parse_model_section(sec));
+      defs.back().second.push_back(&sec);
     }
   }
-  for (const auto& s : inline_scenarios) validate_parsed_scenario(s);
+  std::vector<UsageScenario> inline_scenarios;
+  for (const auto& [head, model_secs] : defs) {
+    inline_scenarios.push_back(parse_scenario(*head, model_secs));
+    for (std::size_t i = 0; i + 1 < inline_scenarios.size(); ++i) {
+      if (inline_scenarios[i].name == inline_scenarios.back().name) {
+        head->reject("name", "duplicate inline scenario '" +
+                                 inline_scenarios.back().name + "'");
+      }
+    }
+  }
 
   // Second pass: programs, in section order. [phase] and [faults] sections
   // attach to the most recent [program] header; phase references resolve
   // inline definitions before the built-in scenario registries.
   std::vector<ScenarioProgram> programs;
+  std::vector<const Section*> heads;
   for (const auto& sec : doc.all_sections()) {
     if (sec.name == "program") {
+      heads.push_back(&sec);
       ScenarioProgram program;
       program.name = sec.get("name");
       program.description = sec.get_or("description", "");
@@ -233,54 +235,39 @@ std::vector<ScenarioProgram> programs_from_document(
       program.governor = sec.get_or("governor", "");
       program.admission = sec.get_or("admission", "");
       programs.push_back(std::move(program));
-    } else if (sec.name == "faults") {
+    } else if (sec.name == "faults" || sec.name == "phase") {
       if (programs.empty()) {
-        throw std::invalid_argument(
-            "program config: [faults] section before any [program] (line " +
-            std::to_string(sec.line) + ")");
+        sec.reject("", "[" + sec.name + "] section before any [program]");
       }
-      programs.back().faults =
-          runtime::parse_fault_section(sec, "program config");
-    } else if (sec.name == "phase") {
-      if (programs.empty()) {
-        throw std::invalid_argument(
-            "program config: [phase] section before any [program] (line " +
-            std::to_string(sec.line) + ")");
+      if (sec.name == "faults") {
+        programs.back().faults = runtime::parse_fault_section(sec);
+      } else {
+        programs.back().phases.push_back(parse_phase(sec, inline_scenarios));
       }
-      ScenarioPhase phase;
-      const std::string ref = sec.get("scenario");
-      const UsageScenario* resolved = nullptr;
-      for (const auto& s : inline_scenarios) {
-        if (s.name == ref) resolved = &s;
-      }
-      phase.scenario = resolved != nullptr ? *resolved : scenario_by_name(ref);
-      phase.duration_ms = sec.get_double("duration_ms");
-      if (!std::isfinite(phase.duration_ms) || phase.duration_ms <= 0.0) {
-        throw std::invalid_argument(
-            "program config: duration_ms must be finite and > 0 (line " +
-            std::to_string(sec.line_of("duration_ms")) + ")");
-      }
-      if (sec.has("seed_offset")) {
-        const std::int64_t off = sec.get_int("seed_offset");
-        if (off < 0) {
-          throw std::invalid_argument(
-              "program config: seed_offset must be >= 0 (line " +
-              std::to_string(sec.line_of("seed_offset")) + ")");
-        }
-        phase.seed_offset = static_cast<std::uint64_t>(off);
-      }
-      programs.back().phases.push_back(std::move(phase));
     }
   }
-  for (const auto& program : programs) validate_program(program);
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    if (programs[p].phases.empty()) {
+      heads[p]->reject("", "at least one [phase] section is required");
+    }
+    validate_program(programs[p]);
+  }
   return programs;
 }
 
-ScenarioProgram program_from_config_text(const std::string& text) {
-  const auto doc = util::IniDocument::parse(text);
+namespace {
+
+/// The [program] of a single-program document.
+ScenarioProgram single_program(const util::IniDocument& doc) {
   doc.section("program");  // exactly one [program]; throws otherwise
-  auto programs = programs_from_document(doc);
-  return std::move(programs.front());
+  return std::move(programs_from_document(doc).front());
+}
+
+}  // namespace
+
+ScenarioProgram program_from_config_text(const std::string& text) {
+  return single_program(
+      util::IniDocument::parse(text, "program config"));
 }
 
 void save_program(const ScenarioProgram& program,
@@ -289,13 +276,8 @@ void save_program(const ScenarioProgram& program,
 }
 
 ScenarioProgram load_program(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_program: cannot read " + path.string());
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return program_from_config_text(ss.str());
+  return single_program(
+      util::IniDocument::load(path, "program config"));
 }
 
 }  // namespace xrbench::workload

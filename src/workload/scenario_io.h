@@ -29,8 +29,11 @@ namespace xrbench::workload {
 std::string to_config_text(const UsageScenario& scenario);
 
 /// Parses a scenario from INI text. Validates: at least one model, no
-/// duplicate tasks, dependencies reference active models, probabilities in
-/// [0,1], FPS within the driving sensor's rate.
+/// duplicate tasks, dependencies reference active models, data-dependent
+/// rates match their upstream's, probabilities in [0,1], FPS within the
+/// driving sensor's rate. Every rejection reads "scenario config line N:
+/// ..." (util::IniDocument), at the offending key's line or, for a
+/// whole-scenario rule, at its [scenario] or [model] header.
 UsageScenario from_config_text(const std::string& text);
 
 void save_scenario(const UsageScenario& scenario,
@@ -65,7 +68,8 @@ UsageScenario load_scenario(const std::filesystem::path& path);
 /// Phase scenarios resolve against the file's inline definitions first,
 /// then against the built-in suite/extension registries. The writer inlines
 /// every phase scenario, so any program round-trips without relying on the
-/// registries.
+/// registries. Rejections read "program config line N: ...", like the
+/// scenario parser's.
 
 std::string to_config_text(const ScenarioProgram& program);
 ScenarioProgram program_from_config_text(const std::string& text);

@@ -2,7 +2,8 @@
 # ctest invokes it through xrbench_cli_check() in the root CMakeLists.txt:
 #
 #   cmake -DPROGRAM=<binary> [-DCASES=<a|b|...>] [-DTHREADS=<0|4|...>]
-#         [-DEXIT=<code>] [-DGOLDEN=<file>] -P tests/cli_check.cmake
+#         [-DEXIT=<code>] [-DGOLDEN=<file>] [-DEXPECT=<a|b|...>]
+#         -P tests/cli_check.cmake
 #
 #   CASES    command lines separated by '|'; each is split like a shell
 #            command line (quotes group words). When empty, the program
@@ -12,15 +13,18 @@
 #   EXIT     the exit code every run must end with (default 0).
 #   GOLDEN   a file that every run's stdout must equal byte for byte, once
 #            lines naming the worker count ("worker threads") are dropped.
+#   EXPECT   fragments separated by '|' that every run's stderr must
+#            contain.
 #
-# A run expected to fail (EXIT other than 0) must also name the first word
-# of its command line, the flag it rejects, on stderr.
+# Without EXPECT, a run expected to fail (EXIT other than 0) must name the
+# first word of its command line, the flag it rejects, on stderr.
 cmake_minimum_required(VERSION 3.16)
 
 if("${EXIT}" STREQUAL "")
   set(EXIT 0)
 endif()
 string(REPLACE "|" ";" thread_values "${THREADS}")
+string(REPLACE "|" ";" fragments "${EXPECT}")
 if(NOT thread_values)
   set(thread_values "inherit")
 endif()
@@ -51,14 +55,17 @@ function(check_case case)
         math(EXPR failures "${failures} + 1")
       endif()
     endif()
-    if(NOT EXIT EQUAL 0 AND args)
-      list(GET args 0 flag)
-      string(FIND "${err}" "${flag}" at)
+    set(expected_fragments ${fragments})
+    if(NOT fragments AND NOT EXIT EQUAL 0 AND args)
+      list(GET args 0 expected_fragments)
+    endif()
+    foreach(fragment IN LISTS expected_fragments)
+      string(FIND "${err}" "${fragment}" at)
       if(at EQUAL -1)
-        message(SEND_ERROR "${run}: stderr does not name ${flag}:\n${err}")
+        message(SEND_ERROR "${run}: stderr does not name ${fragment}:\n${err}")
         math(EXPR failures "${failures} + 1")
       endif()
-    endif()
+    endforeach()
   endforeach()
   set(failures ${failures} PARENT_SCOPE)
 endfunction()

@@ -200,6 +200,8 @@ TEST(HwConfigIo, RejectsMalformedValuesWithLineNumber) {
       {9, "sram_kib = 9000000000000000000", 9, "sram_kib"},
       // Finite in GB/s but infinite in bytes per cycle at 0.5 GHz.
       {7, "noc_gbps = 1e308", 4, "resources"},
+      {6, "num_pes = abc", 6, "num_pes"},
+      {5, "dataflow = QQ", 5, "dataflow"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);
@@ -409,6 +411,10 @@ TEST(ScenarioIo, RejectsInvalidScenarios) {
        "[model]\ntask = KD\nfps = 3\ndepends_on = HT\n"
        "dependency = control\ntrigger_probability = nan\n",
        "trigger_probability", "line 11"},
+      {"[scenario]\nname = x\n[model]\ntask = HT\nfps = abc\n", "fps",
+       "line 5"},
+      {"[scenario]\nname = x\n[model]\ntask = QQ\nfps = 30\n", "task",
+       "line 4"},
   };
   for (const auto& row : non_finite) {
     try {

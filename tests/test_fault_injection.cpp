@@ -259,6 +259,8 @@ TEST(FaultConfig, MalformedSectionRejectedWithLineNumber) {
       {"outage_rate_per_s = inf", "outage_rate_per_s"},
       {"throttle_ms = nan", "throttle_ms"},
       {"retry_backoff_ms = inf", "retry_backoff_ms"},
+      // Above INT_MAX: used to wrap round to max_retries = 1.
+      {"max_retries = 4294967297", "max_retries"},
   };
   for (const auto& [entry, key] : cases) {
     const std::string text =

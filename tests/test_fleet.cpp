@@ -448,6 +448,8 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
                 "max_sessions", 4);
   EXPECT_NO_THROW(fleet_from_config_text(
       "[fleet]\npool_size = 100000\nmax_sessions = 100000\n"));
+  // An unknown catalog name.
+  expect_reject("[fleet]\nseed = 1\nprograms = Nope\n", "Nope", 3);
   // Inline-program grammar errors surface with their lines too.
   expect_reject(
       "[fleet]\nseed = 1\n\n[phase]\nscenario = AR Assistant\n"

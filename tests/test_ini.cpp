@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace xrbench::util {
 namespace {
 
@@ -73,6 +76,63 @@ TEST(Ini, TypedGettersValidate) {
   EXPECT_THROW(s.get_double("bad"), std::invalid_argument);
   EXPECT_THROW(s.get_bool("bad"), std::invalid_argument);
   EXPECT_THROW(s.get_int("flt"), std::invalid_argument);  // trailing 'e3'? no:
+}
+
+TEST(Ini, ParseNumberReadsExactlyOneFiniteNumber) {
+  EXPECT_EQ(parse_number<double>(" 1.5e3 "), 1500.0);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<std::int64_t>("9000000000"), 9000000000);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad :
+       {"", " ", "abc", "12abc", "100ms", "1 2", "nan", "inf", "-inf",
+        "1e400"}) {
+    EXPECT_FALSE(parse_number<double>(bad)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_number<int>("3.7"));
+  EXPECT_FALSE(parse_number<int>("4294967297"));
+  EXPECT_FALSE(parse_number<std::int64_t>("99999999999999999999"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>(" -0"));
+}
+
+/// The message `read` throws, or "" when it throws nothing.
+template <typename Read>
+std::string rejection(Read read) {
+  try {
+    read();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Ini, ReadersRejectAtTheSourceLine) {
+  const auto doc =
+      IniDocument::parse("[s]\nx = 5\n\ny = abc\nb = maybe\n", "test config");
+  const auto& s = doc.section("s");
+  EXPECT_EQ(rejection([&] { s.get_double("x", 0.0, 1.0); }),
+            "test config line 2: x must be in [0, 1], got '5'");
+  EXPECT_EQ(rejection([&] { s.get_double("x", 5.0, kUnbounded, true); }),
+            "test config line 2: x must be > 5, got '5'");
+  EXPECT_EQ(rejection([&] { s.get_int("x", 6); }),
+            "test config line 2: x must be >= 6, got '5'");
+  EXPECT_EQ(rejection([&] { s.get_int("y"); }),
+            "test config line 4: y is not an integer: 'abc'");
+  EXPECT_EQ(rejection([&] { s.get_bool("b"); }),
+            "test config line 5: b is not a boolean: 'maybe'");
+  EXPECT_EQ(rejection([&] {
+              s.get_as("y", [](const std::string& v) -> int {
+                throw std::invalid_argument("unknown name '" + v + "'");
+              });
+            }),
+            "test config line 4: unknown name 'abc'");
+  EXPECT_EQ(rejection([&] { s.get("missing"); }),
+            "test config line 1: missing key 'missing' in [s]");
+  EXPECT_EQ(rejection([&] { s.reject("", "a whole-section rule"); }),
+            "test config line 1: a whole-section rule");
+  EXPECT_EQ(rejection([] { IniDocument::parse("[s]\nno equals\n", "cfg"); }),
+            "cfg line 2: expected 'key = value'");
 }
 
 TEST(Ini, RoundTripPreservesContent) {

@@ -411,6 +411,25 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
           << e.what();
     }
   }
+  // A bad [phase] value names its line.
+  const struct {
+    const char* phase;
+    const char* line;
+  } bad_phase[] = {
+      {"scenario = Nope\nduration_ms = 100\n", "line 4"},
+      {"scenario = AR Gaming\nduration_ms = 100\nseed_offset = x\n",
+       "line 6"},
+  };
+  for (const auto& row : bad_phase) {
+    try {
+      program_from_config_text(std::string("[program]\nname = x\n[phase]\n") +
+                               row.phase);
+      ADD_FAILURE() << "expected std::invalid_argument at " << row.line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.line), std::string::npos)
+          << e.what();
+    }
+  }
   // A [model] before any [scenario].
   EXPECT_THROW(program_from_config_text("[program]\nname = x\n"
                                         "[model]\ntask = HT\nfps = 30\n"
