@@ -106,24 +106,6 @@ T number(const std::string& flag, const std::string& text) {
   return *value;
 }
 
-/// Registry-backed name checks: unknown policies fail fast at flag-parse
-/// time with the registered names in the message (the registry formats the
-/// list itself).
-std::string checked_scheduler(const std::string& name) {
-  runtime::PolicyRegistry::instance().make_scheduler(name);
-  return name;
-}
-
-std::string checked_governor(const std::string& name) {
-  runtime::PolicyRegistry::instance().make_governor(name);
-  return name;
-}
-
-std::string checked_admission(const std::string& name) {
-  runtime::PolicyRegistry::instance().make_admission(name);
-  return name;
-}
-
 void list_policies() {
   const auto& registry = runtime::PolicyRegistry::instance();
   std::cout << "Schedulers:\n";
@@ -220,13 +202,13 @@ int main(int argc, char** argv) {
       else if (arg == "--fleet") fleet_flag = true;
       else if (arg == "--fleet-config") fleet_config = next();
       else if (arg == "--scheduler") {
-        opt.scheduler = checked_scheduler(next());
+        opt.scheduler = runtime::PolicyRegistry::checked_scheduler(next());
         scheduler_flag = true;
       } else if (arg == "--governor") {
-        opt.governor = checked_governor(next());
+        opt.governor = runtime::PolicyRegistry::checked_governor(next());
         governor_flag = true;
       } else if (arg == "--admission") {
-        opt.admission = checked_admission(next());
+        opt.admission = runtime::PolicyRegistry::checked_admission(next());
         admission_flag = true;
       }
       else if (arg == "--fault-rate")

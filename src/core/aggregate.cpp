@@ -34,12 +34,11 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
     m.deadline_misses = mstats.deadline_misses;
     m.qoe = qoe_score(mstats.frames_executed, mstats.frames_expected);
 
-    // Stream the SoA columns directly: no per-record temporaries, one
-    // byte-wide branch column, and the accuracy factor (constant per model)
-    // multiplied in without re-deriving it per record. The accumulation
-    // order and arithmetic match the former AoS loop exactly —
-    // inference_score(rec) == rt * en * acc with the same left-to-right
-    // products — so scores stay bit-identical.
+    // The one implementation of the per-inference score (Definition 14),
+    // rt * en * acc, multiplied left to right. It streams the SoA columns
+    // directly: no per-record temporaries, one byte-wide branch column, and
+    // the accuracy factor (constant per model) multiplied in without
+    // re-deriving it per record.
     const runtime::RecordStore& recs = mstats.records;
     const auto& dropped = recs.dropped();
     const auto& treq = recs.treq_ms();

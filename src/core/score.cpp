@@ -54,13 +54,4 @@ double qoe_score(std::int64_t frames_executed, std::int64_t frames_expected) {
                     0.0, 1.0);
 }
 
-double inference_score(const runtime::InferenceRecord& rec,
-                       const workload::QualityGoal& goal,
-                       const ScoreConfig& config) {
-  if (rec.dropped) return 0.0;
-  return rt_score(rec.latency_ms(), rec.slack_ms(), config.k) *
-         energy_score(rec.energy_mj, config.enmax_mj) *
-         accuracy_score(goal, config.epsilon);
-}
-
 }  // namespace xrbench::core

@@ -1,6 +1,7 @@
 #pragma once
 
-#include "runtime/request.h"
+#include <cstdint>
+
 #include "workload/unit_model.h"
 
 namespace xrbench::core {
@@ -41,11 +42,5 @@ double accuracy_score(const workload::QualityGoal& goal, double epsilon);
 
 /// QoE score (Definition 13): executed / streamed frames.
 double qoe_score(std::int64_t frames_executed, std::int64_t frames_expected);
-
-/// Per-inference score (Definition 14): RtScore x EnScore x AccScore for
-/// one executed inference record.
-double inference_score(const runtime::InferenceRecord& rec,
-                       const workload::QualityGoal& goal,
-                       const ScoreConfig& config);
 
 }  // namespace xrbench::core

@@ -7,8 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "runtime/policy_registry.h"
-
 namespace xrbench::core {
 
 namespace {
@@ -205,10 +203,6 @@ struct SweepEngine::Unit {
 };
 
 void SweepEngine::run_units(std::vector<Unit>& units) {
-  // Touch the lazily-initialized policy registry on this thread first;
-  // worker threads then only read it.
-  runtime::PolicyRegistry::instance();
-
   // Units whose points share an accelerator system and energy constants
   // share one CostTable build (policy and cascade sweeps vary only the
   // policy or the scenario across many points of a single design).

@@ -5,12 +5,14 @@
 #include <utility>
 
 #include "fleet/fleet_workload.h"
+#include "runtime/policy_registry.h"
 #include "util/ini.h"
 #include "workload/scenario_io.h"
 
 namespace xrbench::fleet {
 namespace {
 
+using Registry = runtime::PolicyRegistry;
 using Section = util::IniDocument::Section;
 
 std::string trim(const std::string& s) {
@@ -43,7 +45,7 @@ void parse_fleet_section(const Section& sec, FleetConfig& config) {
   for (const auto& entry : sec.entries) {
     const std::string& key = entry.key;
     if (key == "seed") {
-      config.seed = static_cast<std::uint64_t>(sec.get_int(key, 0));
+      config.seed = sec.get_uint64(key);
     } else if (key == "arrival_rate_per_s") {
       config.arrival_rate_per_s =
           sec.get_double(key, 0.0, util::kUnbounded, /*lo_open=*/true);
@@ -59,11 +61,11 @@ void parse_fleet_section(const Section& sec, FleetConfig& config) {
       config.max_sessions =
           static_cast<std::size_t>(sec.get_int(key, 1, kMaxCount));
     } else if (key == "admission") {
-      config.admission = entry.value;
+      config.admission = sec.get_as(key, Registry::checked_admission);
     } else if (key == "scheduler") {
-      config.scheduler = entry.value;
+      config.scheduler = sec.get_as(key, Registry::checked_scheduler);
     } else if (key == "governor") {
-      config.governor = entry.value;
+      config.governor = sec.get_as(key, Registry::checked_governor);
     } else if (key == "programs") {
       config.programs = split_names(sec);
     } else {

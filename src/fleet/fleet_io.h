@@ -36,9 +36,9 @@ namespace xrbench::fleet {
 /// and with neither the registered extension programs do.
 ///
 /// Every rejected config reads "fleet config line N: ..." with the
-/// offending key's 1-based source line — unknown [fleet]/[class] keys and
-/// unknown `programs` names included — or the section header's line for an
-/// unknown section name or an overflowing class-weight sum.
+/// offending key's 1-based source line — unknown [fleet]/[class] keys,
+/// `programs` names and policy names included — or the section header's
+/// line for an unknown section name or an overflowing class-weight sum.
 
 /// A parsed fleet file: the config plus its resolved program catalog in
 /// popularity-rank order (FleetConfig alone cannot carry inline programs).

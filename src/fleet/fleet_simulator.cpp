@@ -169,8 +169,8 @@ FleetResult FleetSimulator::run(
   // names in the error) before any simulation work.
   auto admission = registry.make_admission(config.admission);
   admission->reset();
-  if (!config.scheduler.empty()) registry.make_scheduler(config.scheduler);
-  if (!config.governor.empty()) registry.make_governor(config.governor);
+  if (!config.scheduler.empty()) registry.checked_scheduler(config.scheduler);
+  if (!config.governor.empty()) registry.checked_governor(config.governor);
 
   const auto specs = FleetWorkload::generate(config, catalog);
 

@@ -1,7 +1,5 @@
 #include "runtime/admission.h"
 
-#include <stdexcept>
-
 namespace xrbench::runtime {
 
 bool DropEarlyController::admit(const DispatchContext& ctx) {
@@ -14,31 +12,6 @@ bool DropEarlyController::admit(const DispatchContext& ctx) {
   const double predicted_done =
       ctx.now_ms + ctx.telemetry->task_latency_ewma(task);
   return predicted_done <= ctx.request->tdl_ms;
-}
-
-const char* admission_kind_name(AdmissionKind kind) {
-  switch (kind) {
-    case AdmissionKind::kAdmitAll:
-      return "admit-all";
-    case AdmissionKind::kDropEarly:
-      return "drop-early";
-    case AdmissionKind::kFleetQueue:
-      return "fleet-queue";
-  }
-  throw std::invalid_argument("unknown admission kind");
-}
-
-std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionKind kind) {
-  switch (kind) {
-    case AdmissionKind::kAdmitAll:
-      return std::make_unique<AdmitAllController>();
-    case AdmissionKind::kDropEarly:
-      return std::make_unique<DropEarlyController>();
-    case AdmissionKind::kFleetQueue:
-      return std::make_unique<FleetQueueController>();
-  }
-  throw std::invalid_argument("unknown admission kind");
 }
 
 }  // namespace xrbench::runtime

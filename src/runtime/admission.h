@@ -1,9 +1,5 @@
 #pragma once
 
-#include <array>
-#include <memory>
-#include <string>
-
 #include "runtime/dispatch_context.h"
 
 namespace xrbench::runtime {
@@ -73,22 +69,5 @@ class FleetQueueController final : public AdmissionController {
     return ctx.now_ms <= ctx.request->tdl_ms;
   }
 };
-
-/// Built-in admission policies (mirrors SchedulerKind / GovernorKind).
-enum class AdmissionKind {
-  kAdmitAll,
-  kDropEarly,
-  kFleetQueue,
-};
-
-inline constexpr std::array<AdmissionKind, 3> kAllAdmissionKinds = {
-    AdmissionKind::kAdmitAll,
-    AdmissionKind::kDropEarly,
-    AdmissionKind::kFleetQueue,
-};
-
-const char* admission_kind_name(AdmissionKind kind);
-std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionKind kind);
 
 }  // namespace xrbench::runtime

@@ -35,10 +35,11 @@ namespace xrbench::runtime {
 ///  | AdmissionController::
 ///  |   admit                 | null         | request set       | 0     |
 ///
-/// costs/telemetry/system are always set by the runner. Hand-built contexts
-/// (unit tests) may leave telemetry/system null; policies must degrade
-/// gracefully (the shipped history-aware policies fall back to their
-/// telemetry-free behavior).
+/// The runner fills the shared views (now_ms, costs, telemetry, system and,
+/// under an active fault plan, offline/domain_offline) alike for every
+/// consultation. Hand-built contexts (unit tests) may leave telemetry/system
+/// null; policies must degrade gracefully (the shipped history-aware
+/// policies fall back to their telemetry-free behavior).
 ///
 /// Determinism contract: the simulation consults policies in a fixed,
 /// reproducible event order, and every sweep trial gets its own policy

@@ -17,11 +17,9 @@ void check_context(const DispatchContext& ctx) {
 
 const char* FixedLevelGovernor::name() const {
   switch (level_) {
-    case Level::kLowest: return governor_kind_name(GovernorKind::kFixedLowest);
-    case Level::kNominal:
-      return governor_kind_name(GovernorKind::kFixedNominal);
-    case Level::kHighest:
-      return governor_kind_name(GovernorKind::kFixedHighest);
+    case Level::kLowest: return "fixed-lowest";
+    case Level::kNominal: return "fixed-nominal";
+    case Level::kHighest: return "fixed-highest";
   }
   return "?";
 }
@@ -174,51 +172,6 @@ void PerSubAccelGovernor::reset() {
   for (auto& gov : overrides_) {
     if (gov != nullptr) gov->reset();
   }
-}
-
-const char* governor_kind_name(GovernorKind kind) {
-  switch (kind) {
-    case GovernorKind::kFixedLowest: return "fixed-lowest";
-    case GovernorKind::kFixedNominal: return "fixed-nominal";
-    case GovernorKind::kFixedHighest: return "fixed-highest";
-    case GovernorKind::kDeadlineAware: return "deadline-aware";
-    case GovernorKind::kRaceToIdle: return "race-to-idle";
-    case GovernorKind::kOndemand: return "ondemand";
-    case GovernorKind::kUtilizationFeedback: return "utilization-feedback";
-  }
-  return "?";
-}
-
-std::unique_ptr<FrequencyGovernor> make_governor(GovernorKind kind) {
-  switch (kind) {
-    case GovernorKind::kFixedLowest:
-      return std::make_unique<FixedLevelGovernor>(
-          FixedLevelGovernor::Level::kLowest);
-    case GovernorKind::kFixedNominal:
-      return std::make_unique<FixedLevelGovernor>(
-          FixedLevelGovernor::Level::kNominal);
-    case GovernorKind::kFixedHighest:
-      return std::make_unique<FixedLevelGovernor>(
-          FixedLevelGovernor::Level::kHighest);
-    case GovernorKind::kDeadlineAware:
-      return std::make_unique<DeadlineAwareGovernor>();
-    case GovernorKind::kRaceToIdle:
-      return std::make_unique<RaceToIdleGovernor>();
-    case GovernorKind::kOndemand:
-      return std::make_unique<OndemandGovernor>();
-    case GovernorKind::kUtilizationFeedback:
-      return std::make_unique<UtilizationFeedbackGovernor>();
-  }
-  return nullptr;
-}
-
-const std::vector<GovernorKind>& all_governor_kinds() {
-  static const std::vector<GovernorKind> kinds = {
-      GovernorKind::kFixedLowest,   GovernorKind::kFixedNominal,
-      GovernorKind::kFixedHighest,  GovernorKind::kDeadlineAware,
-      GovernorKind::kRaceToIdle,    GovernorKind::kOndemand,
-      GovernorKind::kUtilizationFeedback};
-  return kinds;
 }
 
 }  // namespace xrbench::runtime

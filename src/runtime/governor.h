@@ -157,20 +157,4 @@ class PerSubAccelGovernor final : public FrequencyGovernor {
   std::vector<std::unique_ptr<FrequencyGovernor>> overrides_;
 };
 
-enum class GovernorKind {
-  kFixedLowest,
-  kFixedNominal,
-  kFixedHighest,
-  kDeadlineAware,
-  kRaceToIdle,
-  kOndemand,
-  kUtilizationFeedback,
-};
-
-const char* governor_kind_name(GovernorKind kind);
-std::unique_ptr<FrequencyGovernor> make_governor(GovernorKind kind);
-
-/// All governor kinds, in declaration order (for policy sweeps).
-const std::vector<GovernorKind>& all_governor_kinds();
-
 }  // namespace xrbench::runtime

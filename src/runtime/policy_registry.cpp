@@ -3,47 +3,110 @@
 #include <stdexcept>
 
 namespace xrbench::runtime {
-
 namespace {
 
-template <typename Pairs>
-std::string join_names(const Pairs& pairs) {
-  std::string out;
-  for (const auto& [name, factory] : pairs) {
-    if (!out.empty()) out += ", ";
-    out += "'" + name + "'";
-  }
-  return out;
-}
+// The one implementation of register/has/make/names, shared by the three
+// families. The caller of lookup/find holds family.mutex.
 
-template <typename Pairs>
-const typename Pairs::value_type::second_type* find_factory(
-    const Pairs& pairs, const std::string& name) {
-  for (const auto& [n, factory] : pairs) {
-    if (n == name) return &factory;
+template <typename Family>
+const typename Family::Factory* lookup(const Family& family,
+                                       const std::string& name) {
+  for (const auto& entry : family.entries) {
+    if (entry.first == name) return &entry.second;
   }
   return nullptr;
+}
+
+/// The factory registered under `name`; throws the unknown-name error,
+/// listing the registered names, when there is none.
+template <typename Family>
+const typename Family::Factory& find(const Family& family,
+                                     const std::string& name) {
+  if (const auto* factory = lookup(family, name)) return *factory;
+  std::string available;
+  for (const auto& entry : family.entries) {
+    if (!available.empty()) available += ", ";
+    available += "'" + entry.first + "'";
+  }
+  throw std::invalid_argument("PolicyRegistry: unknown " +
+                              std::string(family.noun) + " '" + name +
+                              "' (available: " + available + ")");
+}
+
+template <typename Family>
+void add(Family& family, const std::string& name,
+         typename Family::Factory factory) {
+  if (name.empty() || !factory) {
+    throw std::invalid_argument(std::string("PolicyRegistry: ") +
+                                family.kind +
+                                " name and factory must be non-empty");
+  }
+  std::lock_guard<std::mutex> lock(family.mutex);
+  if (lookup(family, name) != nullptr) {
+    throw std::invalid_argument(std::string("PolicyRegistry: ") +
+                                family.noun + " '" + name +
+                                "' is already registered");
+  }
+  family.entries.emplace_back(name, std::move(factory));
+}
+
+/// Registers built-in policy P, made from `args`, under the name P reports.
+template <typename P, typename Family, typename... Args>
+void add_builtin(Family& family, Args... args) {
+  auto make = [args...] { return std::make_unique<P>(args...); };
+  add(family, make()->name(), make);
+}
+
+template <typename Family>
+bool has(const Family& family, const std::string& name) {
+  std::lock_guard<std::mutex> lock(family.mutex);
+  return lookup(family, name) != nullptr;
+}
+
+template <typename Family>
+std::string checked(const Family& family, const std::string& name) {
+  std::lock_guard<std::mutex> lock(family.mutex);
+  find(family, name);
+  return name;
+}
+
+template <typename Family>
+auto make(const Family& family, const std::string& name) {
+  std::lock_guard<std::mutex> lock(family.mutex);
+  return find(family, name)();
+}
+
+template <typename Family>
+std::vector<std::string> names(const Family& family) {
+  std::lock_guard<std::mutex> lock(family.mutex);
+  std::vector<std::string> out;
+  out.reserve(family.entries.size());
+  for (const auto& entry : family.entries) out.push_back(entry.first);
+  return out;
 }
 
 }  // namespace
 
 PolicyRegistry::PolicyRegistry() {
-  // Built-ins, in the enum order of SchedulerKind / GovernorKind so
-  // registry-driven sweeps enumerate policies in the same order the enum
-  // tables always did.
-  for (auto kind : all_scheduler_kinds()) {
-    register_scheduler(scheduler_kind_name(kind),
-                       [kind] { return runtime::make_scheduler(kind); });
-  }
-  for (auto kind : all_governor_kinds()) {
-    register_governor(governor_kind_name(kind),
-                      [kind] { return runtime::make_governor(kind); });
-  }
-  for (auto kind : kAllAdmissionKinds) {
-    register_admission(admission_kind_name(kind), [kind] {
-      return runtime::make_admission_controller(kind);
-    });
-  }
+  // Built-ins in the order --list-policies and every registry-driven sweep
+  // enumerate them.
+  add_builtin<LatencyGreedyScheduler>(schedulers_);
+  add_builtin<RoundRobinScheduler>(schedulers_);
+  add_builtin<EdfScheduler>(schedulers_);
+  add_builtin<SlackAwareScheduler>(schedulers_);
+  add_builtin<LeastLoadedScheduler>(schedulers_);
+  add_builtin<FaultAwareScheduler>(schedulers_);
+  using Level = FixedLevelGovernor::Level;
+  add_builtin<FixedLevelGovernor>(governors_, Level::kLowest);
+  add_builtin<FixedLevelGovernor>(governors_, Level::kNominal);
+  add_builtin<FixedLevelGovernor>(governors_, Level::kHighest);
+  add_builtin<DeadlineAwareGovernor>(governors_);
+  add_builtin<RaceToIdleGovernor>(governors_);
+  add_builtin<OndemandGovernor>(governors_);
+  add_builtin<UtilizationFeedbackGovernor>(governors_);
+  add_builtin<AdmitAllController>(admissions_);
+  add_builtin<DropEarlyController>(admissions_);
+  add_builtin<FleetQueueController>(admissions_);
 }
 
 PolicyRegistry& PolicyRegistry::instance() {
@@ -53,96 +116,56 @@ PolicyRegistry& PolicyRegistry::instance() {
 
 void PolicyRegistry::register_scheduler(const std::string& name,
                                         SchedulerFactory factory) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument(
-        "PolicyRegistry: scheduler name and factory must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (find_factory(schedulers_, name) != nullptr) {
-    throw std::invalid_argument("PolicyRegistry: scheduler '" + name +
-                                "' is already registered");
-  }
-  schedulers_.emplace_back(name, std::move(factory));
+  add(schedulers_, name, std::move(factory));
 }
 
 void PolicyRegistry::register_governor(const std::string& name,
                                        GovernorFactory factory) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument(
-        "PolicyRegistry: governor name and factory must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (find_factory(governors_, name) != nullptr) {
-    throw std::invalid_argument("PolicyRegistry: governor '" + name +
-                                "' is already registered");
-  }
-  governors_.emplace_back(name, std::move(factory));
+  add(governors_, name, std::move(factory));
 }
 
 void PolicyRegistry::register_admission(const std::string& name,
                                         AdmissionFactory factory) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument(
-        "PolicyRegistry: admission name and factory must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (find_factory(admissions_, name) != nullptr) {
-    throw std::invalid_argument("PolicyRegistry: admission policy '" + name +
-                                "' is already registered");
-  }
-  admissions_.emplace_back(name, std::move(factory));
+  add(admissions_, name, std::move(factory));
 }
 
 bool PolicyRegistry::has_scheduler(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_factory(schedulers_, name) != nullptr;
+  return has(schedulers_, name);
 }
 
 bool PolicyRegistry::has_governor(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_factory(governors_, name) != nullptr;
+  return has(governors_, name);
 }
 
 bool PolicyRegistry::has_admission(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_factory(admissions_, name) != nullptr;
+  return has(admissions_, name);
+}
+
+std::string PolicyRegistry::checked_scheduler(const std::string& name) {
+  return checked(instance().schedulers_, name);
+}
+
+std::string PolicyRegistry::checked_governor(const std::string& name) {
+  return checked(instance().governors_, name);
+}
+
+std::string PolicyRegistry::checked_admission(const std::string& name) {
+  return checked(instance().admissions_, name);
 }
 
 std::unique_ptr<Scheduler> PolicyRegistry::make_scheduler(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto* factory = find_factory(schedulers_, name);
-  if (factory == nullptr) {
-    throw std::invalid_argument("PolicyRegistry: unknown scheduler '" + name +
-                                "' (available: " + join_names(schedulers_) +
-                                ")");
-  }
-  return (*factory)();
+  return make(schedulers_, name);
 }
 
 std::unique_ptr<FrequencyGovernor> PolicyRegistry::make_governor(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto* factory = find_factory(governors_, name);
-  if (factory == nullptr) {
-    throw std::invalid_argument("PolicyRegistry: unknown governor '" + name +
-                                "' (available: " + join_names(governors_) +
-                                ")");
-  }
-  return (*factory)();
+  return make(governors_, name);
 }
 
 std::unique_ptr<AdmissionController> PolicyRegistry::make_admission(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto* factory = find_factory(admissions_, name);
-  if (factory == nullptr) {
-    throw std::invalid_argument("PolicyRegistry: unknown admission policy '" +
-                                name +
-                                "' (available: " + join_names(admissions_) +
-                                ")");
-  }
-  return (*factory)();
+  return make(admissions_, name);
 }
 
 std::unique_ptr<FrequencyGovernor> PolicyRegistry::make_governor_map(
@@ -158,27 +181,15 @@ std::unique_ptr<FrequencyGovernor> PolicyRegistry::make_governor_map(
 }
 
 std::vector<std::string> PolicyRegistry::scheduler_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(schedulers_.size());
-  for (const auto& [name, factory] : schedulers_) names.push_back(name);
-  return names;
+  return names(schedulers_);
 }
 
 std::vector<std::string> PolicyRegistry::governor_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(governors_.size());
-  for (const auto& [name, factory] : governors_) names.push_back(name);
-  return names;
+  return names(governors_);
 }
 
 std::vector<std::string> PolicyRegistry::admission_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(admissions_.size());
-  for (const auto& [name, factory] : admissions_) names.push_back(name);
-  return names;
+  return names(admissions_);
 }
 
 }  // namespace xrbench::runtime

@@ -13,11 +13,10 @@
 
 namespace xrbench::runtime {
 
-/// String-keyed registry of decision policies (schedulers and frequency
-/// governors). This is the single source for policy names across the stack:
+/// String-keyed registry of decision policies (schedulers, frequency
+/// governors and admission controllers): the one table of policy names that
 /// HarnessOptions, SweepEngine trial specs, CLI flags, bench ablations and
-/// the text-config formats all resolve names through here instead of each
-/// keeping its own enum-parsing table.
+/// the program and fleet configs resolve through.
 ///
 /// Built-in policies are registered at construction in a fixed order, so
 /// name listings (and therefore sweeps that iterate them) are deterministic.
@@ -31,12 +30,9 @@ class PolicyRegistry {
   using AdmissionFactory =
       std::function<std::unique_ptr<AdmissionController>()>;
 
-  /// The process-wide registry, pre-populated with the shipped policies:
-  /// schedulers "latency-greedy", "round-robin", "edf", "slack-aware",
-  /// "least-loaded", "fault-aware"; governors "fixed-lowest", "fixed-nominal",
-  /// "fixed-highest", "deadline-aware", "race-to-idle", "ondemand",
-  /// "utilization-feedback"; admission controllers "admit-all",
-  /// "drop-early", "fleet-queue".
+  /// The process-wide registry, pre-populated with the shipped policies,
+  /// each under its class's name(); `xrbench_cli --list-policies` lists
+  /// them.
   static PolicyRegistry& instance();
 
   /// Registers a factory. Throws std::invalid_argument on an empty name or
@@ -48,6 +44,14 @@ class PolicyRegistry {
   bool has_scheduler(const std::string& name) const;
   bool has_governor(const std::string& name) const;
   bool has_admission(const std::string& name) const;
+
+  /// Returns `name` if instance() has it, else throws the
+  /// std::invalid_argument make_* throws for it, and builds no policy. The
+  /// one name check of the config readers (static, so Section::get_as takes
+  /// it as the name parser), the CLI flags and FleetSimulator::run.
+  static std::string checked_scheduler(const std::string& name);
+  static std::string checked_governor(const std::string& name);
+  static std::string checked_admission(const std::string& name);
 
   /// Instantiates the named policy. Throws std::invalid_argument on an
   /// unknown name, listing the registered names in the message.
@@ -71,12 +75,24 @@ class PolicyRegistry {
   std::vector<std::string> admission_names() const;
 
  private:
+  /// One policy family: names and factories in registration order, behind
+  /// one lock. Every public method forwards to policy_registry.cpp's one
+  /// implementation over it.
+  template <typename Policy>
+  struct Family {
+    using Factory = std::function<std::unique_ptr<Policy>()>;
+    const char* kind;  ///< Names the family in registration errors.
+    const char* noun;  ///< Names it in duplicate and lookup errors.
+    mutable std::mutex mutex;
+    std::vector<std::pair<std::string, Factory>> entries;
+  };
+
   PolicyRegistry();
 
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, SchedulerFactory>> schedulers_;
-  std::vector<std::pair<std::string, GovernorFactory>> governors_;
-  std::vector<std::pair<std::string, AdmissionFactory>> admissions_;
+  Family<Scheduler> schedulers_{"scheduler", "scheduler", {}, {}};
+  Family<FrequencyGovernor> governors_{"governor", "governor", {}, {}};
+  Family<AdmissionController> admissions_{
+      "admission", "admission policy", {}, {}};
 };
 
 }  // namespace xrbench::runtime

@@ -424,6 +424,24 @@ struct RunScratch::Impl {
     }
   }
 
+  /// The views every policy consultation shares: the clock, the cost,
+  /// telemetry and hardware views, and the fault plan's offline masks (null
+  /// with no active plan). Each consultation adds only its own fields.
+  DispatchContext shared_context(double now) const {
+    DispatchContext ctx;
+    ctx.now_ms = now;
+    if (injector.active()) {
+      ctx.offline = &injector.offline_mask();
+      if (!injector.domain_offline_mask().empty()) {
+        ctx.domain_offline = &injector.domain_offline_mask();
+      }
+    }
+    ctx.costs = costs;
+    ctx.telemetry = &telemetry;
+    ctx.system = system;
+    return ctx;
+  }
+
   /// Routes a newly-created request through admission control (when
   /// configured) into the pending queue. Deliberately does NOT dispatch:
   /// call sites keep their existing dispatch cadence — the fan-out loop
@@ -432,17 +450,8 @@ struct RunScratch::Impl {
   /// to pre-admission builds.
   void arrive(const InferenceRequest& req) {
     if (admission != nullptr) {
-      DispatchContext actx;
-      actx.now_ms = sim.now();
+      DispatchContext actx = shared_context(sim.now());
       actx.request = &req;
-      actx.offline = injector.active() ? &injector.offline_mask() : nullptr;
-      actx.domain_offline =
-          injector.active() && !injector.domain_offline_mask().empty()
-              ? &injector.domain_offline_mask()
-              : nullptr;
-      actx.costs = costs;
-      actx.telemetry = &telemetry;
-      actx.system = system;
       if (!admission->admit(actx)) {
         // Drop-early: same record bytes as a stale-input drop, so scoring
         // and byte-identity checks treat both drop paths uniformly.
@@ -463,14 +472,10 @@ struct RunScratch::Impl {
                   std::size_t level, double now) {
     std::size_t park = level;
     if (governor != nullptr) {
-      DispatchContext pctx;
-      pctx.now_ms = now;
+      DispatchContext pctx = shared_context(now);
       pctx.request = &req;
       pctx.sub_accel = sa;
       pctx.level = level;
-      pctx.costs = costs;
-      pctx.telemetry = &telemetry;
-      pctx.system = system;
       park = governor->park_level(pctx);
       if (park >= costs->num_levels(sa)) {
         throw std::logic_error("Governor returned an invalid park level");
@@ -687,17 +692,9 @@ struct RunScratch::Impl {
         }
       }
       if (idle.empty() || pending.empty()) return;
-      DispatchContext ctx;
-      ctx.now_ms = sim.now();
+      DispatchContext ctx = shared_context(sim.now());
       ctx.pending = &pending;
       ctx.idle_sub_accels = &idle;
-      ctx.offline = faulted ? &injector.offline_mask() : nullptr;
-      ctx.domain_offline = faulted && !injector.domain_offline_mask().empty()
-                               ? &injector.domain_offline_mask()
-                               : nullptr;
-      ctx.costs = costs;
-      ctx.telemetry = &telemetry;
-      ctx.system = system;
       const auto choice = scheduler->pick(ctx);
       if (!choice) return;
       if (choice->request_index >= pending.size() ||
@@ -714,15 +711,9 @@ struct RunScratch::Impl {
       const double start = sim.now();
       std::size_t level = costs->nominal_level(sa);
       if (governor != nullptr) {
-        DispatchContext gctx;
-        gctx.now_ms = start;
+        DispatchContext gctx = shared_context(start);
         gctx.request = &req;
         gctx.sub_accel = sa;
-        gctx.offline = ctx.offline;
-        gctx.domain_offline = ctx.domain_offline;
-        gctx.costs = costs;
-        gctx.telemetry = &telemetry;
-        gctx.system = system;
         level = governor->level_for(gctx);
         if (level >= costs->num_levels(sa)) {
           throw std::logic_error("Governor returned an invalid DVFS level");

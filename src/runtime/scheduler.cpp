@@ -229,42 +229,4 @@ std::optional<Assignment> FaultAwareScheduler::pick(
   return Assignment{ri, best};
 }
 
-const char* scheduler_kind_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kLatencyGreedy: return "latency-greedy";
-    case SchedulerKind::kRoundRobin: return "round-robin";
-    case SchedulerKind::kEdf: return "edf";
-    case SchedulerKind::kSlackAware: return "slack-aware";
-    case SchedulerKind::kLeastLoaded: return "least-loaded";
-    case SchedulerKind::kFaultAware: return "fault-aware";
-  }
-  return "?";
-}
-
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kLatencyGreedy:
-      return std::make_unique<LatencyGreedyScheduler>();
-    case SchedulerKind::kRoundRobin:
-      return std::make_unique<RoundRobinScheduler>();
-    case SchedulerKind::kEdf:
-      return std::make_unique<EdfScheduler>();
-    case SchedulerKind::kSlackAware:
-      return std::make_unique<SlackAwareScheduler>();
-    case SchedulerKind::kLeastLoaded:
-      return std::make_unique<LeastLoadedScheduler>();
-    case SchedulerKind::kFaultAware:
-      return std::make_unique<FaultAwareScheduler>();
-  }
-  return nullptr;
-}
-
-const std::vector<SchedulerKind>& all_scheduler_kinds() {
-  static const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::kLatencyGreedy, SchedulerKind::kRoundRobin,
-      SchedulerKind::kEdf, SchedulerKind::kSlackAware,
-      SchedulerKind::kLeastLoaded, SchedulerKind::kFaultAware};
-  return kinds;
-}
-
 }  // namespace xrbench::runtime

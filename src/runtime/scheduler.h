@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "runtime/dispatch_context.h"
 
@@ -119,20 +116,5 @@ class FaultAwareScheduler final : public Scheduler {
   const char* name() const override { return "fault-aware"; }
   std::optional<Assignment> pick(const DispatchContext& ctx) override;
 };
-
-enum class SchedulerKind {
-  kLatencyGreedy,
-  kRoundRobin,
-  kEdf,
-  kSlackAware,
-  kLeastLoaded,
-  kFaultAware,
-};
-
-const char* scheduler_kind_name(SchedulerKind kind);
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind);
-
-/// All scheduler kinds, in declaration order (for policy sweeps).
-const std::vector<SchedulerKind>& all_scheduler_kinds();
 
 }  // namespace xrbench::runtime

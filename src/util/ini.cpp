@@ -143,6 +143,13 @@ std::int64_t IniDocument::Section::get_int(const std::string& key,
   return *value;
 }
 
+std::uint64_t IniDocument::Section::get_uint64(const std::string& key) const {
+  const std::string& v = get(key);
+  const auto value = parse_number<std::uint64_t>(v);
+  if (!value) reject(key, key + " is not a non-negative integer: '" + v + "'");
+  return *value;
+}
+
 bool IniDocument::Section::get_bool(const std::string& key) const {
   const std::string v = lower(trim(get(key)));
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;

@@ -75,6 +75,8 @@ class IniDocument {
         const std::string& key,
         std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
         std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+    /// `key` as an integer in [0, 2^64 - 1], the full range of a seed.
+    std::uint64_t get_uint64(const std::string& key) const;
     bool get_bool(const std::string& key) const;  ///< true/false/1/0/yes/no
     /// `key` read by a name parser (parse_dataflow, scenario_by_name, ...);
     /// a name the parser throws std::invalid_argument for is rejected at

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "runtime/fault_plan.h"
+#include "runtime/policy_registry.h"
 #include "util/ini.h"
 #include "util/table.h"
 #include "workload/input_source.h"
@@ -13,6 +14,7 @@
 namespace xrbench::workload {
 namespace {
 
+using Registry = runtime::PolicyRegistry;
 using Section = util::IniDocument::Section;
 
 DependencyType parse_dependency(const std::string& s) {
@@ -87,10 +89,7 @@ ScenarioPhase parse_phase(const Section& sec,
                        : sec.get_as("scenario", scenario_by_name);
   phase.duration_ms = sec.get_double("duration_ms", 0.0, util::kUnbounded,
                                      /*lo_open=*/true);
-  if (sec.has("seed_offset")) {
-    phase.seed_offset =
-        static_cast<std::uint64_t>(sec.get_int("seed_offset", 0));
-  }
+  if (sec.has("seed_offset")) phase.seed_offset = sec.get_uint64("seed_offset");
   return phase;
 }
 
@@ -187,7 +186,7 @@ std::string to_config_text(const ScenarioProgram& program) {
     sec.set("scenario", phase.scenario.name);
     // Exact (max_digits10) so parsed programs replay bit-identically.
     sec.set("duration_ms", util::fmt_double_exact(phase.duration_ms));
-    sec.set_int("seed_offset", static_cast<std::int64_t>(phase.seed_offset));
+    sec.set("seed_offset", std::to_string(phase.seed_offset));
   }
   return doc.to_string();
 }
@@ -231,9 +230,13 @@ std::vector<ScenarioProgram> programs_from_document(
       ScenarioProgram program;
       program.name = sec.get("name");
       program.description = sec.get_or("description", "");
-      program.scheduler = sec.get_or("scheduler", "");
-      program.governor = sec.get_or("governor", "");
-      program.admission = sec.get_or("admission", "");
+      // A policy name the registry does not know is rejected at its line.
+      auto policy = [&](const char* key, auto checked) {
+        return sec.has(key) ? sec.get_as(key, checked) : std::string();
+      };
+      program.scheduler = policy("scheduler", Registry::checked_scheduler);
+      program.governor = policy("governor", Registry::checked_governor);
+      program.admission = policy("admission", Registry::checked_admission);
       programs.push_back(std::move(program));
     } else if (sec.name == "faults" || sec.name == "phase") {
       if (programs.empty()) {

@@ -68,8 +68,8 @@ UsageScenario load_scenario(const std::filesystem::path& path);
 /// Phase scenarios resolve against the file's inline definitions first,
 /// then against the built-in suite/extension registries. The writer inlines
 /// every phase scenario, so any program round-trips without relying on the
-/// registries. Rejections read "program config line N: ...", like the
-/// scenario parser's.
+/// registries. Rejections, unknown policy names included, read
+/// "program config line N: ...", like the scenario parser's.
 
 std::string to_config_text(const ScenarioProgram& program);
 ScenarioProgram program_from_config_text(const std::string& text);

@@ -335,6 +335,13 @@ TEST(FleetIo, ConfigRoundTripsThroughText) {
   ASSERT_EQ(setup.catalog.size(), 2u);
   EXPECT_EQ(setup.catalog[0].name, "Scenario Hand-Off");
   EXPECT_EQ(setup.catalog[1].name, "Multi-User Co-Presence");
+  // The seed reloads over the whole 64-bit range, as --seed takes it.
+  for (const std::uint64_t seed :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    config.seed = seed;
+    EXPECT_EQ(fleet_from_config_text(to_config_text(config)).config.seed,
+              seed);
+  }
 }
 
 TEST(FleetIo, NonShortDoublesRoundTripExactly) {
@@ -450,6 +457,16 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
       "[fleet]\npool_size = 100000\nmax_sessions = 100000\n"));
   // An unknown catalog name.
   expect_reject("[fleet]\nseed = 1\nprograms = Nope\n", "Nope", 3);
+  // Unknown policy names, before any run starts.
+  expect_reject("[fleet]\nseed = 1\nadmission = Nope\n",
+                "unknown admission policy 'Nope'", 3);
+  expect_reject("[fleet]\nseed = 1\nscheduler = Nope\n",
+                "unknown scheduler 'Nope'", 3);
+  expect_reject("[fleet]\nseed = 1\ngovernor = Nope\n",
+                "unknown governor 'Nope'", 3);
+  // A seed past 2^64 - 1 or below 0.
+  expect_reject("[fleet]\nseed = 18446744073709551616\n", "seed", 2);
+  expect_reject("[fleet]\nseed = -1\n", "seed", 2);
   // Inline-program grammar errors surface with their lines too.
   expect_reject(
       "[fleet]\nseed = 1\n\n[phase]\nscenario = AR Assistant\n"

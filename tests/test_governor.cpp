@@ -7,6 +7,7 @@
 #include "core/harness.h"
 #include "hw/dvfs.h"
 #include "models/zoo.h"
+#include "runtime/policy_registry.h"
 
 namespace xrbench::runtime {
 namespace {
@@ -209,13 +210,13 @@ TEST_F(GovernorTest, FixedLevelsPickTheirEndpoints) {
   InferenceRequest req;
   req.task = TaskId::kHT;
   req.tdl_ms = 100.0;
-  EXPECT_EQ(make_governor(GovernorKind::kFixedLowest)->level_for(ctx(req, 0)),
-            0u);
-  EXPECT_EQ(make_governor(GovernorKind::kFixedNominal)->level_for(ctx(req, 0)),
+  using Level = FixedLevelGovernor::Level;
+  EXPECT_EQ(FixedLevelGovernor(Level::kLowest).level_for(ctx(req, 0)), 0u);
+  EXPECT_EQ(FixedLevelGovernor(Level::kNominal).level_for(ctx(req, 0)),
             table_.nominal_level(0));
-  EXPECT_EQ(make_governor(GovernorKind::kFixedHighest)->level_for(ctx(req, 0)),
+  EXPECT_EQ(FixedLevelGovernor(Level::kHighest).level_for(ctx(req, 0)),
             table_.num_levels(0) - 1);
-  EXPECT_EQ(make_governor(GovernorKind::kRaceToIdle)->level_for(ctx(req, 0)),
+  EXPECT_EQ(RaceToIdleGovernor().level_for(ctx(req, 0)),
             table_.num_levels(0) - 1);
 }
 
@@ -253,20 +254,43 @@ TEST_F(GovernorTest, DeadlineAwareRespectsTightDeadlines) {
   EXPECT_LE(table_.latency_ms(req.task, 0, lvl), req.tdl_ms);
 }
 
-TEST_F(GovernorTest, NamesAndKinds) {
-  for (GovernorKind kind : all_governor_kinds()) {
-    auto g = make_governor(kind);
-    ASSERT_NE(g, nullptr);
-    EXPECT_STREQ(g->name(), governor_kind_name(kind));
+/// Property: every registered governor picks, and parks at, a level the
+/// sub-accelerator has, for feasible and doomed deadlines alike, with a
+/// telemetry history for the utilization-driven policies to read.
+TEST_F(GovernorTest, EveryPolicyPicksValidLevels) {
+  Telemetry telemetry;
+  telemetry.reset(system_.sub_accels.size());
+  InferenceRequest busy;
+  busy.task = TaskId::kPD;
+  telemetry.on_dispatch(0, busy, 0, 0.0, 3);
+  telemetry.on_retire(0, busy, 0, 9.0, 1.0, 0.1);
+  const auto& registry = PolicyRegistry::instance();
+  for (const auto& name : registry.governor_names()) {
+    auto governor = registry.make_governor(name);
+    for (std::size_t sa = 0; sa < table_.num_sub_accels(); ++sa) {
+      for (double tdl : {1e-6, 5.0, 1e9}) {
+        InferenceRequest req;
+        req.task = TaskId::kHT;
+        req.tdl_ms = tdl;
+        DispatchContext c = ctx(req, sa, 10.0);
+        c.telemetry = &telemetry;
+        c.system = &system_;
+        const std::size_t level = governor->level_for(c);
+        ASSERT_LT(level, table_.num_levels(sa)) << name;
+        c.level = level;
+        EXPECT_LT(governor->park_level(c), table_.num_levels(sa)) << name;
+      }
+    }
   }
 }
 
 // ---- End-to-end policy behavior (satellite regression coverage) -----------
 
 core::ScenarioOutcome run_with(const hw::AcceleratorSystem& system,
-                               const std::string& scenario, GovernorKind gov) {
+                               const std::string& scenario,
+                               const std::string& governor) {
   core::HarnessOptions opt;
-  opt.governor = governor_kind_name(gov);
+  opt.governor = governor;
   opt.dynamic_trials = 5;
   const core::Harness harness(system, opt);
   return harness.run_scenario(workload::scenario_by_name(scenario));
@@ -276,9 +300,8 @@ TEST(GovernorPolicy, DeadlineAwareNeverScoresBelowFixedLowest) {
   const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
   for (const char* scenario :
        {"Low-Power Wearable", "Bursty Notification", "AR Gaming"}) {
-    const auto deadline =
-        run_with(system, scenario, GovernorKind::kDeadlineAware);
-    const auto lowest = run_with(system, scenario, GovernorKind::kFixedLowest);
+    const auto deadline = run_with(system, scenario, "deadline-aware");
+    const auto lowest = run_with(system, scenario, "fixed-lowest");
     EXPECT_GE(deadline.score.overall, lowest.score.overall) << scenario;
   }
 }
@@ -286,10 +309,8 @@ TEST(GovernorPolicy, DeadlineAwareNeverScoresBelowFixedLowest) {
 TEST(GovernorPolicy, DeadlineAwareEnergyBeatsFixedHighest) {
   const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
   for (const char* scenario : {"Low-Power Wearable", "Bursty Notification"}) {
-    const auto deadline =
-        run_with(system, scenario, GovernorKind::kDeadlineAware);
-    const auto highest =
-        run_with(system, scenario, GovernorKind::kFixedHighest);
+    const auto deadline = run_with(system, scenario, "deadline-aware");
+    const auto highest = run_with(system, scenario, "fixed-highest");
     EXPECT_GE(deadline.score.energy, highest.score.energy) << scenario;
   }
 }
@@ -297,9 +318,8 @@ TEST(GovernorPolicy, DeadlineAwareEnergyBeatsFixedHighest) {
 TEST(GovernorPolicy, RaceToIdleMatchesFixedHighestLatency) {
   const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 8192));
   for (const char* scenario : {"AR Gaming", "Low-Power Wearable"}) {
-    const auto race = run_with(system, scenario, GovernorKind::kRaceToIdle);
-    const auto highest =
-        run_with(system, scenario, GovernorKind::kFixedHighest);
+    const auto race = run_with(system, scenario, "race-to-idle");
+    const auto highest = run_with(system, scenario, "fixed-highest");
     const auto& a = race.last_run;
     const auto& b = highest.last_run;
     ASSERT_EQ(a.timeline.size(), b.timeline.size()) << scenario;
@@ -333,9 +353,9 @@ TEST(GovernorPolicy, FixedNominalReproducesUngovernedRun) {
   const auto bare = runner.run(workload::scenario_by_name("AR Gaming"),
                                sched_a, cfg, nullptr);
   LatencyGreedyScheduler sched_b;
-  auto nominal_gov = make_governor(GovernorKind::kFixedNominal);
+  FixedLevelGovernor nominal_gov(FixedLevelGovernor::Level::kNominal);
   const auto governed = runner.run(workload::scenario_by_name("AR Gaming"),
-                                   sched_b, cfg, nominal_gov.get());
+                                   sched_b, cfg, &nominal_gov);
   EXPECT_EQ(bare.total_energy_mj, governed.total_energy_mj);
   ASSERT_EQ(bare.timeline.size(), governed.timeline.size());
   for (std::size_t i = 0; i < bare.timeline.size(); ++i) {

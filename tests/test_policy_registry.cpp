@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/harness.h"
 #include "core/sweep.h"
 #include "hw/accelerator.h"
@@ -38,17 +40,56 @@ TEST(PolicyRegistry, GovernorNameRoundTripsThroughInstance) {
   }
 }
 
-TEST(PolicyRegistry, BuiltInsMatchTheEnumTables) {
-  // The registry replaced the duplicated enum-parsing tables; the enum APIs
-  // stay for typed callers, and both must agree name-for-name.
+TEST(PolicyRegistry, BuiltInsListInRegistrationOrder) {
+  // The order --list-policies prints and registry-driven sweeps iterate;
+  // policies registered later (custom ones) follow the built-ins.
   const auto& registry = PolicyRegistry::instance();
-  for (auto kind : {SchedulerKind::kLatencyGreedy, SchedulerKind::kRoundRobin,
-                    SchedulerKind::kEdf, SchedulerKind::kSlackAware}) {
-    EXPECT_TRUE(registry.has_scheduler(scheduler_kind_name(kind)));
+  auto prefix = [](std::vector<std::string> names, std::size_t n) {
+    names.resize(std::min(names.size(), n));
+    return names;
+  };
+  EXPECT_EQ(prefix(registry.scheduler_names(), 6),
+            (std::vector<std::string>{"latency-greedy", "round-robin", "edf",
+                                      "slack-aware", "least-loaded",
+                                      "fault-aware"}));
+  EXPECT_EQ(prefix(registry.governor_names(), 7),
+            (std::vector<std::string>{
+                "fixed-lowest", "fixed-nominal", "fixed-highest",
+                "deadline-aware", "race-to-idle", "ondemand",
+                "utilization-feedback"}));
+  const auto admissions = registry.admission_names();
+  EXPECT_EQ(prefix(admissions, 3),
+            (std::vector<std::string>{"admit-all", "drop-early",
+                                      "fleet-queue"}));
+  for (const auto& name : admissions) {
+    EXPECT_EQ(std::string(registry.make_admission(name)->name()), name);
   }
-  for (auto kind : all_governor_kinds()) {
-    EXPECT_TRUE(registry.has_governor(governor_kind_name(kind)));
-  }
+}
+
+TEST(PolicyRegistry, CheckedNamesRejectLikeMake) {
+  const auto& registry = PolicyRegistry::instance();
+  EXPECT_EQ(registry.checked_scheduler("edf"), "edf");
+  EXPECT_EQ(registry.checked_governor("ondemand"), "ondemand");
+  EXPECT_EQ(registry.checked_admission("drop-early"), "drop-early");
+  // An unknown name fails with make_*'s message, which lists the family.
+  auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  EXPECT_EQ(message([&] { registry.checked_scheduler("Nope"); }),
+            message([&] { registry.make_scheduler("Nope"); }));
+  EXPECT_EQ(message([&] { registry.checked_governor("Nope"); }),
+            message([&] { registry.make_governor("Nope"); }));
+  const std::string admission =
+      message([&] { registry.checked_admission("Nope"); });
+  EXPECT_EQ(admission, message([&] { registry.make_admission("Nope"); }));
+  EXPECT_EQ(admission,
+            "PolicyRegistry: unknown admission policy 'Nope' (available: "
+            "'admit-all', 'drop-early', 'fleet-queue')");
 }
 
 // ---- Error reporting ------------------------------------------------------

@@ -315,6 +315,14 @@ TEST(ScenarioProgramIo, RoundTripsThroughConfigText) {
                           harness.run_program_once(program, 42),
                           program.name + " parsed");
   }
+  // Phase seed offsets reload over the whole 64-bit range.
+  auto program = extension_programs().front();
+  for (const std::uint64_t offset :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    program.phases.back().seed_offset = offset;
+    const auto parsed = program_from_config_text(to_config_text(program));
+    EXPECT_EQ(parsed.phases.back().seed_offset, offset);
+  }
 }
 
 TEST(ScenarioProgramIo, RoundTripsNonShortDoublesExactly) {
@@ -419,6 +427,9 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
       {"scenario = Nope\nduration_ms = 100\n", "line 4"},
       {"scenario = AR Gaming\nduration_ms = 100\nseed_offset = x\n",
        "line 6"},
+      {"scenario = AR Gaming\nduration_ms = 100\n"
+       "seed_offset = 18446744073709551616\n",
+       "line 6"},
   };
   for (const auto& row : bad_phase) {
     try {
@@ -428,6 +439,20 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(row.line), std::string::npos)
           << e.what();
+    }
+  }
+  // An unknown policy name names its line, before any run starts.
+  for (const char* key : {"scheduler", "governor", "admission"}) {
+    try {
+      program_from_config_text(std::string("[program]\nname = x\n") + key +
+                               " = Nope\n[phase]\nscenario = AR Gaming\n"
+                               "duration_ms = 100\n");
+      ADD_FAILURE() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("unknown ") + key), std::string::npos)
+          << what;
     }
   }
   // A [model] before any [scenario].

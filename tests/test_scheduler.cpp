@@ -4,6 +4,7 @@
 
 #include "costmodel/cost_model.h"
 #include "hw/accelerator.h"
+#include "runtime/policy_registry.h"
 
 namespace xrbench::runtime {
 namespace {
@@ -44,22 +45,20 @@ class SchedulerTest : public ::testing::Test {
 };
 
 TEST_F(SchedulerTest, AllPoliciesReturnNulloptWhenNothingPending) {
-  for (auto kind :
-       {SchedulerKind::kLatencyGreedy, SchedulerKind::kRoundRobin,
-        SchedulerKind::kEdf, SchedulerKind::kSlackAware}) {
-    auto sched = make_scheduler(kind);
-    EXPECT_EQ(sched->pick(ctx()), std::nullopt) << sched->name();
+  const auto& registry = PolicyRegistry::instance();
+  for (const auto& name : registry.scheduler_names()) {
+    EXPECT_EQ(registry.make_scheduler(name)->pick(ctx()), std::nullopt)
+        << name;
   }
 }
 
 TEST_F(SchedulerTest, AllPoliciesReturnNulloptWhenNoIdleAccel) {
   pending_.push_back(req(TaskId::kHT, 0, 0, 33));
   idle_.clear();
-  for (auto kind :
-       {SchedulerKind::kLatencyGreedy, SchedulerKind::kRoundRobin,
-        SchedulerKind::kEdf, SchedulerKind::kSlackAware}) {
-    auto sched = make_scheduler(kind);
-    EXPECT_EQ(sched->pick(ctx()), std::nullopt) << sched->name();
+  const auto& registry = PolicyRegistry::instance();
+  for (const auto& name : registry.scheduler_names()) {
+    EXPECT_EQ(registry.make_scheduler(name)->pick(ctx()), std::nullopt)
+        << name;
   }
 }
 
@@ -172,24 +171,16 @@ TEST_F(SchedulerTest, SlackAwareFallsBackToEdfWhenAllDoomed) {
   EXPECT_EQ(pending_[a->request_index].task, TaskId::kSS);  // earliest tdl
 }
 
-TEST(SchedulerFactory, NamesAndKinds) {
-  for (auto kind :
-       {SchedulerKind::kLatencyGreedy, SchedulerKind::kRoundRobin,
-        SchedulerKind::kEdf, SchedulerKind::kSlackAware}) {
-    auto s = make_scheduler(kind);
-    ASSERT_NE(s, nullptr);
-    EXPECT_STREQ(s->name(), scheduler_kind_name(kind));
-  }
-}
-
-/// Property: every policy returns valid indices for arbitrary queue states.
-class SchedulerValidity : public ::testing::TestWithParam<SchedulerKind> {};
+/// Property: every registered policy returns valid indices for arbitrary
+/// queue states, with a telemetry history (a busy unit and an aborted one)
+/// for the load- and fault-aware placements to read.
+class SchedulerValidity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerValidity, AlwaysReturnsValidAssignment) {
   costmodel::AnalyticalCostModel cm;
   const auto sys = hw::make_accelerator('M', 8192);
   const CostTable table(sys, cm);
-  auto sched = make_scheduler(GetParam());
+  auto sched = PolicyRegistry::instance().make_scheduler(GetParam());
   std::vector<InferenceRequest> pending;
   for (int i = 0; i < 20; ++i) {
     InferenceRequest r;
@@ -201,11 +192,19 @@ TEST_P(SchedulerValidity, AlwaysReturnsValidAssignment) {
     pending.push_back(r);
   }
   const std::vector<std::size_t> idle = {1, 3};
+  Telemetry telemetry;
+  telemetry.reset(sys.sub_accels.size());
+  telemetry.on_dispatch(1, pending[0], 0, 0.0, pending.size());
+  telemetry.on_retire(1, pending[0], 0, 8.0, 1.0, 0.1);
+  telemetry.on_dispatch(3, pending[1], 0, 0.0, pending.size());
+  telemetry.on_abort(3, 5.0, 0.5, 0.1);
   DispatchContext ctx;
   ctx.now_ms = 10.0;
   ctx.pending = &pending;
   ctx.idle_sub_accels = &idle;
   ctx.costs = &table;
+  ctx.telemetry = &telemetry;
+  ctx.system = &sys;
   for (int round = 0; round < 10 && !pending.empty(); ++round) {
     const auto a = sched->pick(ctx);
     ASSERT_TRUE(a.has_value());
@@ -216,18 +215,16 @@ TEST_P(SchedulerValidity, AlwaysReturnsValidAssignment) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedulerValidity,
-                         ::testing::Values(SchedulerKind::kLatencyGreedy,
-                                           SchedulerKind::kRoundRobin,
-                                           SchedulerKind::kEdf,
-                                           SchedulerKind::kSlackAware),
-                         [](const auto& info) {
-                           std::string n = scheduler_kind_name(info.param);
-                           for (auto& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, SchedulerValidity,
+    ::testing::ValuesIn(PolicyRegistry::instance().scheduler_names()),
+    [](const auto& info) {
+      std::string n = info.param;
+      for (auto& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
+    });
 
 }  // namespace
 }  // namespace xrbench::runtime

@@ -113,26 +113,6 @@ TEST(QoeScore, ClampsOverAchievement) {
   EXPECT_DOUBLE_EQ(qoe_score(70, 60), 1.0);
 }
 
-TEST(InferenceScore, ProductOfUnitScores) {
-  runtime::InferenceRecord rec;
-  rec.treq_ms = 0.0;
-  rec.tdl_ms = 100.0;   // slack 100
-  rec.dispatch_ms = 0.0;
-  rec.complete_ms = 10.0;  // latency 10, well within
-  rec.energy_mj = 750.0;
-  workload::QualityGoal goal{"acc", 90.0, true, 95.0};
-  ScoreConfig cfg;  // enmax 1500
-  const double s = inference_score(rec, goal, cfg);
-  EXPECT_NEAR(s, 1.0 * 0.5 * 1.0, 1e-9);
-}
-
-TEST(InferenceScore, DroppedIsZero) {
-  runtime::InferenceRecord rec;
-  rec.dropped = true;
-  workload::QualityGoal goal{"acc", 90.0, true, 95.0};
-  EXPECT_DOUBLE_EQ(inference_score(rec, goal, ScoreConfig{}), 0.0);
-}
-
 /// Property: all unit scores stay in [0,1] across a parameter sweep.
 struct ScoreSweepCase {
   double latency, slack, k, energy, enmax;
