@@ -38,27 +38,6 @@ std::uint64_t hash_double(double d) {
   return bits;
 }
 
-/// Buckets the model memo reserves up front. A 13-design x 9-size DVFS
-/// sweep on a fresh model fills ~1100 entries; growing to that from empty
-/// rehashes the whole map under the memo lock about ten times, and every
-/// other worker waits out each rehash.
-constexpr std::size_t kMemoBuckets = 2048;
-
-/// Locks the model memo's mutex. Its critical sections are one hash lookup
-/// or one insert, well under a microsecond, while a waiter that blocks in
-/// std::mutex::lock pays a futex sleep and wake-up of several microseconds
-/// (on a 4-vCPU VM; longer whenever the host is busy). So a waiter retries
-/// for a short bounded spin first and blocks only after it.
-std::unique_lock<std::mutex> lock_memo(std::mutex& mutex) {
-  for (int spin = 0; spin < 128; ++spin) {
-    if (mutex.try_lock()) return std::unique_lock(mutex, std::adopt_lock);
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-  return std::unique_lock(mutex);
-}
-
 /// The operating points of `accel`'s DVFS ladder, or null for the empty
 /// (fixed-clock) ladder, whose one lane runs at the configured clock.
 const hw::DvfsOperatingPoint* ladder_ops(const SubAccelConfig& accel) {
@@ -121,9 +100,7 @@ Dataflow parse_dataflow(const std::string& s) {
 }
 
 AnalyticalCostModel::AnalyticalCostModel(EnergyParams energy)
-    : energy_(energy) {
-  memo_.reserve(kMemoBuckets);
-}
+    : energy_(energy) {}
 
 AnalyticalCostModel::AnalyticalCostModel(const AnalyticalCostModel& other)
     : AnalyticalCostModel(other.energy_) {}
@@ -695,26 +672,21 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
     const ModelGraph& graph, const SubAccelConfig& accel,
     AllLevelsScratch* scratch) const {
   const std::uint64_t hash = memo_hash(graph, accel);
+  MemoStripe& stripe = memo_[hash % memo_.size()];
   std::shared_ptr<const MemoEntry> entry;
-  std::shared_ptr<const GraphKey> key;
   {
-    const auto lock = lock_memo(memo_mutex_);
-    const auto it = memo_.find(hash);
-    if (it != memo_.end()) {
-      entry = it->second;
-    } else {
-      const auto k = graph_keys_.find(graph.structure_hash());
-      if (k != graph_keys_.end()) key = k->second;
-    }
+    std::lock_guard lock(stripe.mutex);
+    const auto it = stripe.entries.find(hash);
+    if (it != stripe.entries.end()) entry = it->second;
   }
   if (entry != nullptr && entry->matches(graph, accel)) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
+    stripe.hits.fetch_add(1, std::memory_order_relaxed);
     return entry;
   }
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  stripe.misses.fetch_add(1, std::memory_order_relaxed);
   check_accel(accel, "cached_cost_columns");
   auto fresh = std::make_shared<MemoEntry>();
-  fresh->key = shared_graph_key(graph, std::move(key));
+  fresh->key = shared_graph_key(graph);
   fresh->accel = accel;
   fresh->energy = energy_;
   // The walk keeps each level's running sums in scratch lanes; the entry
@@ -731,8 +703,8 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
   entry = std::move(fresh);
   std::shared_ptr<const MemoEntry> stored;
   {
-    const auto lock = lock_memo(memo_mutex_);
-    stored = memo_.emplace(hash, entry).first->second;
+    std::lock_guard lock(stripe.mutex);
+    stored = stripe.entries.emplace(hash, entry).first->second;
   }
   // A racing winner's equal entry stays canonical.
   if (stored != entry && stored->matches(graph, accel)) entry = stored;
@@ -740,44 +712,48 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
 }
 
 std::shared_ptr<const GraphKey> AnalyticalCostModel::shared_graph_key(
-    const ModelGraph& graph, std::shared_ptr<const GraphKey> interned) const {
-  if (interned == nullptr) {
-    // No key interned yet (or the memo lookup found a colliding entry and
-    // skipped the key map): intern one built from the graph unless a
-    // racing miss got there first, whose key is checked below.
-    auto own = std::make_shared<const GraphKey>(
+    const ModelGraph& graph) const {
+  auto own_key = [&graph] {
+    return std::make_shared<const GraphKey>(
         GraphKey{graph.shape_classes(), graph.class_shapes()});
-    {
-      const auto lock = lock_memo(memo_mutex_);
-      interned =
-          graph_keys_.emplace(graph.structure_hash(), own).first->second;
+  };
+  std::shared_ptr<const GraphKey> interned;
+  {
+    std::lock_guard lock(graph_keys_mutex_);
+    auto it = graph_keys_.find(graph.structure_hash());
+    if (it == graph_keys_.end()) {
+      it = graph_keys_.emplace(graph.structure_hash(), own_key()).first;
     }
-    if (interned == own) return interned;
+    interned = it->second;
   }
-  if (interned->matches(graph)) return interned;
-  // Another graph with the same structure hash owns the shared key.
-  return std::make_shared<const GraphKey>(
-      GraphKey{graph.shape_classes(), graph.class_shapes()});
+  // Another graph with the same structure hash may own the shared key.
+  return interned->matches(graph) ? interned : own_key();
 }
 
 void AnalyticalCostModel::clear_model_memo() const {
-  std::lock_guard lock(memo_mutex_);
-  memo_.clear();
+  for (MemoStripe& stripe : memo_) {
+    std::lock_guard lock(stripe.mutex);
+    stripe.entries.clear();
+    stripe.hits = 0;
+    stripe.misses = 0;
+  }
+  std::lock_guard lock(graph_keys_mutex_);
   graph_keys_.clear();
-  memo_hits_ = 0;
-  memo_misses_ = 0;
 }
 
 MemoStats AnalyticalCostModel::model_memo_stats() const {
-  std::lock_guard lock(memo_mutex_);
   MemoStats stats;
-  stats.hits = memo_hits_.load(std::memory_order_relaxed);
-  stats.misses = memo_misses_.load(std::memory_order_relaxed);
-  stats.entries = memo_.size();
-  stats.graph_keys = graph_keys_.size();
-  for (const auto& [hash, entry] : memo_) {
-    stats.prefix_builds += entry->prefix_builds;
+  for (MemoStripe& stripe : memo_) {
+    std::lock_guard lock(stripe.mutex);
+    stats.hits += stripe.hits.load(std::memory_order_relaxed);
+    stats.misses += stripe.misses.load(std::memory_order_relaxed);
+    stats.entries += stripe.entries.size();
+    for (const auto& [hash, entry] : stripe.entries) {
+      stats.prefix_builds += entry->prefix_builds;
+    }
   }
+  std::lock_guard lock(graph_keys_mutex_);
+  stats.graph_keys = graph_keys_.size();
   return stats;
 }
 

@@ -442,12 +442,12 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// The key a miss's entry of `graph` points at: `interned`, the model's
-  /// shared key for graph.structure_hash() (interning one built from
-  /// `graph` when null), once it compares equal to `graph` in place; a key
-  /// of its own when it does not, so a hash collision never aliases.
+  /// The key a miss's entry of `graph` points at: the model's shared key
+  /// for graph.structure_hash() (interned from `graph` when there is none
+  /// yet), once it compares equal to `graph` in place; a key of its own
+  /// when it does not, so a hash collision never aliases.
   std::shared_ptr<const GraphKey> shared_graph_key(
-      const ModelGraph& graph, std::shared_ptr<const GraphKey> interned) const;
+      const ModelGraph& graph) const;
 
   /// One model-level memo entry: cost columns that carry their full key —
   /// the config and a shared GraphKey — and the energy constants they were
@@ -455,26 +455,32 @@ class AnalyticalCostModel {
   /// cost_model.cpp).
   struct MemoEntry;
 
+  /// One stripe of the model-level memo: the entries whose key hash picks
+  /// it, behind a mutex of its own, and the exact hit and miss counts of
+  /// the lookups it served. Stripes sit on cache lines of their own, so
+  /// lookups in different stripes share neither a lock nor a line.
+  struct alignas(64) MemoStripe {
+    std::mutex mutex;
+    std::unordered_map<std::uint64_t, std::shared_ptr<const MemoEntry>>
+        entries;
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+  };
+
   EnergyParams energy_;
-  /// The model-level memo: one map behind one mutex, indexed by the key
-  /// hash. The lock covers only the hash lookup or the insert; the full key
+  /// The model-level memo: 16 stripes, of which the key hash picks one. A
+  /// stripe's lock covers only the hash lookup or the insert; the full key
   /// comparison that confirms a hit and the computation of a miss run
-  /// outside it, so concurrent CostTable builds rarely wait on each other.
-  /// The map is pre-sized for a full design sweep, so it rarely rehashes
-  /// under the lock, and a waiter spins briefly before it blocks. A racing
-  /// duplicate computation is harmless (both threads computed the same
-  /// value, one insert wins); a different key with the same hash is caught
-  /// by the comparison and left uncached.
-  mutable std::mutex memo_mutex_;
-  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const MemoEntry>>
-      memo_;
+  /// outside it. A racing duplicate computation is harmless (both threads
+  /// computed the same value, the first insert wins); a different key with
+  /// the same hash is caught by the comparison and left uncached.
+  mutable std::array<MemoStripe, 16> memo_;
   /// One immutable GraphKey per model graph, indexed by its structure hash
-  /// and guarded by memo_mutex_: a design sweep's ~1,100 entries share the
-  /// zoo's 11 keys instead of each copying ~3 KB of layer shapes.
+  /// behind a mutex that only misses take: a design sweep's ~1,100 entries
+  /// share the zoo's 11 keys instead of each copying ~3 KB of layer shapes.
+  mutable std::mutex graph_keys_mutex_;
   mutable std::unordered_map<std::uint64_t, std::shared_ptr<const GraphKey>>
       graph_keys_;
-  mutable std::atomic<std::uint64_t> memo_hits_{0};
-  mutable std::atomic<std::uint64_t> memo_misses_{0};
 };
 
 }  // namespace xrbench::costmodel

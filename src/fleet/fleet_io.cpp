@@ -41,6 +41,9 @@ std::vector<std::string> split_names(const Section& sec) {
 }
 
 void parse_fleet_section(const Section& sec, FleetConfig& config) {
+  sec.reject_unknown_keys({"seed", "arrival_rate_per_s", "zipf_s",
+                           "pool_size", "arrival_window_ms", "max_sessions",
+                           "admission", "scheduler", "governor", "programs"});
   constexpr auto kMaxCount = static_cast<std::int64_t>(kMaxFleetSessions);
   for (const auto& entry : sec.entries) {
     const std::string& key = entry.key;
@@ -68,23 +71,19 @@ void parse_fleet_section(const Section& sec, FleetConfig& config) {
       config.governor = sec.get_as(key, Registry::checked_governor);
     } else if (key == "programs") {
       config.programs = split_names(sec);
-    } else {
-      sec.reject(key, "unknown [fleet] key '" + key + "'");
     }
   }
 }
 
 PriorityClassSpec parse_class_section(const Section& sec) {
+  sec.reject_unknown_keys({"weight", "wait_budget_ms"});
   PriorityClassSpec cls;
-  for (const auto& entry : sec.entries) {
-    if (entry.key == "weight") {
-      cls.weight =
-          sec.get_double("weight", 0.0, util::kUnbounded, /*lo_open=*/true);
-    } else if (entry.key == "wait_budget_ms") {
-      cls.wait_budget_ms = sec.get_double("wait_budget_ms", 0.0);
-    } else {
-      sec.reject(entry.key, "unknown [class] key '" + entry.key + "'");
-    }
+  if (sec.has("weight")) {
+    cls.weight =
+        sec.get_double("weight", 0.0, util::kUnbounded, /*lo_open=*/true);
+  }
+  if (sec.has("wait_budget_ms")) {
+    cls.wait_budget_ms = sec.get_double("wait_budget_ms", 0.0);
   }
   return cls;
 }

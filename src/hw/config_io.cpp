@@ -103,6 +103,7 @@ DvfsState parse_dvfs(const Section& sec, double clock_ghz) {
 std::vector<std::size_t> parse_fault_domain(const Section& sec,
                                             std::size_t num_sub_accels,
                                             std::vector<char>& claimed) {
+  sec.reject_unknown_keys({"members"});
   std::vector<std::size_t> members;
   std::istringstream in(sec.get("members"));
   std::string token;
@@ -134,6 +135,7 @@ std::vector<std::size_t> parse_fault_domain(const Section& sec,
 
 AcceleratorSystem from_document(const util::IniDocument& doc) {
   const auto& chip = doc.section("chip");
+  chip.reject_unknown_keys({"id", "style", "dataflow_desc", "clock_ghz"});
 
   AcceleratorSystem system;
   system.id = chip.get_or("id", "custom");
@@ -160,6 +162,10 @@ AcceleratorSystem from_document(const util::IniDocument& doc) {
       std::numeric_limits<std::int64_t>::max() / 1024;
   std::size_t index = 0;
   for (const auto* sec : subs) {
+    sec->reject_unknown_keys({"dataflow", "num_pes", "noc_gbps",
+                              "offchip_gbps", "sram_kib", "dvfs_levels",
+                              "dvfs_nominal", "dvfs_transition_ms",
+                              "dvfs_idle_mw"});
     costmodel::SubAccelConfig sa;
     sa.id = system.id + "." + std::to_string(index++);
     sa.dataflow = sec->get_as("dataflow", costmodel::parse_dataflow);

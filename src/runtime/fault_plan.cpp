@@ -163,6 +163,11 @@ std::optional<std::size_t> FaultInjector::throttle_cap(std::size_t sub_accel,
 }
 
 FaultSpec parse_fault_section(const util::IniDocument::Section& sec) {
+  sec.reject_unknown_keys(
+      {"transient_rate", "outage_rate_per_s", "outage_ms",
+       "throttle_rate_per_s", "throttle_ms", "throttle_max_level",
+       "max_retries", "retry_backoff_ms", "checkpoint",
+       "checkpoint_overhead_ms"});
   FaultSpec spec;
   if (sec.has("transient_rate")) {
     spec.transient_rate = sec.get_double("transient_rate", 0.0, 1.0);
@@ -187,7 +192,7 @@ FaultSpec parse_fault_section(const util::IniDocument::Section& sec) {
   }
   if (sec.has("throttle_max_level")) {
     spec.throttle_max_level =
-        static_cast<std::size_t>(sec.get_int("throttle_max_level", 0));
+        static_cast<std::size_t>(sec.get_uint64("throttle_max_level"));
   }
   if (sec.has("max_retries")) {
     spec.max_retries = static_cast<int>(
@@ -222,8 +227,7 @@ void write_fault_section(util::IniDocument& doc, const FaultSpec& spec) {
     sec.set("throttle_ms", util::fmt_double_exact(spec.throttle_ms));
   }
   if (spec.throttle_max_level != d.throttle_max_level) {
-    sec.set_int("throttle_max_level",
-                static_cast<std::int64_t>(spec.throttle_max_level));
+    sec.set("throttle_max_level", std::to_string(spec.throttle_max_level));
   }
   if (spec.max_retries != d.max_retries) {
     sec.set_int("max_retries", spec.max_retries);

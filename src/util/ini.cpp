@@ -1,5 +1,6 @@
 #include "util/ini.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -109,6 +110,16 @@ void IniDocument::Section::reject(const std::string& key,
     if (e.key == key) at = e.line;  // last wins, matching get()
   }
   reject_line(source, at, problem);
+}
+
+void IniDocument::Section::reject_unknown_keys(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& e : entries) {
+    if (std::find(known.begin(), known.end(), e.key) == known.end()) {
+      reject_line(source, e.line,
+                  "unknown [" + name + "] key '" + e.key + "'");
+    }
+  }
 }
 
 std::string IniDocument::Section::get_or(const std::string& key,

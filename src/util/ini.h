@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xrbench::util {
@@ -95,6 +97,11 @@ class IniDocument {
     /// (pass "" for a rule that no single key breaks).
     [[noreturn]] void reject(const std::string& key,
                              const std::string& problem) const;
+    /// Rejects the first key outside `known` at its own line, as
+    /// "unknown [<section>] key '<key>'", so a misspelt key never falls
+    /// back to a default without a word.
+    void reject_unknown_keys(
+        std::initializer_list<std::string_view> known) const;
     void set(const std::string& key, std::string value);
     /// Writes `value` with max_digits10 digits, so parsing it back
     /// reproduces every bit (util::fmt_double_exact).

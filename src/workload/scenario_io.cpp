@@ -25,6 +25,8 @@ DependencyType parse_dependency(const std::string& s) {
 }
 
 ScenarioModel parse_model_section(const Section& sec) {
+  sec.reject_unknown_keys({"task", "fps", "depends_on", "dependency",
+                           "trigger_probability"});
   ScenarioModel m;
   m.task = sec.get_as("task", models::parse_task_code);
   m.target_fps = sec.get_double("fps", 0.0,
@@ -46,6 +48,7 @@ ScenarioModel parse_model_section(const Section& sec) {
 /// data-dependent rates equal to their upstream's.
 UsageScenario parse_scenario(const Section& head,
                              const std::vector<const Section*>& model_secs) {
+  head.reject_unknown_keys({"name", "description"});
   UsageScenario scenario;
   scenario.name = head.get("name");
   scenario.description = head.get_or("description", "");
@@ -78,6 +81,7 @@ UsageScenario parse_scenario(const Section& head,
 /// the built-in registries.
 ScenarioPhase parse_phase(const Section& sec,
                           const std::vector<UsageScenario>& inline_scenarios) {
+  sec.reject_unknown_keys({"scenario", "duration_ms", "seed_offset"});
   ScenarioPhase phase;
   const std::string& ref = sec.get("scenario");
   const UsageScenario* resolved = nullptr;
@@ -226,6 +230,8 @@ std::vector<ScenarioProgram> programs_from_document(
   std::vector<const Section*> heads;
   for (const auto& sec : doc.all_sections()) {
     if (sec.name == "program") {
+      sec.reject_unknown_keys(
+          {"name", "description", "scheduler", "governor", "admission"});
       heads.push_back(&sec);
       ScenarioProgram program;
       program.name = sec.get("name");

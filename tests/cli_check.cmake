@@ -3,6 +3,7 @@
 #
 #   cmake -DPROGRAM=<binary> [-DCASES=<a|b|...>] [-DTHREADS=<0|4|...>]
 #         [-DEXIT=<code>] [-DGOLDEN=<file>] [-DEXPECT=<a|b|...>]
+#         [-DOUTPUT=<file> -DOUTPUT_GOLDEN=<file>]
 #         -P tests/cli_check.cmake
 #
 #   CASES    command lines separated by '|'; each is split like a shell
@@ -15,6 +16,9 @@
 #            lines naming the worker count ("worker threads") are dropped.
 #   EXPECT   fragments separated by '|' that every run's stderr must
 #            contain.
+#   OUTPUT   a file, relative to the working directory, that every run
+#            must write; it is removed before each run and must then equal
+#            OUTPUT_GOLDEN byte for byte.
 #
 # Without EXPECT, a run expected to fail (EXIT other than 0) must name the
 # first word of its command line, the flag it rejects, on stderr.
@@ -31,6 +35,9 @@ endif()
 if(NOT "${GOLDEN}" STREQUAL "")
   file(READ "${GOLDEN}" expected)
 endif()
+if(NOT "${OUTPUT}" STREQUAL "")
+  file(READ "${OUTPUT_GOLDEN}" expected_output)
+endif()
 
 set(failures 0)
 
@@ -42,6 +49,9 @@ function(check_case case)
       set(ENV{XRBENCH_THREADS} "${threads}")
       string(APPEND run " at XRBENCH_THREADS=${threads}")
     endif()
+    if(DEFINED expected_output)
+      file(REMOVE "${OUTPUT}")
+    endif()
     execute_process(COMMAND "${PROGRAM}" ${args}
       RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
     if(NOT "${rc}" STREQUAL "${EXIT}")
@@ -52,6 +62,17 @@ function(check_case case)
       string(REGEX REPLACE "[^\n]*worker threads[^\n]*\n" "" out "${out}")
       if(NOT "${out}" STREQUAL "${expected}")
         message(SEND_ERROR "${run}: stdout differs from ${GOLDEN}:\n${out}")
+        math(EXPR failures "${failures} + 1")
+      endif()
+    endif()
+    if(DEFINED expected_output)
+      set(written "")
+      if(EXISTS "${OUTPUT}")
+        file(READ "${OUTPUT}" written)
+      endif()
+      if(NOT "${written}" STREQUAL "${expected_output}")
+        message(SEND_ERROR
+          "${run}: ${OUTPUT} differs from ${OUTPUT_GOLDEN}:\n${written}")
         math(EXPR failures "${failures} + 1")
       endif()
     endif()

@@ -202,6 +202,7 @@ TEST(HwConfigIo, RejectsMalformedValuesWithLineNumber) {
       {7, "noc_gbps = 1e308", 4, "resources"},
       {6, "num_pes = abc", 6, "num_pes"},
       {5, "dataflow = QQ", 5, "dataflow"},
+      {6, "num_pe = 1024", 6, "unknown [sub_accel] key 'num_pe'"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);
@@ -415,6 +416,8 @@ TEST(ScenarioIo, RejectsInvalidScenarios) {
        "line 5"},
       {"[scenario]\nname = x\n[model]\ntask = QQ\nfps = 30\n", "task",
        "line 4"},
+      {"[scenario]\nname = x\n[model]\ntask = HT\nfsp = 30\n",
+       "unknown [model] key 'fsp'", "line 5"},
   };
   for (const auto& row : non_finite) {
     try {

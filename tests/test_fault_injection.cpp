@@ -227,13 +227,22 @@ TEST(FaultSpecValidation, RejectsOutOfRangeFields) {
 
 // ---- Config round-trips ---------------------------------------------------
 
+// Throttle caps the configs must carry: the sample's, and SIZE_MAX, which
+// `--fault-throttle-level 18446744073709551615` sets.
+constexpr std::size_t kThrottleLevels[] = {
+    1, std::numeric_limits<std::size_t>::max()};
+
 TEST(FaultConfig, HwConfigRoundTrip) {
-  auto system = hw::make_accelerator('C', 4096);
-  system.faults = sample_spec();
-  const auto text = hw::to_config_text(system);
-  EXPECT_NE(text.find("[faults]"), std::string::npos);
-  const auto parsed = hw::from_config_text(text);
-  EXPECT_EQ(parsed.faults, system.faults);
+  for (std::size_t level : kThrottleLevels) {
+    SCOPED_TRACE(level);
+    auto system = hw::make_accelerator('C', 4096);
+    system.faults = sample_spec();
+    system.faults.throttle_max_level = level;
+    const auto text = hw::to_config_text(system);
+    EXPECT_NE(text.find("[faults]"), std::string::npos);
+    const auto parsed = hw::from_config_text(text);
+    EXPECT_EQ(parsed.faults, system.faults);
+  }
 }
 
 TEST(FaultConfig, FaultFreeHwConfigWritesNoSection) {
@@ -242,13 +251,17 @@ TEST(FaultConfig, FaultFreeHwConfigWritesNoSection) {
 }
 
 TEST(FaultConfig, ProgramConfigRoundTrip) {
-  auto program = workload::program_by_name("Scenario Hand-Off");
-  program.admission = "drop-early";
-  program.faults = sample_spec();
-  const auto text = workload::to_config_text(program);
-  const auto parsed = workload::program_from_config_text(text);
-  EXPECT_EQ(parsed.admission, "drop-early");
-  EXPECT_EQ(parsed.faults, program.faults);
+  for (std::size_t level : kThrottleLevels) {
+    SCOPED_TRACE(level);
+    auto program = workload::program_by_name("Scenario Hand-Off");
+    program.admission = "drop-early";
+    program.faults = sample_spec();
+    program.faults.throttle_max_level = level;
+    const auto text = workload::to_config_text(program);
+    const auto parsed = workload::program_from_config_text(text);
+    EXPECT_EQ(parsed.admission, "drop-early");
+    EXPECT_EQ(parsed.faults, program.faults);
+  }
 }
 
 TEST(FaultConfig, MalformedSectionRejectedWithLineNumber) {
@@ -261,6 +274,8 @@ TEST(FaultConfig, MalformedSectionRejectedWithLineNumber) {
       {"retry_backoff_ms = inf", "retry_backoff_ms"},
       // Above INT_MAX: used to wrap round to max_retries = 1.
       {"max_retries = 4294967297", "max_retries"},
+      // A misspelt key used to leave its knob at the default.
+      {"transient_rat = 0.1", "unknown [faults] key 'transient_rat'"},
   };
   for (const auto& [entry, key] : cases) {
     const std::string text =

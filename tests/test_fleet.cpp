@@ -436,6 +436,8 @@ TEST(FleetIo, RejectsMalformedSectionsWithSourceLines) {
                 "weight = 1e308\n",
                 "weights overflow", 7);
   expect_reject("[fleet]\nseed = 1\n\n[class]\nweight = -1\n", "weight", 5);
+  expect_reject("[fleet]\nseed = 1\n\n[class]\nweigth = 1\n",
+                "unknown [class] key 'weigth'", 5);
   expect_reject("[fleet]\nseed = 1\nzipf_s = abc\n", "not a number", 3);
   // Non-finite values, which pass the sign tests.
   expect_reject("[fleet]\nseed = 1\narrival_window_ms = nan\n",

@@ -131,6 +131,9 @@ TEST(Ini, ReadersRejectAtTheSourceLine) {
             "test config line 1: missing key 'missing' in [s]");
   EXPECT_EQ(rejection([&] { s.reject("", "a whole-section rule"); }),
             "test config line 1: a whole-section rule");
+  EXPECT_EQ(rejection([&] { s.reject_unknown_keys({"x", "b"}); }),
+            "test config line 4: unknown [s] key 'y'");
+  EXPECT_NO_THROW(s.reject_unknown_keys({"b", "y", "x"}));
   EXPECT_EQ(rejection([] { IniDocument::parse("[s]\nno equals\n", "cfg"); }),
             "cfg line 2: expected 'key = value'");
 }

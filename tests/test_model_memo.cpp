@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -468,6 +471,69 @@ TEST(ModelMemo, ConcurrentColdBuildsShareOneKeyPerGraph) {
     EXPECT_TRUE(key->matches(graph));
   }
   EXPECT_EQ(cm.model_memo_stats().graph_keys, models::kNumTasks);
+}
+
+TEST(ModelMemo, StripedLookupsStayExactAcrossThreads) {
+  // Eight threads look up every (zoo graph, sub-accelerator) pair of three
+  // dataflows x four PE counts, each thread in its own shuffled order, on
+  // one cold model. The 132 keys spread over all of the memo's stripes.
+  // Summed over the stripes, hits + misses must equal the lookups, each
+  // pair must hold one entry and each graph one key, and every thread must
+  // get the same columns for a pair, equal to the uncached kernel's.
+  std::vector<costmodel::SubAccelConfig> configs;
+  for (auto df : {costmodel::Dataflow::kWS, costmodel::Dataflow::kOS,
+                  costmodel::Dataflow::kRS}) {
+    for (std::int64_t pes : {256, 1024, 2048, 4096}) {
+      configs.push_back(accel(df, pes));
+    }
+  }
+  struct Pair {
+    const costmodel::ModelGraph* graph;
+    const costmodel::SubAccelConfig* config;
+  };
+  std::vector<Pair> pairs;
+  for (models::TaskId t : models::all_tasks()) {
+    for (const auto& config : configs) {
+      pairs.push_back({&models::model_graph(t), &config});
+    }
+  }
+  const costmodel::AnalyticalCostModel cm;
+  constexpr std::size_t kThreads = 8;
+  using Columns = std::shared_ptr<const costmodel::CostColumns>;
+  std::vector<std::vector<Columns>> got(kThreads,
+                                        std::vector<Columns>(pairs.size()));
+  std::atomic<std::size_t> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      std::vector<std::size_t> order(pairs.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), std::mt19937(i));
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (std::size_t p : order) {
+        got[i][p] = cm.cached_cost_columns(*pairs[p].graph, *pairs[p].config);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto stats = cm.model_memo_stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * pairs.size());
+  EXPECT_GE(stats.misses, pairs.size());
+  EXPECT_EQ(stats.entries, pairs.size());
+  EXPECT_EQ(stats.graph_keys, models::kNumTasks);
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& shared = got[0][p];
+    for (std::size_t i = 1; i < kThreads; ++i) {
+      EXPECT_EQ(got[i][p].get(), shared.get()) << "pair " << p;
+    }
+    // Pairs run graph by graph: each shares its graph's first pair's key.
+    const auto& first_of_graph = got[0][p / configs.size() * configs.size()];
+    EXPECT_EQ(&shared->graph_key(), &first_of_graph->graph_key());
+    costmodel::reference::expect_columns_eq(
+        *shared, cm.model_cost_all_levels(*pairs[p].graph, *pairs[p].config));
+  }
 }
 
 TEST(ModelMemo, OnlyCheckpointedRunsBuildPrefixes) {

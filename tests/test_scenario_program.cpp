@@ -430,6 +430,8 @@ TEST(ScenarioProgramIo, RejectsMalformedPrograms) {
       {"scenario = AR Gaming\nduration_ms = 100\n"
        "seed_offset = 18446744073709551616\n",
        "line 6"},
+      // A misspelt key, not the missing duration_ms at the header's line 3.
+      {"scenario = AR Gaming\nduraton_ms = 5\n", "line 5"},
   };
   for (const auto& row : bad_phase) {
     try {

@@ -447,10 +447,12 @@ TEST(SweepEngine, DesignPointsShareOneLoadPerScenario) {
   }
   EXPECT_EQ(trials, 819);
   EXPECT_EQ(engine.loads_planned(), 7u);
-  // The 117 points' memo entries share one key per zoo model graph.
+  // The 117 points' memo entries share one key per zoo model graph, and
+  // the memo's stripes count every lookup exactly.
   const auto memo = engine.model_memo_stats();
   EXPECT_EQ(memo.entries, 1089u);
   EXPECT_EQ(memo.graph_keys, 11u);
+  EXPECT_EQ(memo.hits + memo.misses, 3069u);
 }
 
 TEST(SweepEngine, CascadeSweepSharesOneLoadPerTrial) {
