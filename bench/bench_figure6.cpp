@@ -31,13 +31,12 @@ int main() {
     core::print_timeline(std::cout, out.last_run, /*until_ms=*/600.0,
                          /*resolution_ms=*/6.0);
 
+    const std::size_t units = out.last_run.telemetry.num_sub_accels();
     double util_sum = 0.0;
-    for (std::size_t sa = 0; sa < out.last_run.sub_accel_busy_ms.size();
-         ++sa) {
+    for (std::size_t sa = 0; sa < units; ++sa) {
       util_sum += out.last_run.utilization(sa);
     }
-    const double util_mean =
-        util_sum / static_cast<double>(out.last_run.sub_accel_busy_ms.size());
+    const double util_mean = util_sum / static_cast<double>(units);
     std::cout << "Mean hardware utilization: " << util::fmt_percent(util_mean)
               << "\n\n";
 
@@ -50,7 +49,7 @@ int main() {
                      util::fmt_percent(out.score.frame_drop_rate),
                      util::fmt_double(pd ? pd->rt : 0.0)});
 
-    for (const auto& bi : out.last_run.timeline) {
+    for (const auto& bi : out.last_run.timeline()) {
       csv.row({util::CsvWriter::cell(pes), util::CsvWriter::cell(bi.sub_accel),
                models::task_code(bi.task), util::CsvWriter::cell(bi.frame),
                util::CsvWriter::cell(bi.start_ms),

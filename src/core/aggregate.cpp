@@ -27,7 +27,7 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
     ModelScore m;
     m.task = mstats.task;
     m.active = mstats.frames_expected > 0 || !mstats.records.empty();
-    m.accuracy = accuracy_score(goal, config.epsilon);
+    m.accuracy = accuracy_score(goal, kAccuracyEpsilon);
     m.frames_expected = mstats.frames_expected;
     m.frames_executed = mstats.frames_executed;
     m.frames_dropped = mstats.frames_dropped;

@@ -81,7 +81,7 @@ TrialPolicies make_policies(const HarnessOptions& options,
 /// Shared trial-averaging shape of run_scenario / run_program: runs
 /// `trials` raw runs with consecutive seeds and averages their scores. One
 /// RunScratch spans the loop — trial t+1 reuses trial t's arenas (record
-/// stores, timeline, simulator event pool), recycled after scoring.
+/// stores, simulator event pool), recycled after scoring.
 template <typename RunOnce>
 ScenarioOutcome run_trials(int trials, std::uint64_t base_seed,
                            const ScoreConfig& score, RunOnce&& run_once) {

@@ -117,8 +117,7 @@ class Harness {
   /// run_trial on this harness's runner and options. A non-null `scratch`
   /// reuses that arena across runs (bit-identical results; trial loops pass
   /// one so the big per-trial allocations — simulator event pool, record
-  /// arenas, request/timeline vectors — are reused instead of
-  /// reallocated).
+  /// arenas, request vectors — are reused instead of reallocated).
   runtime::ScenarioRunResult run_once(const workload::UsageScenario& scenario,
                                       std::uint64_t seed,
                                       runtime::RunScratch* scratch =

@@ -118,11 +118,11 @@ void print_scenario_report(std::ostream& os, const ScenarioOutcome& outcome) {
 
 void print_timeline(std::ostream& os, const runtime::ScenarioRunResult& run,
                     double until_ms, double resolution_ms) {
-  const std::size_t lanes = run.sub_accel_busy_ms.size();
+  const std::size_t lanes = run.telemetry.num_sub_accels();
   const auto slices =
       static_cast<std::size_t>(std::max(1.0, until_ms / resolution_ms));
   std::vector<std::string> rows(lanes, std::string(slices, '.'));
-  for (const auto& bi : run.timeline) {
+  for (const auto& bi : run.timeline()) {
     if (bi.sub_accel < 0 || static_cast<std::size_t>(bi.sub_accel) >= lanes) {
       continue;
     }

@@ -9,6 +9,9 @@ namespace xrbench::core {
 /// The paper's stated Enmax default (Definition 11).
 inline constexpr double kPaperEnmaxMj = 1500.0;
 
+/// Numerical-stability epsilon of the accuracy score (Definition 12).
+inline constexpr double kAccuracyEpsilon = 1e-6;
+
 /// Scoring constants (paper Box 2 / appendix B defaults).
 struct ScoreConfig {
   /// Sigmoid steepness k of the real-time score (Definition 10). The paper
@@ -20,8 +23,6 @@ struct ScoreConfig {
   /// RunConfig::system_baseline_w, which puts them in this regime (see
   /// DESIGN.md "Energy calibration").
   double enmax_mj = kPaperEnmaxMj;
-  /// Numerical-stability epsilon of the accuracy score (Definition 12).
-  double epsilon = 1e-6;
 };
 
 /// Real-time score (Definition 10): 1 / (1 + e^{k (Linf - Tsl)}).

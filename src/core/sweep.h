@@ -77,8 +77,8 @@ struct SuitePointScore {
 /// calling thread in inline mode) owns a runtime::RunScratch and a
 /// costmodel::AllLevelsScratch keyed by
 /// util::ThreadPool::current_worker_slot(); consecutive trials on one
-/// worker reuse the same simulator event pool, request/timeline vectors and
-/// SoA record arenas, and consecutive CostTable builds the same layer-walk
+/// worker reuse the same simulator event pool, request vectors and SoA
+/// record arenas, and consecutive CostTable builds the same layer-walk
 /// lanes, instead of reallocating them (results stay bit-identical — reuse
 /// is invisible to the determinism contract). Every trial whose run no
 /// outcome keeps goes back to its worker's arena: all of a suite point's,

@@ -89,6 +89,10 @@ PriorityClassSpec parse_class_section(const Section& sec) {
 }
 
 FleetSetup fleet_from_document(const util::IniDocument& doc) {
+  // Sections beyond [fleet]/[class] belong to the inline session-program
+  // grammar, which reads every one of them.
+  doc.reject_unknown_sections(
+      {"fleet", "class", "program", "faults", "scenario", "model", "phase"});
   if (!doc.has_section("fleet")) {
     throw std::invalid_argument("fleet config: missing [fleet] section");
   }
@@ -97,32 +101,17 @@ FleetSetup fleet_from_document(const util::IniDocument& doc) {
   FleetSetup setup;
   parse_fleet_section(fleet, setup.config);
 
-  // Sections beyond [fleet]/[class] belong to the inline session-program
-  // grammar; anything else is a typo worth a line number.
-  bool has_program_sections = false;  // anything the program grammar owns
   double weight_sum = 0.0;
-  for (const auto& sec : doc.all_sections()) {
-    if (sec.name == "fleet") continue;
-    if (sec.name == "class") {
-      setup.config.classes.push_back(parse_class_section(sec));
-      weight_sum += setup.config.classes.back().weight;
-      if (!std::isfinite(weight_sum)) {
-        sec.reject("", "class weights overflow their sum");
-      }
-    } else if (sec.name == "program" || sec.name == "phase" ||
-               sec.name == "faults") {
-      // A [phase]/[faults] without a [program] must reach the program
-      // parser so it is rejected with its source line, not ignored.
-      has_program_sections = true;
-    } else if (sec.name != "scenario" && sec.name != "model") {
-      sec.reject("", "unexpected [" + sec.name + "] section");
+  for (const auto* sec : doc.sections("class")) {
+    setup.config.classes.push_back(parse_class_section(*sec));
+    weight_sum += setup.config.classes.back().weight;
+    if (!std::isfinite(weight_sum)) {
+      sec->reject("", "class weights overflow their sum");
     }
   }
 
-  std::vector<workload::ScenarioProgram> inline_programs;
-  if (has_program_sections) {
-    inline_programs = workload::programs_from_document(doc);
-  }
+  std::vector<workload::ScenarioProgram> inline_programs =
+      workload::programs_from_document(doc);
 
   if (!setup.config.programs.empty()) {
     // Named catalog: inline definitions first, then the registry.
@@ -192,11 +181,6 @@ std::string to_config_text(const FleetConfig& config) {
 
 FleetSetup fleet_from_config_text(const std::string& text) {
   return fleet_from_document(util::IniDocument::parse(text, "fleet config"));
-}
-
-void save_fleet(const FleetConfig& config,
-                const std::filesystem::path& path) {
-  util::IniDocument::parse(to_config_text(config)).save(path);
 }
 
 FleetSetup load_fleet(const std::filesystem::path& path) {

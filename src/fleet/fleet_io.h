@@ -57,8 +57,6 @@ std::string to_config_text(const FleetConfig& config);
 /// input.
 FleetSetup fleet_from_config_text(const std::string& text);
 
-void save_fleet(const FleetConfig& config,
-                const std::filesystem::path& path);
 FleetSetup load_fleet(const std::filesystem::path& path);
 
 }  // namespace xrbench::fleet

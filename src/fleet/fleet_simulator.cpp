@@ -93,10 +93,10 @@ double mean_executed_latency_ms(const runtime::ScenarioRunResult& run) {
   double total = 0.0;
   std::int64_t n = 0;
   for (const auto& stats : run.per_model) {
-    for (std::size_t i = 0; i < stats.records.size(); ++i) {
-      const auto rec = stats.records[i];
-      if (rec.dropped) continue;
-      total += rec.latency_ms();
+    const runtime::RecordStore& recs = stats.records;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (recs.dropped()[i] != 0) continue;
+      total += recs.latency_ms(i);
       ++n;
     }
   }

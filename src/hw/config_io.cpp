@@ -134,6 +134,7 @@ std::vector<std::size_t> parse_fault_domain(const Section& sec,
 }
 
 AcceleratorSystem from_document(const util::IniDocument& doc) {
+  doc.reject_unknown_sections({"chip", "faults", "sub_accel", "fault_domain"});
   const auto& chip = doc.section("chip");
   chip.reject_unknown_keys({"id", "style", "dataflow_desc", "clock_ghz"});
 

@@ -41,7 +41,9 @@ namespace xrbench::hw {
 /// out-of-range key, DVFS ladder (non-monotonic frequencies, non-positive
 /// voltages, out-of-range or unanchored nominal), [faults] key or
 /// [fault_domain] member names its own line; a bandwidth that over- or
-/// underflows bytes per cycle at the chip clock names its [sub_accel].
+/// underflows bytes per cycle at the chip clock names its [sub_accel]; a
+/// section other than [chip], [faults], [sub_accel] and [fault_domain]
+/// names its header's line.
 
 /// Serializes a system to INI text.
 std::string to_config_text(const AcceleratorSystem& system);

@@ -30,23 +30,6 @@ const char* task_code(TaskId t) {
   return "?";
 }
 
-const char* task_name(TaskId t) {
-  switch (t) {
-    case TaskId::kHT: return "Hand Tracking";
-    case TaskId::kES: return "Eye Segmentation";
-    case TaskId::kGE: return "Gaze Estimation";
-    case TaskId::kKD: return "Keyword Detection";
-    case TaskId::kSR: return "Speech Recognition";
-    case TaskId::kSS: return "Semantic Segmentation";
-    case TaskId::kOD: return "Object Detection";
-    case TaskId::kAS: return "Action Segmentation";
-    case TaskId::kDE: return "Depth Estimation";
-    case TaskId::kDR: return "Depth Refinement";
-    case TaskId::kPD: return "Plane Detection";
-  }
-  return "?";
-}
-
 const char* model_instance_name(TaskId t) {
   switch (t) {
     case TaskId::kHT: return "Hand Shape/Pose CNN";

@@ -30,9 +30,6 @@ const std::array<TaskId, kNumTasks>& all_tasks();
 /// Two-letter task code used throughout the paper ("HT", "ES", ...).
 const char* task_code(TaskId t);
 
-/// Full task name ("Hand Tracking", ...).
-const char* task_name(TaskId t);
-
 /// Reference model instance name (paper Table 7).
 const char* model_instance_name(TaskId t);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 namespace xrbench::runtime {
 
@@ -166,25 +167,6 @@ void RecordStore::append_executed(models::TaskId task, std::int64_t frame,
   resumed_[i] = resumed ? 1 : 0;
 }
 
-void RecordStore::push_back(const InferenceRecord& rec) {
-  if (rec.dropped) {
-    append_dropped(rec.task, rec.frame, rec.treq_ms, rec.tdl_ms);
-    // Preserve whatever the caller put in the remaining fields (synthetic
-    // test records are not always canonical dropped records).
-    const std::size_t i = size_ - 1;
-    dispatch_ms_[i] = rec.dispatch_ms;
-    complete_ms_[i] = rec.complete_ms;
-    energy_mj_[i] = rec.energy_mj;
-    sub_accel_[i] = rec.sub_accel;
-    dvfs_level_[i] = rec.dvfs_level;
-    resumed_[i] = rec.resumed ? 1 : 0;
-  } else {
-    append_executed(rec.task, rec.frame, rec.treq_ms, rec.tdl_ms,
-                    rec.sub_accel, rec.dvfs_level, rec.dispatch_ms,
-                    rec.complete_ms, rec.energy_mj, rec.resumed);
-  }
-}
-
 void RecordStore::append_shifted(const RecordStore& other, double shift_ms) {
   // At least doubling, like the one-record appends: a program appends one
   // store per phase, and an exact fit would copy the whole session so far
@@ -211,29 +193,6 @@ void RecordStore::append_shifted(const RecordStore& other, double shift_ms) {
     dropped_[j] = other.dropped_[i];
     resumed_[j] = other.resumed_[i];
   }
-}
-
-InferenceRecord RecordStore::operator[](std::size_t i) const {
-  InferenceRecord rec;
-  rec.task = task_[i];
-  rec.frame = frame_[i];
-  rec.treq_ms = treq_ms_[i];
-  rec.tdl_ms = tdl_ms_[i];
-  rec.dropped = dropped_[i] != 0;
-  rec.resumed = resumed_[i] != 0;
-  rec.sub_accel = sub_accel_[i];
-  rec.dvfs_level = dvfs_level_[i];
-  rec.dispatch_ms = dispatch_ms_[i];
-  rec.complete_ms = complete_ms_[i];
-  rec.energy_mj = energy_mj_[i];
-  return rec;
-}
-
-std::vector<InferenceRecord> RecordStore::view() const {
-  std::vector<InferenceRecord> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) out.push_back((*this)[i]);
-  return out;
 }
 
 void RecordStore::sort_canonical() {

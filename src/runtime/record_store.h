@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/request.h"
 
@@ -10,21 +9,17 @@ namespace xrbench::runtime {
 
 /// Structure-of-arrays storage for the inference records of one model run.
 ///
-/// The QoE/score aggregation walks every record of every trial of every
-/// sweep point; with AoS `std::vector<InferenceRecord>` that walk strides
-/// over 72-byte records to read four doubles. Here each field is a dense
-/// column, so the scorer streams exactly the doubles it needs and the
-/// branch column (dropped) is one byte per record.
+/// Each record is one request's outcome: its Box-1 timing attributes, and
+/// for an executed request the unit, DVFS level, busy span and energy. The
+/// QoE/score aggregation walks every record of every trial of every sweep
+/// point, so each field is a dense column: the scorer streams exactly the
+/// doubles it needs and the branch column (dropped) is one byte per record.
+/// Every reader, hot or not, reads the columns.
 ///
 /// All eleven columns live in ONE heap arena (column pointers carved out
 /// of a single allocation): a trial's per-model setup costs one malloc,
 /// not eleven — sub-millisecond sweep trials run thousands of these stores
 /// per second and the allocator round-trips were measurable.
-///
-/// Compatibility: `operator[]`/`view()` materialize AoS `InferenceRecord`s
-/// and the proxy iterator keeps range-for working, so record consumers that
-/// are not hot (CSV export, tests) read the store exactly like the old
-/// vector. Hot paths should use the column accessors instead.
 class RecordStore {
  public:
   RecordStore() = default;
@@ -55,9 +50,6 @@ class RecordStore {
                        double dispatch_ms, double complete_ms,
                        double energy_mj, bool resumed = false);
 
-  /// AoS-compatible append (tests and synthetic-run builders).
-  void push_back(const InferenceRecord& rec);
-
   /// Appends every record of `other` with `shift_ms` added to its request
   /// and deadline times — and, for executed records, its dispatch and
   /// completion times (dropped records keep their canonical zeroed
@@ -66,12 +58,6 @@ class RecordStore {
   /// The capacity grows geometrically, so appending n stores one by one
   /// copies O(total records), not O(n x total).
   void append_shifted(const RecordStore& other, double shift_ms);
-
-  /// Materializes record `i` (AoS compatibility; not the hot path).
-  InferenceRecord operator[](std::size_t i) const;
-
-  /// Full AoS copy of the store.
-  std::vector<InferenceRecord> view() const;
 
   // ---- Column accessors (the scorer's streaming interface) --------------
   const models::TaskId* task() const { return task_; }
@@ -86,7 +72,9 @@ class RecordStore {
   const std::uint8_t* dropped() const { return dropped_; }
   const std::uint8_t* resumed() const { return resumed_; }
 
-  /// Per-record derived quantities, mirroring InferenceRecord's helpers.
+  /// Per-record derived quantities: end-to-end latency (request to
+  /// completion, queueing included), slack (Definition 9) and whether an
+  /// executed record finished past its deadline.
   double latency_ms(std::size_t i) const {
     return complete_ms_[i] - treq_ms_[i];
   }
@@ -99,31 +87,9 @@ class RecordStore {
   /// treq, executed-before-dropped, dispatch). Records already in strictly
   /// ascending order return after one linear check, allocating nothing;
   /// otherwise one index permutation is applied in place, cycle by cycle.
-  /// Same full tie-break as the former AoS std::sort: equal keys must not
-  /// permute between runs or stdlib implementations.
+  /// The full tie-break keeps equal keys from permuting between runs or
+  /// stdlib implementations.
   void sort_canonical();
-
-  /// Proxy iterator: dereferences to a materialized InferenceRecord by
-  /// value. Keeps `for (const auto& rec : store)` working (the const ref
-  /// binds to the temporary, lifetime-extended per iteration).
-  class const_iterator {
-   public:
-    const_iterator(const RecordStore* store, std::size_t i)
-        : store_(store), i_(i) {}
-    InferenceRecord operator*() const { return (*store_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const RecordStore* store_;
-    std::size_t i_;
-  };
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size()); }
 
  private:
   /// (Re)allocates the arena for `n` records and rebases the column

@@ -34,35 +34,9 @@ struct InferenceRequest {
   double slack_ms() const { return tdl_ms - treq_ms; }
 };
 
-/// Outcome of one request after the run.
-struct InferenceRecord {
-  models::TaskId task = models::TaskId::kHT;
-  std::int64_t frame = 0;
-  double treq_ms = 0.0;
-  double tdl_ms = 0.0;
-  bool dropped = false;       ///< Never started before its deadline.
-  int sub_accel = -1;         ///< Executing sub-accelerator index.
-  int dvfs_level = -1;        ///< DVFS level it executed at (-1 if dropped).
-  double dispatch_ms = 0.0;   ///< Execution start time.
-  double complete_ms = 0.0;   ///< Execution end time.
-  double energy_mj = 0.0;
-  /// True when this inference resumed from a layer checkpoint (an earlier
-  /// attempt was killed mid-model and the completed prefix was not re-run).
-  bool resumed = false;
-
-  double slack_ms() const { return tdl_ms - treq_ms; }
-
-  /// End-to-end latency LInf: input-ready to completion (includes queueing).
-  double latency_ms() const { return complete_ms - treq_ms; }
-
-  /// Positive when the inference finished past its deadline.
-  double deadline_overrun_ms() const { return complete_ms - tdl_ms; }
-
-  bool missed_deadline() const { return !dropped && complete_ms > tdl_ms; }
-};
-
 /// One busy interval of a sub-accelerator (execution-timeline entry; the
-/// Figure-6 plots are rendered from these).
+/// Figure-6 plots are rendered from these). ScenarioRunResult::timeline()
+/// derives them from the executed records and the aborted dispatches.
 struct BusyInterval {
   int sub_accel = 0;
   models::TaskId task = models::TaskId::kHT;

@@ -30,8 +30,8 @@ const ModelRunStats* ScenarioRunResult::find(models::TaskId task) const {
 }
 
 double ScenarioRunResult::utilization(std::size_t sa) const {
-  if (sa >= sub_accel_busy_ms.size() || duration_ms <= 0.0) return 0.0;
-  return std::min(1.0, sub_accel_busy_ms[sa] / duration_ms);
+  if (sa >= telemetry.num_sub_accels() || duration_ms <= 0.0) return 0.0;
+  return std::min(1.0, telemetry.sub_accel(sa).busy_ms / duration_ms);
 }
 
 ScenarioRunner::ScenarioRunner(const hw::AcceleratorSystem& system,
@@ -63,8 +63,7 @@ double deadline_ms(const InputSource& src, double model_fps, std::int64_t f) {
 /// Full tie-break for timeline entries: two dispatches can share a start
 /// time (distinct idle sub-accelerators at one event), and std::sort is not
 /// stable — keying on start_ms alone would let equal-time entries permute
-/// between runs or stdlib implementations. Shared by the single-run sort
-/// and the program merge re-sort.
+/// between runs or stdlib implementations.
 bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
   if (a.start_ms != b.start_ms) return a.start_ms < b.start_ms;
   if (a.sub_accel != b.sub_accel) return a.sub_accel < b.sub_accel;
@@ -72,26 +71,6 @@ bool timeline_less(const BusyInterval& a, const BusyInterval& b) {
     return models::task_index(a.task) < models::task_index(b.task);
   }
   return a.frame < b.frame;
-}
-
-/// Sorts one run's timeline by timeline_less. Each unit appends its
-/// intervals in start order, each as it ends, so an entry is passed only
-/// by intervals appended after it that started before it: intervals of
-/// other units in flight across its start, at most one per unit. An
-/// insertion sort therefore makes at most entries x (units - 1) moves. With
-/// positive latencies a unit's intervals have distinct starts, so the
-/// sorted order is unique — the one std::sort gives.
-void sort_timeline(std::vector<BusyInterval>& timeline) {
-  for (std::size_t i = 1; i < timeline.size(); ++i) {
-    if (!timeline_less(timeline[i], timeline[i - 1])) continue;
-    const BusyInterval moved = timeline[i];
-    std::size_t j = i;
-    do {
-      timeline[j] = timeline[j - 1];
-      --j;
-    } while (j > 0 && timeline_less(moved, timeline[j - 1]));
-    timeline[j] = moved;
-  }
 }
 
 /// Records a run of `scenario` for `duration_ms` predicts: the sum over its
@@ -193,6 +172,20 @@ void generate_arrivals(const UsageScenario& scenario, const RunConfig& config,
 
 }  // namespace
 
+std::vector<BusyInterval> ScenarioRunResult::timeline() const {
+  std::vector<BusyInterval> spans = aborted;
+  for (const auto& ms : per_model) {
+    const RecordStore& r = ms.records;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      if (r.dropped()[i] != 0) continue;
+      spans.push_back({r.sub_accel()[i], r.task()[i], r.frame()[i],
+                       r.dispatch_ms()[i], r.complete_ms()[i]});
+    }
+  }
+  std::sort(spans.begin(), spans.end(), timeline_less);
+  return spans;
+}
+
 bool LoadKey::matches(const UsageScenario& scenario,
                       const RunConfig& config) const {
   if (duration_ms != config.duration_ms || seed != config.seed ||
@@ -234,9 +227,9 @@ ArrivalPlan plan_arrivals(const UsageScenario& scenario,
 /// Mutable state + dispatch machinery of one scenario run, owned by a
 /// RunScratch so the runner itself stays const / reusable AND the buffers
 /// survive across runs: begin_run() rewinds the simulator clock and
-/// clear()s every vector in place, take_store()/take_timeline() hand out
-/// recycled arenas (RunScratch's comment lists what a warm run reuses and
-/// what it still allocates). All per-model state lives in flat vectors
+/// clear()s every vector in place, take_store() hands out recycled arenas
+/// (RunScratch's comment lists what a warm run reuses and what it still
+/// allocates). All per-model state lives in flat vectors
 /// indexed by the model's slot in the scenario (looked up through a dense
 /// task->slot table), and the pending queue uses swap-remove, so the
 /// simulation hot path performs no hashing and no mid-vector erases.
@@ -256,7 +249,6 @@ struct RunScratch::Impl {
   std::vector<Arrival> arrivals;
   std::vector<InferenceRequest> pending;
   std::vector<char> accel_busy;
-  std::vector<double> accel_busy_ms;
   /// DVFS transition-latency penalty per sub-accelerator (0 = free level
   /// switches, the bit-identical default) and the level of the previous
   /// dispatch there (-1 before the first one).
@@ -274,7 +266,6 @@ struct RunScratch::Impl {
   /// Idle energy accrues only inside [0, duration]: the drain past the
   /// window belongs to the next phase's (or nobody's) accounting.
   double idle_account_end_ms = 0.0;
-  std::vector<BusyInterval> timeline;
   // Per-model state, indexed by scenario slot.
   std::vector<ModelRunStats> stats;
   std::vector<std::vector<const ScenarioModel*>> fanout;
@@ -289,6 +280,9 @@ struct RunScratch::Impl {
   FaultInjector injector;
   AdmissionController* admission = nullptr;  ///< May be null: admit all.
   ResilienceStats resilience;
+  /// Busy spans of transient-fault burns and outage kills: the dispatches
+  /// that leave no record (ScenarioRunResult::aborted).
+  std::vector<BusyInterval> aborted;
   /// In-flight completion handles per sub-accelerator, written only while
   /// the injector is active — an outage kill cancels the completion event.
   std::vector<sim::EventId> inflight_event;
@@ -303,9 +297,8 @@ struct RunScratch::Impl {
   /// Best-case latency per model slot over every (unit, level): the retry
   /// feasibility bound (give up when even this cannot meet the deadline).
   std::vector<double> best_latency;
-  // Recycled arenas (fed by RunScratch::recycle).
+  // Recycled record stores (fed by RunScratch::recycle).
   std::vector<RecordStore> store_pool;
-  std::vector<std::vector<BusyInterval>> timeline_pool;
 
   Impl() { slot_of.fill(-1); }
 
@@ -322,7 +315,6 @@ struct RunScratch::Impl {
     pending.clear();
     const std::size_t n = sys.sub_accels.size();
     accel_busy.assign(n, 0);
-    accel_busy_ms.assign(n, 0.0);
     last_level.assign(n, -1);
     transition_ms.resize(n);
     park_level.resize(n);
@@ -343,6 +335,7 @@ struct RunScratch::Impl {
     // and arms nothing — the dispatch hot path then only tests one bool.
     admission = adm;
     resilience = ResilienceStats{};
+    aborted.clear();
     const FaultSpec& fspec =
         config.faults.enabled() ? config.faults : sys.faults;
     validate_fault_spec(fspec);
@@ -357,8 +350,6 @@ struct RunScratch::Impl {
     inflight_start.assign(n, 0.0);
     inflight_extra_ms.assign(n, 0.0);
     best_latency.clear();
-    if (timeline.capacity() == 0) timeline = take_timeline();
-    timeline.clear();
     stats.clear();
     fanout.clear();
     baseline_mj.clear();
@@ -375,15 +366,6 @@ struct RunScratch::Impl {
     store_pool.pop_back();
     store.clear();
     return store;
-  }
-
-  /// A cleared timeline vector with whatever capacity the pool retained.
-  std::vector<BusyInterval> take_timeline() {
-    if (timeline_pool.empty()) return {};
-    std::vector<BusyInterval> tl = std::move(timeline_pool.back());
-    timeline_pool.pop_back();
-    tl.clear();
-    return tl;
   }
 
   std::size_t slot(models::TaskId task) const {
@@ -499,7 +481,6 @@ struct RunScratch::Impl {
                    std::size_t level, double start_ms) {
     const double now = sim.now();
     accel_busy[sa] = 0;
-    accel_busy_ms[sa] += now - start_ms;
 
     const std::size_t sl = slot(req.task);
     auto& ms = stats[sl];
@@ -521,8 +502,6 @@ struct RunScratch::Impl {
     ms.records.append_executed(req.task, req.frame, req.treq_ms, req.tdl_ms,
                                static_cast<int>(sa), static_cast<int>(level),
                                start_ms, now, energy_mj, resumed);
-    timeline.push_back(
-        BusyInterval{static_cast<int>(sa), req.task, req.frame, start_ms, now});
     // Accelerator energy split (the device baseline is system-level, not a
     // sub-accelerator term, so it stays out of the breakdown).
     telemetry.on_retire(sa, req, level, now, accel_mj - static_mj, static_mj);
@@ -562,7 +541,6 @@ struct RunScratch::Impl {
                 double start_ms) {
     const double now = sim.now();
     accel_busy[sa] = 0;
-    accel_busy_ms[sa] += now - start_ms;
     const ExecutionCost& cost = costs->cost(req.task, sa, level);
     // Full accelerator burn of this attempt (a resumed attempt only ran the
     // remaining layers); no system-baseline share — the device baseline is
@@ -575,7 +553,7 @@ struct RunScratch::Impl {
       burn_static_mj -= costs->layer_static_prefix_mj(req.task, sa, level, from);
     }
     total_energy_mj += burn_mj;
-    timeline.push_back(
+    aborted.push_back(
         BusyInterval{static_cast<int>(sa), req.task, req.frame, start_ms, now});
     telemetry.on_abort(sa, now, burn_mj - burn_static_mj, burn_static_mj);
     ++resilience.transient_faults;
@@ -618,7 +596,6 @@ struct RunScratch::Impl {
       const std::size_t level = inflight_level[sa];
       const double start = inflight_start[sa];
       accel_busy[sa] = 0;
-      accel_busy_ms[sa] += now - start;
       const ExecutionCost& cost = costs->cost(req.task, sa, level);
       InferenceRequest requeued = req;
       if (fault_plan.spec().checkpoint) {
@@ -660,8 +637,8 @@ struct RunScratch::Impl {
                            frac * cost.static_energy_mj);
       }
       if (now > start) {
-        timeline.push_back(BusyInterval{static_cast<int>(sa), req.task,
-                                        req.frame, start, now});
+        aborted.push_back(BusyInterval{static_cast<int>(sa), req.task,
+                                       req.frame, start, now});
       }
       ++resilience.outage_kills;
       // The dead unit sits at its parked level; idle accounting restarts
@@ -817,8 +794,6 @@ void RunScratch::recycle(ScenarioRunResult&& result) {
     impl_->store_pool.push_back(std::move(it->records));
   }
   result.per_model.clear();
-  result.timeline.clear();
-  impl_->timeline_pool.push_back(std::move(result.timeline));
 }
 
 std::size_t RunScratch::pooled_stores() const {
@@ -876,7 +851,7 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
     const int up = eng.slot_of[models::task_index(*sm.depends_on)];
     if (up >= 0) eng.fanout[static_cast<std::size_t>(up)].push_back(&sm);
   }
-  // Reserve record/timeline storage up front: each model sees at most its
+  // Reserve record storage up front: each model sees at most its
   // frame budget (plus upstream-triggered requests bounded by the same
   // rate), so the hot loop never reallocates.
   for (std::size_t sl = 0; sl < num_models; ++sl) {
@@ -891,7 +866,6 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
       eng.stats[sl].frames_expected = budget;
     }
   }
-  eng.timeline.reserve(static_cast<std::size_t>(total_expected) + 8);
   eng.pending.reserve(static_cast<std::size_t>(total_expected) + 8);
 
   // ---- Load generation (Figure 2's load generator) ---------------------
@@ -967,9 +941,7 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
   result.scenario_name = scenario.name;
   result.duration_ms = config.duration_ms;
   result.total_energy_mj = eng.total_energy_mj;
-  result.sub_accel_busy_ms = std::move(eng.accel_busy_ms);
-  result.timeline = std::move(eng.timeline);
-  sort_timeline(result.timeline);
+  result.aborted = eng.aborted;  // a copy, so the scratch keeps the capacity
   result.telemetry = eng.telemetry;
   result.resilience = eng.resilience;
   // An inactive injector with zero drop-early rejections leaves the section
@@ -978,9 +950,9 @@ ScenarioRunResult ScenarioRunner::run(const UsageScenario& scenario,
       eng.injector.active() || eng.resilience.drops_early > 0;
   result.per_model.reserve(num_models);
   for (auto& ms : eng.stats) {
-    // Same reasoning as the timeline sort: a frame index can repeat within
-    // one model's records, so break ties on the remaining attributes (the
-    // canonical comparator lives with the SoA store's permutation sort).
+    // A frame index can repeat within one model's records, so the
+    // canonical order breaks ties on the remaining attributes (the
+    // comparator lives with the SoA store's permutation sort).
     ms.records.sort_canonical();
     result.per_model.push_back(std::move(ms));
   }
@@ -1019,11 +991,6 @@ ScenarioRunResult ScenarioRunner::run_program(
 
   ScenarioRunResult out;
   out.scenario_name = program.name;
-  // Session-level storage comes from the arena too: a trial loop recycles
-  // the merged result, and reusing its arenas here is what keeps the pool
-  // at its high-water mark instead of growing by one result per trial.
-  out.timeline = arena->impl_->take_timeline();
-  out.sub_accel_busy_ms.assign(system_->sub_accels.size(), 0.0);
   out.telemetry.reset(system_->sub_accels.size());
   out.phase_start_ms.reserve(program.phases.size());
   // Task -> slot in out.per_model; models merge by task across phases in
@@ -1054,13 +1021,10 @@ ScenarioRunResult ScenarioRunner::run_program(
 
     out.phase_start_ms.push_back(phase_start);
     out.total_energy_mj += phase_run.total_energy_mj;
-    for (std::size_t sa = 0; sa < phase_run.sub_accel_busy_ms.size(); ++sa) {
-      out.sub_accel_busy_ms[sa] += phase_run.sub_accel_busy_ms[sa];
-    }
-    for (BusyInterval iv : phase_run.timeline) {
+    for (BusyInterval iv : phase_run.aborted) {
       iv.start_ms += phase_start;
       iv.end_ms += phase_start;
-      out.timeline.push_back(iv);
+      out.aborted.push_back(iv);
     }
     for (auto& ms : phase_run.per_model) {
       int& slot = merged_slot[models::task_index(ms.task)];
@@ -1068,6 +1032,10 @@ ScenarioRunResult ScenarioRunner::run_program(
         slot = static_cast<int>(out.per_model.size());
         ModelRunStats fresh;
         fresh.task = ms.task;
+        // Session stores come from the arena too: a trial loop recycles
+        // the merged result, and reusing its stores here is what keeps the
+        // pool at its high-water mark instead of growing by one result per
+        // trial.
         fresh.records = arena->impl_->take_store();
         out.per_model.push_back(std::move(fresh));
       }
@@ -1086,24 +1054,22 @@ ScenarioRunResult ScenarioRunner::run_program(
     out.telemetry.merge_from(phase_run.telemetry, phase_start);
     out.resilience.merge(phase_run.resilience);
     phase_start += phase.duration_ms;
-    // The phase's record/timeline arenas go back to the pool for the next
-    // phase (their contents were copied onto the session timeline above).
+    // The phase's record stores go back to the pool for the next phase
+    // (their contents were copied onto the session timeline above).
     arena->recycle(std::move(phase_run));
   }
   out.duration_ms = phase_start;
 
-  // Re-establish the canonical orders over the merged session: a completion
-  // can drain past its phase window, and per-model frame indices restart at
-  // every phase boundary, so plain concatenation is not sorted. Both sorts
-  // are deterministic total orders — for a single-phase program they are
-  // no-ops on the already-canonical phase result (the bit-identity anchor).
-  std::sort(out.timeline.begin(), out.timeline.end(), timeline_less);
+  // Re-establish the canonical record order over the merged session:
+  // per-model frame indices restart at every phase boundary, so plain
+  // concatenation is not sorted. The sort is a deterministic total order —
+  // for a single-phase program it is a no-op on the already-canonical
+  // phase result (the bit-identity anchor).
   for (auto& ms : out.per_model) ms.records.sort_canonical();
   // Merging grew the session's stores by doubling, which can leave up to
   // half of each unused, and a fleet holds every session's result until
   // its call ends: trim them once, a linear copy.
   if (program.phases.size() > 1) {
-    out.timeline.shrink_to_fit();
     for (auto& ms : out.per_model) ms.records.shrink_to_fit();
   }
   return out;

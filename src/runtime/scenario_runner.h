@@ -50,8 +50,7 @@ struct ModelRunStats {
   std::int64_t frames_executed = 0;
   std::int64_t frames_dropped = 0;
   std::int64_t deadline_misses = 0;  ///< Executed but finished late.
-  /// SoA record store; scoring streams its columns, everything else reads
-  /// it through the AoS-compatible operator[]/iterators.
+  /// Every request's outcome, executed or dropped (SoA columns).
   RecordStore records;
 
   double qoe() const {
@@ -62,13 +61,18 @@ struct ModelRunStats {
   }
 };
 
-/// Complete outcome of one scenario run on one accelerator system.
+/// Complete outcome of one scenario run on one accelerator system. The
+/// per-model records are the one record of what executed: the execution
+/// timeline is derived from them (timeline()), and busy time is counted
+/// once, in `telemetry`.
 struct ScenarioRunResult {
   std::string scenario_name;
   double duration_ms = 0.0;
   std::vector<ModelRunStats> per_model;
-  std::vector<BusyInterval> timeline;     ///< Figure-6-style execution log.
-  std::vector<double> sub_accel_busy_ms;  ///< Busy time per sub-accelerator.
+  /// Busy spans of dispatches that left no record: transient-fault burns
+  /// and outage kills, in the order they ended (program runs shift them
+  /// onto the session timeline). Empty on fault-free runs.
+  std::vector<BusyInterval> aborted;
   double total_energy_mj = 0.0;
   /// Session-timeline start of each phase when the result came from
   /// run_program ({0} for a single-phase program); empty for plain
@@ -88,8 +92,13 @@ struct ScenarioRunResult {
 
   const ModelRunStats* find(models::TaskId task) const;
 
+  /// The Figure-6 execution log: one span per executed record plus the
+  /// `aborted` spans, sorted by (start, unit, task, frame).
+  std::vector<BusyInterval> timeline() const;
+
   /// Hardware utilization of sub-accelerator `sa` over the run window
-  /// (the §4.2.2 "utilization is the wrong metric" discussion).
+  /// (the §4.2.2 "utilization is the wrong metric" discussion): its
+  /// telemetry busy time over the duration, capped at 1.
   double utilization(std::size_t sa) const;
 };
 
@@ -158,21 +167,21 @@ ArrivalPlan plan_arrivals(const workload::UsageScenario& scenario,
 /// runs thousands of sub-millisecond trials, so per-run allocations are a
 /// measurable tax. A RunScratch keeps a run's bulk storage alive between
 /// runs: the simulator's event pool and queue, the arrival array (used only
-/// by runs given no ArrivalPlan), the pending and timeline vectors, the
-/// per-unit and per-model state and the telemetry's level histories. The
-/// runner clear()s and reuses all of it (capacity is retained — enforced by
-/// test), and recycle() returns a consumed result's SoA record stores and
-/// timeline to the pool.
+/// by runs given no ArrivalPlan), the pending vector, the per-unit and
+/// per-model state and the telemetry's level histories. The runner clear()s
+/// and reuses all of it (capacity is retained — enforced by test), and
+/// recycle() returns a consumed result's SoA record stores to the pool.
 ///
 /// A warm run still allocates a few small buffers, and their number does
 /// not grow with the run's length (enforced by test): the result's per-model
-/// vector, busy-time vector and telemetry snapshot (one vector plus one
-/// level history per sub-accelerator), the scenario name when it outgrows
-/// the small-string buffer, one dependency fan-out list per upstream model,
-/// and one sort permutation per model whose records finish out of
-/// canonical order. On J @ 8192 PEs with DVFS over the Table-2 suite that
-/// is at most 12 operator-new calls per warm run; policies allocate on
-/// their own besides (ondemand adds one).
+/// vector and telemetry snapshot (one vector plus one level history per
+/// sub-accelerator), the scenario name when it outgrows the small-string
+/// buffer, one dependency fan-out list per upstream model, one sort
+/// permutation per model whose records finish out of canonical order, and
+/// on faulted runs the result's aborted spans. On J @ 8192 PEs with DVFS
+/// over the Table-2 suite that is at most 6 operator-new calls per warm
+/// fault-free run; policies allocate on their own besides (ondemand adds
+/// one).
 ///
 /// A scratch is single-threaded state: never share one across concurrent
 /// runs (SweepEngine keys one per worker thread). Results produced with a
@@ -187,9 +196,8 @@ class RunScratch {
   RunScratch(const RunScratch&) = delete;
   RunScratch& operator=(const RunScratch&) = delete;
 
-  /// Returns `result`'s record stores and timeline storage to the pool
-  /// (call once the result has been scored/consumed; `result` is left
-  /// empty but valid).
+  /// Returns `result`'s record stores to the pool (call once the result
+  /// has been scored/consumed; `result` is left empty but valid).
   void recycle(ScenarioRunResult&& result);
 
   /// Pool diagnostics (capacity-retention tests).
@@ -245,13 +253,13 @@ class AdmissionController;
 class ScenarioRunner {
  public:
   /// Upper bound on the records one run() may predict (the sum over its
-  /// models of target_fps x duration). run() reserves record, timeline,
-  /// request and arrival storage for every predicted record up front, about
-  /// 200 bytes each, and throws std::invalid_argument before reserving
-  /// anything when the prediction exceeds the bound. That caps one run at
-  /// ~0.8 GB, about six hours of the busiest Table-2 scenario (VR Gaming,
-  /// 180 inferences/s). run_program() applies the same bound to the sum
-  /// over all its phases, since the session keeps every phase's records.
+  /// models of target_fps x duration). run() reserves record, request and
+  /// arrival storage for every predicted record up front, about 175 bytes
+  /// each, and throws std::invalid_argument before reserving anything when
+  /// the prediction exceeds the bound. That caps one run at ~0.7 GB, about
+  /// six hours of the busiest Table-2 scenario (VR Gaming, 180
+  /// inferences/s). run_program() applies the same bound to the sum over
+  /// all its phases, since the session keeps every phase's records.
   static constexpr std::int64_t kMaxRunRecords = 4'000'000;
 
   ScenarioRunner(const hw::AcceleratorSystem& system, const CostTable& costs);
@@ -286,8 +294,8 @@ class ScenarioRunner {
   /// (completions drain, undispatchable requests drop — exactly the
   /// end-of-run rule) before the next phase's model set takes over.
   /// Record/QoE/energy accounting is cumulative across phases: per-model
-  /// stats merge by task, record and timeline times are shifted onto the
-  /// session timeline, and `phase_start_ms` marks the boundaries. Policy
+  /// stats merge by task, record and aborted-span times are shifted onto
+  /// the session timeline, and `phase_start_ms` marks the boundaries. Policy
   /// state (scheduler/governor) carries across boundaries — reset() is the
   /// caller's per-run contract, not a per-phase one — while the telemetry
   /// each phase's policies see starts fresh at the boundary (the result

@@ -6,14 +6,6 @@
 
 namespace xrbench::runtime {
 
-Telemetry::Telemetry(TelemetryConfig config) : config_(config) {
-  if (config_.util_tau_ms <= 0.0 || config_.ewma_alpha <= 0.0 ||
-      config_.ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "Telemetry: util_tau_ms must be > 0 and ewma_alpha in (0, 1]");
-  }
-}
-
 void Telemetry::reset(std::size_t num_sub_accels, double window_end_ms) {
   window_end_ms_ = window_end_ms;
   // Shrink-free reset: the per-sub-accel structs (and their level-history
@@ -56,7 +48,7 @@ void Telemetry::advance(SubAccelTelemetry& sub, double now_ms) {
   // Exponential window: old state decays by e^(-dt/tau), the elapsed
   // interval contributes its occupancy with the complementary weight. A
   // pure function of event times — no wall clock anywhere.
-  const double w = std::exp(-dt / config_.util_tau_ms);
+  const double w = std::exp(-dt / kUtilTauMs);
   sub.util_ewma = w * sub.util_ewma + (1.0 - w) * occupancy;
   sub.last_event_ms = now_ms;
 }
@@ -70,15 +62,13 @@ void Telemetry::on_dispatch(std::size_t sa, const InferenceRequest& req,
   sub.busy = true;
   ++sub.dispatches;
   sub.last_level = static_cast<int>(level);
-  if (config_.level_history_depth > 0) {
-    if (sub.recent_levels.size() == config_.level_history_depth) {
-      sub.recent_levels.erase(sub.recent_levels.begin());
-    }
-    sub.recent_levels.push_back(static_cast<int>(level));
+  if (sub.recent_levels.size() == kLevelHistoryDepth) {
+    sub.recent_levels.erase(sub.recent_levels.begin());
   }
+  sub.recent_levels.push_back(static_cast<int>(level));
   queue_depth_ = queue_depth;
-  queue_depth_ewma_ = (1.0 - config_.ewma_alpha) * queue_depth_ewma_ +
-                      config_.ewma_alpha * static_cast<double>(queue_depth);
+  queue_depth_ewma_ = (1.0 - kEwmaAlpha) * queue_depth_ewma_ +
+                      kEwmaAlpha * static_cast<double>(queue_depth);
 }
 
 void Telemetry::on_retire(std::size_t sa, const InferenceRequest& req,
@@ -97,9 +87,8 @@ void Telemetry::on_retire(std::size_t sa, const InferenceRequest& req,
   if (task_completions_[ti] == 0) {
     task_latency_ewma_[ti] = latency;  // first sample seeds the EWMA
   } else {
-    task_latency_ewma_[ti] = (1.0 - config_.ewma_alpha) *
-                                 task_latency_ewma_[ti] +
-                             config_.ewma_alpha * latency;
+    task_latency_ewma_[ti] =
+        (1.0 - kEwmaAlpha) * task_latency_ewma_[ti] + kEwmaAlpha * latency;
   }
   ++task_completions_[ti];
 }
@@ -164,24 +153,6 @@ void Telemetry::merge_from(const Telemetry& phase, double phase_start_ms) {
   }
   queue_depth_ = phase.queue_depth_;
   queue_depth_ewma_ = phase.queue_depth_ewma_;
-}
-
-double Telemetry::total_dynamic_mj() const {
-  double total = 0.0;
-  for (const auto& sub : subs_) total += sub.dynamic_mj;
-  return total;
-}
-
-double Telemetry::total_static_mj() const {
-  double total = 0.0;
-  for (const auto& sub : subs_) total += sub.static_mj;
-  return total;
-}
-
-double Telemetry::total_idle_mj() const {
-  double total = 0.0;
-  for (const auto& sub : subs_) total += sub.idle_mj;
-  return total;
 }
 
 }  // namespace xrbench::runtime

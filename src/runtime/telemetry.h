@@ -11,21 +11,6 @@
 
 namespace xrbench::runtime {
 
-/// Tuning knobs of the runtime telemetry. The defaults are chosen for XR
-/// frame cadences (tens of milliseconds between dispatches); every knob is
-/// observational — changing one never changes a schedule or a score, only
-/// what history-aware policies see.
-struct TelemetryConfig {
-  /// Time constant (ms) of the exponential utilization window: an event at
-  /// age tau contributes e^-1 of a fresh one. ~3 frame windows at 30 FPS.
-  double util_tau_ms = 100.0;
-  /// Weight of the newest sample in the per-task latency and queue-depth
-  /// EWMAs (classic 1/8 smoothing).
-  double ewma_alpha = 0.125;
-  /// DVFS levels remembered per sub-accelerator (most recent last).
-  std::size_t level_history_depth = 8;
-};
-
 /// Sliding-window state of one sub-accelerator. All fields advance only at
 /// dispatch/retire events of the simulated clock, so two runs with the same
 /// seed produce byte-identical telemetry regardless of worker count.
@@ -55,7 +40,7 @@ struct SubAccelTelemetry {
   double static_mj = 0.0;
   double idle_mj = 0.0;
   /// Recent dispatch levels, most recent last, bounded by
-  /// TelemetryConfig::level_history_depth.
+  /// Telemetry::kLevelHistoryDepth.
   std::vector<int> recent_levels;
 
   /// Mean busy fraction over the accounted window (not the EWMA).
@@ -70,14 +55,26 @@ struct SubAccelTelemetry {
 ///
 /// The ScenarioRunner is the sole writer: it calls on_dispatch/on_retire/
 /// on_park/on_idle_energy at simulation events and finish() when the run
-/// window closes. Policies read it through DispatchContext::telemetry.
-/// Updates are O(1) per event and allocation-free after reset(), so the
-/// default path pays nothing measurable — and because every input is a
-/// simulated-clock quantity, snapshots are bit-deterministic across worker
-/// counts (enforced by test).
+/// window closes. Policies read it through DispatchContext::telemetry, and
+/// its busy_ms is the run's one busy-time count (utilization and the
+/// Figure-6 report read it). Updates are O(1) per event and allocation-free
+/// after reset(), so the default path pays nothing measurable — and because
+/// every input is a simulated-clock quantity, snapshots are bit-deterministic
+/// across worker counts (enforced by test).
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryConfig config = {});
+  /// The window constants, chosen for XR frame cadences (tens of
+  /// milliseconds between dispatches). They are observational: they never
+  /// change a schedule or a score, only what history-aware policies see.
+  ///
+  /// Time constant (ms) of the exponential utilization window: an event at
+  /// age tau contributes e^-1 of a fresh one. ~3 frame windows at 30 FPS.
+  static constexpr double kUtilTauMs = 100.0;
+  /// Weight of the newest sample in the per-task latency and queue-depth
+  /// EWMAs (classic 1/8 smoothing).
+  static constexpr double kEwmaAlpha = 0.125;
+  /// DVFS levels remembered per sub-accelerator (most recent last).
+  static constexpr std::size_t kLevelHistoryDepth = 8;
 
   /// Re-arms for a run over `num_sub_accels` sub-accelerators (clears all
   /// state, keeps allocated capacity). `window_end_ms` bounds the IDLE-time
@@ -152,19 +149,11 @@ class Telemetry {
     return task_completions_[models::task_index(task)];
   }
 
-  /// Energy split summed over sub-accelerators.
-  double total_dynamic_mj() const;
-  double total_static_mj() const;
-  double total_idle_mj() const;
-
-  const TelemetryConfig& config() const { return config_; }
-
  private:
   /// Accounts the [last_event, now] interval of `sa` as busy or idle and
   /// decays the utilization EWMA toward the interval's occupancy.
   void advance(SubAccelTelemetry& sub, double now_ms);
 
-  TelemetryConfig config_;
   double window_end_ms_ = std::numeric_limits<double>::infinity();
   std::vector<SubAccelTelemetry> subs_;
   std::array<double, models::kNumTasks> task_latency_ewma_{};

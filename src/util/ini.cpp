@@ -303,4 +303,13 @@ bool IniDocument::has_section(const std::string& name) const {
   return !sections(name).empty();
 }
 
+void IniDocument::reject_unknown_sections(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& sec : sections_) {
+    if (std::find(known.begin(), known.end(), sec.name) == known.end()) {
+      reject_line(source_, sec.line, "unknown section [" + sec.name + "]");
+    }
+  }
+}
+
 }  // namespace xrbench::util

@@ -136,6 +136,12 @@ class IniDocument {
 
   bool has_section(const std::string& name) const;
 
+  /// Rejects the first section whose name is outside `known` at its header
+  /// line, as "unknown section [<name>]", so a misspelt section is never
+  /// skipped without a word.
+  void reject_unknown_sections(
+      std::initializer_list<std::string_view> known) const;
+
   const std::vector<Section>& all_sections() const { return sections_; }
 
  private:

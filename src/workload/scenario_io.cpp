@@ -114,6 +114,12 @@ void append_scenario_sections(util::IniDocument& doc,
   }
 }
 
+/// The scenario of a scenario-config document.
+UsageScenario scenario_from_document(const util::IniDocument& doc) {
+  doc.reject_unknown_sections({"scenario", "model"});
+  return parse_scenario(doc.section("scenario"), doc.sections("model"));
+}
+
 bool same_scenario(const UsageScenario& a, const UsageScenario& b) {
   if (a.name != b.name || a.models.size() != b.models.size()) return false;
   for (std::size_t i = 0; i < a.models.size(); ++i) {
@@ -137,8 +143,8 @@ std::string to_config_text(const UsageScenario& scenario) {
 }
 
 UsageScenario from_config_text(const std::string& text) {
-  const auto doc = util::IniDocument::parse(text, "scenario config");
-  return parse_scenario(doc.section("scenario"), doc.sections("model"));
+  return scenario_from_document(
+      util::IniDocument::parse(text, "scenario config"));
 }
 
 void save_scenario(const UsageScenario& scenario,
@@ -147,8 +153,8 @@ void save_scenario(const UsageScenario& scenario,
 }
 
 UsageScenario load_scenario(const std::filesystem::path& path) {
-  const auto doc = util::IniDocument::load(path, "scenario config");
-  return parse_scenario(doc.section("scenario"), doc.sections("model"));
+  return scenario_from_document(
+      util::IniDocument::load(path, "scenario config"));
 }
 
 std::string to_config_text(const ScenarioProgram& program) {
@@ -268,6 +274,8 @@ namespace {
 
 /// The [program] of a single-program document.
 ScenarioProgram single_program(const util::IniDocument& doc) {
+  doc.reject_unknown_sections(
+      {"program", "faults", "scenario", "model", "phase"});
   doc.section("program");  // exactly one [program]; throws otherwise
   return std::move(programs_from_document(doc).front());
 }

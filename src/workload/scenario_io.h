@@ -33,7 +33,8 @@ std::string to_config_text(const UsageScenario& scenario);
 /// rates match their upstream's, probabilities in [0,1], FPS within the
 /// driving sensor's rate. Every rejection reads "scenario config line N:
 /// ..." (util::IniDocument), at the offending key's line or, for a
-/// whole-scenario rule, at its [scenario] or [model] header.
+/// whole-scenario rule, at its [scenario] or [model] header. A section
+/// other than [scenario] and [model] is rejected at its header's line.
 UsageScenario from_config_text(const std::string& text);
 
 void save_scenario(const UsageScenario& scenario,
@@ -68,8 +69,9 @@ UsageScenario load_scenario(const std::filesystem::path& path);
 /// Phase scenarios resolve against the file's inline definitions first,
 /// then against the built-in suite/extension registries. The writer inlines
 /// every phase scenario, so any program round-trips without relying on the
-/// registries. Rejections, unknown policy names included, read
-/// "program config line N: ...", like the scenario parser's.
+/// registries. Rejections, unknown policy names and sections outside this
+/// grammar included, read "program config line N: ...", like the scenario
+/// parser's.
 
 std::string to_config_text(const ScenarioProgram& program);
 ScenarioProgram program_from_config_text(const std::string& text);

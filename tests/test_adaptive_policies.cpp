@@ -413,12 +413,12 @@ TEST(AdaptivePolicyDeterminism, OndemandProgramByteIdenticalSerialVsParallel) {
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].score.overall, b[0].score.overall);
   EXPECT_EQ(a[0].last_run.total_energy_mj, b[0].last_run.total_energy_mj);
-  ASSERT_EQ(a[0].last_run.timeline.size(), b[0].last_run.timeline.size());
-  for (std::size_t i = 0; i < a[0].last_run.timeline.size(); ++i) {
-    EXPECT_EQ(a[0].last_run.timeline[i].start_ms,
-              b[0].last_run.timeline[i].start_ms);
-    EXPECT_EQ(a[0].last_run.timeline[i].end_ms,
-              b[0].last_run.timeline[i].end_ms);
+  const auto ta = a[0].last_run.timeline();
+  const auto tb = b[0].last_run.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
   }
 }
 

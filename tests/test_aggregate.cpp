@@ -7,19 +7,14 @@ namespace {
 
 using models::TaskId;
 
-runtime::InferenceRecord executed_record(TaskId task, std::int64_t frame,
-                                         double latency, double slack,
-                                         double energy) {
-  runtime::InferenceRecord rec;
-  rec.task = task;
-  rec.frame = frame;
-  rec.treq_ms = 0.0;
-  rec.tdl_ms = slack;
-  rec.dispatch_ms = 0.0;
-  rec.complete_ms = latency;
-  rec.energy_mj = energy;
-  rec.sub_accel = 0;
-  return rec;
+/// Appends an executed record requested at 0 ms on unit 0, level 0.
+void append_executed(runtime::RecordStore& records, TaskId task,
+                     std::int64_t frame, double latency, double slack,
+                     double energy) {
+  records.append_executed(task, frame, /*treq_ms=*/0.0, /*tdl_ms=*/slack,
+                          /*sub_accel=*/0, /*dvfs_level=*/0,
+                          /*dispatch_ms=*/0.0, /*complete_ms=*/latency,
+                          energy);
 }
 
 runtime::ScenarioRunResult synthetic_run() {
@@ -34,17 +29,10 @@ runtime::ScenarioRunResult synthetic_run() {
   ht.frames_executed = 3;
   ht.frames_dropped = 1;
   for (int f = 0; f < 3; ++f) {
-    ht.records.push_back(
-        executed_record(TaskId::kHT, f, /*latency=*/5.0, /*slack=*/33.0,
-                        /*energy=*/150.0));
+    append_executed(ht.records, TaskId::kHT, f, /*latency=*/5.0,
+                    /*slack=*/33.0, /*energy=*/150.0);
   }
-  {
-    runtime::InferenceRecord drop;
-    drop.task = TaskId::kHT;
-    drop.frame = 3;
-    drop.dropped = true;
-    ht.records.push_back(drop);
-  }
+  ht.records.append_dropped(TaskId::kHT, 3, 0.0, 0.0);
   run.per_model.push_back(ht);
 
   runtime::ModelRunStats es;
@@ -53,8 +41,7 @@ runtime::ScenarioRunResult synthetic_run() {
   es.frames_expected = 2;
   es.frames_executed = 2;
   for (int f = 0; f < 2; ++f) {
-    es.records.push_back(
-        executed_record(TaskId::kES, f, 1.0, 16.0, 750.0));
+    append_executed(es.records, TaskId::kES, f, 1.0, 16.0, 750.0);
   }
   run.per_model.push_back(es);
 
@@ -98,11 +85,7 @@ TEST(ScoreScenario, AllFramesDroppedScoresZero) {
   m.frames_expected = 30;
   m.frames_dropped = 30;
   for (int f = 0; f < 30; ++f) {
-    runtime::InferenceRecord rec;
-    rec.task = TaskId::kPD;
-    rec.frame = f;
-    rec.dropped = true;
-    m.records.push_back(rec);
+    m.records.append_dropped(TaskId::kPD, f, 0.0, 0.0);
   }
   run.per_model.push_back(m);
   const auto sc = score_scenario(run, ScoreConfig{});

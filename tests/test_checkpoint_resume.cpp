@@ -35,29 +35,29 @@ FaultSpec checkpoint_spec() {
 /// Bit-identical deep comparison (EXPECT_EQ on doubles is exact).
 void expect_identical(const ScenarioRunResult& a, const ScenarioRunResult& b) {
   EXPECT_EQ(a.total_energy_mj, b.total_energy_mj);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].sub_accel, b.timeline[i].sub_accel);
-    EXPECT_EQ(a.timeline[i].frame, b.timeline[i].frame);
-    EXPECT_EQ(a.timeline[i].start_ms, b.timeline[i].start_ms);
-    EXPECT_EQ(a.timeline[i].end_ms, b.timeline[i].end_ms);
+  const auto ta = a.timeline();
+  const auto tb = b.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].sub_accel, tb[i].sub_accel);
+    EXPECT_EQ(ta[i].frame, tb[i].frame);
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
   }
   ASSERT_EQ(a.per_model.size(), b.per_model.size());
   for (std::size_t m = 0; m < a.per_model.size(); ++m) {
-    const auto& ma = a.per_model[m];
-    const auto& mb = b.per_model[m];
-    ASSERT_EQ(ma.records.size(), mb.records.size());
-    for (std::size_t i = 0; i < ma.records.size(); ++i) {
-      const auto ra = ma.records[i];
-      const auto rb = mb.records[i];
-      EXPECT_EQ(ra.frame, rb.frame);
-      EXPECT_EQ(ra.dropped, rb.dropped);
-      EXPECT_EQ(ra.sub_accel, rb.sub_accel);
-      EXPECT_EQ(ra.dvfs_level, rb.dvfs_level);
-      EXPECT_EQ(ra.dispatch_ms, rb.dispatch_ms);
-      EXPECT_EQ(ra.complete_ms, rb.complete_ms);
-      EXPECT_EQ(ra.energy_mj, rb.energy_mj);
-      EXPECT_EQ(ra.resumed, rb.resumed);
+    const RecordStore& ra = a.per_model[m].records;
+    const RecordStore& rb = b.per_model[m].records;
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra.frame()[i], rb.frame()[i]);
+      EXPECT_EQ(ra.dropped()[i], rb.dropped()[i]);
+      EXPECT_EQ(ra.sub_accel()[i], rb.sub_accel()[i]);
+      EXPECT_EQ(ra.dvfs_level()[i], rb.dvfs_level()[i]);
+      EXPECT_EQ(ra.dispatch_ms()[i], rb.dispatch_ms()[i]);
+      EXPECT_EQ(ra.complete_ms()[i], rb.complete_ms()[i]);
+      EXPECT_EQ(ra.energy_mj()[i], rb.energy_mj()[i]);
+      EXPECT_EQ(ra.resumed()[i], rb.resumed()[i]);
     }
   }
   EXPECT_EQ(a.resilience.outage_kills, b.resilience.outage_kills);
@@ -97,7 +97,7 @@ TEST_F(CheckpointRunnerTest, DisabledCheckpointLeavesNoTrace) {
   EXPECT_EQ(result.resilience.checkpoint_saved_ms, 0.0);
   for (const auto& stats : result.per_model) {
     for (std::size_t i = 0; i < stats.records.size(); ++i) {
-      EXPECT_FALSE(stats.records[i].resumed);
+      EXPECT_EQ(stats.records.resumed()[i], 0);
     }
   }
 }
@@ -142,7 +142,7 @@ TEST_F(CheckpointRunnerTest, SavedMsEqualsFirstAttemptCompletedLayerCost) {
   const FaultPlan plan(spec, cfg.seed, sys.num_sub_accels(), cfg.duration_ms,
                        sys.fault_domains);
 
-  auto timeline = result.timeline;
+  auto timeline = result.timeline();
   std::sort(timeline.begin(), timeline.end(),
             [](const BusyInterval& a, const BusyInterval& b) {
               return a.start_ms < b.start_ms;
@@ -191,7 +191,7 @@ TEST_F(CheckpointRunnerTest, ResumedRecordsNeverExceedResumeCount) {
   std::int64_t tagged = 0;
   for (const auto& stats : result.per_model) {
     for (std::size_t i = 0; i < stats.records.size(); ++i) {
-      if (stats.records[i].resumed) ++tagged;
+      if (stats.records.resumed()[i] != 0) ++tagged;
     }
   }
   ASSERT_GT(result.resilience.resumes, 0);

@@ -4,16 +4,19 @@
 // is accepted, and writing it, then parsing and writing that output, gives
 // the same text both times; or the parse throws std::invalid_argument or
 // std::out_of_range whose message reads "<source> line N: ..." with N a
-// line of the file.
+// line of the file. One iteration in eight misspells a section header
+// instead, which every front end must reject at that header's line.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet_io.h"
@@ -36,6 +39,12 @@ std::vector<std::string> split_lines(const std::string& text) {
   std::istringstream in(text);
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  return text;
 }
 
 struct FrontEnd {
@@ -131,9 +140,34 @@ TEST(ConfigFuzz, MutatedValuesRoundTripOrNameTheirLine) {
   std::mt19937_64 rng(23);
   int accepted = 0;
   int rejected = 0;
+  int renamed = 0;
   for (int iter = 0; iter < 4000; ++iter) {
     const auto& front = fronts[rng() % fronts.size()];
     auto lines = split_lines(front.seed);
+    if (rng() % 8 == 0) {
+      // Swap two adjacent, different letters of one header's name.
+      std::vector<std::size_t> headers;
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (!lines[i].empty() && lines[i][0] == '[') headers.push_back(i);
+      }
+      const std::size_t target = headers[rng() % headers.size()];
+      std::string name = lines[target].substr(1, lines[target].size() - 2);
+      std::size_t at = rng() % (name.size() - 1);
+      while (name[at] == name[at + 1]) at = (at + 1) % (name.size() - 1);
+      std::swap(name[at], name[at + 1]);
+      lines[target] = "[" + name + "]";
+      const std::string expected = front.source + " line " +
+                                   std::to_string(target + 1) +
+                                   ": unknown section [" + name + "]";
+      try {
+        front.round_trip(join_lines(lines));
+        ADD_FAILURE() << front.source << " accepted " << lines[target];
+      } catch (const std::exception& e) {
+        EXPECT_EQ(e.what(), expected);
+      }
+      ++renamed;
+      continue;
+    }
     std::vector<std::size_t> values;
     for (std::size_t i = 0; i < lines.size(); ++i) {
       if (lines[i].find('=') != std::string::npos && lines[i][0] != '#') {
@@ -144,8 +178,7 @@ TEST(ConfigFuzz, MutatedValuesRoundTripOrNameTheirLine) {
     const std::string& token = tokens[rng() % tokens.size()];
     lines[target] = lines[target].substr(0, lines[target].find('=') + 1) +
                     " " + token;
-    std::string mutated;
-    for (const auto& line : lines) mutated += line + "\n";
+    const std::string mutated = join_lines(lines);
     SCOPED_TRACE(front.source + ", line " + std::to_string(target + 1) +
                  " = '" + token + "'");
 
@@ -164,9 +197,10 @@ TEST(ConfigFuzz, MutatedValuesRoundTripOrNameTheirLine) {
     EXPECT_EQ(front.round_trip(written), written);
     ++accepted;
   }
-  // Both outcomes occur, or the fuzzer is not exercising the contract.
+  // Every outcome occurs, or the fuzzer is not exercising the contract.
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 100);
+  EXPECT_GT(renamed, 100);
 }
 
 }  // namespace

@@ -287,10 +287,12 @@ TEST(HwConfigIo, DvfsConfigDrivesBitIdenticalRuns) {
   const auto ra = a.run_once(workload::scenario_by_name("AR Gaming"), 42);
   const auto rb = b.run_once(workload::scenario_by_name("AR Gaming"), 42);
   EXPECT_EQ(ra.total_energy_mj, rb.total_energy_mj);
-  ASSERT_EQ(ra.timeline.size(), rb.timeline.size());
-  for (std::size_t i = 0; i < ra.timeline.size(); ++i) {
-    EXPECT_EQ(ra.timeline[i].start_ms, rb.timeline[i].start_ms);
-    EXPECT_EQ(ra.timeline[i].end_ms, rb.timeline[i].end_ms);
+  const auto ta = ra.timeline();
+  const auto tb = rb.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
   }
 }
 

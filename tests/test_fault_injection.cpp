@@ -394,15 +394,21 @@ void expect_identical(const ScenarioRunResult& a, const ScenarioRunResult& b) {
   EXPECT_EQ(a.scenario_name, b.scenario_name);
   EXPECT_EQ(a.duration_ms, b.duration_ms);
   EXPECT_EQ(a.total_energy_mj, b.total_energy_mj);
-  EXPECT_EQ(a.sub_accel_busy_ms, b.sub_accel_busy_ms);
+  ASSERT_EQ(a.telemetry.num_sub_accels(), b.telemetry.num_sub_accels());
+  for (std::size_t sa = 0; sa < a.telemetry.num_sub_accels(); ++sa) {
+    EXPECT_EQ(a.telemetry.sub_accel(sa).busy_ms,
+              b.telemetry.sub_accel(sa).busy_ms);
+  }
   EXPECT_EQ(a.phase_start_ms, b.phase_start_ms);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].sub_accel, b.timeline[i].sub_accel);
-    EXPECT_EQ(a.timeline[i].task, b.timeline[i].task);
-    EXPECT_EQ(a.timeline[i].frame, b.timeline[i].frame);
-    EXPECT_EQ(a.timeline[i].start_ms, b.timeline[i].start_ms);
-    EXPECT_EQ(a.timeline[i].end_ms, b.timeline[i].end_ms);
+  const auto ta = a.timeline();
+  const auto tb = b.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].sub_accel, tb[i].sub_accel);
+    EXPECT_EQ(ta[i].task, tb[i].task);
+    EXPECT_EQ(ta[i].frame, tb[i].frame);
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
   }
   ASSERT_EQ(a.per_model.size(), b.per_model.size());
   for (std::size_t m = 0; m < a.per_model.size(); ++m) {
@@ -414,20 +420,20 @@ void expect_identical(const ScenarioRunResult& a, const ScenarioRunResult& b) {
     EXPECT_EQ(ma.frames_dropped, mb.frames_dropped);
     EXPECT_EQ(ma.deadline_misses, mb.deadline_misses);
     ASSERT_EQ(ma.records.size(), mb.records.size());
-    for (std::size_t i = 0; i < ma.records.size(); ++i) {
-      const auto ra = ma.records[i];
-      const auto rb = mb.records[i];
-      EXPECT_EQ(ra.task, rb.task);
-      EXPECT_EQ(ra.frame, rb.frame);
-      EXPECT_EQ(ra.treq_ms, rb.treq_ms);
-      EXPECT_EQ(ra.tdl_ms, rb.tdl_ms);
-      EXPECT_EQ(ra.dropped, rb.dropped);
-      EXPECT_EQ(ra.sub_accel, rb.sub_accel);
-      EXPECT_EQ(ra.dvfs_level, rb.dvfs_level);
-      EXPECT_EQ(ra.dispatch_ms, rb.dispatch_ms);
-      EXPECT_EQ(ra.complete_ms, rb.complete_ms);
-      EXPECT_EQ(ra.energy_mj, rb.energy_mj);
-      EXPECT_EQ(ra.resumed, rb.resumed);
+    const RecordStore& ra = ma.records;
+    const RecordStore& rb = mb.records;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra.task()[i], rb.task()[i]);
+      EXPECT_EQ(ra.frame()[i], rb.frame()[i]);
+      EXPECT_EQ(ra.treq_ms()[i], rb.treq_ms()[i]);
+      EXPECT_EQ(ra.tdl_ms()[i], rb.tdl_ms()[i]);
+      EXPECT_EQ(ra.dropped()[i], rb.dropped()[i]);
+      EXPECT_EQ(ra.sub_accel()[i], rb.sub_accel()[i]);
+      EXPECT_EQ(ra.dvfs_level()[i], rb.dvfs_level()[i]);
+      EXPECT_EQ(ra.dispatch_ms()[i], rb.dispatch_ms()[i]);
+      EXPECT_EQ(ra.complete_ms()[i], rb.complete_ms()[i]);
+      EXPECT_EQ(ra.energy_mj()[i], rb.energy_mj()[i]);
+      EXPECT_EQ(ra.resumed()[i], rb.resumed()[i]);
     }
   }
   EXPECT_EQ(a.resilience.enabled, b.resilience.enabled);
@@ -508,7 +514,7 @@ TEST_F(FaultRunnerTest, BusyIntervalsNeverStartInsideAnOutage) {
   const auto sys = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
   const FaultPlan plan(f, 42, sys.num_sub_accels(), 1000.0);
   EXPECT_GT(result.resilience.outage_kills + result.resilience.failovers, 0);
-  for (const auto& bi : result.timeline) {
+  for (const auto& bi : result.timeline()) {
     for (const auto& w :
          plan.outages(static_cast<std::size_t>(bi.sub_accel))) {
       // Dispatching strictly inside an outage window is a fault-injection

@@ -275,14 +275,14 @@ TEST(FleetSimulator, SingleSessionFleetMatchesStandaloneTrial) {
   EXPECT_EQ(ra.total_energy_mj, rb.total_energy_mj);
   ASSERT_EQ(ra.per_model.size(), rb.per_model.size());
   for (std::size_t m = 0; m < ra.per_model.size(); ++m) {
-    const auto va = ra.per_model[m].records.view();
-    const auto vb = rb.per_model[m].records.view();
+    const runtime::RecordStore& va = ra.per_model[m].records;
+    const runtime::RecordStore& vb = rb.per_model[m].records;
     ASSERT_EQ(va.size(), vb.size()) << m;
     for (std::size_t r = 0; r < va.size(); ++r) {
-      EXPECT_EQ(va[r].dispatch_ms, vb[r].dispatch_ms) << m << "," << r;
-      EXPECT_EQ(va[r].complete_ms, vb[r].complete_ms) << m << "," << r;
-      EXPECT_EQ(va[r].energy_mj, vb[r].energy_mj) << m << "," << r;
-      EXPECT_EQ(va[r].dropped, vb[r].dropped) << m << "," << r;
+      EXPECT_EQ(va.dispatch_ms()[r], vb.dispatch_ms()[r]) << m << "," << r;
+      EXPECT_EQ(va.complete_ms()[r], vb.complete_ms()[r]) << m << "," << r;
+      EXPECT_EQ(va.energy_mj()[r], vb.energy_mj()[r]) << m << "," << r;
+      EXPECT_EQ(va.dropped()[r], vb.dropped()[r]) << m << "," << r;
     }
   }
 }

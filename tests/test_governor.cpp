@@ -322,20 +322,22 @@ TEST(GovernorPolicy, RaceToIdleMatchesFixedHighestLatency) {
     const auto highest = run_with(system, scenario, "fixed-highest");
     const auto& a = race.last_run;
     const auto& b = highest.last_run;
-    ASSERT_EQ(a.timeline.size(), b.timeline.size()) << scenario;
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-      EXPECT_EQ(a.timeline[i].start_ms, b.timeline[i].start_ms);
-      EXPECT_EQ(a.timeline[i].end_ms, b.timeline[i].end_ms);
-      EXPECT_EQ(a.timeline[i].sub_accel, b.timeline[i].sub_accel);
+    const auto ta = a.timeline();
+    const auto tb = b.timeline();
+    ASSERT_EQ(ta.size(), tb.size()) << scenario;
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+      EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+      EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
+      EXPECT_EQ(ta[i].sub_accel, tb[i].sub_accel);
     }
     ASSERT_EQ(a.per_model.size(), b.per_model.size());
     for (std::size_t m = 0; m < a.per_model.size(); ++m) {
-      ASSERT_EQ(a.per_model[m].records.size(), b.per_model[m].records.size());
-      for (std::size_t r = 0; r < a.per_model[m].records.size(); ++r) {
-        EXPECT_EQ(a.per_model[m].records[r].dispatch_ms,
-                  b.per_model[m].records[r].dispatch_ms);
-        EXPECT_EQ(a.per_model[m].records[r].complete_ms,
-                  b.per_model[m].records[r].complete_ms);
+      const RecordStore& ra = a.per_model[m].records;
+      const RecordStore& rb = b.per_model[m].records;
+      ASSERT_EQ(ra.size(), rb.size());
+      for (std::size_t r = 0; r < ra.size(); ++r) {
+        EXPECT_EQ(ra.dispatch_ms()[r], rb.dispatch_ms()[r]);
+        EXPECT_EQ(ra.complete_ms()[r], rb.complete_ms()[r]);
       }
     }
   }
@@ -357,10 +359,12 @@ TEST(GovernorPolicy, FixedNominalReproducesUngovernedRun) {
   const auto governed = runner.run(workload::scenario_by_name("AR Gaming"),
                                    sched_b, cfg, &nominal_gov);
   EXPECT_EQ(bare.total_energy_mj, governed.total_energy_mj);
-  ASSERT_EQ(bare.timeline.size(), governed.timeline.size());
-  for (std::size_t i = 0; i < bare.timeline.size(); ++i) {
-    EXPECT_EQ(bare.timeline[i].start_ms, governed.timeline[i].start_ms);
-    EXPECT_EQ(bare.timeline[i].end_ms, governed.timeline[i].end_ms);
+  const auto ta = bare.timeline();
+  const auto tb = governed.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
   }
 }
 

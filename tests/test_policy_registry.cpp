@@ -215,13 +215,14 @@ TEST(PolicyRegistry, HarnessGovernorOverridesChangeSubAccelLevels) {
       harness.cost_table().num_levels(1) - 1);
   bool saw0 = false, saw1 = false;
   for (const auto& ms : out.last_run.per_model) {
-    for (const auto& rec : ms.records) {
-      if (rec.dropped) continue;
-      if (rec.sub_accel == 0) {
-        EXPECT_EQ(rec.dvfs_level, 0);
+    const auto& recs = ms.records;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (recs.dropped()[i] != 0) continue;
+      if (recs.sub_accel()[i] == 0) {
+        EXPECT_EQ(recs.dvfs_level()[i], 0);
         saw0 = true;
-      } else if (rec.sub_accel == 1) {
-        EXPECT_EQ(rec.dvfs_level, top);
+      } else if (recs.sub_accel()[i] == 1) {
+        EXPECT_EQ(recs.dvfs_level()[i], top);
         saw1 = true;
       }
     }

@@ -20,15 +20,18 @@ namespace {
 void expect_identical_runs(const ScenarioRunResult& a,
                            const ScenarioRunResult& b) {
   EXPECT_EQ(a.total_energy_mj, b.total_energy_mj);
-  ASSERT_EQ(a.sub_accel_busy_ms.size(), b.sub_accel_busy_ms.size());
-  for (std::size_t sa = 0; sa < a.sub_accel_busy_ms.size(); ++sa) {
-    EXPECT_EQ(a.sub_accel_busy_ms[sa], b.sub_accel_busy_ms[sa]);
+  ASSERT_EQ(a.telemetry.num_sub_accels(), b.telemetry.num_sub_accels());
+  for (std::size_t sa = 0; sa < a.telemetry.num_sub_accels(); ++sa) {
+    EXPECT_EQ(a.telemetry.sub_accel(sa).busy_ms,
+              b.telemetry.sub_accel(sa).busy_ms);
   }
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].start_ms, b.timeline[i].start_ms);
-    EXPECT_EQ(a.timeline[i].end_ms, b.timeline[i].end_ms);
-    EXPECT_EQ(a.timeline[i].sub_accel, b.timeline[i].sub_accel);
+  const auto ta = a.timeline();
+  const auto tb = b.timeline();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms);
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms);
+    EXPECT_EQ(ta[i].sub_accel, tb[i].sub_accel);
   }
   ASSERT_EQ(a.per_model.size(), b.per_model.size());
   for (std::size_t m = 0; m < a.per_model.size(); ++m) {
@@ -109,11 +112,11 @@ TEST_F(RunScratchTest, RecycleRetainsRecordCapacity) {
 
 TEST_F(RunScratchTest, WarmRunAllocationsDoNotGrowWithRunLength) {
   // A warm scratch serves every buffer that grows with the run (records,
-  // timeline, pending requests, arrivals, events). What a warm run still
-  // allocates is the fixed set RunScratch documents: the result's per-model
-  // and busy-time vectors, its telemetry snapshot (one vector plus a level
-  // history per sub-accelerator), one fan-out list per upstream model (VR
-  // Gaming's ES feeds GE) and one sort permutation per model's records.
+  // pending requests, arrivals, events). What a warm run still allocates is
+  // the fixed set RunScratch documents: the result's per-model vector, its
+  // telemetry snapshot (one vector plus a level history per
+  // sub-accelerator), one fan-out list per upstream model (VR Gaming's ES
+  // feeds GE) and one sort permutation per model's records.
   const auto& scenario = workload::scenario_by_name("VR Gaming");
   auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
   RunScratch scratch;
@@ -132,7 +135,7 @@ TEST_F(RunScratchTest, WarmRunAllocationsDoNotGrowWithRunLength) {
   const std::uint64_t long_run = warm_run(4000.0);
   EXPECT_EQ(short_run, long_run);
   const std::size_t documented =
-      2 + (1 + system_.sub_accels.size()) + 1 + scenario.models.size();
+      1 + (1 + system_.sub_accels.size()) + 1 + scenario.models.size();
   EXPECT_LE(long_run, documented);
 }
 
@@ -158,8 +161,8 @@ TEST_F(RunScratchTest, ProgramRunsReuseTheScratchAcrossPhases) {
 
 TEST_F(RunScratchTest, ProgramTrialLoopPoolPlateausAtHighWaterMark) {
   // A trial loop over a program recycles the merged session result; the
-  // merged stores and session timeline must come back OUT of the pool on
-  // the next trial, or the pool grows by one result per trial forever.
+  // merged stores must come back OUT of the pool on the next trial, or the
+  // pool grows by one result per trial forever.
   auto scheduler = PolicyRegistry::instance().make_scheduler("latency-greedy");
   const auto& program = workload::program_by_name("Scenario Hand-Off");
   RunScratch scratch;

@@ -4,7 +4,7 @@
 // same amount (an event-order change, a reordered energy sum) fails here.
 //
 // Each digest covers, for every run of its case: every RecordStore column,
-// every timeline entry, the per-model counts, the busy time, the telemetry
+// every timeline() entry, the per-model counts, the telemetry busy time and
 // snapshot, ResilienceStats and total_energy_mj. An intended change to
 // simulated output regenerates the table (the failure message prints the
 // new value) and says so.
@@ -35,14 +35,17 @@ class Digest {
   void add(const ScenarioRunResult& r) {
     num(r.duration_ms);
     num(r.total_energy_mj);
-    count(r.sub_accel_busy_ms.size());
-    for (double d : r.sub_accel_busy_ms) num(d);
+    count(r.telemetry.num_sub_accels());
+    for (std::size_t sa = 0; sa < r.telemetry.num_sub_accels(); ++sa) {
+      num(r.telemetry.sub_accel(sa).busy_ms);
+    }
     count(r.phase_start_ms.size());
     for (double d : r.phase_start_ms) num(d);
     count(r.per_model.size());
     for (const auto& m : r.per_model) add(m);
-    count(r.timeline.size());
-    for (const auto& iv : r.timeline) {
+    const std::vector<BusyInterval> timeline = r.timeline();
+    count(timeline.size());
+    for (const auto& iv : timeline) {
       count(iv.sub_accel);
       count(models::task_index(iv.task));
       count(iv.frame);

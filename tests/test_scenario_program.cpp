@@ -22,18 +22,21 @@ void expect_records_identical(const runtime::RecordStore& a,
                               const std::string& context) {
   ASSERT_EQ(a.size(), b.size()) << context;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto ra = a[i];
-    const auto rb = b[i];
-    EXPECT_EQ(ra.task, rb.task) << context << " record " << i;
-    EXPECT_EQ(ra.frame, rb.frame) << context << " record " << i;
-    EXPECT_EQ(ra.treq_ms, rb.treq_ms) << context << " record " << i;
-    EXPECT_EQ(ra.tdl_ms, rb.tdl_ms) << context << " record " << i;
-    EXPECT_EQ(ra.dropped, rb.dropped) << context << " record " << i;
-    EXPECT_EQ(ra.sub_accel, rb.sub_accel) << context << " record " << i;
-    EXPECT_EQ(ra.dvfs_level, rb.dvfs_level) << context << " record " << i;
-    EXPECT_EQ(ra.dispatch_ms, rb.dispatch_ms) << context << " record " << i;
-    EXPECT_EQ(ra.complete_ms, rb.complete_ms) << context << " record " << i;
-    EXPECT_EQ(ra.energy_mj, rb.energy_mj) << context << " record " << i;
+    EXPECT_EQ(a.task()[i], b.task()[i]) << context << " record " << i;
+    EXPECT_EQ(a.frame()[i], b.frame()[i]) << context << " record " << i;
+    EXPECT_EQ(a.treq_ms()[i], b.treq_ms()[i]) << context << " record " << i;
+    EXPECT_EQ(a.tdl_ms()[i], b.tdl_ms()[i]) << context << " record " << i;
+    EXPECT_EQ(a.dropped()[i], b.dropped()[i]) << context << " record " << i;
+    EXPECT_EQ(a.sub_accel()[i], b.sub_accel()[i])
+        << context << " record " << i;
+    EXPECT_EQ(a.dvfs_level()[i], b.dvfs_level()[i])
+        << context << " record " << i;
+    EXPECT_EQ(a.dispatch_ms()[i], b.dispatch_ms()[i])
+        << context << " record " << i;
+    EXPECT_EQ(a.complete_ms()[i], b.complete_ms()[i])
+        << context << " record " << i;
+    EXPECT_EQ(a.energy_mj()[i], b.energy_mj()[i])
+        << context << " record " << i;
   }
 }
 
@@ -42,17 +45,21 @@ void expect_runs_identical(const runtime::ScenarioRunResult& a,
                            const std::string& context) {
   EXPECT_EQ(a.duration_ms, b.duration_ms) << context;
   EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << context;
-  ASSERT_EQ(a.sub_accel_busy_ms.size(), b.sub_accel_busy_ms.size());
-  for (std::size_t i = 0; i < a.sub_accel_busy_ms.size(); ++i) {
-    EXPECT_EQ(a.sub_accel_busy_ms[i], b.sub_accel_busy_ms[i]) << context;
+  ASSERT_EQ(a.telemetry.num_sub_accels(), b.telemetry.num_sub_accels());
+  for (std::size_t i = 0; i < a.telemetry.num_sub_accels(); ++i) {
+    EXPECT_EQ(a.telemetry.sub_accel(i).busy_ms,
+              b.telemetry.sub_accel(i).busy_ms)
+        << context;
   }
-  ASSERT_EQ(a.timeline.size(), b.timeline.size()) << context;
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].sub_accel, b.timeline[i].sub_accel) << context;
-    EXPECT_EQ(a.timeline[i].task, b.timeline[i].task) << context;
-    EXPECT_EQ(a.timeline[i].frame, b.timeline[i].frame) << context;
-    EXPECT_EQ(a.timeline[i].start_ms, b.timeline[i].start_ms) << context;
-    EXPECT_EQ(a.timeline[i].end_ms, b.timeline[i].end_ms) << context;
+  const auto ta = a.timeline();
+  const auto tb = b.timeline();
+  ASSERT_EQ(ta.size(), tb.size()) << context;
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].sub_accel, tb[i].sub_accel) << context;
+    EXPECT_EQ(ta[i].task, tb[i].task) << context;
+    EXPECT_EQ(ta[i].frame, tb[i].frame) << context;
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms) << context;
+    EXPECT_EQ(ta[i].end_ms, tb[i].end_ms) << context;
   }
   ASSERT_EQ(a.per_model.size(), b.per_model.size()) << context;
   for (std::size_t m = 0; m < a.per_model.size(); ++m) {
@@ -181,7 +188,6 @@ TEST(ScenarioProgram, PhasesStitchOntoOneContinuousTimeline) {
   EXPECT_EQ(run.duration_ms, program.total_duration_ms());
   ASSERT_EQ(run.phase_start_ms.size(), program.num_phases());
   // The merged stores grew by doubling and are trimmed to their size.
-  EXPECT_EQ(run.timeline.capacity(), run.timeline.size());
   for (const auto& ms : run.per_model) {
     EXPECT_EQ(ms.records.capacity(), ms.records.size());
   }
@@ -192,10 +198,11 @@ TEST(ScenarioProgram, PhasesStitchOntoOneContinuousTimeline) {
   }
   // The timeline is globally sorted and every phase contributed work beyond
   // its start offset.
-  for (std::size_t i = 1; i < run.timeline.size(); ++i) {
-    EXPECT_GE(run.timeline[i].start_ms, run.timeline[i - 1].start_ms);
+  const auto timeline = run.timeline();
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    EXPECT_GE(timeline[i].start_ms, timeline[i - 1].start_ms);
   }
-  EXPECT_GT(run.timeline.back().start_ms, run.phase_start_ms.back());
+  EXPECT_GT(timeline.back().start_ms, run.phase_start_ms.back());
   // Cumulative QoE accounting: HT runs in phases 1 (45 FPS) and 2 (30 FPS)
   // of the co-presence program, so its expected frames span both phases.
   const auto* ht = run.find(TaskId::kHT);
@@ -204,8 +211,10 @@ TEST(ScenarioProgram, PhasesStitchOntoOneContinuousTimeline) {
             static_cast<std::int64_t>(45 * 0.4 + 30 * 0.4));
   // Records from the second HT phase sit past the phase boundary.
   bool past_boundary = false;
-  for (const auto& rec : ht->records) {
-    if (rec.treq_ms >= run.phase_start_ms.back()) past_boundary = true;
+  for (std::size_t i = 0; i < ht->records.size(); ++i) {
+    if (ht->records.treq_ms()[i] >= run.phase_start_ms.back()) {
+      past_boundary = true;
+    }
   }
   EXPECT_TRUE(past_boundary);
 }
@@ -502,10 +511,11 @@ TEST(DvfsTransitionPenalty, LevelSwitchesChargeLatency) {
   std::vector<std::vector<std::pair<double, int>>> dispatches(
       baseline_sys.sub_accels.size());
   for (const auto& ms : a.per_model) {
-    for (const auto& rec : ms.records) {
-      if (rec.dropped) continue;
-      dispatches[static_cast<std::size_t>(rec.sub_accel)].push_back(
-          {rec.dispatch_ms, rec.dvfs_level});
+    const auto& recs = ms.records;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (recs.dropped()[i] != 0) continue;
+      dispatches[static_cast<std::size_t>(recs.sub_accel()[i])].push_back(
+          {recs.dispatch_ms()[i], recs.dvfs_level()[i]});
     }
   }
   int switches = 0;
@@ -518,8 +528,10 @@ TEST(DvfsTransitionPenalty, LevelSwitchesChargeLatency) {
   ASSERT_GT(switches, 0);
 
   double base_busy = 0.0, pen_busy = 0.0;
-  for (double ms : a.sub_accel_busy_ms) base_busy += ms;
-  for (double ms : b.sub_accel_busy_ms) pen_busy += ms;
+  for (std::size_t sa = 0; sa < a.telemetry.num_sub_accels(); ++sa) {
+    base_busy += a.telemetry.sub_accel(sa).busy_ms;
+    pen_busy += b.telemetry.sub_accel(sa).busy_ms;
+  }
   EXPECT_GT(pen_busy, base_busy);
 }
 

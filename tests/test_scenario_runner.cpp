@@ -47,16 +47,17 @@ TEST_F(RunnerTest, FrameAccountingIsConsistent) {
 TEST_F(RunnerTest, ExecutedRecordsHaveSaneTimes) {
   const auto r = run('J', 8192, scenario_by_name("Social Interaction A"));
   for (const auto& m : r.per_model) {
-    for (const auto& rec : m.records) {
-      if (rec.dropped) {
-        EXPECT_EQ(rec.sub_accel, -1);
+    const RecordStore& recs = m.records;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (recs.dropped()[i] != 0) {
+        EXPECT_EQ(recs.sub_accel()[i], -1);
         continue;
       }
-      EXPECT_GE(rec.dispatch_ms, rec.treq_ms - 1e-9);
-      EXPECT_GT(rec.complete_ms, rec.dispatch_ms);
-      EXPECT_GE(rec.sub_accel, 0);
-      EXPECT_GT(rec.energy_mj, 0.0);
-      EXPECT_GT(rec.latency_ms(), 0.0);
+      EXPECT_GE(recs.dispatch_ms()[i], recs.treq_ms()[i] - 1e-9);
+      EXPECT_GT(recs.complete_ms()[i], recs.dispatch_ms()[i]);
+      EXPECT_GE(recs.sub_accel()[i], 0);
+      EXPECT_GT(recs.energy_mj()[i], 0.0);
+      EXPECT_GT(recs.latency_ms(i), 0.0);
     }
   }
 }
@@ -94,10 +95,11 @@ TEST_F(RunnerTest, TimelineTiesHaveDeterministicTotalOrder) {
   // entries cannot permute between runs or stdlib sort implementations.
   RunConfig cfg{1000.0, 11, false, 2.0, FaultSpec{}};
   const auto r = run('M', 8192, scenario_by_name("AR Assistant"), cfg);
+  const auto timeline = r.timeline();
   bool any_tie = false;
-  for (std::size_t i = 1; i < r.timeline.size(); ++i) {
-    const auto& prev = r.timeline[i - 1];
-    const auto& cur = r.timeline[i];
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    const auto& prev = timeline[i - 1];
+    const auto& cur = timeline[i];
     ASSERT_LE(prev.start_ms, cur.start_ms);
     if (prev.start_ms == cur.start_ms) {
       any_tie = true;
@@ -130,10 +132,11 @@ TEST_F(RunnerTest, TimelineMatchesExecutedRecords) {
   for (const auto& m : r.per_model) {
     executed += static_cast<std::size_t>(m.frames_executed);
   }
-  EXPECT_EQ(r.timeline.size(), executed);
+  const auto timeline = r.timeline();
+  EXPECT_EQ(timeline.size(), executed);
   // Timeline sorted by start time.
-  for (std::size_t i = 1; i < r.timeline.size(); ++i) {
-    EXPECT_GE(r.timeline[i].start_ms, r.timeline[i - 1].start_ms);
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    EXPECT_GE(timeline[i].start_ms, timeline[i - 1].start_ms);
   }
 }
 
@@ -142,8 +145,8 @@ TEST_F(RunnerTest, NoHardwareOverlapPerSubAccel) {
   // runs two inferences at once.
   const auto r = run('J', 4096, scenario_by_name("AR Assistant"),
                      RunConfig{1000.0, 7, true, 2.0, FaultSpec{}});
-  std::vector<std::vector<BusyInterval>> lanes(r.sub_accel_busy_ms.size());
-  for (const auto& bi : r.timeline) {
+  std::vector<std::vector<BusyInterval>> lanes(r.telemetry.num_sub_accels());
+  for (const auto& bi : r.timeline()) {
     lanes[static_cast<std::size_t>(bi.sub_accel)].push_back(bi);
   }
   for (const auto& lane : lanes) {
@@ -160,16 +163,18 @@ TEST_F(RunnerTest, DependencyConditionHolds) {
   const auto* ge = r.find(TaskId::kGE);
   ASSERT_NE(es, nullptr);
   ASSERT_NE(ge, nullptr);
-  for (const auto& grec : ge->records) {
-    if (grec.dropped) continue;
+  const RecordStore& g = ge->records;
+  const RecordStore& e = es->records;
+  for (std::size_t gi = 0; gi < g.size(); ++gi) {
+    if (g.dropped()[gi] != 0) continue;
     bool found = false;
-    for (const auto& erec : es->records) {
-      if (erec.frame == grec.frame && !erec.dropped) {
-        EXPECT_GE(grec.dispatch_ms, erec.complete_ms - 1e-9);
+    for (std::size_t ei = 0; ei < e.size(); ++ei) {
+      if (e.frame()[ei] == g.frame()[gi] && e.dropped()[ei] == 0) {
+        EXPECT_GE(g.dispatch_ms()[gi], e.complete_ms()[ei] - 1e-9);
         found = true;
       }
     }
-    EXPECT_TRUE(found) << "GE frame " << grec.frame
+    EXPECT_TRUE(found) << "GE frame " << g.frame()[gi]
                        << " ran without an ES completion";
   }
 }
@@ -206,8 +211,8 @@ TEST_F(RunnerTest, JitterChangesArrivalNotCounts) {
     for (std::size_t f = 0; f < a.per_model[i].records.size() &&
                             f < b.per_model[i].records.size();
          ++f) {
-      if (a.per_model[i].records[f].treq_ms !=
-          b.per_model[i].records[f].treq_ms) {
+      if (a.per_model[i].records.treq_ms()[f] !=
+          b.per_model[i].records.treq_ms()[f]) {
         any_diff = true;
       }
     }
@@ -241,12 +246,13 @@ TEST_F(RunnerTest, MultiModalModelWaitsForBothStreams) {
   ASSERT_NE(dr, nullptr);
   const auto& cam = workload::input_source(workload::InputSourceId::kCamera);
   const auto& lidar = workload::input_source(workload::InputSourceId::kLidar);
-  for (const auto& rec : dr->records) {
-    if (rec.dropped) continue;
-    const std::int64_t sf = rec.frame * 2;  // 30 FPS on 60 FPS streams
+  const RecordStore& recs = dr->records;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs.dropped()[i] != 0) continue;
+    const std::int64_t sf = recs.frame()[i] * 2;  // 30 FPS on 60 FPS streams
     const double cam_ideal = workload::ideal_arrival_ms(cam, sf);
     const double lidar_ideal = workload::ideal_arrival_ms(lidar, sf);
-    EXPECT_GE(rec.treq_ms,
+    EXPECT_GE(recs.treq_ms()[i],
               std::max(cam_ideal, lidar_ideal) - cam.max_jitter_ms -
                   lidar.max_jitter_ms - 1e-9);
   }
@@ -449,7 +455,7 @@ TEST_F(RunnerTest, MismatchedCostTableThrows) {
 
 TEST_F(RunnerTest, UtilizationBoundedByOne) {
   const auto r = run('J', 4096, scenario_by_name("AR Gaming"));
-  for (std::size_t sa = 0; sa < r.sub_accel_busy_ms.size(); ++sa) {
+  for (std::size_t sa = 0; sa < r.telemetry.num_sub_accels(); ++sa) {
     EXPECT_GE(r.utilization(sa), 0.0);
     EXPECT_LE(r.utilization(sa), 1.0);
   }

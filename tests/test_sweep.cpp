@@ -146,25 +146,24 @@ void expect_same_records(const runtime::ScenarioRunResult& a,
                          const runtime::ScenarioRunResult& b,
                          const std::string& where) {
   EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << where;
-  ASSERT_EQ(a.timeline.size(), b.timeline.size()) << where;
+  ASSERT_EQ(a.aborted.size(), b.aborted.size()) << where;
   ASSERT_EQ(a.per_model.size(), b.per_model.size()) << where;
   for (std::size_t m = 0; m < a.per_model.size(); ++m) {
-    const auto va = a.per_model[m].records.view();
-    const auto vb = b.per_model[m].records.view();
+    const runtime::RecordStore& va = a.per_model[m].records;
+    const runtime::RecordStore& vb = b.per_model[m].records;
     ASSERT_EQ(va.size(), vb.size()) << where;
     for (std::size_t r = 0; r < va.size(); ++r) {
-      // Exact equality on every field (memcmp would trip on struct
-      // padding): dispatch/complete/energy are the bits the determinism
-      // contract actually promises.
-      EXPECT_EQ(va[r].frame, vb[r].frame);
-      EXPECT_EQ(va[r].treq_ms, vb[r].treq_ms);
-      EXPECT_EQ(va[r].tdl_ms, vb[r].tdl_ms);
-      EXPECT_EQ(va[r].dropped, vb[r].dropped);
-      EXPECT_EQ(va[r].sub_accel, vb[r].sub_accel);
-      EXPECT_EQ(va[r].dvfs_level, vb[r].dvfs_level);
-      EXPECT_EQ(va[r].dispatch_ms, vb[r].dispatch_ms);
-      EXPECT_EQ(va[r].complete_ms, vb[r].complete_ms);
-      EXPECT_EQ(va[r].energy_mj, vb[r].energy_mj)
+      // Exact equality on every column: dispatch/complete/energy are the
+      // bits the determinism contract actually promises.
+      EXPECT_EQ(va.frame()[r], vb.frame()[r]);
+      EXPECT_EQ(va.treq_ms()[r], vb.treq_ms()[r]);
+      EXPECT_EQ(va.tdl_ms()[r], vb.tdl_ms()[r]);
+      EXPECT_EQ(va.dropped()[r], vb.dropped()[r]);
+      EXPECT_EQ(va.sub_accel()[r], vb.sub_accel()[r]);
+      EXPECT_EQ(va.dvfs_level()[r], vb.dvfs_level()[r]);
+      EXPECT_EQ(va.dispatch_ms()[r], vb.dispatch_ms()[r]);
+      EXPECT_EQ(va.complete_ms()[r], vb.complete_ms()[r]);
+      EXPECT_EQ(va.energy_mj()[r], vb.energy_mj()[r])
           << where << ", model " << m << ", record " << r;
     }
   }
@@ -359,10 +358,11 @@ void expect_same_outcome(const ScenarioOutcome& a, const ScenarioOutcome& b,
   EXPECT_EQ(a.score.qoe, b.score.qoe) << where;
   EXPECT_EQ(a.score.total_energy_mj, b.score.total_energy_mj) << where;
   EXPECT_EQ(a.last_run.total_energy_mj, b.last_run.total_energy_mj) << where;
-  ASSERT_EQ(a.last_run.timeline.size(), b.last_run.timeline.size()) << where;
-  for (std::size_t i = 0; i < a.last_run.timeline.size(); ++i) {
-    EXPECT_EQ(a.last_run.timeline[i].start_ms, b.last_run.timeline[i].start_ms)
-        << where;
+  const auto ta = a.last_run.timeline();
+  const auto tb = b.last_run.timeline();
+  ASSERT_EQ(ta.size(), tb.size()) << where;
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms) << where;
   }
   ASSERT_EQ(a.last_run.per_model.size(), b.last_run.per_model.size()) << where;
   for (std::size_t m = 0; m < a.last_run.per_model.size(); ++m) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/harness.h"
 #include "core/sweep.h"
 #include "hw/accelerator.h"
@@ -18,6 +20,16 @@ InferenceRequest make_req(TaskId task, double treq, double tdl) {
   r.treq_ms = treq;
   r.tdl_ms = tdl;
   return r;
+}
+
+/// Busy time per unit summed over a run's timeline() spans.
+std::vector<double> span_busy_ms(const ScenarioRunResult& run) {
+  std::vector<double> busy(run.telemetry.num_sub_accels(), 0.0);
+  for (const auto& span : run.timeline()) {
+    busy[static_cast<std::size_t>(span.sub_accel)] +=
+        span.end_ms - span.start_ms;
+  }
+  return busy;
 }
 
 // ---- Unit behavior --------------------------------------------------------
@@ -59,21 +71,20 @@ TEST(Telemetry, BusyIdleAccountingAndEwma) {
 }
 
 TEST(Telemetry, LevelHistoryIsBounded) {
-  TelemetryConfig config;
-  config.level_history_depth = 3;
-  Telemetry tel(config);
+  constexpr std::size_t kDepth = Telemetry::kLevelHistoryDepth;
+  Telemetry tel;
   tel.reset(1);
   const auto req = make_req(TaskId::kHT, 0.0, 1e9);
-  for (int i = 0; i < 6; ++i) {
-    tel.on_dispatch(0, req, static_cast<std::size_t>(i), i * 10.0, 0);
-    tel.on_retire(0, req, static_cast<std::size_t>(i), i * 10.0 + 5.0, 0.0,
-                  0.0);
+  for (std::size_t i = 0; i < kDepth + 3; ++i) {
+    tel.on_dispatch(0, req, i, static_cast<double>(i) * 10.0, 0);
+    tel.on_retire(0, req, i, static_cast<double>(i) * 10.0 + 5.0, 0.0, 0.0);
   }
+  // The oldest three levels fell out; the newest kDepth remain in order.
   const auto& levels = tel.sub_accel(0).recent_levels;
-  ASSERT_EQ(levels.size(), 3u);
-  EXPECT_EQ(levels[0], 3);
-  EXPECT_EQ(levels[1], 4);
-  EXPECT_EQ(levels[2], 5);
+  ASSERT_EQ(levels.size(), kDepth);
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    EXPECT_EQ(levels[i], static_cast<int>(i + 3));
+  }
 }
 
 TEST(Telemetry, ResetClearsStateButKeepsShape) {
@@ -90,15 +101,6 @@ TEST(Telemetry, ResetClearsStateButKeepsShape) {
   EXPECT_EQ(tel.queue_depth(), 0u);
 }
 
-TEST(Telemetry, InvalidConfigRejected) {
-  TelemetryConfig config;
-  config.util_tau_ms = 0.0;
-  EXPECT_THROW(Telemetry{config}, std::invalid_argument);
-  config = {};
-  config.ewma_alpha = 1.5;
-  EXPECT_THROW(Telemetry{config}, std::invalid_argument);
-}
-
 // ---- End-to-end: runner-produced snapshots --------------------------------
 
 TEST(TelemetryRun, SnapshotMatchesRunAccounting) {
@@ -109,15 +111,15 @@ TEST(TelemetryRun, SnapshotMatchesRunAccounting) {
   const auto run =
       harness.run_once(workload::scenario_by_name("AR Gaming"), 42);
   const Telemetry& tel = run.telemetry;
-  ASSERT_EQ(tel.num_sub_accels(), run.sub_accel_busy_ms.size());
+  const std::vector<double> span_busy = span_busy_ms(run);
 
   std::int64_t executed = 0;
   for (const auto& m : run.per_model) executed += m.frames_executed;
   std::int64_t dispatches = 0;
   for (std::size_t sa = 0; sa < tel.num_sub_accels(); ++sa) {
     const auto& sub = tel.sub_accel(sa);
-    // The telemetry's busy accounting is the dispatcher's own.
-    EXPECT_DOUBLE_EQ(sub.busy_ms, run.sub_accel_busy_ms[sa]) << sa;
+    // The telemetry's busy time is the length of the unit's spans.
+    EXPECT_DOUBLE_EQ(sub.busy_ms, span_busy[sa]) << sa;
     EXPECT_EQ(sub.dispatches, sub.retires) << sa;
     dispatches += sub.dispatches;
     EXPECT_GE(sub.util_ewma, 0.0);
@@ -133,8 +135,6 @@ TEST(TelemetryRun, SnapshotMatchesRunAccounting) {
     EXPECT_GE(sub.busy_ms + sub.idle_ms, run.duration_ms);
   }
   EXPECT_EQ(dispatches, executed);
-  EXPECT_GT(tel.total_dynamic_mj(), 0.0);
-  EXPECT_GT(tel.total_static_mj(), 0.0);
 }
 
 void expect_identical_telemetry(const Telemetry& a, const Telemetry& b) {
@@ -216,12 +216,15 @@ TEST(TelemetryRun, ProgramSnapshotAccumulatesPhases) {
   const auto& program = workload::program_by_name("Scenario Hand-Off");
   const auto run = harness.run_program_once(program, 7);
   const Telemetry& tel = run.telemetry;
+  const std::vector<double> span_busy = span_busy_ms(run);
   std::int64_t executed = 0;
   for (const auto& m : run.per_model) executed += m.frames_executed;
   std::int64_t dispatches = 0;
   for (std::size_t sa = 0; sa < tel.num_sub_accels(); ++sa) {
     dispatches += tel.sub_accel(sa).dispatches;
-    EXPECT_DOUBLE_EQ(tel.sub_accel(sa).busy_ms, run.sub_accel_busy_ms[sa]);
+    // The session spans are shifted by each phase's start, which rounds.
+    EXPECT_NEAR(tel.sub_accel(sa).busy_ms, span_busy[sa],
+                1e-9 * span_busy[sa]);
   }
   EXPECT_EQ(dispatches, executed);
 }
