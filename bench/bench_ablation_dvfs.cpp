@@ -108,7 +108,7 @@ int main() {
       const auto& out = idle_outcomes[s * per_scenario + g];
       table.add_row({governors[g], util::fmt_double(out.score.overall),
                      util::fmt_double(out.score.qoe),
-                     util::fmt_double(out.last_run.total_energy_mj, 2)});
+                     util::fmt_double(out.last.total_energy_mj, 2)});
     }
     table.print(std::cout);
     std::cout << "\n";

@@ -233,7 +233,7 @@ int main() {
                                    "drop", "resumes", "saved_ms"});
   for (std::size_t l = 0; l < ladder.size(); ++l) {
     const auto& out = outcomes[section_b_end + l];
-    const auto& res = out.last_run.resilience;
+    const auto& res = out.last.resilience;
     ladder_table.add_row({ladder[l].name, util::fmt_double(out.score.qoe),
                           util::fmt_double(out.score.overall),
                           util::fmt_double(out.score.total_energy_mj, 1),

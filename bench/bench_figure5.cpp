@@ -14,25 +14,25 @@ using namespace xrbench;
 
 namespace {
 
-void spot_checks(const std::vector<core::BenchmarkOutcome>& outs,
+void spot_checks(const std::vector<core::SuitePointScore>& outs,
                  std::int64_t pes) {
   if (pes != 8192) return;
   // §4.2.1: accelerator A (8K) on Outdoor Activity B — high real-time score
   // does not imply a good overall score; compare its energy against the
   // most efficient design.
-  const core::BenchmarkOutcome* a = nullptr;
+  const core::SuitePointScore* a = nullptr;
   double best_energy = 1e300;
   std::string best_id;
   for (const auto& o : outs) {
     if (o.accelerator_id == "A") a = &o;
-    const double e = o.scenarios[3].score.total_energy_mj;
+    const double e = o.score.scenarios[3].total_energy_mj;
     if (e < best_energy) {
       best_energy = e;
       best_id = o.accelerator_id;
     }
   }
   if (a == nullptr) return;
-  const auto& ob = a->scenarios[3].score;
+  const auto& ob = a->score.scenarios[3];
   std::cout << "\n[4.2.1 spot check] Accelerator A (8K) on Outdoor Activity "
                "B: realtime="
             << util::fmt_double(ob.realtime) << ", drop rate="
@@ -53,19 +53,19 @@ int main() {
               "energy", "qoe", "overall", "drop_rate"});
 
   for (std::int64_t pes : {4096ll, 8192ll}) {
-    std::vector<core::BenchmarkOutcome> outs;
+    std::vector<core::SuitePointScore> outs;
     for (char id : hw::accelerator_ids()) {
       const auto sys = hw::make_accelerator(id, pes);
       core::Harness harness(sys, opt);
       outs.push_back(harness.run_suite());
-      for (const auto& sc : outs.back().scenarios) {
+      for (const auto& sc : outs.back().score.scenarios) {
         csv.row({util::CsvWriter::cell(pes), outs.back().accelerator_id,
-                 hw::accel_style_name(sys.style), sc.score.scenario_name,
-                 util::CsvWriter::cell(sc.score.realtime),
-                 util::CsvWriter::cell(sc.score.energy),
-                 util::CsvWriter::cell(sc.score.qoe),
-                 util::CsvWriter::cell(sc.score.overall),
-                 util::CsvWriter::cell(sc.score.frame_drop_rate)});
+                 hw::accel_style_name(sys.style), sc.scenario_name,
+                 util::CsvWriter::cell(sc.realtime),
+                 util::CsvWriter::cell(sc.energy),
+                 util::CsvWriter::cell(sc.qoe),
+                 util::CsvWriter::cell(sc.overall),
+                 util::CsvWriter::cell(sc.frame_drop_rate)});
       }
     }
 
@@ -82,12 +82,12 @@ int main() {
       double best = -1.0;
       for (const auto& o : outs) {
         const double rt = avg_row ? o.score.realtime
-                                  : o.scenarios[s].score.realtime;
+                                  : o.score.scenarios[s].realtime;
         const double en = avg_row ? o.score.energy
-                                  : o.scenarios[s].score.energy;
-        const double qoe = avg_row ? o.score.qoe : o.scenarios[s].score.qoe;
+                                  : o.score.scenarios[s].energy;
+        const double qoe = avg_row ? o.score.qoe : o.score.scenarios[s].qoe;
         const double overall =
-            avg_row ? o.score.overall : o.scenarios[s].score.overall;
+            avg_row ? o.score.overall : o.score.scenarios[s].overall;
         if (overall > best) {
           best = overall;
           best_id = o.accelerator_id;

@@ -51,8 +51,14 @@ int main(int argc, char** argv) {
   core::print_benchmark_report(std::cout, outcome);
   std::cout << "\nXRBench SCORE: " << outcome.score.overall << "\n";
 
-  // 5. Drill into one scenario (per-model frames, drops, unit scores).
+  // 5. Drill into one scenario (per-model frames, drops, unit scores). Its
+  //    latency tails come from its final trial, re-run at that trial's seed.
+  const std::size_t last = outcome.trials.size() - 1;
+  const auto run = harness.run_once(
+      workload::benchmark_suite()[last],
+      core::last_trial_seed(harness.options(), outcome.trials[last]));
   std::cout << "\n";
-  core::print_scenario_report(std::cout, outcome.scenarios.back());
+  core::print_scenario_report(std::cout, outcome.score.scenarios[last],
+                              outcome.trials[last], run);
   return 0;
 }

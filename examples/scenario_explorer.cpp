@@ -67,11 +67,7 @@ int main(int argc, char** argv) {
   core::Harness harness(system);
   const auto run = harness.run_once(*scenario, *seed);
   const auto score = core::score_scenario(run, core::ScoreConfig{});
-
-  core::ScenarioOutcome outcome;
-  outcome.score = score;
-  outcome.last_run = run;
-  core::print_scenario_report(std::cout, outcome);
+  core::print_scenario_report(std::cout, score, 1, run);
   std::cout << "\n";
   core::print_timeline(std::cout, run, /*until_ms=*/500.0,
                        /*resolution_ms=*/5.0);

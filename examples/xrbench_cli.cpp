@@ -59,6 +59,7 @@
 //   xrbench_cli --program-config examples/configs/handoff_program.ini
 //   xrbench_cli --hw-config my_chip.ini --csv scores.csv
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -299,12 +300,24 @@ int main(int argc, char** argv) {
       fleet::FleetSimulator sim;  // XRBENCH_THREADS picks the worker count
       const auto result = sim.run(setup.config, setup.catalog, system, opt);
       fleet::print_fleet_report(std::cout, result);
+      // The last admitted session's run, re-run from its session point; an
+      // empty run when no session was admitted.
+      runtime::ScenarioRunResult last;
+      const auto admitted =
+          std::find_if(result.sessions.rbegin(), result.sessions.rend(),
+                       [](const auto& session) { return session.admitted; });
+      if ((timeline || report || energy_csv_path) &&
+          admitted != result.sessions.rend()) {
+        const auto point = fleet::session_point(setup.config, setup.catalog,
+                                                system, opt, admitted->spec);
+        last = core::Harness(point.system, point.options)
+                   .run_program_once(point.program, admitted->spec.seed);
+      }
       if (timeline) {
         std::cout << "\n";
-        core::print_timeline(std::cout, result.last_run,
-                             result.last_run.duration_ms, 10.0);
+        core::print_timeline(std::cout, last, last.duration_ms, 10.0);
       }
-      emit_breakdown(result.last_run);
+      emit_breakdown(last);
       if (csv_path) {
         fleet::write_fleet_sessions_csv(*csv_path, result);
         std::cout << "\nSession ledger written to " << *csv_path << "\n";
@@ -327,16 +340,17 @@ int main(int argc, char** argv) {
       // One point through the sweep engine: XRBENCH_THREADS (or hardware
       // concurrency) parallelizes the trials, byte-identically to serial.
       core::SweepEngine engine;
-      auto outcomes = engine.run_program_points(
-          {{program.name, system, opt, program}});
-      const auto& out = outcomes.front();
-      core::print_scenario_report(std::cout, out);
+      const auto out =
+          engine.run_program_points({{program.name, system, opt, program}})
+              .front();
+      const auto last = core::Harness(system, opt).run_program_once(
+          program, core::last_trial_seed(opt, out.trials));
+      core::print_scenario_report(std::cout, out.score, out.trials, last);
       if (timeline) {
         std::cout << "\n";
-        core::print_timeline(std::cout, out.last_run,
-                             out.last_run.duration_ms, 10.0);
+        core::print_timeline(std::cout, last, last.duration_ms, 10.0);
       }
-      emit_breakdown(out.last_run);
+      emit_breakdown(last);
       return 0;
     }
 
@@ -347,12 +361,14 @@ int main(int argc, char** argv) {
                                 ? workload::load_scenario(*scenario_config)
                                 : workload::scenario_by_name(*scenario_name);
       const auto out = harness.run_scenario(scenario);
-      core::print_scenario_report(std::cout, out);
+      const auto last =
+          harness.run_once(scenario, core::last_trial_seed(opt, out.trials));
+      core::print_scenario_report(std::cout, out.score, out.trials, last);
       if (timeline) {
         std::cout << "\n";
-        core::print_timeline(std::cout, out.last_run);
+        core::print_timeline(std::cout, last);
       }
-      emit_breakdown(out.last_run);
+      emit_breakdown(last);
       return 0;
     }
 
@@ -364,16 +380,25 @@ int main(int argc, char** argv) {
     }
     const auto outcome = harness.run_suite();
     core::print_benchmark_report(std::cout, outcome);
+    // Each scenario's final trial, re-run for its breakdown and timeline.
+    std::vector<runtime::ScenarioRunResult> final_trials;
+    if (report || timeline) {
+      const auto& suite = workload::benchmark_suite();
+      for (std::size_t s = 0; s < suite.size(); ++s) {
+        final_trials.push_back(harness.run_once(
+            suite[s], core::last_trial_seed(opt, outcome.trials[s])));
+      }
+    }
     if (report) {
-      for (const auto& sc : outcome.scenarios) {
+      for (const auto& run : final_trials) {
         std::cout << "\n";
-        core::print_energy_breakdown(std::cout, sc.last_run);
+        core::print_energy_breakdown(std::cout, run);
       }
     }
     if (timeline) {
-      for (const auto& sc : outcome.scenarios) {
+      for (const auto& run : final_trials) {
         std::cout << "\n";
-        core::print_timeline(std::cout, sc.last_run, 400.0, 8.0);
+        core::print_timeline(std::cout, run, 400.0, 8.0);
       }
     }
     if (csv_path) {

@@ -79,28 +79,24 @@ TrialPolicies make_policies(const HarnessOptions& options,
 }
 
 /// Shared trial-averaging shape of run_scenario / run_program: runs
-/// `trials` raw runs with consecutive seeds and averages their scores. One
-/// RunScratch spans the loop — trial t+1 reuses trial t's arenas (record
-/// stores, simulator event pool), recycled after scoring.
+/// `trials` raw runs with consecutive seeds, averages their scores and
+/// summarizes the last. One RunScratch spans the loop — trial t+1 reuses
+/// trial t's arenas (record stores, simulator event pool), recycled after
+/// scoring.
 template <typename RunOnce>
 ScenarioOutcome run_trials(int trials, std::uint64_t base_seed,
                            const ScoreConfig& score, RunOnce&& run_once) {
   std::vector<ScenarioScore> trial_scores;
   trial_scores.reserve(static_cast<std::size_t>(trials));
   runtime::RunScratch scratch;
-  runtime::ScenarioRunResult last;
+  ScenarioOutcome outcome;
   for (int t = 0; t < trials; ++t) {
     auto run = run_once(base_seed + static_cast<std::uint64_t>(t), &scratch);
     trial_scores.push_back(score_scenario(run, score));
-    if (t == trials - 1) {
-      last = std::move(run);
-    } else {
-      scratch.recycle(std::move(run));
-    }
+    if (t == trials - 1) outcome.last = summarize_trial(run);
+    scratch.recycle(std::move(run));
   }
-  ScenarioOutcome outcome;
   outcome.score = average_scores(trial_scores);
-  outcome.last_run = std::move(last);
   outcome.trials = trials;
   return outcome;
 }
@@ -119,6 +115,28 @@ int trials_for(const workload::ScenarioProgram& program,
   return workload::is_dynamic_program(program)
              ? std::max(1, options.dynamic_trials)
              : 1;
+}
+
+std::uint64_t last_trial_seed(const HarnessOptions& options, int trials) {
+  return options.run.seed + static_cast<std::uint64_t>(trials - 1);
+}
+
+TrialSummary summarize_trial(const runtime::ScenarioRunResult& run) {
+  TrialSummary summary;
+  summary.resilience = run.resilience;
+  summary.total_energy_mj = run.total_energy_mj;
+  double total = 0.0;
+  std::int64_t n = 0;
+  for (const auto& stats : run.per_model) {
+    const runtime::RecordStore& recs = stats.records;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (recs.dropped()[i] != 0) continue;
+      total += recs.latency_ms(i);
+      ++n;
+    }
+  }
+  summary.mean_latency_ms = n == 0 ? 0.0 : total / static_cast<double>(n);
+  return summary;
 }
 
 runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
@@ -164,15 +182,16 @@ ScenarioOutcome Harness::run_program(
                     });
 }
 
-BenchmarkOutcome Harness::run_suite() const {
-  BenchmarkOutcome outcome;
+SuitePointScore Harness::run_suite() const {
+  SuitePointScore outcome;
   outcome.accelerator_id = system_.id;
   outcome.total_pes = system_.total_pes();
   std::vector<ScenarioScore> scores;
   for (const auto& scenario : workload::benchmark_suite()) {
     auto sc = run_scenario(scenario);
-    scores.push_back(sc.score);
-    outcome.scenarios.push_back(std::move(sc));
+    scores.push_back(std::move(sc.score));
+    outcome.trials.push_back(sc.trials);
+    outcome.last.push_back(sc.last);
   }
   outcome.score = combine_scenarios(std::move(scores));
   return outcome;

@@ -59,6 +59,12 @@ int trials_for(const workload::UsageScenario& scenario,
 int trials_for(const workload::ScenarioProgram& program,
                const HarnessOptions& options);
 
+/// Seed of a point's final trial, options.run.seed + trials - 1. A caller
+/// that needs that trial's records, timeline or telemetry re-runs it here
+/// through Harness::run_once or run_program_once; the determinism contract
+/// makes the re-run bit-identical to the run its outcome summarizes.
+std::uint64_t last_trial_seed(const HarnessOptions& options, int trials);
+
 /// One trial of `scenario` on `runner` at `seed` (options.run with its seed
 /// replaced): fresh scheduler, governor map and admission controller, named
 /// by `options` and reset. Harness::run_once and every SweepEngine trial
@@ -81,24 +87,45 @@ runtime::ScenarioRunResult run_trial(const runtime::ScenarioRunner& runner,
                                      std::uint64_t seed,
                                      runtime::RunScratch* scratch = nullptr);
 
-/// Outcome of benchmarking one scenario on one accelerator system.
-struct ScenarioOutcome {
-  ScenarioScore score;              ///< Averaged over trials if dynamic.
-  runtime::ScenarioRunResult last_run;  ///< Raw result of the final trial.
-  int trials = 1;
+/// What outcomes keep of a point's final trial besides its score.
+struct TrialSummary {
+  runtime::ResilienceStats resilience;  ///< Fault and degradation counters.
+  double total_energy_mj = 0.0;
+  /// Mean completion - request latency over executed (not dropped)
+  /// inferences; 0 when none executed.
+  double mean_latency_ms = 0.0;
 };
 
-/// Outcome of the full suite (all Table-2 scenarios).
-struct BenchmarkOutcome {
+/// The summary of `run`; every outcome's `last` is this call on its final
+/// trial, made before the run goes back to its arena.
+TrialSummary summarize_trial(const runtime::ScenarioRunResult& run);
+
+/// Outcome of benchmarking one scenario or program on one accelerator
+/// system.
+struct ScenarioOutcome {
+  ScenarioScore score;  ///< Averaged over trials if dynamic.
+  int trials = 1;
+  TrialSummary last;    ///< Of the final trial, at last_trial_seed.
+};
+
+/// Outcome of one design against the full Table-2 suite, from
+/// Harness::run_suite and SweepEngine::run_suite_points alike.
+struct SuitePointScore {
   std::string accelerator_id;
   std::int64_t total_pes = 0;
+  /// The benchmark score; score.scenarios[s] is suite scenario s's
+  /// trial-averaged score.
   BenchmarkScore score;
-  std::vector<ScenarioOutcome> scenarios;
+  std::vector<int> trials;         ///< Per suite scenario.
+  std::vector<TrialSummary> last;  ///< Per suite scenario, its final trial.
 };
 
 /// XRBench harness facade (Figure 2): wires the model zoo, the analytical
 /// cost model, the accelerator system, the runtime and the scoring module
-/// together behind two calls — run_scenario() and run_suite().
+/// together behind two calls — run_scenario() and run_suite(). Outcomes
+/// carry scores and a TrialSummary; a caller that prints a run re-runs its
+/// final trial through run_once() or run_program_once() at
+/// last_trial_seed().
 ///
 /// Typical use:
 ///   auto system = hw::make_accelerator('J', 8192);
@@ -124,8 +151,8 @@ class Harness {
                                           nullptr) const;
 
   /// Benchmarks one scenario: averages trials_for(scenario, options)
-  /// trials at seeds seed, seed+1, ... This serial loop is the reference
-  /// SweepEngine is held to.
+  /// trials at seeds seed, seed+1, ... and summarizes the last. This serial
+  /// loop is the reference SweepEngine is held to.
   ScenarioOutcome run_scenario(const workload::UsageScenario& scenario) const;
 
   /// One raw run of a scenario program (continuous multi-phase timeline):
@@ -142,7 +169,7 @@ class Harness {
 
   /// Benchmarks every Table-2 scenario and combines them into the
   /// XRBench score (Definition 16).
-  BenchmarkOutcome run_suite() const;
+  SuitePointScore run_suite() const;
 
  private:
   hw::AcceleratorSystem system_;

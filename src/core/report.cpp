@@ -37,17 +37,16 @@ std::pair<double, double> latency_p50_p99(const runtime::RecordStore& recs) {
 }  // namespace
 
 void print_benchmark_report(std::ostream& os,
-                            const BenchmarkOutcome& outcome) {
+                            const SuitePointScore& outcome) {
   os << "XRBench report — accelerator " << outcome.accelerator_id << " ("
      << outcome.total_pes << " PEs)\n";
   TablePrinter table({"Usage Scenario", "Realtime", "Energy", "QoE",
                       "Overall", "Drop rate", "Energy (mJ)"});
-  for (const auto& sc : outcome.scenarios) {
-    table.add_row({sc.score.scenario_name, fmt_double(sc.score.realtime),
-                   fmt_double(sc.score.energy), fmt_double(sc.score.qoe),
-                   fmt_double(sc.score.overall),
-                   fmt_percent(sc.score.frame_drop_rate),
-                   fmt_double(sc.score.total_energy_mj, 1)});
+  for (const auto& sc : outcome.score.scenarios) {
+    table.add_row({sc.scenario_name, fmt_double(sc.realtime),
+                   fmt_double(sc.energy), fmt_double(sc.qoe),
+                   fmt_double(sc.overall), fmt_percent(sc.frame_drop_rate),
+                   fmt_double(sc.total_energy_mj, 1)});
   }
   table.add_row({"XRBench SCORE (avg)", fmt_double(outcome.score.realtime),
                  fmt_double(outcome.score.energy),
@@ -56,10 +55,11 @@ void print_benchmark_report(std::ostream& os,
   table.print(os);
   // One line per scenario that actually saw faults or early drops; suites
   // run fault-free print nothing extra (byte-identity with older output).
-  for (const auto& sc : outcome.scenarios) {
-    const auto& res = sc.last_run.resilience;
+  for (std::size_t s = 0; s < outcome.last.size(); ++s) {
+    const auto& res = outcome.last[s].resilience;
     if (!res.enabled) continue;
-    os << "  resilience [" << sc.score.scenario_name << "]: faults "
+    os << "  resilience [" << outcome.score.scenarios[s].scenario_name
+       << "]: faults "
        << res.transient_faults << ", retries " << res.retries
        << ", failovers " << res.failovers << ", drops early/late "
        << res.drops_early << "/" << res.drops_late;
@@ -73,17 +73,17 @@ void print_benchmark_report(std::ostream& os,
   }
 }
 
-void print_scenario_report(std::ostream& os, const ScenarioOutcome& outcome) {
-  const auto& sc = outcome.score;
-  os << "Scenario: " << sc.scenario_name << "  (trials: " << outcome.trials
-     << ")\n";
+void print_scenario_report(std::ostream& os, const ScenarioScore& sc,
+                           int trials,
+                           const runtime::ScenarioRunResult& final_trial) {
+  os << "Scenario: " << sc.scenario_name << "  (trials: " << trials << ")\n";
   TablePrinter table({"Model", "FPS ok/total", "Drops", "Late", "Rt", "En",
                       "Acc", "QoE", "Model x QoE", "p50 ms", "p99 ms"});
   for (const auto& m : sc.models) {
     // Tail latencies come from the final trial's raw records (the scores
     // above are trial averages; the percentiles are a last-run diagnostic).
     double p50 = 0.0, p99 = 0.0;
-    if (const auto* stats = outcome.last_run.find(m.task)) {
+    if (const auto* stats = final_trial.find(m.task)) {
       std::tie(p50, p99) = latency_p50_p99(stats->records);
     }
     table.add_row({models::task_code(m.task),
@@ -101,7 +101,7 @@ void print_scenario_report(std::ostream& os, const ScenarioOutcome& outcome) {
      << ", QoE " << fmt_double(sc.qoe) << ")\n";
   // Resilience section (final trial's counters). Gated on `enabled` —
   // fault-free, admit-all runs print exactly what they always did.
-  const auto& res = outcome.last_run.resilience;
+  const auto& res = final_trial.resilience;
   if (res.enabled) {
     os << "Resilience (last trial): faults " << res.transient_faults
        << ", retries " << res.retries << " (give-ups " << res.retry_give_ups
@@ -216,18 +216,17 @@ void write_inference_log_csv(const std::filesystem::path& path,
 }
 
 void write_scores_csv(const std::filesystem::path& path,
-                      const BenchmarkOutcome& outcome) {
+                      const SuitePointScore& outcome) {
   util::CsvWriter csv(path);
   csv.header({"accelerator", "total_pes", "scenario", "realtime", "energy",
               "qoe", "overall", "drop_rate", "energy_mj"});
-  for (const auto& sc : outcome.scenarios) {
+  for (const auto& sc : outcome.score.scenarios) {
     csv.row({outcome.accelerator_id, util::CsvWriter::cell(outcome.total_pes),
-             sc.score.scenario_name, util::CsvWriter::cell(sc.score.realtime),
-             util::CsvWriter::cell(sc.score.energy),
-             util::CsvWriter::cell(sc.score.qoe),
-             util::CsvWriter::cell(sc.score.overall),
-             util::CsvWriter::cell(sc.score.frame_drop_rate),
-             util::CsvWriter::cell(sc.score.total_energy_mj)});
+             sc.scenario_name, util::CsvWriter::cell(sc.realtime),
+             util::CsvWriter::cell(sc.energy), util::CsvWriter::cell(sc.qoe),
+             util::CsvWriter::cell(sc.overall),
+             util::CsvWriter::cell(sc.frame_drop_rate),
+             util::CsvWriter::cell(sc.total_energy_mj)});
   }
   csv.row({outcome.accelerator_id, util::CsvWriter::cell(outcome.total_pes),
            "AVERAGE", util::CsvWriter::cell(outcome.score.realtime),

@@ -13,11 +13,15 @@ namespace xrbench::core {
 
 /// Prints a Figure-5-style breakdown table (one row per scenario:
 /// real-time / energy / QoE / overall).
-void print_benchmark_report(std::ostream& os, const BenchmarkOutcome& outcome);
+void print_benchmark_report(std::ostream& os, const SuitePointScore& outcome);
 
 /// Prints per-model detail for one scenario (frames, drops, deadline
-/// misses, unit scores).
-void print_scenario_report(std::ostream& os, const ScenarioOutcome& outcome);
+/// misses, unit scores) from its `trials`-trial average `score`, with
+/// latency tails and resilience counters read from `final_trial`, its
+/// final trial's run (re-run at last_trial_seed).
+void print_scenario_report(std::ostream& os, const ScenarioScore& score,
+                           int trials,
+                           const runtime::ScenarioRunResult& final_trial);
 
 /// Renders a Figure-6-style ASCII execution timeline: one lane per
 /// sub-accelerator, one glyph per `resolution_ms` slice, letters keyed by
@@ -48,6 +52,6 @@ void write_inference_log_csv(const std::filesystem::path& path,
 
 /// Dumps the per-scenario score table of a benchmark outcome to CSV.
 void write_scores_csv(const std::filesystem::path& path,
-                      const BenchmarkOutcome& outcome);
+                      const SuitePointScore& outcome);
 
 }  // namespace xrbench::core

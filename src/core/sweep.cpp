@@ -190,14 +190,9 @@ struct SweepEngine::Unit {
   const HarnessOptions* options = nullptr;        ///< Its point's.
   const workload::UsageScenario* scenario = nullptr;  ///< Or a program:
   const workload::ScenarioProgram* program = nullptr;
-  /// Its point's outcome on scenario and program calls, which receives
-  /// the averaged score, the trial count and the last trial's run. Null on
-  /// suite calls: the caller combines the unit's own fields, and every run
-  /// goes back to its worker's arena.
-  ScenarioOutcome* outcome = nullptr;
   int trials = 1;
-  std::vector<ScenarioScore> trial_scores{};   ///< One slot per trial.
-  runtime::ResilienceStats last_resilience{};  ///< Suite calls only.
+  std::vector<ScenarioScore> trial_scores{};  ///< One slot per trial.
+  TrialSummary last{};                        ///< Of trial trials - 1.
   std::size_t group = 0;  ///< Its table build.
   std::size_t load = 0;   ///< Its SharedLoads id; scenario units only.
 };
@@ -217,9 +212,8 @@ void SweepEngine::run_units(std::vector<Unit>& units) {
     SharedLoads loads;
     std::vector<TableGroup> groups;
 
-    /// Runs trial `t` of unit `u` into its slot. The last trial's run goes
-    /// to the unit's outcome when it has one; every other run goes back to
-    /// the worker's arena.
+    /// Runs trial `t` of unit `u` into its slot, summarizes it when it is
+    /// the unit's last, and hands the run back to the worker's arena.
     void trial(std::size_t u, int t) {
       Unit& unit = units[u];
       const runtime::ScenarioRunner runner(*unit.system,
@@ -236,13 +230,7 @@ void SweepEngine::run_units(std::vector<Unit>& units) {
                                              unit.options->run));
       unit.trial_scores[static_cast<std::size_t>(t)] =
           score_scenario(run, unit.options->score);
-      if (t == unit.trials - 1) {
-        if (unit.outcome != nullptr) {
-          unit.outcome->last_run = std::move(run);
-          return;
-        }
-        unit.last_resilience = run.resilience;
-      }
+      if (t == unit.trials - 1) unit.last = summarize_trial(run);
       if (scratch != nullptr) scratch->recycle(std::move(run));
     }
   } call{*this, units, SharedLoads(loads_planned_), {}};
@@ -304,12 +292,16 @@ void SweepEngine::run_units(std::vector<Unit>& units) {
     }));
   }
   pool_.wait_idle();
+}
 
+std::vector<ScenarioOutcome> SweepEngine::outcomes_of(
+    std::vector<Unit>& units) {
+  std::vector<ScenarioOutcome> outcomes;
+  outcomes.reserve(units.size());
   for (Unit& unit : units) {
-    if (unit.outcome == nullptr) continue;
-    unit.outcome->score = averaged(unit.trial_scores);
-    unit.outcome->trials = unit.trials;
+    outcomes.push_back({averaged(unit.trial_scores), unit.trials, unit.last});
   }
+  return outcomes;
 }
 
 std::vector<SuitePointScore> SweepEngine::run_suite_points(
@@ -334,12 +326,12 @@ std::vector<SuitePointScore> SweepEngine::run_suite_points(
     std::vector<ScenarioScore> scores;
     scores.reserve(suite.size());
     out.trials.reserve(suite.size());
-    out.last_resilience.reserve(suite.size());
+    out.last.reserve(suite.size());
     for (std::size_t s = 0; s < suite.size(); ++s) {
       Unit& unit = units[p * suite.size() + s];
       scores.push_back(averaged(unit.trial_scores));
       out.trials.push_back(unit.trials);
-      out.last_resilience.push_back(unit.last_resilience);
+      out.last.push_back(unit.last);
     }
     out.score = combine_scenarios(std::move(scores));
   }
@@ -348,15 +340,13 @@ std::vector<SuitePointScore> SweepEngine::run_suite_points(
 
 std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
     const std::vector<ScenarioSweepPoint>& points) {
-  std::vector<ScenarioOutcome> outcomes(points.size());
   std::vector<Unit> units;
   units.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    units.push_back({&points[p].system, &points[p].options,
-                     &points[p].scenario, nullptr, &outcomes[p]});
+  for (const ScenarioSweepPoint& point : points) {
+    units.push_back({&point.system, &point.options, &point.scenario});
   }
   run_units(units);
-  return outcomes;
+  return outcomes_of(units);
 }
 
 std::vector<ScenarioOutcome> SweepEngine::run_program_points(
@@ -364,15 +354,13 @@ std::vector<ScenarioOutcome> SweepEngine::run_program_points(
   // Touch the lazily-initialized scenario registries on this thread first;
   // worker threads then only read them through program phases.
   workload::extension_programs();
-  std::vector<ScenarioOutcome> outcomes(points.size());
   std::vector<Unit> units;
   units.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    units.push_back({&points[p].system, &points[p].options, nullptr,
-                     &points[p].program, &outcomes[p]});
+  for (const ProgramSweepPoint& point : points) {
+    units.push_back({&point.system, &point.options, nullptr, &point.program});
   }
   run_units(units);
-  return outcomes;
+  return outcomes_of(units);
 }
 
 std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(

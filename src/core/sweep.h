@@ -38,22 +38,6 @@ struct ProgramSweepPoint {
   workload::ScenarioProgram program;
 };
 
-/// Scores of one design point against the full Table-2 suite: exactly the
-/// scores, trial counts and last-trial resilience counters that
-/// Harness::run_suite reports, without its raw runs.
-struct SuitePointScore {
-  std::string accelerator_id;
-  std::int64_t total_pes = 0;
-  /// The benchmark score; score.scenarios[s] is suite scenario s's
-  /// trial-averaged score (Harness: scenarios[s].score).
-  BenchmarkScore score;
-  /// Per suite scenario, the trials averaged (Harness: scenarios[s].trials).
-  std::vector<int> trials;
-  /// Per suite scenario, the last trial's fault and degradation counters
-  /// (Harness: scenarios[s].last_run.resilience).
-  std::vector<runtime::ResilienceStats> last_resilience;
-};
-
 /// Parallel evaluation engine for accelerator/scenario sweeps.
 ///
 /// Every call runs through one fan-out. It turns each point into units: a
@@ -80,9 +64,10 @@ struct SuitePointScore {
 /// worker reuse the same simulator event pool, request vectors and SoA
 /// record arenas, and consecutive CostTable builds the same layer-walk
 /// lanes, instead of reallocating them (results stay bit-identical — reuse
-/// is invisible to the determinism contract). Every trial whose run no
-/// outcome keeps goes back to its worker's arena: all of a suite point's,
-/// all but the last of a scenario or program point's.
+/// is invisible to the determinism contract). Every trial ends the same
+/// way: it is scored into its slot, a unit's final trial is summarized
+/// (summarize_trial), and the run goes back to its worker's arena. No
+/// outcome keeps a raw run.
 ///
 /// Shared trial loads: a trial's arrivals depend only on its
 /// runtime::LoadKey (source models, duration, seed, jitter flag), never on
@@ -103,15 +88,12 @@ class SweepEngine {
   std::size_t num_threads() const { return pool_.num_threads(); }
 
   /// Benchmarks every point against the full Table-2 suite and returns
-  /// exactly the scores of (but parallel across points, scenarios and
-  /// trials):
+  /// exactly (but parallel across points, scenarios and trials):
   ///   for (p : points) Harness(p.system, p.options).run_suite()
   /// bit for bit: every BenchmarkScore, ScenarioScore and ModelScore field,
-  /// the trial counts and the last trial's resilience counters. It keeps
-  /// no raw run — every trial's storage goes back to its worker's arena.
-  /// Callers that need a suite scenario's records, timeline or telemetry
-  /// run it through run_scenario_points (or run_program_points), whose
-  /// outcomes carry the last trial's run.
+  /// the trial counts and each scenario's TrialSummary. Callers that need a
+  /// suite scenario's records, timeline or telemetry re-run its final trial
+  /// through Harness::run_once at last_trial_seed.
   std::vector<SuitePointScore> run_suite_points(
       const std::vector<SweepPoint>& points);
 
@@ -155,6 +137,9 @@ class SweepEngine {
   /// run_program_points: runs every trial of `units` and fills their slots
   /// (see the class comment).
   void run_units(std::vector<Unit>& units);
+
+  /// One outcome per unit of a drained run_units call, in unit order.
+  static std::vector<ScenarioOutcome> outcomes_of(std::vector<Unit>& units);
 
   /// Shared cost model for a point's energy constants. Points with equal
   /// EnergyParams share one model instance (and so its model-level memo),

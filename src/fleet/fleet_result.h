@@ -72,9 +72,6 @@ struct FleetResult {
   std::vector<SessionOutcome> sessions;  ///< Session-id order.
   ServiceStats fleet;                    ///< All classes pooled.
   std::vector<ServiceStats> per_class;   ///< One entry per priority class.
-  /// Raw run of the LAST admitted session (the ScenarioOutcome::last_run
-  /// analogue; the single-session compatibility anchor byte-compares it).
-  runtime::ScenarioRunResult last_run;
 };
 
 }  // namespace xrbench::fleet

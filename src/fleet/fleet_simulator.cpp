@@ -89,20 +89,6 @@ bool consult_admission(runtime::AdmissionController& admission,
   return admission.admit(ctx);
 }
 
-double mean_executed_latency_ms(const runtime::ScenarioRunResult& run) {
-  double total = 0.0;
-  std::int64_t n = 0;
-  for (const auto& stats : run.per_model) {
-    const runtime::RecordStore& recs = stats.records;
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-      if (recs.dropped()[i] != 0) continue;
-      total += recs.latency_ms(i);
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : total / static_cast<double>(n);
-}
-
 /// Builds the cross-session summary over `sessions`, restricted to one
 /// priority class when `cls` is set. See ServiceStats for the percentile
 /// conventions (QoE p99 is the low tail; rejected sessions are QoE 0 and
@@ -152,6 +138,23 @@ ServiceStats summarize(const std::vector<SessionOutcome>& sessions,
 }
 
 }  // namespace
+
+core::ProgramSweepPoint session_point(
+    const FleetConfig& config,
+    const std::vector<workload::ScenarioProgram>& catalog,
+    const hw::AcceleratorSystem& system, const core::HarnessOptions& base,
+    const SessionSpec& spec) {
+  core::ProgramSweepPoint point;
+  point.label = "session-" + std::to_string(spec.session_id);
+  point.system = system;
+  point.options = base;
+  point.options.run.seed = spec.seed;
+  point.options.dynamic_trials = 1;  // a session IS one trial
+  if (!config.scheduler.empty()) point.options.scheduler = config.scheduler;
+  if (!config.governor.empty()) point.options.governor = config.governor;
+  point.program = catalog[spec.program_rank];
+  return point;
+}
 
 FleetResult FleetSimulator::run(const FleetConfig& config,
                                 const hw::AcceleratorSystem& system,
@@ -264,16 +267,7 @@ FleetResult FleetSimulator::run(
   points.reserve(specs.size());
   for (const auto& spec : specs) {
     if (!result.sessions[spec.session_id].admitted) continue;
-    core::ProgramSweepPoint point;
-    point.label = "session-" + std::to_string(spec.session_id);
-    point.system = system;
-    point.options = base;
-    point.options.run.seed = spec.seed;
-    point.options.dynamic_trials = 1;  // a session IS one trial
-    if (!config.scheduler.empty()) point.options.scheduler = config.scheduler;
-    if (!config.governor.empty()) point.options.governor = config.governor;
-    point.program = catalog[spec.program_rank];
-    points.push_back(std::move(point));
+    points.push_back(session_point(config, catalog, system, base, spec));
     point_session.push_back(spec.session_id);
   }
 
@@ -282,18 +276,14 @@ FleetResult FleetSimulator::run(
   for (std::size_t p = 0; p < outcomes.size(); ++p) {
     auto& session = result.sessions[point_session[p]];
     auto& outcome = outcomes[p];
-    session.score = outcome.score;
-    session.energy_mj = outcome.score.total_energy_mj;
+    session.score = std::move(outcome.score);
+    session.energy_mj = session.score.total_energy_mj;
     session.session_qoe =
-        outcome.score.qoe *
+        session.score.qoe *
         (session.spec.duration_ms /
          (session.spec.duration_ms + session.wait_ms));
-    session.latency_ms =
-        session.wait_ms + mean_executed_latency_ms(outcome.last_run);
-    session.resilience = outcome.last_run.resilience;
-    if (p + 1 == outcomes.size()) {
-      result.last_run = std::move(outcome.last_run);
-    }
+    session.latency_ms = session.wait_ms + outcome.last.mean_latency_ms;
+    session.resilience = outcome.last.resilience;
   }
 
   // ---- Cross-session service quality ------------------------------------

@@ -40,6 +40,8 @@ namespace xrbench::fleet {
 ///
 /// A single-session fleet under admit-all is bit-identical to the
 /// equivalent standalone run_program trial (the compatibility anchor).
+/// Results keep each session's scores, latency and resilience counters; a
+/// caller that needs a session's run re-runs its session_point.
 class FleetSimulator {
  public:
   /// Worker count from XRBENCH_THREADS / hardware concurrency.
@@ -72,5 +74,17 @@ class FleetSimulator {
  private:
   core::SweepEngine engine_;
 };
+
+/// The program point admitted session `spec` runs as: a copy of `system`,
+/// `base` at the session's seed with one trial and with config.scheduler
+/// and config.governor over its policy names when set, and the session's
+/// catalog program. Harness(point.system, point.options)
+/// .run_program_once(point.program, spec.seed) re-runs the session bit for
+/// bit.
+core::ProgramSweepPoint session_point(
+    const FleetConfig& config,
+    const std::vector<workload::ScenarioProgram>& catalog,
+    const hw::AcceleratorSystem& system, const core::HarnessOptions& base,
+    const SessionSpec& spec);
 
 }  // namespace xrbench::fleet

@@ -262,11 +262,6 @@ AcceleratorSystem from_config_text(const std::string& text) {
       util::IniDocument::parse(text, "accelerator config"));
 }
 
-void save_accelerator(const AcceleratorSystem& system,
-                      const std::filesystem::path& path) {
-  util::IniDocument::parse(to_config_text(system)).save(path);
-}
-
 AcceleratorSystem load_accelerator(const std::filesystem::path& path) {
   return from_document(util::IniDocument::load(path, "accelerator config"));
 }

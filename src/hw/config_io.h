@@ -53,9 +53,7 @@ std::string to_config_text(const AcceleratorSystem& system);
 /// resources), or std::out_of_range for a missing key.
 AcceleratorSystem from_config_text(const std::string& text);
 
-/// File variants.
-void save_accelerator(const AcceleratorSystem& system,
-                      const std::filesystem::path& path);
+/// File variant of from_config_text.
 AcceleratorSystem load_accelerator(const std::filesystem::path& path);
 
 /// Parses an accelerator style name ("FDA"/"SFDA"/"HDA").

@@ -68,15 +68,6 @@ std::size_t RaceToIdleGovernor::park_level(const DispatchContext& ctx) {
   return 0;
 }
 
-OndemandGovernor::OndemandGovernor(double up_threshold, double down_threshold)
-    : up_(up_threshold), down_(down_threshold) {
-  if (!(down_threshold >= 0.0 && down_threshold < up_threshold &&
-        up_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "OndemandGovernor: need 0 <= down < up <= 1 thresholds");
-  }
-}
-
 std::size_t OndemandGovernor::level_for(const DispatchContext& ctx) {
   check_context(ctx);
   if (current_.size() < ctx.costs->num_sub_accels()) {
@@ -89,11 +80,11 @@ std::size_t OndemandGovernor::level_for(const DispatchContext& ctx) {
   const std::size_t sa = ctx.sub_accel;
   const double util = ctx.telemetry ? ctx.telemetry->util_ewma(sa) : 0.0;
   std::size_t level = current_[sa];
-  if (util > up_) {
+  if (util > kUpThreshold) {
     // Burst: jump straight to the top (the classic ondemand latency rule —
     // ramping up one step at a time is how frames get dropped).
     level = ctx.costs->num_levels(sa) - 1;
-  } else if (util < down_ && level > 0) {
+  } else if (util < kDownThreshold && level > 0) {
     // Quiet: glide down one step per dispatch; the band between the
     // thresholds is the hysteresis that stops borderline load from
     // oscillating between levels.
@@ -101,15 +92,6 @@ std::size_t OndemandGovernor::level_for(const DispatchContext& ctx) {
   }
   current_[sa] = level;
   return level;
-}
-
-UtilizationFeedbackGovernor::UtilizationFeedbackGovernor(
-    double target_utilization)
-    : target_(target_utilization) {
-  if (!(target_utilization > 0.0 && target_utilization <= 1.0)) {
-    throw std::invalid_argument(
-        "UtilizationFeedbackGovernor: target must be in (0, 1]");
-  }
 }
 
 std::size_t UtilizationFeedbackGovernor::level_for(const DispatchContext& ctx) {
@@ -121,10 +103,12 @@ std::size_t UtilizationFeedbackGovernor::level_for(const DispatchContext& ctx) {
   }
   const hw::DvfsState& dvfs = ctx.system->sub_accels[sa].dvfs;
   if (dvfs.levels.empty()) return 0;  // fixed-clock sub-accelerator
-  const double util = ctx.telemetry ? ctx.telemetry->util_ewma(sa) : target_;
+  const double util =
+      ctx.telemetry ? ctx.telemetry->util_ewma(sa) : kTargetUtilization;
   // Proportional feedback: a busy fraction u at the recent operating mix
   // demands u/target of the nominal clock to settle at the target.
-  const double desired_ghz = dvfs.levels[nominal].freq_ghz * util / target_;
+  const double desired_ghz =
+      dvfs.levels[nominal].freq_ghz * util / kTargetUtilization;
   for (std::size_t lvl = 0; lvl < dvfs.levels.size(); ++lvl) {
     if (dvfs.levels[lvl].freq_ghz >= desired_ghz) return lvl;
   }

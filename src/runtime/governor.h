@@ -86,34 +86,29 @@ class RaceToIdleGovernor final : public FrequencyGovernor {
 
 /// History-aware ondemand policy (the cpufreq classic, per sub-accelerator):
 /// tracks a current level per sub-accelerator; when the telemetry's
-/// utilization EWMA exceeds the up-threshold it jumps straight to the
-/// highest level (latency protection under bursts), when it falls below the
-/// down-threshold it steps DOWN one level at a time, and inside the
+/// utilization EWMA exceeds kUpThreshold it jumps straight to the highest
+/// level (latency protection under bursts), when it falls below
+/// kDownThreshold it steps DOWN one level at a time, and inside the
 /// hysteresis band it holds. Starts (and resets) at the nominal level.
 /// Without telemetry in the context the utilization reads as 0 and the
 /// policy settles to the lowest level.
 class OndemandGovernor final : public FrequencyGovernor {
  public:
-  explicit OndemandGovernor(double up_threshold = 0.70,
-                            double down_threshold = 0.30);
+  static constexpr double kUpThreshold = 0.70;
+  static constexpr double kDownThreshold = 0.30;
 
   const char* name() const override { return "ondemand"; }
   std::size_t level_for(const DispatchContext& ctx) override;
   void reset() override { current_.clear(); }
 
-  double up_threshold() const { return up_; }
-  double down_threshold() const { return down_; }
-
  private:
-  double up_;
-  double down_;
   /// Current level per sub-accelerator; lazily sized on first consultation
   /// (each entry starts at the sub-accelerator's nominal level).
   std::vector<std::size_t> current_;
 };
 
 /// Utilization-feedback policy: proportional control toward a target busy
-/// fraction. Reads the sub-accelerator's utilization EWMA u and requests
+/// fraction, kTargetUtilization. Reads the sub-accelerator's utilization EWMA u and requests
 /// the slowest operating point whose frequency covers u/target of the
 /// nominal clock — a lightly-loaded sub-accelerator glides to the low V/f
 /// points, a saturated one is pushed past nominal. Falls back to the
@@ -121,15 +116,10 @@ class OndemandGovernor final : public FrequencyGovernor {
 /// sub-accelerator has no DVFS ladder.
 class UtilizationFeedbackGovernor final : public FrequencyGovernor {
  public:
-  explicit UtilizationFeedbackGovernor(double target_utilization = 0.5);
+  static constexpr double kTargetUtilization = 0.5;
 
   const char* name() const override { return "utilization-feedback"; }
   std::size_t level_for(const DispatchContext& ctx) override;
-
-  double target_utilization() const { return target_; }
-
- private:
-  double target_;
 };
 
 /// Per-sub-accelerator governor composite: routes level_for()/park_level()

@@ -58,12 +58,6 @@ void add_builtin(Family& family, Args... args) {
 }
 
 template <typename Family>
-bool has(const Family& family, const std::string& name) {
-  std::lock_guard<std::mutex> lock(family.mutex);
-  return lookup(family, name) != nullptr;
-}
-
-template <typename Family>
 std::string checked(const Family& family, const std::string& name) {
   std::lock_guard<std::mutex> lock(family.mutex);
   find(family, name);
@@ -127,18 +121,6 @@ void PolicyRegistry::register_governor(const std::string& name,
 void PolicyRegistry::register_admission(const std::string& name,
                                         AdmissionFactory factory) {
   add(admissions_, name, std::move(factory));
-}
-
-bool PolicyRegistry::has_scheduler(const std::string& name) const {
-  return has(schedulers_, name);
-}
-
-bool PolicyRegistry::has_governor(const std::string& name) const {
-  return has(governors_, name);
-}
-
-bool PolicyRegistry::has_admission(const std::string& name) const {
-  return has(admissions_, name);
 }
 
 std::string PolicyRegistry::checked_scheduler(const std::string& name) {

@@ -41,10 +41,6 @@ class PolicyRegistry {
   void register_governor(const std::string& name, GovernorFactory factory);
   void register_admission(const std::string& name, AdmissionFactory factory);
 
-  bool has_scheduler(const std::string& name) const;
-  bool has_governor(const std::string& name) const;
-  bool has_admission(const std::string& name) const;
-
   /// Returns `name` if instance() has it, else throws the
   /// std::invalid_argument make_* throws for it, and builds no policy. The
   /// one name check of the config readers (static, so Section::get_as takes

@@ -83,24 +83,16 @@ std::size_t Simulator::run() {
   return fired;
 }
 
-std::size_t Simulator::fire_up_to(TimeMs t, bool inclusive) {
+std::size_t Simulator::run_before(TimeMs t) {
   std::size_t fired = 0;
   while (true) {
     skip_stale_top();
-    if (queue_.empty()) break;
-    const TimeMs when = queue_.top().when;
-    if (when > t || (when == t && !inclusive)) break;
+    if (queue_.empty() || queue_.top().when >= t) break;
     if (fire_next()) ++fired;
   }
   now_ = std::max(now_, t);
   return fired;
 }
-
-std::size_t Simulator::run_until(TimeMs until) {
-  return fire_up_to(until, true);
-}
-
-std::size_t Simulator::run_before(TimeMs t) { return fire_up_to(t, false); }
 
 bool Simulator::step() { return fire_next(); }
 

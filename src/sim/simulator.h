@@ -130,10 +130,6 @@ class Simulator {
   /// fired.
   std::size_t run();
 
-  /// Runs events with timestamp <= `until`, then sets now() to `until` if it
-  /// advanced past the last fired event. Returns events fired.
-  std::size_t run_until(TimeMs until);
-
   /// Runs events with timestamp strictly before `t` (events they schedule
   /// before `t` included), then sets now() to `t` if it is behind it; events
   /// at exactly `t` stay pending. The hook for a caller that feeds
@@ -197,9 +193,6 @@ class Simulator {
   }
   void skip_stale_top();
   bool fire_next();
-  /// Fires events before `t` (and at `t` when `inclusive`), then advances
-  /// now() to `t`, never backwards. Shared body of run_until/run_before.
-  std::size_t fire_up_to(TimeMs t, bool inclusive);
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
       queue_;

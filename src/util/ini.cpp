@@ -260,17 +260,6 @@ std::string IniDocument::to_string() const {
   return os.str();
 }
 
-void IniDocument::save(const std::filesystem::path& path) const {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("ini: cannot write " + path.string());
-  }
-  out << to_string();
-}
-
 IniDocument::Section& IniDocument::add_section(std::string name) {
   sections_.push_back(Section{std::move(name), {}, 0, source_});
   return sections_.back();

@@ -33,8 +33,8 @@ inline constexpr double kUnbounded = std::numeric_limits<double>::max();
 ///
 /// The artifact customizes XRBench through text files
 /// ("XRbench_evaluation/hw_configs", ".../dataflows" — appendix D.7); this
-/// is the equivalent mechanism here, used by hw::load/save and
-/// workload::load/save.
+/// is the equivalent mechanism here, used by hw::load_accelerator and
+/// workload::load_scenario / load_program.
 ///
 /// A parsed document knows its source label ("accelerator config",
 /// "scenario config", "program config", "fleet config"). Every rejection,
@@ -121,9 +121,6 @@ class IniDocument {
 
   /// Serializes back to INI text (stable ordering).
   std::string to_string() const;
-
-  /// Writes to a file, creating parent directories.
-  void save(const std::filesystem::path& path) const;
 
   Section& add_section(std::string name);
 

@@ -147,11 +147,6 @@ UsageScenario from_config_text(const std::string& text) {
       util::IniDocument::parse(text, "scenario config"));
 }
 
-void save_scenario(const UsageScenario& scenario,
-                   const std::filesystem::path& path) {
-  util::IniDocument::parse(to_config_text(scenario)).save(path);
-}
-
 UsageScenario load_scenario(const std::filesystem::path& path) {
   return scenario_from_document(
       util::IniDocument::load(path, "scenario config"));
@@ -285,11 +280,6 @@ ScenarioProgram single_program(const util::IniDocument& doc) {
 ScenarioProgram program_from_config_text(const std::string& text) {
   return single_program(
       util::IniDocument::parse(text, "program config"));
-}
-
-void save_program(const ScenarioProgram& program,
-                  const std::filesystem::path& path) {
-  util::IniDocument::parse(to_config_text(program)).save(path);
 }
 
 ScenarioProgram load_program(const std::filesystem::path& path) {

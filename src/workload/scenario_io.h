@@ -37,8 +37,6 @@ std::string to_config_text(const UsageScenario& scenario);
 /// other than [scenario] and [model] is rejected at its header's line.
 UsageScenario from_config_text(const std::string& text);
 
-void save_scenario(const UsageScenario& scenario,
-                   const std::filesystem::path& path);
 UsageScenario load_scenario(const std::filesystem::path& path);
 
 /// Text-config serialization of scenario programs. Format:
@@ -86,8 +84,6 @@ ScenarioProgram program_from_config_text(const std::string& text);
 std::vector<ScenarioProgram> programs_from_document(
     const util::IniDocument& doc);
 
-void save_program(const ScenarioProgram& program,
-                  const std::filesystem::path& path);
 ScenarioProgram load_program(const std::filesystem::path& path);
 
 }  // namespace xrbench::workload

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -453,19 +455,20 @@ TEST(ScenarioIo, RoundTripsExtensionScenarios) {
   }
 }
 
-TEST(ScenarioIo, FileRoundTrip) {
+TEST(ScenarioIo, LoadsWrittenFile) {
   const auto path = std::filesystem::temp_directory_path() /
                     "xrbench_scenario_test.ini";
-  workload::save_scenario(workload::scenario_by_name("VR Gaming"), path);
+  std::ofstream(path) << workload::to_config_text(
+      workload::scenario_by_name("VR Gaming"));
   const auto loaded = workload::load_scenario(path);
   EXPECT_EQ(loaded.name, "VR Gaming");
   std::filesystem::remove(path);
 }
 
-TEST(HwConfigIo, FileRoundTrip) {
+TEST(HwConfigIo, LoadsWrittenFile) {
   const auto path =
       std::filesystem::temp_directory_path() / "xrbench_hw_test.ini";
-  hw::save_accelerator(hw::make_accelerator('K', 4096), path);
+  std::ofstream(path) << hw::to_config_text(hw::make_accelerator('K', 4096));
   const auto loaded = hw::load_accelerator(path);
   EXPECT_EQ(loaded.id, "K");
   EXPECT_EQ(loaded.sub_accels.size(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "core/harness.h"
 #include "core/sweep.h"
+#include "outcome_checks.h"
 #include "hw/config_io.h"
 #include "runtime/policy_registry.h"
 #include "runtime/scenario_runner.h"
@@ -357,8 +359,9 @@ TEST(FaultDomainConfig, DuplicateMemberRejectedWithLineNumber) {
 
 TEST(AdmissionRegistry, BuiltInsRegisteredAndUnknownNamed) {
   const auto& registry = PolicyRegistry::instance();
-  EXPECT_TRUE(registry.has_admission("admit-all"));
-  EXPECT_TRUE(registry.has_admission("drop-early"));
+  const auto names = registry.admission_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "admit-all"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "drop-early"), 1);
   try {
     registry.make_admission("reject-everything");
     FAIL() << "unknown admission policy accepted";
@@ -563,21 +566,19 @@ core::ProgramSweepPoint faulted_point() {
 TEST(FaultSweep, ByteIdenticalAcrossWorkerCounts) {
   // The fault schedule is precomputed from the trial seed before simulation
   // starts, so the worker count cannot reorder it: 1/2/4/8-worker sweeps of
-  // a faulted program must agree bit-for-bit.
+  // a faulted program must agree bit-for-bit on every score and on the
+  // final trial's summary.
   const std::vector<core::ProgramSweepPoint> points = {faulted_point()};
   core::SweepEngine serial(1);
   const auto baseline = serial.run_program_points(points);
   ASSERT_EQ(baseline.size(), 1u);
-  EXPECT_TRUE(baseline.front().last_run.resilience.enabled);
+  EXPECT_TRUE(baseline.front().last.resilience.enabled);
   for (std::size_t workers : {2u, 4u, 8u}) {
     core::SweepEngine engine(workers);
     const auto got = engine.run_program_points(points);
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got.front().score.overall, baseline.front().score.overall);
-    EXPECT_EQ(got.front().score.qoe, baseline.front().score.qoe);
-    EXPECT_EQ(got.front().score.realtime, baseline.front().score.realtime);
-    EXPECT_EQ(got.front().score.energy, baseline.front().score.energy);
-    expect_identical(got.front().last_run, baseline.front().last_run);
+    test::expect_identical(got.front(), baseline.front(),
+                           std::to_string(workers) + " workers");
   }
 }
 
@@ -596,30 +597,9 @@ TEST(FaultSweep, EmptyPlanSuiteSweepMatchesFaultFreeBaseline) {
   const auto a = engine.run_suite_points({plain});
   const auto b = engine.run_suite_points({with_empty_faults});
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.front().score.overall, b.front().score.overall);
-  ASSERT_EQ(a.front().score.scenarios.size(),
-            b.front().score.scenarios.size());
-  for (std::size_t s = 0; s < a.front().score.scenarios.size(); ++s) {
-    EXPECT_EQ(a.front().score.scenarios[s].overall,
-              b.front().score.scenarios[s].overall);
-    EXPECT_FALSE(b.front().last_resilience[s].enabled);
-  }
-  // The suite's raw runs, compared through scenario points: the same
-  // (design, suite scenario, seed) trials with their last runs kept.
-  std::vector<core::ScenarioSweepPoint> plain_runs, empty_runs;
-  for (const auto& scenario : workload::benchmark_suite()) {
-    plain_runs.push_back(
-        {scenario.name, plain.system, plain.options, scenario});
-    empty_runs.push_back({scenario.name, with_empty_faults.system,
-                          with_empty_faults.options, scenario});
-  }
-  const auto ra = engine.run_scenario_points(plain_runs);
-  const auto rb = engine.run_scenario_points(empty_runs);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t s = 0; s < ra.size(); ++s) {
-    EXPECT_EQ(ra[s].score.overall, a.front().score.scenarios[s].overall);
-    EXPECT_EQ(rb[s].score.overall, b.front().score.scenarios[s].overall);
-    expect_identical(ra[s].last_run, rb[s].last_run);
+  test::expect_identical(b.front(), a.front());
+  for (const auto& last : b.front().last) {
+    EXPECT_FALSE(last.resilience.enabled);
   }
 }
 
@@ -635,8 +615,7 @@ TEST(FaultSweep, EmptyPlanHandOffProgramMatchesBaseline) {
   core::SweepEngine engine(2);
   const auto a = engine.run_program_points({plain});
   const auto b = engine.run_program_points({with_empty});
-  EXPECT_EQ(a.front().score.overall, b.front().score.overall);
-  expect_identical(a.front().last_run, b.front().last_run);
+  test::expect_identical(b.front(), a.front(), "hand-off");
 }
 
 // ---- Graceful degradation beats giving up ---------------------------------
@@ -665,9 +644,9 @@ TEST(FaultRecovery, RetryDropEarlyBeatsNoRecoveryOnIdenticalSchedule) {
   // Identical schedule: both runs inject from the same per-frame decision
   // stream, so the no-recovery run's fault count is a lower bound for the
   // recovering run's (retries add fresh draws on top).
-  EXPECT_GT(outcomes[0].last_run.resilience.transient_faults, 0);
-  EXPECT_GE(outcomes[1].last_run.resilience.transient_faults,
-            outcomes[0].last_run.resilience.transient_faults);
+  EXPECT_GT(outcomes[0].last.resilience.transient_faults, 0);
+  EXPECT_GE(outcomes[1].last.resilience.transient_faults,
+            outcomes[0].last.resilience.transient_faults);
   EXPECT_GT(outcomes[1].score.qoe, outcomes[0].score.qoe);
 }
 

@@ -11,6 +11,7 @@
 #include "fleet/fleet_io.h"
 #include "fleet/fleet_report.h"
 #include "hw/accelerator.h"
+#include "outcome_checks.h"
 #include "runtime/policy_registry.h"
 #include "workload/scenario.h"
 #include "workload/scenario_program.h"
@@ -56,13 +57,12 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
     EXPECT_EQ(sa.start_ms, sb.start_ms) << i;
     EXPECT_EQ(sa.wait_ms, sb.wait_ms) << i;
     EXPECT_EQ(sa.instance, sb.instance) << i;
-    EXPECT_EQ(sa.score.overall, sb.score.overall) << i;
-    EXPECT_EQ(sa.score.qoe, sb.score.qoe) << i;
-    EXPECT_EQ(sa.score.realtime, sb.score.realtime) << i;
-    EXPECT_EQ(sa.score.energy, sb.score.energy) << i;
+    const std::string where = "session " + std::to_string(i);
+    test::expect_identical(sa.score, sb.score, where);
     EXPECT_EQ(sa.session_qoe, sb.session_qoe) << i;
     EXPECT_EQ(sa.energy_mj, sb.energy_mj) << i;
     EXPECT_EQ(sa.latency_ms, sb.latency_ms) << i;
+    test::expect_identical(sa.resilience, sb.resilience, where);
   }
   EXPECT_EQ(a.fleet.admitted, b.fleet.admitted);
   EXPECT_EQ(a.fleet.drop_rate, b.fleet.drop_rate);
@@ -74,13 +74,6 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
   for (std::size_t c = 0; c < a.per_class.size(); ++c) {
     EXPECT_EQ(a.per_class[c].admitted, b.per_class[c].admitted) << c;
     EXPECT_EQ(a.per_class[c].qoe_p99, b.per_class[c].qoe_p99) << c;
-  }
-  EXPECT_EQ(a.last_run.total_energy_mj, b.last_run.total_energy_mj);
-  ASSERT_EQ(a.last_run.per_model.size(), b.last_run.per_model.size());
-  for (std::size_t m = 0; m < a.last_run.per_model.size(); ++m) {
-    EXPECT_EQ(a.last_run.per_model[m].records.size(),
-              b.last_run.per_model[m].records.size())
-        << m;
   }
 }
 
@@ -260,30 +253,55 @@ TEST(FleetSimulator, SingleSessionFleetMatchesStandaloneTrial) {
   const auto standalone =
       engine.run_program_points({{program.name, system, opt, program}});
   ASSERT_EQ(standalone.size(), 1u);
-  const auto& a = fleet.sessions[0].score;
-  const auto& b = standalone[0].score;
-  EXPECT_EQ(a.overall, b.overall);
-  EXPECT_EQ(a.realtime, b.realtime);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.qoe, b.qoe);
-  EXPECT_EQ(a.total_energy_mj, b.total_energy_mj);
-  EXPECT_EQ(a.frame_drop_rate, b.frame_drop_rate);
-  // Zero wait, so the wait discount is the identity.
-  EXPECT_EQ(fleet.sessions[0].session_qoe, b.qoe);
-  const auto& ra = fleet.last_run;
-  const auto& rb = standalone[0].last_run;
-  EXPECT_EQ(ra.total_energy_mj, rb.total_energy_mj);
-  ASSERT_EQ(ra.per_model.size(), rb.per_model.size());
-  for (std::size_t m = 0; m < ra.per_model.size(); ++m) {
-    const runtime::RecordStore& va = ra.per_model[m].records;
-    const runtime::RecordStore& vb = rb.per_model[m].records;
-    ASSERT_EQ(va.size(), vb.size()) << m;
-    for (std::size_t r = 0; r < va.size(); ++r) {
-      EXPECT_EQ(va.dispatch_ms()[r], vb.dispatch_ms()[r]) << m << "," << r;
-      EXPECT_EQ(va.complete_ms()[r], vb.complete_ms()[r]) << m << "," << r;
-      EXPECT_EQ(va.energy_mj()[r], vb.energy_mj()[r]) << m << "," << r;
-      EXPECT_EQ(va.dropped()[r], vb.dropped()[r]) << m << "," << r;
+  const auto& session = fleet.sessions[0];
+  const auto& b = standalone[0];
+  test::expect_identical(session.score, b.score, "session 0");
+  // Zero wait, so the wait discount is the identity and the session
+  // latency is the trial's mean executed latency.
+  EXPECT_EQ(session.session_qoe, b.score.qoe);
+  EXPECT_EQ(session.latency_ms, b.last.mean_latency_ms);
+  test::expect_identical(session.resilience, b.last.resilience, "session 0");
+}
+
+TEST(FleetSimulator, SessionsMatchARerunOfTheirSessionPoint) {
+  // Every admitted session's latency, resilience counters and energy are
+  // those of a Harness re-run of its session_point, the run xrbench_cli
+  // prints for the last admitted session, at any worker count.
+  const auto system = hw::with_default_dvfs(hw::make_accelerator('J', 4096));
+  const auto catalog = test_catalog();
+  auto config = small_config();
+  config.governor = "ondemand";
+  core::HarnessOptions base;
+  base.run.faults.transient_rate = 0.05;
+  base.run.faults.max_retries = 1;
+  for (std::size_t workers : {0u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    FleetSimulator sim(workers);
+    const auto result = sim.run(config, catalog, system, base);
+    std::int64_t checked = 0;
+    std::int64_t faults = 0;
+    for (const auto& session : result.sessions) {
+      if (!session.admitted) continue;
+      const auto point =
+          session_point(config, catalog, system, base, session.spec);
+      EXPECT_EQ(point.options.governor, "ondemand");
+      const auto run = core::Harness(point.system, point.options)
+                           .run_program_once(point.program, session.spec.seed);
+      const auto summary = core::summarize_trial(run);
+      const std::string where =
+          "session " + std::to_string(session.spec.session_id);
+      EXPECT_EQ(session.latency_ms, session.wait_ms + summary.mean_latency_ms)
+          << where;
+      test::expect_identical(session.resilience, summary.resilience, where);
+      EXPECT_EQ(session.energy_mj,
+                core::score_scenario(run, base.score).total_energy_mj)
+          << where;
+      faults += session.resilience.transient_faults;
+      ++checked;
     }
+    EXPECT_EQ(checked, result.fleet.admitted);
+    EXPECT_GT(checked, 1);
+    EXPECT_GT(faults, 0);
   }
 }
 

@@ -36,16 +36,18 @@ TEST(Harness, SuiteCoversAllScenarios) {
   opt.dynamic_trials = 2;
   Harness h(hw::make_accelerator('K', 4096), opt);
   const auto out = h.run_suite();
-  EXPECT_EQ(out.scenarios.size(), workload::benchmark_suite().size());
+  const std::size_t scenarios = workload::benchmark_suite().size();
+  EXPECT_EQ(out.score.scenarios.size(), scenarios);
+  EXPECT_EQ(out.trials.size(), scenarios);
+  EXPECT_EQ(out.last.size(), scenarios);
   EXPECT_EQ(out.accelerator_id, "K");
   EXPECT_EQ(out.total_pes, 4096);
   EXPECT_GT(out.score.overall, 0.0);
   EXPECT_LE(out.score.overall, 1.0);
   // Benchmark score is the mean of scenario scores (Definition 16).
   double sum = 0.0;
-  for (const auto& s : out.scenarios) sum += s.score.overall;
-  EXPECT_NEAR(out.score.overall,
-              sum / static_cast<double>(out.scenarios.size()), 1e-9);
+  for (const auto& s : out.score.scenarios) sum += s.overall;
+  EXPECT_NEAR(out.score.overall, sum / static_cast<double>(scenarios), 1e-9);
 }
 
 TEST(Harness, SchedulerChoiceChangesOutcomes) {
@@ -105,9 +107,9 @@ TEST_P(HarnessSweep, ValidSuiteScores4k) {
   EXPECT_LE(out.score.overall, 1.0);
   EXPECT_GE(out.score.qoe, 0.0);
   EXPECT_LE(out.score.qoe, 1.0);
-  for (const auto& s : out.scenarios) {
-    EXPECT_GE(s.score.overall, 0.0);
-    EXPECT_LE(s.score.overall, 1.0);
+  for (const auto& s : out.score.scenarios) {
+    EXPECT_GE(s.overall, 0.0);
+    EXPECT_LE(s.overall, 1.0);
   }
 }
 

@@ -19,7 +19,7 @@ namespace {
 using models::TaskId;
 using workload::scenario_by_name;
 
-BenchmarkOutcome run_design(char id, std::int64_t pes) {
+SuitePointScore run_design(char id, std::int64_t pes) {
   HarnessOptions opt;
   opt.dynamic_trials = 3;
   Harness h(hw::make_accelerator(id, pes), opt);
@@ -73,16 +73,16 @@ TEST(Integration, Figure6_UtilizationIsTheWrongMetric) {
 TEST(Integration, Observation1_ScenarioWinnersDiffer) {
   // §4.4 Observation 1: no single accelerator is best for every scenario —
   // the per-scenario argmax over the designs is not constant.
-  std::vector<BenchmarkOutcome> outs;
+  std::vector<SuitePointScore> outs;
   for (char id : hw::accelerator_ids()) {
     outs.push_back(run_design(id, 4096));
   }
   std::set<std::string> winners;
-  for (std::size_t s = 0; s < outs.front().scenarios.size(); ++s) {
+  for (std::size_t s = 0; s < outs.front().score.scenarios.size(); ++s) {
     std::size_t best = 0;
     for (std::size_t a = 1; a < outs.size(); ++a) {
-      if (outs[a].scenarios[s].score.overall >
-          outs[best].scenarios[s].score.overall) {
+      if (outs[a].score.scenarios[s].overall >
+          outs[best].score.scenarios[s].overall) {
         best = a;
       }
     }
@@ -99,9 +99,9 @@ TEST(Integration, Observation2_BestStyleDependsOnChipSize) {
     std::vector<double> best_score(7, -1.0);
     for (char id : {'A', 'C', 'D', 'F', 'G', 'J', 'M'}) {
       const auto out = run_design(id, pes);
-      for (std::size_t s = 0; s < out.scenarios.size(); ++s) {
-        if (out.scenarios[s].score.overall > best_score[s]) {
-          best_score[s] = out.scenarios[s].score.overall;
+      for (std::size_t s = 0; s < out.score.scenarios.size(); ++s) {
+        if (out.score.scenarios[s].overall > best_score[s]) {
+          best_score[s] = out.score.scenarios[s].overall;
           best[s] = id;
         }
       }
@@ -120,9 +120,9 @@ TEST(Integration, Observation3_QuadPartitionsPenalizedOnFewModelScenario) {
   const auto a = run_design('A', 4096);
   const auto g = run_design('G', 4096);
   const double assistant_gap =
-      a.scenarios[4].score.overall - g.scenarios[4].score.overall;
+      a.score.scenarios[4].overall - g.score.scenarios[4].overall;
   const double vr_gap =
-      a.scenarios[6].score.overall - g.scenarios[6].score.overall;
+      a.score.scenarios[6].overall - g.score.scenarios[6].overall;
   EXPECT_GT(vr_gap, assistant_gap);
 }
 

@@ -568,9 +568,7 @@ TEST(ModelMemo, OnlyCheckpointedRunsBuildPrefixes) {
   const auto first = engine.run_suite_points(checkpointed);
   std::int64_t resumes = 0;
   for (const auto& outcome : first) {
-    for (const auto& resilience : outcome.last_resilience) {
-      resumes += resilience.resumes;
-    }
+    for (const auto& last : outcome.last) resumes += last.resilience.resumes;
   }
   EXPECT_GT(resumes, 0);
   const auto built = engine.model_memo_stats();

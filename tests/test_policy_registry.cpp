@@ -143,7 +143,9 @@ class NamedTestScheduler final : public Scheduler {
 
 TEST(PolicyRegistry, CustomSchedulerRegistersAndResolves) {
   auto& registry = PolicyRegistry::instance();
-  if (!registry.has_scheduler("test-only-sched")) {
+  const auto schedulers = registry.scheduler_names();
+  if (std::count(schedulers.begin(), schedulers.end(), "test-only-sched") ==
+      0) {
     registry.register_scheduler(
         "test-only-sched", [] { return std::make_unique<NamedTestScheduler>(); });
   }
@@ -207,14 +209,17 @@ TEST(PolicyRegistry, HarnessGovernorOverridesChangeSubAccelLevels) {
   opt.governor = "fixed-lowest";
   opt.governor_overrides = {{1, "fixed-highest"}};
   const core::Harness harness(system, opt);
-  const auto out =
-      harness.run_scenario(workload::scenario_by_name("AR Gaming"));
-  // Every executed inference ran at the lowest level on sub-accel 0 and at
-  // the highest on sub-accel 1 — the override routed by hardware index.
+  const auto& scenario = workload::scenario_by_name("AR Gaming");
+  const auto out = harness.run_scenario(scenario);
+  const auto last =
+      harness.run_once(scenario, core::last_trial_seed(opt, out.trials));
+  // Every executed inference of the final trial ran at the lowest level on
+  // sub-accel 0 and at the highest on sub-accel 1 — the override routed by
+  // hardware index.
   const auto top = static_cast<std::int32_t>(
       harness.cost_table().num_levels(1) - 1);
   bool saw0 = false, saw1 = false;
-  for (const auto& ms : out.last_run.per_model) {
+  for (const auto& ms : last.per_model) {
     const auto& recs = ms.records;
     for (std::size_t i = 0; i < recs.size(); ++i) {
       if (recs.dropped()[i] != 0) continue;

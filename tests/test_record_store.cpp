@@ -142,9 +142,13 @@ TEST(RecordStore, FullSuiteRunRecordsMatchFrameCounts) {
   opt.dynamic_trials = 2;
   const core::Harness harness(hw::make_accelerator('J', 8192), opt);
   const auto outcome = harness.run_suite();
+  const auto& suite = workload::benchmark_suite();
   std::size_t total_records = 0;
-  for (const auto& scenario : outcome.scenarios) {
-    for (const auto& m : scenario.last_run.per_model) {
+  for (std::size_t s = 0; s < suite.size(); ++s) {
+    // Each scenario's final trial, re-run.
+    const auto run = harness.run_once(
+        suite[s], core::last_trial_seed(opt, outcome.trials[s]));
+    for (const auto& m : run.per_model) {
       const RecordStore& recs = m.records;
       std::int64_t executed_count = 0, dropped_count = 0, misses = 0;
       for (std::size_t i = 0; i < recs.size(); ++i) {

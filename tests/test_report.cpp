@@ -12,14 +12,25 @@ namespace {
 
 class ReportTest : public ::testing::Test {
  protected:
-  static const BenchmarkOutcome& outcome() {
-    static const BenchmarkOutcome out = [] {
+  static const Harness& harness() {
+    static const Harness h = [] {
       HarnessOptions opt;
       opt.dynamic_trials = 2;
-      Harness h(hw::make_accelerator('J', 4096), opt);
-      return h.run_suite();
+      return Harness(hw::make_accelerator('J', 4096), opt);
     }();
+    return h;
+  }
+
+  static const SuitePointScore& outcome() {
+    static const SuitePointScore out = harness().run_suite();
     return out;
+  }
+
+  /// Suite scenario `s`'s final trial, re-run.
+  static runtime::ScenarioRunResult last_run(std::size_t s) {
+    return harness().run_once(
+        workload::benchmark_suite()[s],
+        last_trial_seed(harness().options(), outcome().trials[s]));
   }
 
   std::filesystem::path tmp(const std::string& name) const {
@@ -40,7 +51,8 @@ TEST_F(ReportTest, BenchmarkReportMentionsEveryScenario) {
 
 TEST_F(ReportTest, ScenarioReportListsModels) {
   std::ostringstream os;
-  print_scenario_report(os, outcome().scenarios.back());  // VR Gaming
+  print_scenario_report(os, outcome().score.scenarios.back(),  // VR Gaming
+                        outcome().trials.back(), last_run(6));
   const std::string s = os.str();
   EXPECT_NE(s.find("HT"), std::string::npos);
   EXPECT_NE(s.find("ES"), std::string::npos);
@@ -50,7 +62,7 @@ TEST_F(ReportTest, ScenarioReportListsModels) {
 
 TEST_F(ReportTest, TimelineHasOneLanePerSubAccel) {
   std::ostringstream os;
-  print_timeline(os, outcome().scenarios[5].last_run, 300.0, 5.0);
+  print_timeline(os, last_run(5), 300.0, 5.0);
   const std::string s = os.str();
   EXPECT_NE(s.find("sub-accel 0"), std::string::npos);
   EXPECT_NE(s.find("sub-accel 1"), std::string::npos);
@@ -59,7 +71,7 @@ TEST_F(ReportTest, TimelineHasOneLanePerSubAccel) {
 
 TEST_F(ReportTest, TimelineShowsExecutions) {
   std::ostringstream os;
-  print_timeline(os, outcome().scenarios[5].last_run);  // AR Gaming
+  print_timeline(os, last_run(5));  // AR Gaming
   const std::string s = os.str();
   // AR gaming runs HT / DE / PD: at least one glyph of each family should
   // appear in a 600 ms window on a busy 4K system.
@@ -69,7 +81,8 @@ TEST_F(ReportTest, TimelineShowsExecutions) {
 
 TEST_F(ReportTest, InferenceLogCsvRoundTrips) {
   const auto path = tmp("xrbench_log.csv");
-  write_inference_log_csv(path, outcome().scenarios[0].last_run);
+  const auto run = last_run(0);
+  write_inference_log_csv(path, run);
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
@@ -77,7 +90,7 @@ TEST_F(ReportTest, InferenceLogCsvRoundTrips) {
   ASSERT_GT(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "task");
   std::size_t records = 0;
-  for (const auto& m : outcome().scenarios[0].last_run.per_model) {
+  for (const auto& m : run.per_model) {
     records += m.records.size();
   }
   EXPECT_EQ(rows.size() - 1, records);

@@ -9,6 +9,7 @@
 
 #include "core/sweep.h"
 #include "hw/accelerator.h"
+#include "outcome_checks.h"
 #include "runtime/policy_registry.h"
 #include "workload/scenario_program.h"
 
@@ -58,7 +59,8 @@ class RunScratchTest : public ::testing::Test {
         table_(system_, cost_model_),
         runner_(system_, table_) {}
 
-  ScenarioRunResult run_once(std::uint64_t seed, RunScratch* scratch) {
+  ScenarioRunResult run_once(std::uint64_t seed, RunScratch* scratch,
+                             const FaultSpec& faults = {}) {
     auto scheduler =
         PolicyRegistry::instance().make_scheduler("latency-greedy");
     auto governor = PolicyRegistry::instance().make_governor("ondemand");
@@ -66,6 +68,7 @@ class RunScratchTest : public ::testing::Test {
     governor->reset();
     RunConfig cfg;
     cfg.seed = seed;
+    cfg.faults = faults;
     return runner_.run(workload::scenario_by_name("AR Gaming"), *scheduler,
                        cfg, governor.get(), scratch);
   }
@@ -77,18 +80,32 @@ class RunScratchTest : public ::testing::Test {
 };
 
 TEST_F(RunScratchTest, ScratchRunsAreBitIdenticalToFreshRuns) {
-  const auto fresh = run_once(42, nullptr);
-  RunScratch scratch;
-  // First run with the scratch (cold arenas), then a decoy run with a
-  // DIFFERENT seed to dirty every buffer, then the seed-42 run again off
-  // the dirty arenas.
-  auto first = run_once(42, &scratch);
-  expect_identical_runs(fresh, first);
-  scratch.recycle(std::move(first));
-  auto decoy = run_once(1234, &scratch);
-  scratch.recycle(std::move(decoy));
-  const auto reused = run_once(42, &scratch);
-  expect_identical_runs(fresh, reused);
+  // Fault-free, then with retries, outage kills and checkpointed resumes,
+  // whose aborted spans and fault counters live in the scratch too.
+  FaultSpec faulted;
+  faulted.transient_rate = 0.05;
+  faulted.max_retries = 2;
+  faulted.outage_rate_per_s = 3.0;
+  faulted.outage_ms = 20.0;
+  faulted.checkpoint = true;
+  for (const FaultSpec& faults : {FaultSpec{}, faulted}) {
+    const auto fresh = run_once(42, nullptr, faults);
+    EXPECT_EQ(fresh.resilience.outage_kills > 0, faults.enabled());
+    RunScratch scratch;
+    // First run with the scratch (cold arenas), then a decoy run with a
+    // DIFFERENT seed to dirty every buffer, then the seed-42 run again off
+    // the dirty arenas.
+    auto first = run_once(42, &scratch, faults);
+    expect_identical_runs(fresh, first);
+    scratch.recycle(std::move(first));
+    auto decoy = run_once(1234, &scratch, faults);
+    scratch.recycle(std::move(decoy));
+    const auto reused = run_once(42, &scratch, faults);
+    expect_identical_runs(fresh, reused);
+    EXPECT_EQ(fresh.aborted.size(), reused.aborted.size());
+    test::expect_identical(fresh.resilience, reused.resilience,
+                           faults.enabled() ? "faulted" : "fault-free");
+  }
 }
 
 TEST_F(RunScratchTest, RecycleRetainsRecordCapacity) {
@@ -209,8 +226,7 @@ TEST(SweepScratch, RepeatedSweepsOnOneEngineAreIdentical) {
     const auto b = engine.run_scenario_points(points);
     ASSERT_EQ(a.size(), 1u);
     ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(a[0].score.overall, b[0].score.overall) << workers;
-    expect_identical_runs(a[0].last_run, b[0].last_run);
+    test::expect_identical(b[0], a[0], std::to_string(workers) + " workers");
   }
 }
 

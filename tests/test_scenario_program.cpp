@@ -8,6 +8,7 @@
 
 #include "core/harness.h"
 #include "core/sweep.h"
+#include "outcome_checks.h"
 #include "workload/scenario_io.h"
 
 namespace xrbench::workload {
@@ -248,11 +249,9 @@ TEST(ScenarioProgram, SweepProgramPointsByteIdenticalAcross1248Workers) {
     const auto got = engine.run_program_points(points);
     ASSERT_EQ(got.size(), baseline.size());
     for (std::size_t p = 0; p < got.size(); ++p) {
-      const std::string context =
-          points[p].label + " @ " + std::to_string(workers) + " workers";
-      EXPECT_EQ(got[p].trials, baseline[p].trials) << context;
-      expect_scores_identical(got[p].score, baseline[p].score, context);
-      expect_runs_identical(got[p].last_run, baseline[p].last_run, context);
+      test::expect_identical(got[p], baseline[p],
+                             points[p].label + " @ " +
+                                 std::to_string(workers) + " workers");
     }
   }
 }
@@ -268,10 +267,7 @@ TEST(ScenarioProgram, SweepMatchesHarnessExactly) {
   ASSERT_EQ(outcomes.size(), 1u);
   const core::Harness harness(system, opt);
   const auto expected = harness.run_program(program);
-  EXPECT_EQ(outcomes.front().trials, expected.trials);
-  expect_scores_identical(outcomes.front().score, expected.score, "sweep");
-  expect_runs_identical(outcomes.front().last_run, expected.last_run,
-                        "sweep");
+  test::expect_identical(outcomes.front(), expected, "sweep");
 }
 
 // ---- Program-named policies -----------------------------------------------

@@ -101,26 +101,6 @@ TEST(Simulator, PendingCountTracksCancel) {
   EXPECT_EQ(s.pending_events(), 0u);
 }
 
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator s;
-  std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    s.schedule_at(t, [&fired, &s] { fired.push_back(s.now()); });
-  }
-  EXPECT_EQ(s.run_until(2.5), 2u);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(s.now(), 2.5);
-  EXPECT_EQ(s.run(), 2u);
-}
-
-TEST(Simulator, RunUntilIncludesBoundaryEvents) {
-  Simulator s;
-  int count = 0;
-  s.schedule_at(5.0, [&] { ++count; });
-  EXPECT_EQ(s.run_until(5.0), 1u);
-  EXPECT_EQ(count, 1);
-}
-
 TEST(Simulator, RunBeforeFiresStrictlyEarlierEventsInTimeFifoOrder) {
   Simulator s;
   std::vector<int> order;

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "outcome_checks.h"
+
 namespace xrbench::core {
 namespace {
 
@@ -44,8 +46,7 @@ SweepPoint faulted_point() {
 }
 
 /// Each point's suite scenarios as scenario points, point-major: the same
-/// (design, suite scenario, seed) trials a suite sweep runs, with the last
-/// trial's raw run kept.
+/// (design, suite scenario, seed) trials a suite sweep runs.
 std::vector<ScenarioSweepPoint> suite_scenario_points(
     const std::vector<SweepPoint>& points) {
   std::vector<ScenarioSweepPoint> out;
@@ -58,116 +59,7 @@ std::vector<ScenarioSweepPoint> suite_scenario_points(
   return out;
 }
 
-/// Harness::run_suite's outcome reduced to what a suite sweep returns.
-SuitePointScore lean(const BenchmarkOutcome& outcome) {
-  SuitePointScore out;
-  out.accelerator_id = outcome.accelerator_id;
-  out.total_pes = outcome.total_pes;
-  out.score = outcome.score;
-  for (const auto& s : outcome.scenarios) {
-    out.trials.push_back(s.trials);
-    out.last_resilience.push_back(s.last_run.resilience);
-  }
-  return out;
-}
-
-/// Bit-identical comparisons: exact double equality, not
-/// EXPECT_DOUBLE_EQ's 4-ULP tolerance — the sweep engine promises the very
-/// same bits as a serial run, on every field.
-void expect_identical(const ModelScore& a, const ModelScore& b,
-                      const std::string& where) {
-  EXPECT_EQ(a.task, b.task) << where;
-  EXPECT_EQ(a.active, b.active) << where;
-  EXPECT_EQ(a.rt, b.rt) << where;
-  EXPECT_EQ(a.energy, b.energy) << where;
-  EXPECT_EQ(a.accuracy, b.accuracy) << where;
-  EXPECT_EQ(a.per_model, b.per_model) << where;
-  EXPECT_EQ(a.qoe, b.qoe) << where;
-  EXPECT_EQ(a.combined, b.combined) << where;
-  EXPECT_EQ(a.frames_expected, b.frames_expected) << where;
-  EXPECT_EQ(a.frames_executed, b.frames_executed) << where;
-  EXPECT_EQ(a.frames_dropped, b.frames_dropped) << where;
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses) << where;
-}
-
-void expect_identical(const ScenarioScore& a, const ScenarioScore& b,
-                      const std::string& where) {
-  EXPECT_EQ(a.scenario_name, b.scenario_name) << where;
-  EXPECT_EQ(a.realtime, b.realtime) << where;
-  EXPECT_EQ(a.energy, b.energy) << where;
-  EXPECT_EQ(a.accuracy, b.accuracy) << where;
-  EXPECT_EQ(a.qoe, b.qoe) << where;
-  EXPECT_EQ(a.overall, b.overall) << where;
-  EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << where;
-  EXPECT_EQ(a.frame_drop_rate, b.frame_drop_rate) << where;
-  ASSERT_EQ(a.models.size(), b.models.size()) << where;
-  for (std::size_t m = 0; m < a.models.size(); ++m) {
-    expect_identical(a.models[m], b.models[m],
-                     where + ", model " + std::to_string(m));
-  }
-}
-
-void expect_identical(const runtime::ResilienceStats& a,
-                      const runtime::ResilienceStats& b,
-                      const std::string& where) {
-  EXPECT_EQ(a.enabled, b.enabled) << where;
-  EXPECT_EQ(a.transient_faults, b.transient_faults) << where;
-  EXPECT_EQ(a.retries, b.retries) << where;
-  EXPECT_EQ(a.retry_give_ups, b.retry_give_ups) << where;
-  EXPECT_EQ(a.outage_kills, b.outage_kills) << where;
-  EXPECT_EQ(a.failovers, b.failovers) << where;
-  EXPECT_EQ(a.throttle_clamps, b.throttle_clamps) << where;
-  EXPECT_EQ(a.drops_early, b.drops_early) << where;
-  EXPECT_EQ(a.drops_late, b.drops_late) << where;
-  EXPECT_EQ(a.resumes, b.resumes) << where;
-  EXPECT_EQ(a.checkpoint_saved_ms, b.checkpoint_saved_ms) << where;
-}
-
-void expect_identical(const SuitePointScore& a, const SuitePointScore& b) {
-  const std::string where = a.accelerator_id;
-  EXPECT_EQ(a.accelerator_id, b.accelerator_id);
-  EXPECT_EQ(a.total_pes, b.total_pes) << where;
-  EXPECT_EQ(a.score.overall, b.score.overall) << where;
-  EXPECT_EQ(a.score.realtime, b.score.realtime) << where;
-  EXPECT_EQ(a.score.energy, b.score.energy) << where;
-  EXPECT_EQ(a.score.qoe, b.score.qoe) << where;
-  EXPECT_EQ(a.trials, b.trials) << where;
-  ASSERT_EQ(a.score.scenarios.size(), b.score.scenarios.size()) << where;
-  ASSERT_EQ(a.last_resilience.size(), b.last_resilience.size()) << where;
-  for (std::size_t s = 0; s < a.score.scenarios.size(); ++s) {
-    const std::string at = where + ", scenario " + std::to_string(s);
-    expect_identical(a.score.scenarios[s], b.score.scenarios[s], at);
-    expect_identical(a.last_resilience[s], b.last_resilience[s], at);
-  }
-}
-
-/// Every record of two raw runs, field by field, plus the run totals.
-void expect_same_records(const runtime::ScenarioRunResult& a,
-                         const runtime::ScenarioRunResult& b,
-                         const std::string& where) {
-  EXPECT_EQ(a.total_energy_mj, b.total_energy_mj) << where;
-  ASSERT_EQ(a.aborted.size(), b.aborted.size()) << where;
-  ASSERT_EQ(a.per_model.size(), b.per_model.size()) << where;
-  for (std::size_t m = 0; m < a.per_model.size(); ++m) {
-    const runtime::RecordStore& va = a.per_model[m].records;
-    const runtime::RecordStore& vb = b.per_model[m].records;
-    ASSERT_EQ(va.size(), vb.size()) << where;
-    for (std::size_t r = 0; r < va.size(); ++r) {
-      // Exact equality on every column: dispatch/complete/energy are the
-      // bits the determinism contract actually promises.
-      EXPECT_EQ(va.frame()[r], vb.frame()[r]);
-      EXPECT_EQ(va.treq_ms()[r], vb.treq_ms()[r]);
-      EXPECT_EQ(va.tdl_ms()[r], vb.tdl_ms()[r]);
-      EXPECT_EQ(va.dropped()[r], vb.dropped()[r]);
-      EXPECT_EQ(va.sub_accel()[r], vb.sub_accel()[r]);
-      EXPECT_EQ(va.dvfs_level()[r], vb.dvfs_level()[r]);
-      EXPECT_EQ(va.dispatch_ms()[r], vb.dispatch_ms()[r]);
-      EXPECT_EQ(va.complete_ms()[r], vb.complete_ms()[r]);
-      EXPECT_EQ(va.energy_mj()[r], vb.energy_mj()[r])
-          << where << ", model " << m << ", record " << r;
-    }
-  }
-}
+using test::expect_identical;
 
 TEST(SweepEngine, ParallelSuiteIsBitIdenticalToSerial) {
   const auto points = two_points();
@@ -185,9 +77,9 @@ TEST(SweepEngine, ParallelSuiteIsBitIdenticalToSerial) {
 TEST(SweepEngine, MergeOrderByteIdenticalAcross1248Workers) {
   // The work-stealing pool executes batches in a nondeterministic order;
   // the submission-order result slots must erase that. Compare every
-  // field of the suite sweep's results, and every record of each
-  // (design, suite scenario) last run through run_scenario_points, across
-  // 1/2/4/8 workers against the inline serial baseline.
+  // field of the suite sweep's results, and every (design, suite scenario)
+  // outcome of run_scenario_points, across 1/2/4/8 workers against the
+  // inline serial baseline.
   const auto points = two_points();
   const auto scenario_points = suite_scenario_points(points);
   SweepEngine serial(0);
@@ -203,29 +95,28 @@ TEST(SweepEngine, MergeOrderByteIdenticalAcross1248Workers) {
     const auto runs = engine.run_scenario_points(scenario_points);
     ASSERT_EQ(runs.size(), baseline_runs.size()) << workers << " workers";
     for (std::size_t i = 0; i < runs.size(); ++i) {
-      expect_same_records(runs[i].last_run, baseline_runs[i].last_run,
-                          scenario_points[i].label + " @ " +
-                              std::to_string(workers) + " workers");
+      expect_identical(runs[i], baseline_runs[i],
+                       scenario_points[i].label + " @ " +
+                           std::to_string(workers) + " workers");
     }
   }
 }
 
 TEST(SweepEngine, MatchesHarnessExactly) {
   // Every field of a suite point's result equals Harness::run_suite's at
-  // any worker count: scores down to each model, trial counts and the
-  // last trial's resilience counters (non-zero on the faulted design).
-  // The records of each (design, suite scenario) last run equal the
-  // harness's through run_scenario_points.
+  // any worker count: scores down to each model, trial counts and each
+  // scenario's final-trial summary (resilience counters non-zero on the
+  // faulted design). Each (design, suite scenario) outcome of
+  // run_scenario_points equals the harness's too.
   auto points = two_points();
   points.push_back(faulted_point());
-  std::vector<BenchmarkOutcome> expected;
+  std::vector<SuitePointScore> expected;
   for (const auto& p : points) {
     expected.push_back(Harness(p.system, p.options).run_suite());
   }
   std::int64_t faults = 0;
-  for (const auto& s : expected.back().scenarios) {
-    faults += s.last_run.resilience.transient_faults +
-              s.last_run.resilience.resumes;
+  for (const auto& last : expected.back().last) {
+    faults += last.resilience.transient_faults + last.resilience.resumes;
   }
   EXPECT_GT(faults, 0);
   for (std::size_t workers : {0u, 1u, 2u, 4u, 8u}) {
@@ -234,7 +125,7 @@ TEST(SweepEngine, MatchesHarnessExactly) {
     const auto outcomes = engine.run_suite_points(points);
     ASSERT_EQ(outcomes.size(), points.size());
     for (std::size_t p = 0; p < points.size(); ++p) {
-      expect_identical(outcomes[p], lean(expected[p]));
+      expect_identical(outcomes[p], expected[p]);
     }
   }
   const auto scenario_points = suite_scenario_points(points);
@@ -243,11 +134,12 @@ TEST(SweepEngine, MatchesHarnessExactly) {
   const std::size_t per_point = workload::benchmark_suite().size();
   ASSERT_EQ(runs.size(), points.size() * per_point);
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& want = expected[i / per_point].scenarios[i % per_point];
-    EXPECT_EQ(runs[i].trials, want.trials);
-    expect_identical(runs[i].score, want.score, scenario_points[i].label);
-    expect_same_records(runs[i].last_run, want.last_run,
-                        scenario_points[i].label);
+    const auto& want = expected[i / per_point];
+    const std::size_t s = i % per_point;
+    expect_identical(
+        runs[i],
+        ScenarioOutcome{want.score.scenarios[s], want.trials[s], want.last[s]},
+        scenario_points[i].label);
   }
 }
 
@@ -277,7 +169,8 @@ TEST(SweepEngine, ScenarioPointsMatchHarness) {
 
 TEST(SweepEngine, RepeatedParallelRunsAreStable) {
   // A second call on the same engine reuses its warm memo and worker
-  // arenas, and must change nothing: neither the scores nor the records.
+  // arenas, and must change nothing: neither the scores nor the final-trial
+  // summaries.
   const auto points = two_points();
   SweepEngine engine(3);
   const auto a = engine.run_suite_points(points);
@@ -290,8 +183,7 @@ TEST(SweepEngine, RepeatedParallelRunsAreStable) {
   const auto rb = engine.run_scenario_points(scenario_points);
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
-    expect_same_records(ra[i].last_run, rb[i].last_run,
-                        scenario_points[i].label);
+    expect_identical(ra[i], rb[i], scenario_points[i].label);
   }
 }
 
@@ -347,31 +239,6 @@ TEST(SweepEngine, EmptyPointListIsFine) {
   EXPECT_EQ(engine.loads_planned(), 0u);
 }
 
-/// Exact equality of two scenario outcomes: every score bit and the kept
-/// last run's energy, timeline and per-model record counts.
-void expect_same_outcome(const ScenarioOutcome& a, const ScenarioOutcome& b,
-                         const std::string& where) {
-  EXPECT_EQ(a.trials, b.trials) << where;
-  EXPECT_EQ(a.score.overall, b.score.overall) << where;
-  EXPECT_EQ(a.score.realtime, b.score.realtime) << where;
-  EXPECT_EQ(a.score.energy, b.score.energy) << where;
-  EXPECT_EQ(a.score.qoe, b.score.qoe) << where;
-  EXPECT_EQ(a.score.total_energy_mj, b.score.total_energy_mj) << where;
-  EXPECT_EQ(a.last_run.total_energy_mj, b.last_run.total_energy_mj) << where;
-  const auto ta = a.last_run.timeline();
-  const auto tb = b.last_run.timeline();
-  ASSERT_EQ(ta.size(), tb.size()) << where;
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_EQ(ta[i].start_ms, tb[i].start_ms) << where;
-  }
-  ASSERT_EQ(a.last_run.per_model.size(), b.last_run.per_model.size()) << where;
-  for (std::size_t m = 0; m < a.last_run.per_model.size(); ++m) {
-    EXPECT_EQ(a.last_run.per_model[m].records.size(),
-              b.last_run.per_model[m].records.size())
-        << where;
-  }
-}
-
 /// Runs `points` on a fresh engine at every worker count and checks each
 /// outcome against Harness::run_scenario and the number of trial loads the
 /// call planned.
@@ -387,7 +254,7 @@ void expect_shared_loads(const std::vector<ScenarioSweepPoint>& points,
     EXPECT_EQ(engine.loads_planned(), plans) << workers << " workers";
     ASSERT_EQ(got.size(), points.size());
     for (std::size_t p = 0; p < points.size(); ++p) {
-      expect_same_outcome(got[p], expected[p],
+      expect_identical(got[p], expected[p],
                           points[p].label + " @ " + std::to_string(workers) +
                               " workers");
     }
@@ -529,7 +396,7 @@ TEST(SweepEngine, ConcurrentFirstUseOfOneLoad) {
     const auto got = engine.run_scenario_points(points);
     ASSERT_EQ(got.size(), points.size());
     for (std::size_t p = 0; p < points.size(); ++p) {
-      expect_same_outcome(got[p], expected[p], points[p].label);
+      expect_identical(got[p], expected[p], points[p].label);
     }
   }
   EXPECT_EQ(engine.loads_planned(), static_cast<std::uint64_t>(kCalls));
@@ -581,20 +448,73 @@ TEST(SweepEngine, ProgramPoliciesMatchHarness) {
   }
   const ScenarioOutcome expected = Harness(system, opt).run_program(named);
   EXPECT_GT(expected.trials, 1);
-  EXPECT_GT(expected.last_run.resilience.drops_early, 0);
+  EXPECT_GT(expected.last.resilience.drops_early, 0);
   for (std::size_t workers : {0u, 4u}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
     SweepEngine engine(workers);
     const auto got = engine.run_program_points(points);
     ASSERT_EQ(got.size(), points.size());
-    EXPECT_EQ(got[0].trials, expected.trials);
-    expect_identical(got[0].score, expected.score, "named");
-    expect_identical(got[0].last_run.resilience, expected.last_run.resilience,
-                     "named");
-    expect_same_records(got[0].last_run, expected.last_run, "named");
+    expect_identical(got[0], expected, "named");
     for (std::size_t p = 1; p < points.size(); ++p) {
       EXPECT_NE(got[p].score.overall, got[0].score.overall) << "point " << p;
     }
+  }
+}
+
+TEST(SweepEngine, SummariesAreTheirFinalTrialRerun) {
+  // Each outcome's `last` is the summary of its final trial: re-running
+  // that trial through Harness::run_once / run_program_once at
+  // last_trial_seed gives the same summary, from the harness and from the
+  // engine at any worker count. Covered: every scenario of a faulted suite
+  // point, a dynamic faulted scenario point and a faulted program point.
+  const SweepPoint suite = faulted_point();
+  const ScenarioSweepPoint scenario{"AR Assistant/faults", suite.system,
+                                    suite.options,
+                                    workload::scenario_by_name("AR Assistant")};
+  const ProgramSweepPoint program{
+      "hand-off/faults", suite.system, suite.options,
+      workload::program_by_name("Scenario Hand-Off")};
+  const Harness harness(suite.system, suite.options);
+  const auto& scenarios = workload::benchmark_suite();
+
+  const auto suite_h = harness.run_suite();
+  ASSERT_EQ(suite_h.last.size(), scenarios.size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    const auto rerun = harness.run_once(
+        scenarios[s], last_trial_seed(suite.options, suite_h.trials[s]));
+    expect_identical(suite_h.last[s], summarize_trial(rerun),
+                     "suite scenario " + std::to_string(s));
+  }
+  const auto scenario_h = harness.run_scenario(scenario.scenario);
+  ASSERT_EQ(scenario_h.trials, 3);
+  const auto scenario_rerun = harness.run_once(
+      scenario.scenario, last_trial_seed(suite.options, scenario_h.trials));
+  EXPECT_TRUE(scenario_h.last.resilience.enabled);
+  expect_identical(scenario_h.last, summarize_trial(scenario_rerun),
+                   "scenario");
+  // The summary is the final trial's, not an earlier one's.
+  EXPECT_NE(summarize_trial(harness.run_once(scenario.scenario,
+                                             suite.options.run.seed + 1))
+                .mean_latency_ms,
+            scenario_h.last.mean_latency_ms);
+  const auto program_h = harness.run_program(program.program);
+  EXPECT_GT(program_h.trials, 1);
+  const auto program_rerun = harness.run_program_once(
+      program.program, last_trial_seed(suite.options, program_h.trials));
+  expect_identical(program_h.last, summarize_trial(program_rerun), "program");
+
+  for (std::size_t workers : {0u, 1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SweepEngine engine(workers);
+    const auto suite_e = engine.run_suite_points({suite});
+    ASSERT_EQ(suite_e.size(), 1u);
+    expect_identical(suite_e[0], suite_h);
+    const auto scenario_e = engine.run_scenario_points({scenario});
+    ASSERT_EQ(scenario_e.size(), 1u);
+    expect_identical(scenario_e[0], scenario_h, "scenario");
+    const auto program_e = engine.run_program_points({program});
+    ASSERT_EQ(program_e.size(), 1u);
+    expect_identical(program_e[0], program_h, "program");
   }
 }
 

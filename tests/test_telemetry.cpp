@@ -7,6 +7,7 @@
 #include "core/harness.h"
 #include "core/sweep.h"
 #include "hw/accelerator.h"
+#include "outcome_checks.h"
 #include "workload/scenario_program.h"
 
 namespace xrbench::runtime {
@@ -167,9 +168,11 @@ void expect_identical_telemetry(const Telemetry& a, const Telemetry& b) {
 
 TEST(TelemetryRun, SnapshotsByteIdenticalSerialVsParallel) {
   // The headline determinism claim: telemetry advances only on
-  // simulated-clock events, so a 4-worker sweep produces the very same
-  // snapshot bits as the inline serial engine — for a history-aware
-  // governor whose decisions FEED BACK into the schedule.
+  // simulated-clock events, so a 4-worker sweep steers a history-aware
+  // governor, whose decisions FEED BACK into the schedule, exactly as the
+  // inline serial engine does: every score and final-trial summary bit
+  // agrees. The final trial, re-run through the harness, has the same
+  // snapshot bits on every re-run.
   auto make_points = [] {
     core::HarnessOptions opt;
     opt.governor = "ondemand";
@@ -187,10 +190,16 @@ TEST(TelemetryRun, SnapshotsByteIdenticalSerialVsParallel) {
   const auto a = serial.run_scenario_points(make_points());
   const auto b = parallel.run_scenario_points(make_points());
   ASSERT_EQ(a.size(), b.size());
+  const auto points = make_points();
   for (std::size_t p = 0; p < a.size(); ++p) {
-    EXPECT_EQ(a[p].score.overall, b[p].score.overall);
-    expect_identical_telemetry(a[p].last_run.telemetry,
-                               b[p].last_run.telemetry);
+    test::expect_identical(b[p], a[p], points[p].label);
+    const core::Harness harness(points[p].system, points[p].options);
+    const auto seed = core::last_trial_seed(points[p].options, a[p].trials);
+    const auto first = harness.run_once(points[p].scenario, seed);
+    const auto again = harness.run_once(points[p].scenario, seed);
+    test::expect_identical(core::summarize_trial(first), a[p].last,
+                           points[p].label);
+    expect_identical_telemetry(first.telemetry, again.telemetry);
   }
 }
 
