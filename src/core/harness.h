@@ -136,6 +136,13 @@ class Harness {
  public:
   explicit Harness(hw::AcceleratorSystem system, HarnessOptions options = {});
 
+  /// Pinned in place: runner_ refers to system_, so a moved harness would
+  /// run the moved-from (empty) system.
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
+  Harness(Harness&&) = delete;
+  Harness& operator=(Harness&&) = delete;
+
   const hw::AcceleratorSystem& system() const { return system_; }
   const HarnessOptions& options() const { return options_; }
   const runtime::CostTable& cost_table() const { return *cost_table_; }

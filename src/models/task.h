@@ -1,13 +1,14 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <string>
 
 namespace xrbench::models {
 
-/// The 11 unit tasks of XRBench (paper Table 1). KD and SR appear in both
-/// the Interaction and Context-Understanding categories; they are one task
-/// each here (the category is metadata).
+/// The 11 unit tasks of XRBench (paper Table 1), in Table-1 order. KD and
+/// SR appear in both the Interaction and Context-Understanding categories;
+/// they are one task each here (the category is metadata).
 enum class TaskId {
   kHT,  ///< Hand Tracking — Hand Shape/Pose CNN (Ge et al. 2019)
   kES,  ///< Eye Segmentation — RITNet
@@ -39,7 +40,11 @@ const char* task_category(TaskId t);
 /// Parses a two-letter code (case-insensitive). Throws on unknown code.
 TaskId parse_task_code(const std::string& code);
 
-/// Stable dense index of a task in [0, kNumTasks).
-std::size_t task_index(TaskId t);
+/// Stable dense index of a task in [0, kNumTasks): its position in
+/// Table-1 order, which is TaskId's enumerator order. CostTable rows and
+/// the runner's task-to-slot table key on it.
+constexpr std::size_t task_index(TaskId t) {
+  return static_cast<std::size_t>(t);
+}
 
 }  // namespace xrbench::models

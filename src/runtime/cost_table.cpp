@@ -78,21 +78,12 @@ double CostTable::idle_power_w(std::size_t sub_accel,
   return idle_power_w_[level_offset_[sub_accel] + level];
 }
 
-void CostTable::check_sub_accel(std::size_t sub_accel) const {
-  if (sub_accel >= num_sub_accels_) {
-    throw std::out_of_range("CostTable: sub_accel out of range");
-  }
+void CostTable::throw_sub_accel_out_of_range() {
+  throw std::out_of_range("CostTable: sub_accel out of range");
 }
 
-const ExecutionCost& CostTable::cost(models::TaskId task,
-                                     std::size_t sub_accel,
-                                     std::size_t level) const {
-  check_sub_accel(sub_accel);
-  if (level >= num_levels_[sub_accel]) {
-    throw std::out_of_range("CostTable::cost: DVFS level out of range");
-  }
-  return costs_[models::task_index(task) * total_levels_ +
-                level_offset_[sub_accel] + level];
+void CostTable::throw_level_out_of_range() {
+  throw std::out_of_range("CostTable::cost: DVFS level out of range");
 }
 
 const costmodel::CostColumns& CostTable::checked_column(

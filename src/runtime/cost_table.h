@@ -32,9 +32,12 @@ class CostTable {
             const costmodel::AnalyticalCostModel& cost_model,
             costmodel::AllLevelsScratch* scratch = nullptr);
 
-  /// Cost at the sub-accelerator's nominal level. One bounds check and one
-  /// multiply-add, same as the pre-DVFS table — this is the scheduler's hot
-  /// path (every (pending, idle) pair of every dispatch event).
+  // The accessors below sit on the runner's per-event path (every
+  // (pending, idle) pair the scheduler weighs, every dispatch and
+  // completion), so they are inline: a bounds check and one multiply-add
+  // each, with the throw itself out of line.
+
+  /// Cost at the sub-accelerator's nominal level. Throws std::out_of_range.
   const ExecutionCost& cost(models::TaskId task, std::size_t sub_accel) const {
     check_sub_accel(sub_accel);
     return costs_[models::task_index(task) * total_levels_ +
@@ -42,7 +45,12 @@ class CostTable {
   }
   /// Cost at an explicit DVFS level. Throws std::out_of_range.
   const ExecutionCost& cost(models::TaskId task, std::size_t sub_accel,
-                            std::size_t level) const;
+                            std::size_t level) const {
+    check_sub_accel(sub_accel);
+    if (level >= num_levels_[sub_accel]) throw_level_out_of_range();
+    return costs_[models::task_index(task) * total_levels_ +
+                  level_offset_[sub_accel] + level];
+  }
 
   double latency_ms(models::TaskId task, std::size_t sub_accel) const {
     return cost(task, sub_accel).latency_ms;
@@ -125,7 +133,11 @@ class CostTable {
                                double elapsed_ms) const;
 
  private:
-  void check_sub_accel(std::size_t sub_accel) const;
+  void check_sub_accel(std::size_t sub_accel) const {
+    if (sub_accel >= num_sub_accels_) throw_sub_accel_out_of_range();
+  }
+  [[noreturn]] static void throw_sub_accel_out_of_range();
+  [[noreturn]] static void throw_level_out_of_range();
   std::size_t checked_nominal(std::size_t sub_accel) const {
     check_sub_accel(sub_accel);
     return nominal_level_[sub_accel];

@@ -1,53 +1,26 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace xrbench::sim {
 
-std::uint32_t Simulator::alloc_slot() {
-  std::uint32_t slot;
-  if (free_head_ != kNil) {
-    slot = free_head_;
-    free_head_ = pool_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
-  Node& n = pool_[slot];
-  ++n.generation;  // stale ids/entries from the previous tenant now mismatch
-  n.live = true;
-  n.next_free = kNil;
-  return slot;
+void Simulator::add_chunk() {
+  chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  Node& n = pool_[slot];
+  Node& n = node(slot);
   n.cb.reset();
   n.live = false;
   n.next_free = free_head_;
   free_head_ = slot;
 }
 
-EventId Simulator::schedule_at(TimeMs when, Callback cb) {
-  const std::uint32_t slot = alloc_slot();
-  Node& n = pool_[slot];
-  n.cb = std::move(cb);
-  queue_.push(QueueEntry{std::max(when, now_), next_seq_++, slot,
-                         n.generation});
-  ++live_events_;
-  return (static_cast<EventId>(n.generation) << 32) | slot;
-}
-
-EventId Simulator::schedule_after(TimeMs delay, Callback cb) {
-  return schedule_at(now_ + std::max(delay, 0.0), std::move(cb));
-}
-
 bool Simulator::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= pool_.size()) return false;
-  Node& n = pool_[slot];
+  if (slot >= slots_) return false;
+  Node& n = node(slot);
   if (!n.live || n.generation != generation) return false;
   release_slot(slot);  // the stale queue entry is skipped on pop
   if (live_events_ > 0) --live_events_;
@@ -63,15 +36,22 @@ bool Simulator::fire_next() {
     const QueueEntry e = queue_.top();
     queue_.pop();
     if (!entry_live(e)) continue;
-    // Move the callback out before firing: the callback may schedule new
-    // events, growing the pool and invalidating node references; releasing
-    // first also makes a cancel() of this id during the callback a no-op.
-    EventCallback cb = std::move(pool_[e.slot].cb);
-    release_slot(e.slot);
+    // Fire in place: chunks never move, so the callback may schedule
+    // events (growing the pool) while it runs. The node is dead from here
+    // on, which makes a cancel() of this id during the callback a no-op,
+    // and it goes back to the free list only once the call has returned or
+    // thrown, so no event scheduled meanwhile can take it.
+    Node& n = node(e.slot);
+    n.live = false;
     now_ = e.when;
     --live_events_;
     ++fired_;
-    cb();
+    struct Release {
+      Simulator* sim;
+      std::uint32_t slot;
+      ~Release() { sim->release_slot(slot); }
+    } release{this, e.slot};
+    n.cb();
     return true;
   }
   return false;
@@ -97,7 +77,7 @@ std::size_t Simulator::run_before(TimeMs t) {
 bool Simulator::step() { return fire_next(); }
 
 void Simulator::reserve(std::size_t events) {
-  pool_.reserve(events);
+  while (chunks_.size() * kChunkNodes < events) add_chunk();
   // priority_queue has no reserve; rebuild its container with capacity.
   std::vector<QueueEntry> storage;
   storage.reserve(events);

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <queue>
 #include <type_traits>
@@ -22,17 +24,22 @@ using EventId = std::uint64_t;
 /// Small-buffer callback for simulator events. Stores the callable inline
 /// (no heap allocation); callables larger than the inline buffer are
 /// rejected at compile time — the simulation hot path schedules millions of
-/// events per sweep, so every capture must stay small.
+/// events per sweep, so every capture must stay small. The callable is
+/// constructed in place by emplace() and never moves: it is invoked where
+/// it was built and destroyed there by reset().
 class EventCallback {
  public:
   static constexpr std::size_t kInlineBytes = 96;
 
   EventCallback() = default;
+  EventCallback(const EventCallback&) = delete;
+  EventCallback& operator=(const EventCallback&) = delete;
+  ~EventCallback() { reset(); }
 
-  template <typename F,
-            std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventCallback>, int> = 0>
-  EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+  /// Constructs `f`'s decayed copy in the inline buffer. The callback must
+  /// be empty.
+  template <typename F>
+  void emplace(F&& f) {
     using D = std::decay_t<F>;
     static_assert(sizeof(D) <= kInlineBytes,
                   "event callback capture exceeds the inline event-pool "
@@ -42,27 +49,10 @@ class EventCallback {
                   "over-aligned event callback capture");
     new (buf_) D(std::forward<F>(f));
     invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
-    relocate_ = [](void* dst, void* src) {
-      D* s = static_cast<D*>(src);
-      new (dst) D(std::move(*s));
-      s->~D();
-    };
-    destroy_ = [](void* p) { static_cast<D*>(p)->~D(); };
-  }
-
-  EventCallback(EventCallback&& other) noexcept { move_from(other); }
-  EventCallback& operator=(EventCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
+    if constexpr (!std::is_trivially_destructible_v<D>) {
+      destroy_ = [](void* p) { static_cast<D*>(p)->~D(); };
     }
-    return *this;
   }
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-  ~EventCallback() { reset(); }
-
-  explicit operator bool() const { return invoke_ != nullptr; }
 
   void operator()() { invoke_(buf_); }
 
@@ -71,24 +61,13 @@ class EventCallback {
   void reset() {
     if (destroy_ != nullptr) destroy_(buf_);
     invoke_ = nullptr;
-    relocate_ = nullptr;
     destroy_ = nullptr;
   }
 
  private:
-  void move_from(EventCallback& other) noexcept {
-    invoke_ = other.invoke_;
-    relocate_ = other.relocate_;
-    destroy_ = other.destroy_;
-    if (relocate_ != nullptr) relocate_(buf_, other.buf_);
-    other.invoke_ = nullptr;
-    other.relocate_ = nullptr;
-    other.destroy_ = nullptr;
-  }
-
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   void (*invoke_)(void*) = nullptr;
-  void (*relocate_)(void*, void*) = nullptr;
+  /// Null for trivially destructible callables: reset() then only clears.
   void (*destroy_)(void*) = nullptr;
 };
 
@@ -102,32 +81,52 @@ class EventCallback {
 /// ahead of each one.
 ///
 /// Events live in a pooled free-list arena: the priority queue holds small
-/// POD entries and each callback is stored inline in a recycled pool slot,
-/// so steady-state scheduling performs no heap allocation (the pool and the
-/// queue retain their high-water capacity). Cancellation is O(1): the slot
-/// is released immediately and the stale queue entry is skipped on pop via
-/// its generation tag.
+/// POD entries and each callable is constructed directly in a recycled pool
+/// node, where it also fires, so steady-state scheduling performs no heap
+/// allocation (the pool and the queue retain their high-water capacity) and
+/// a callable is never moved after it is scheduled. Nodes live in
+/// fixed-size chunks that are only ever appended, so a callback that
+/// schedules events while it runs never sees its own node move.
+/// Cancellation is O(1): the node is released immediately and the stale
+/// queue entry is skipped on pop via its generation tag.
 class Simulator {
  public:
-  using Callback = EventCallback;
-
   /// Current simulation time. 0 before the first event fires.
   TimeMs now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `when` (>= now, clamped otherwise).
-  /// Returns an id usable with cancel().
-  EventId schedule_at(TimeMs when, Callback cb);
+  /// Schedules the callable `f` (invoked with no arguments) at absolute
+  /// time `when` (>= now, clamped otherwise), constructing it in its pool
+  /// node. Returns an id usable with cancel().
+  template <typename F>
+  EventId schedule_at(TimeMs when, F&& f) {
+    const std::uint32_t slot = alloc_slot();
+    Node& n = node(slot);
+    try {
+      n.cb.emplace(std::forward<F>(f));
+    } catch (...) {
+      release_slot(slot);
+      throw;
+    }
+    queue_.push(QueueEntry{std::max(when, now_), next_seq_++, slot,
+                           n.generation});
+    ++live_events_;
+    return (static_cast<EventId>(n.generation) << 32) | slot;
+  }
 
-  /// Schedules `cb` `delay` milliseconds from now.
-  EventId schedule_after(TimeMs delay, Callback cb);
+  /// Schedules `f` `delay` milliseconds from now.
+  template <typename F>
+  EventId schedule_after(TimeMs delay, F&& f) {
+    return schedule_at(now_ + std::max(delay, 0.0), std::forward<F>(f));
+  }
 
-  /// Cancels a pending event. Returns false if it already fired, was
-  /// cancelled before, or never existed (including ids whose pool slot has
-  /// since been reused by a newer event).
+  /// Cancels a pending event. Returns false if it already fired (or is
+  /// firing), was cancelled before, or never existed (including ids whose
+  /// pool slot has since been reused by a newer event).
   bool cancel(EventId id);
 
   /// Runs events until the queue is empty. Returns the number of events
-  /// fired.
+  /// fired. An exception from a callback propagates out; that event's node
+  /// is released first and the remaining events stay pending.
   std::size_t run();
 
   /// Runs events with timestamp strictly before `t` (events they schedule
@@ -159,12 +158,14 @@ class Simulator {
   /// bit-identically to a fresh one (enforced by test).
   void reset();
 
-  /// Number of pool slots ever allocated (high-water mark of concurrently
-  /// pending events; exposed for tests and diagnostics).
-  std::size_t pool_slots() const { return pool_.size(); }
+  /// Number of pool slots ever handed out (high-water mark of concurrently
+  /// pending or firing events; exposed for tests and diagnostics).
+  std::size_t pool_slots() const { return slots_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kChunkShift = 6;
+  static constexpr std::uint32_t kChunkNodes = 1u << kChunkShift;  // 64
 
   struct Node {
     EventCallback cb;
@@ -186,17 +187,38 @@ class Simulator {
     }
   };
 
-  std::uint32_t alloc_slot();
+  Node& node(std::uint32_t slot) const {
+    return chunks_[slot >> kChunkShift][slot & (kChunkNodes - 1)];
+  }
+  std::uint32_t alloc_slot() {
+    std::uint32_t slot;
+    if (free_head_ != kNil) {
+      slot = free_head_;
+      free_head_ = node(slot).next_free;
+    } else {
+      if (slots_ == chunks_.size() * kChunkNodes) add_chunk();
+      slot = slots_++;
+    }
+    Node& n = node(slot);
+    ++n.generation;  // stale ids/entries from the previous tenant now mismatch
+    n.live = true;
+    n.next_free = kNil;
+    return slot;
+  }
+  void add_chunk();
   void release_slot(std::uint32_t slot);
   bool entry_live(const QueueEntry& e) const {
-    return pool_[e.slot].live && pool_[e.slot].generation == e.generation;
+    const Node& n = node(e.slot);
+    return n.live && n.generation == e.generation;
   }
   void skip_stale_top();
   bool fire_next();
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
       queue_;
-  std::vector<Node> pool_;
+  /// Slot s is node s % kChunkNodes of chunk s / kChunkNodes.
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  std::uint32_t slots_ = 0;
   std::uint32_t free_head_ = kNil;
   TimeMs now_ = 0.0;
   std::uint64_t next_seq_ = 0;

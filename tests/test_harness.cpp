@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace xrbench::core {
 namespace {
 
 using models::TaskId;
 using workload::scenario_by_name;
+
+// The runner a Harness owns points at the harness's own system, so a copy
+// or a move would silently run an empty one.
+static_assert(!std::is_copy_constructible_v<Harness>);
+static_assert(!std::is_copy_assignable_v<Harness>);
+static_assert(!std::is_move_constructible_v<Harness>);
+static_assert(!std::is_move_assignable_v<Harness>);
 
 TEST(Harness, RunOnceIsDeterministic) {
   Harness h(hw::make_accelerator('J', 8192));

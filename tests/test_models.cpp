@@ -34,6 +34,11 @@ TEST(Task, IndicesAreDenseAndStable) {
     idx.insert(i);
   }
   EXPECT_EQ(idx.size(), kNumTasks);
+  // Table-1 order: CostTable rows, the runner's slot table and the runner
+  // golden digests all key on it.
+  for (std::size_t i = 0; i < kNumTasks; ++i) {
+    EXPECT_EQ(task_index(all_tasks()[i]), i) << task_code(all_tasks()[i]);
+  }
 }
 
 TEST(Task, CategoriesMatchTable1) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -319,13 +322,114 @@ TEST(Simulator, PoolHighWaterMarkIsReused) {
 }
 
 TEST(Simulator, CancelDuringCallbackOfSameEventFails) {
-  // Once an event fires its id is dead, even from inside its own callback.
+  // Once an event fires its id is dead, even from inside its own callback,
+  // and the failed cancel leaves the pending count alone.
   Simulator s;
   EventId id = 0;
   bool cancelled = true;
-  id = s.schedule_at(1.0, [&] { cancelled = s.cancel(id); });
-  s.run();
+  std::size_t pending_before = 0;
+  std::size_t pending_after = 0;
+  bool later_fired = false;
+  id = s.schedule_at(1.0, [&] {
+    pending_before = s.pending_events();
+    cancelled = s.cancel(id);
+    pending_after = s.pending_events();
+  });
+  s.schedule_at(2.0, [&] { later_fired = true; });
+  EXPECT_EQ(s.run(), 2u);
   EXPECT_FALSE(cancelled);
+  EXPECT_EQ(pending_before, 1u);
+  EXPECT_EQ(pending_after, 1u);
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Simulator, CallbackSchedulingPastOneChunkKeepsItsCaptures) {
+  // Callables fire in the pool node they were built in. A callback that
+  // schedules far more events than one chunk of nodes holds grows the pool
+  // while it runs; its own captures must stay where they are and readable,
+  // and every event it scheduled fires in (time, FIFO) order.
+  constexpr int kEvents = 1000;
+  Simulator s;
+  std::vector<std::pair<double, int>> fired;
+  std::array<int, 16> seen{};
+  std::array<int, 16> tag{};
+  for (std::size_t i = 0; i < tag.size(); ++i) {
+    tag[i] = static_cast<int>(i * 31 + 7);
+  }
+  s.schedule_at(1.0, [&s, &fired, &seen, tag] {
+    for (int i = 0; i < kEvents; ++i) {
+      const double when = 2.0 + static_cast<double>((i * 13) % 7);  // ties
+      s.schedule_at(when, [&s, &fired, i] { fired.emplace_back(s.now(), i); });
+    }
+    seen = tag;  // read after the pool grew under this callback
+  });
+  EXPECT_EQ(s.run(), static_cast<std::size_t>(kEvents) + 1);
+  EXPECT_GE(s.pool_slots(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(seen, tag);
+  std::vector<std::pair<double, int>> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    expected.emplace_back(2.0 + static_cast<double>((i * 13) % 7), i);
+  }
+  std::sort(expected.begin(), expected.end());  // FIFO: i ascends per time
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsSlot) {
+  // An exception from a callback leaves run(); the callable is destroyed,
+  // its slot goes back to the free list, and the queue carries on.
+  Simulator s;
+  auto token = std::make_shared<int>(0);
+  bool second = false;
+  bool third = false;
+  s.schedule_at(1.0, [token] { throw std::runtime_error("callback"); });
+  s.schedule_at(2.0, [&] { second = true; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);  // the throwing callable is gone
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_EQ(s.pool_slots(), 2u);
+  s.schedule_at(3.0, [&] { third = true; });
+  EXPECT_EQ(s.pool_slots(), 2u);  // the thrower's slot was reused
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_TRUE(second);
+  EXPECT_TRUE(third);
+  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+}
+
+/// Counts its moves; copies are not counted.
+struct MoveCounter {
+  int* moves;
+  int* calls;
+  MoveCounter(int* m, int* c) : moves(m), calls(c) {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves), calls(o.calls) {
+    ++*moves;
+  }
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  void operator()() { ++*calls; }
+};
+
+TEST(Simulator, CallableIsMovedOnlyIntoItsNode) {
+  // A scheduled callable is moved at most once, into its pool node, and
+  // never again while it waits in the queue, while the pool grows around it
+  // or when it fires.
+  Simulator s;
+  int moves = 0;
+  int calls = 0;
+  s.schedule_at(50.0, MoveCounter(&moves, &calls));
+  EXPECT_LE(moves, 1);
+  const int scheduled_moves = moves;
+  s.schedule_after(40.0, MoveCounter(&moves, &calls));
+  EXPECT_LE(moves - scheduled_moves, 1);
+  const int queued_moves = moves;
+  for (int i = 0; i < 500; ++i) {  // grow the pool and reorder the heap
+    s.schedule_at(static_cast<double>(i % 90), [] {});
+  }
+  EXPECT_EQ(s.run(), 502u);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(moves, queued_moves);
 }
 
 /// Property: N randomly-ordered timestamps always fire sorted.
