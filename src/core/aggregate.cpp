@@ -22,6 +22,7 @@ ScenarioScore score_scenario(const runtime::ScenarioRunResult& run,
   std::int64_t total_expected = 0;
   std::int64_t total_dropped = 0;
 
+  sc.models.reserve(run.per_model.size());
   for (const auto& mstats : run.per_model) {
     const auto& goal = workload::unit_model_spec(mstats.task).quality;
     ModelScore m;

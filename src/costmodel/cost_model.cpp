@@ -56,8 +56,7 @@ void check_accel(const SubAccelConfig& accel, const char* caller) {
 }  // namespace
 
 void AllLevelsScratch::ensure_lanes(std::size_t levels, std::size_t classes) {
-  for (std::vector<double>* lane :
-       {&clock_ghz, &noc_bpc, &offchip_bpc, &vr, &avg_utilization}) {
+  for (std::vector<double>* lane : {&clock_ghz, &noc_bpc, &offchip_bpc, &vr}) {
     if (lane->size() < levels) lane->resize(levels);
   }
   if (cores.size() < classes) cores.resize(classes);
@@ -252,6 +251,7 @@ AnalyticalCostModel::LayerCostCore AnalyticalCostModel::mac_layer_core(
   core.sram_traffic_bytes = sram + in_elems;  // fills from DRAM land in SRAM
   core.dram_traffic_bytes = dram_traffic(layer, accel);
   core.macs = macs;
+  core.util_weight = macs;
   core.dynamic_pj =
       macs * energy_.mac_pj +
       core.sram_traffic_bytes *
@@ -302,9 +302,8 @@ namespace {
 // honours `restrict` on function PARAMETERS — on locals initialised from
 // vector::data() the 11 streams would need 49 runtime alias checks, far
 // past the versioning cap, and the loop stays scalar. It is forced inline:
-// the layer walk is instantiated once per reduction, and with two callers
-// GCC 12 stops inlining it, which costs model_cost_all_levels ~20 % per
-// (layer, level).
+// GCC 12's heuristics have left it out of line, which cost
+// model_cost_all_levels ~20 % per (layer, level).
 //
 // One flat unit-stride loop over the level axis: straight-line lane math
 // and selects instead of branches — the shape the loop vectorizer
@@ -407,13 +406,11 @@ ModelCost AnalyticalCostModel::one_lane(
   return std::move(scratch.result.front());
 }
 
-template <typename Reduce>
 void AnalyticalCostModel::walk_levels(const ModelGraph& graph,
                                       const SubAccelConfig& accel,
                                       const hw::DvfsOperatingPoint* ops,
                                       std::size_t num_lanes,
-                                      AllLevelsScratch& s,
-                                      Reduce&& reduce) const {
+                                      AllLevelsScratch& s) const {
   const std::vector<Layer>& layers = graph.layers();
   const std::vector<std::uint32_t>& classes = graph.shape_classes();
   s.ensure_lanes(num_lanes, graph.class_shapes().size());
@@ -430,7 +427,6 @@ void AnalyticalCostModel::walk_levels(const ModelGraph& graph,
     s.noc_bpc[l] = accel.noc_bytes_per_cycle;
     s.offchip_bpc[l] = accel.offchip_bytes_per_cycle;
     s.vr[l] = 1.0;
-    s.avg_utilization[l] = 0.0;
     if (ops == nullptr) continue;
     const hw::DvfsOperatingPoint& op = ops[l];
     if (op.freq_ghz != accel.clock_ghz) {
@@ -452,45 +448,83 @@ void AnalyticalCostModel::walk_levels(const ModelGraph& graph,
   // anything else (e.g. vr^2, or 1/bandwidth to turn the divides into
   // multiplies) would reassociate and change the bits.
   const double pe_mw = energy_.static_mw_per_pe * pes;
-  double total_macs = 0.0;
 
   // ONE walk over the layer list, in order. Shape classes are numbered in
   // first-occurrence order, so a layer opens a new class exactly when its
   // class equals the count of classes costed so far. That layer costs the
   // class: the level-invariant core (mapping, cycle counts, traffic,
   // switching energy) once, and the per-level tail across all lanes at once
-  // into the class's lanes. Every layer then reduces from its class's
-  // lanes, which hold bit for bit what its own core and tail would give.
+  // into the class's lanes. Those lanes hold bit for bit what the core and
+  // tail of any later layer of the class would give.
   std::size_t costed = 0;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    const std::size_t c = classes[i];
-    const std::size_t lanes = c * num_lanes;
-    LayerCostCore& core = s.cores[c];
-    if (c == costed) {
-      core = layer_core(layers[i], accel);
-      finish_levels_lanes(
-          num_lanes, core.compute_cycles, core.noc_bytes,
-          core.dram_traffic_bytes, core.macs, pes, pe_mw,
-          core.dynamic_pj * 1e-9, s.clock_ghz.data(), s.noc_bpc.data(),
-          s.offchip_bpc.data(), s.vr.data(), s.noc_cycles.data() + lanes,
-          s.dram_cycles.data() + lanes, s.total_cycles.data() + lanes,
-          s.latency_ms.data() + lanes, s.utilization.data() + lanes,
-          s.static_mj.data() + lanes, s.energy_mj.data() + lanes);
-      ++costed;
-    }
-    // The average utilization is weighted by MACs over the MAC layers
-    // (vector ops are left out), summed in layer order.
-    if (!core.vector_op) {
-      total_macs += core.macs;
-      for (std::size_t l = 0; l < num_lanes; ++l) {
-        s.avg_utilization[l] += s.utilization[lanes + l] * core.macs;
-      }
-    }
-    reduce(i, core, lanes);
+    if (classes[i] != costed) continue;
+    const std::size_t lanes = costed * num_lanes;
+    LayerCostCore& core = s.cores[costed];
+    core = layer_core(layers[i], accel);
+    finish_levels_lanes(
+        num_lanes, core.compute_cycles, core.noc_bytes,
+        core.dram_traffic_bytes, core.macs, pes, pe_mw,
+        core.dynamic_pj * 1e-9, s.clock_ghz.data(), s.noc_bpc.data(),
+        s.offchip_bpc.data(), s.vr.data(), s.noc_cycles.data() + lanes,
+        s.dram_cycles.data() + lanes, s.total_cycles.data() + lanes,
+        s.latency_ms.data() + lanes, s.utilization.data() + lanes,
+        s.static_mj.data() + lanes, s.energy_mj.data() + lanes);
+    ++costed;
   }
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    s.avg_utilization[l] =
-        total_macs > 0 ? s.avg_utilization[l] / total_macs : 0.0;
+}
+
+template <std::size_t Width>
+void AnalyticalCostModel::sum_lane_block(const ModelGraph& graph,
+                                         std::size_t num_lanes,
+                                         std::size_t first,
+                                         AllLevelsScratch& s,
+                                         LayerPrefixes* prefixes) {
+  const std::vector<std::uint32_t>& classes = graph.shape_classes();
+  const std::size_t num_layers = classes.size();
+  const std::size_t stride = num_layers + 1;  // prefix_index's
+  const LayerCostCore* cores = s.cores.data();
+  const double* lat_in = s.latency_ms.data() + first;
+  const double* en_in = s.energy_mj.data() + first;
+  const double* stat_in = s.static_mj.data() + first;
+  const double* util_in = s.utilization.data() + first;
+  // Lane k's running sums of layer i sit at prefix_index(first + k, i + 1).
+  double* lat_out = nullptr;
+  double* en_out = nullptr;
+  double* stat_out = nullptr;
+  if (prefixes != nullptr) {
+    lat_out = prefixes->latency_prefix_ms.data() + first * stride + 1;
+    en_out = prefixes->energy_prefix_mj.data() + first * stride + 1;
+    stat_out = prefixes->static_prefix_mj.data() + first * stride + 1;
+  }
+  double lat[Width] = {};
+  double en[Width] = {};
+  double stat[Width] = {};
+  double util[Width] = {};
+  for (std::size_t i = 0; i < num_layers; ++i) {
+    const std::size_t c = classes[i];
+    const std::size_t at = c * num_lanes;
+    // A vector op's weight is 0.0, and util * 0.0 added to a finite
+    // non-negative sum leaves it exact: the sum is the MAC layers' alone.
+    const double weight = cores[c].util_weight;
+    for (std::size_t k = 0; k < Width; ++k) {
+      lat[k] += lat_in[at + k];
+      en[k] += en_in[at + k];
+      stat[k] += stat_in[at + k];
+      util[k] += util_in[at + k] * weight;
+    }
+    if (prefixes == nullptr) continue;
+    for (std::size_t k = 0; k < Width; ++k) {
+      lat_out[k * stride + i] = lat[k];
+      en_out[k * stride + i] = en[k];
+      stat_out[k * stride + i] = stat[k];
+    }
+  }
+  for (std::size_t k = 0; k < Width; ++k) {
+    s.sum_latency_ms[first + k] = lat[k];
+    s.sum_energy_mj[first + k] = en[k];
+    s.sum_static_mj[first + k] = stat[k];
+    s.avg_utilization[first + k] = util[k];
   }
 }
 
@@ -499,11 +533,18 @@ void AnalyticalCostModel::compute_all_levels(const ModelGraph& graph,
                                              const hw::DvfsOperatingPoint* ops,
                                              std::size_t num_lanes,
                                              AllLevelsScratch& s) const {
-  // Scatter the lanes into each lane's ModelCost, whose totals (zeroed by
-  // reset_result) accumulate in layer order — the order a per-layer
-  // summation uses.
-  const auto scatter = [&s, num_lanes](std::size_t, const LayerCostCore& core,
-                                       std::size_t lanes) {
+  walk_levels(graph, accel, ops, num_lanes, s);
+  // Scatter every layer's lanes into each lane's ModelCost, whose totals
+  // (zeroed by reset_result) accumulate in layer order, the terms and
+  // order of compute_columns' lane pass. Here they ride along the
+  // scatter's stores instead: that pass, run first, cost the all-levels
+  // kernel probe ~8 % more per (layer, level).
+  s.reset_result(num_lanes, graph.num_layers());
+  double total_macs = 0.0;
+  for (std::uint32_t c : graph.shape_classes()) {
+    const LayerCostCore& core = s.cores[c];
+    const std::size_t lanes = c * num_lanes;
+    total_macs += core.util_weight;
     for (std::size_t l = 0; l < num_lanes; ++l) {
       LayerCost lc;
       lc.mapping = core.mapping;
@@ -522,13 +563,13 @@ void AnalyticalCostModel::compute_all_levels(const ModelGraph& graph,
       mc.energy_mj += lc.energy_mj;
       mc.static_energy_mj += lc.static_energy_mj;
       mc.dram_traffic_bytes += lc.dram_traffic_bytes;
+      mc.avg_utilization += lc.utilization * core.util_weight;
       mc.layers.push_back(lc);
     }
-  };
-  s.reset_result(num_lanes, graph.num_layers());
-  walk_levels(graph, accel, ops, num_lanes, s, scatter);
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    s.result[l].avg_utilization = s.avg_utilization[l];
+  }
+  for (ModelCost& mc : s.result) {
+    mc.avg_utilization =
+        total_macs > 0 ? mc.avg_utilization / total_macs : 0.0;
   }
 }
 
@@ -537,43 +578,43 @@ void AnalyticalCostModel::compute_columns(const ModelGraph& graph,
                                           AllLevelsScratch& s,
                                           LayerPrefixes* prefixes) const {
   const std::size_t num_lanes = accel.dvfs.num_levels();
-  const std::size_t stride = graph.num_layers() + 1;  // prefix_index's
-  for (std::vector<double>* sum :
-       {&s.sum_latency_ms, &s.sum_energy_mj, &s.sum_static_mj}) {
-    sum->assign(num_lanes, 0.0);  // keeps capacity: zero-alloc once warmed
+  walk_levels(graph, accel, ladder_ops(accel), num_lanes, s);
+  for (std::vector<double>* sum : {&s.sum_latency_ms, &s.sum_energy_mj,
+                                   &s.sum_static_mj, &s.avg_utilization}) {
+    if (sum->size() < num_lanes) sum->resize(num_lanes);
   }
-  double* lat = nullptr;
-  double* energy = nullptr;
-  double* stat = nullptr;
   if (prefixes != nullptr) {
+    const std::size_t entries = num_lanes * (graph.num_layers() + 1);
     for (std::vector<double>* prefix :
          {&prefixes->latency_prefix_ms, &prefixes->energy_prefix_mj,
           &prefixes->static_prefix_mj}) {
-      prefix->assign(num_lanes * stride, 0.0);  // every prefix[0] = 0
+      prefix->assign(entries, 0.0);  // every prefix[0] = 0
     }
-    lat = prefixes->latency_prefix_ms.data();
-    energy = prefixes->energy_prefix_mj.data();
-    stat = prefixes->static_prefix_mj.data();
   }
-  // Each lane's running sums, added left to right from 0.0 — the additions
-  // a ModelCost total makes — so after the walk they are the level's
-  // totals. Layer i's sums are prefix i + 1.
-  const auto running_sums = [&](std::size_t i, const LayerCostCore&,
-                                std::size_t lanes) {
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      s.sum_latency_ms[l] += s.latency_ms[lanes + l];
-      s.sum_energy_mj[l] += s.energy_mj[lanes + l];
-      s.sum_static_mj[l] += s.static_mj[lanes + l];
-    }
-    if (prefixes == nullptr) return;
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      const std::size_t at = l * stride + i + 1;
-      lat[at] = s.sum_latency_ms[l];
-      energy[at] = s.sum_energy_mj[l];
-      stat[at] = s.sum_static_mj[l];
-    }
-  };
-  walk_levels(graph, accel, ladder_ops(accel), num_lanes, s, running_sums);
+  // The lane pass: four lanes at a time keeps 16 accumulators in
+  // registers, and a ladder's last 1-3 lanes take a narrower block. Each
+  // lane's sums see the same terms in the same order whatever block
+  // carries it.
+  std::size_t first = 0;
+  for (; first + 4 <= num_lanes; first += 4) {
+    sum_lane_block<4>(graph, num_lanes, first, s, prefixes);
+  }
+  switch (num_lanes - first) {
+    case 3: sum_lane_block<3>(graph, num_lanes, first, s, prefixes); break;
+    case 2: sum_lane_block<2>(graph, num_lanes, first, s, prefixes); break;
+    case 1: sum_lane_block<1>(graph, num_lanes, first, s, prefixes); break;
+    default: break;
+  }
+  // The average utilization is weighted by MACs over the MAC layers, whose
+  // MACs are summed in layer order.
+  double total_macs = 0.0;
+  for (std::uint32_t c : graph.shape_classes()) {
+    total_macs += s.cores[c].util_weight;
+  }
+  for (std::size_t l = 0; l < num_lanes; ++l) {
+    s.avg_utilization[l] =
+        total_macs > 0 ? s.avg_utilization[l] / total_macs : 0.0;
+  }
 }
 
 std::vector<ModelCost> AnalyticalCostModel::model_cost_all_levels(
@@ -594,8 +635,9 @@ const std::vector<ModelCost>& AnalyticalCostModel::model_cost_all_levels(
 
 struct AnalyticalCostModel::MemoEntry final : CostColumns {
   /// The key: every input the columns depend on. The layer shapes are the
-  /// graph's GraphKey, shared by every entry of the graph (the entry's own
-  /// copy only when its graph's structure hash collides with another's).
+  /// interned GraphKey of the graph's structure hash, shared by every entry
+  /// of those shapes (the graph's own key only when its structure hash
+  /// collides with another graph's).
   /// Layer names are excluded (graphs with equal layer shapes cost the
   /// same), and so are the config's id, transition_ms, idle_mw and
   /// nominal_level, which never enter a cost.
@@ -631,7 +673,7 @@ struct AnalyticalCostModel::MemoEntry final : CostColumns {
   const GraphKey& graph_key() const override { return *key; }
 
  private:
-  /// Re-runs the miss's walk and reducer on a graph rebuilt from the key,
+  /// Re-runs the miss's walk and lane pass on a graph rebuilt from the key,
   /// one layer per class-sequence element, with every running sum stored.
   /// A layer's shape is all that sets its cost, so the rebuilt graph walks
   /// the same classes in the same order and the sums keep the miss's bits.
@@ -713,21 +755,15 @@ std::shared_ptr<const CostColumns> AnalyticalCostModel::cached_cost_columns(
 
 std::shared_ptr<const GraphKey> AnalyticalCostModel::shared_graph_key(
     const ModelGraph& graph) const {
-  auto own_key = [&graph] {
-    return std::make_shared<const GraphKey>(
-        GraphKey{graph.shape_classes(), graph.class_shapes()});
-  };
+  std::shared_ptr<const GraphKey> own = graph.key();
   std::shared_ptr<const GraphKey> interned;
   {
     std::lock_guard lock(graph_keys_mutex_);
-    auto it = graph_keys_.find(graph.structure_hash());
-    if (it == graph_keys_.end()) {
-      it = graph_keys_.emplace(graph.structure_hash(), own_key()).first;
-    }
-    interned = it->second;
+    interned =
+        graph_keys_.try_emplace(graph.structure_hash(), own).first->second;
   }
-  // Another graph with the same structure hash may own the shared key.
-  return interned->matches(graph) ? interned : own_key();
+  // Another graph with the same structure hash may own the interned key.
+  return interned->matches(graph) ? interned : own;
 }
 
 void AnalyticalCostModel::clear_model_memo() const {

@@ -85,8 +85,10 @@ struct MemoStats {
   /// Per-layer prefix builds among the entries (CostColumns::
   /// layer_prefixes), counted exactly: at most one per entry.
   std::uint64_t prefix_builds = 0;
-  /// Shared graph keys (GraphKey) the memo holds, counted exactly: one per
-  /// distinct structure hash a miss saw, so 11 after any full-zoo sweep.
+  /// Graph keys the memo interns, counted exactly: one per distinct
+  /// structure hash a miss saw, so 11 after any full-zoo sweep. Each is
+  /// the key object of the first graph that missed with that hash
+  /// (ModelGraph::key), not a copy of it.
   std::size_t graph_keys = 0;
 
   double hit_rate() const {
@@ -128,29 +130,15 @@ struct LayerPrefixes {
   std::vector<double> static_prefix_mj;
 };
 
-/// The layer shapes of one model graph as the model-level memo keys them:
-/// the graph's shape-class sequence (4 B per layer) and its distinct shapes
-/// (64 B each), which together spell out every layer's shape; layer names
-/// are not part of it. The memo keeps one immutable key per graph, and all
-/// of that graph's entries share it, whatever their sub-accelerator.
-struct GraphKey {
-  std::vector<std::uint32_t> shape_classes;
-  std::vector<std::array<std::int64_t, 8>> class_shapes;
-
-  /// True when `graph`'s layer shapes are this key, compared in place.
-  bool matches(const ModelGraph& graph) const {
-    return graph.shape_classes() == shape_classes &&
-           graph.class_shapes() == class_shapes;
-  }
-};
-
 /// What a runtime::CostTable reads of one (model graph, sub-accelerator)
 /// pair at every DVFS level of the sub-accelerator. The model-level memo
 /// stores exactly this, and tables share it instead of copying it. A memo
-/// miss writes each level's totals, which every run reads. The per-layer
-/// running sums, which only checkpoint resumes and outage kills read, are
-/// built on the first layer_prefixes() call, so fault-free runs never
-/// build them. Only the memo makes columns (cached_cost_columns).
+/// miss writes each level's totals, which every run reads; the lane pass
+/// that sums them adds each level's layers in layer order from 0.0, as a
+/// ModelCost total does. The per-layer running sums, which only checkpoint
+/// resumes and outage kills read, are built on the first layer_prefixes()
+/// call by the same pass, so fault-free runs never build them. Only the
+/// memo makes columns (cached_cost_columns).
 class CostColumns {
  public:
   CostColumns(const CostColumns&) = delete;
@@ -165,18 +153,20 @@ class CostColumns {
   }
 
   /// The per-layer running sums. The first call builds them with the
-  /// memo miss's layer walk, re-run from the memo entry's own key and
-  /// energy constants, so it needs neither the memo nor the cost model
-  /// that made the columns. Later calls, and every table holding these
-  /// columns, share the result. Thread-safe: concurrent first calls build
+  /// memo miss's layer walk and lane pass, re-run from the memo entry's
+  /// own key and energy constants, so it needs neither the memo nor the
+  /// cost model that made the columns. Later calls, and every table holding
+  /// these columns, share the result. Thread-safe: concurrent first calls build
   /// once.
   const LayerPrefixes& layer_prefixes() const {
     std::call_once(prefixes_built_, [this] { build_prefixes(prefixes_); });
     return prefixes_;
   }
 
-  /// The layer shapes the columns were computed for: the memo's shared
-  /// key of their model graph.
+  /// The layer shapes the columns were computed for: the key object of
+  /// the first graph with these shapes that missed in the memo, shared by
+  /// every entry of those shapes (a key of its own only when its graph's
+  /// structure hash collides with another's).
   virtual const GraphKey& graph_key() const = 0;
 
  protected:
@@ -192,11 +182,11 @@ class CostColumns {
 
 /// Reusable scratch for the level-axis lane kernel: every per-call
 /// allocation of the layer walk (the SoA level-parameter lanes, the
-/// per-shape-class cores and output lanes, the per-level running sums,
-/// and model_cost_all_levels' result vector with its per-level layer lists)
+/// per-shape-class cores and output lanes, the per-level sums, and
+/// model_cost_all_levels' result vector with its per-level layer lists)
 /// hoisted into a caller-owned object. A model-memo miss uses the lanes
-/// alone: it copies each level's totals from the running-sum lanes into
-/// the new entry's CostColumns and never touches the result, and it writes
+/// alone: it copies each level's totals from the sum lanes into the new
+/// entry's CostColumns and never touches the result, and it writes
 /// no per-layer prefixes (CostColumns::layer_prefixes builds those on
 /// first use, with a scratch of its own). A CostTable build uses ONE of
 /// these across its (task x sub-accelerator) lookups: the caller's when it
@@ -227,6 +217,9 @@ class AllLevelsScratch {
     double sram_traffic_bytes = 0.0;
     double dram_traffic_bytes = 0.0;
     double macs = 0.0;        ///< MACs (or vector ops); 0-util for vectors.
+    /// The layer's weight in the MAC-weighted average utilization: its
+    /// MACs, or 0 for a vector op, whose utilization is left out.
+    double util_weight = 0.0;
     double dynamic_pj = 0.0;  ///< Switching energy at the nominal voltage.
   };
 
@@ -249,8 +242,8 @@ class AllLevelsScratch {
 
   /// Per shape class per lane, the lane kernel's outputs for the class's
   /// layers; class c's lanes sit at [c * num_levels, (c + 1) * num_levels).
-  /// The walk fills a class's lanes at its first layer and reduces that
-  /// layer and every later one of the class from them.
+  /// The walk fills a class's lanes at its first layer; every layer of the
+  /// class is then read from them.
   std::vector<double> noc_cycles;
   std::vector<double> dram_cycles;
   std::vector<double> total_cycles;
@@ -259,15 +252,12 @@ class AllLevelsScratch {
   std::vector<double> static_mj;
   std::vector<double> energy_mj;
 
-  /// Per lane, compute_columns' running sums of the layers' latency,
-  /// energy and static energy, added in layer order from 0.0: after its
-  /// walk, the lane's totals.
+  /// Per lane, compute_columns' lane-pass totals: the layers' latency,
+  /// energy and static energy, each added in layer order from 0.0, and the
+  /// MAC-weighted average utilization.
   std::vector<double> sum_latency_ms;
   std::vector<double> sum_energy_mj;
   std::vector<double> sum_static_mj;
-
-  /// Per lane: the MAC-weighted utilization sum over the MAC layers during
-  /// the walk, the average utilization after it.
   std::vector<double> avg_utilization;
 
   std::vector<ModelCost> result;  ///< model_cost_all_levels' result.
@@ -345,22 +335,22 @@ class AnalyticalCostModel {
   /// sub-accel config x DVFS ladder), so repeated (model, sub-accelerator)
   /// pairs across sweep points skip the layer walk entirely (CostTable
   /// builds call this). A miss runs the same layer walk as
-  /// model_cost_all_levels but keeps only each level's latency, energy and
-  /// static running sums, in scratch lanes, and writes the new entry's
-  /// per-level totals from them after the walk: it builds no per-layer
-  /// LayerCost lists and no per-layer prefixes (CostColumns::layer_prefixes
-  /// builds those on first use). The sums add the same lane values in the
-  /// same order, so every bit equals the all-levels result's. The returned
+  /// model_cost_all_levels, then sums each level's totals in one lane pass
+  /// over the layers, adding the same lane values in the same order as the
+  /// all-levels result's totals, so every bit equals theirs. It builds no
+  /// per-layer LayerCost lists and no per-layer prefixes
+  /// (CostColumns::layer_prefixes builds those on first use). The returned
   /// columns are shared — concurrent builds of identical designs read one
   /// cached copy — and stay valid, prefixes included, after the memo is
   /// cleared or this model is destroyed. A hit allocates nothing: the
   /// lookup hashes graph.structure_hash() with the config, and a hit is
-  /// confirmed by comparing the entry's config and GraphKey with `accel`
-  /// and `graph` in place — together the full key, never the hash alone,
-  /// so a collision can not silently alias two models. A miss's entry
-  /// points at the model's shared key of `graph` (interned by structure
-  /// hash) only after that key compares equal to `graph` in place; a graph
-  /// whose hash collides with another's gets a key of its own. `scratch`,
+  /// confirmed by comparing the entry's config with `accel` in place and
+  /// its GraphKey with `graph` (GraphKey::matches: by identity when `graph`
+  /// keeps that key object, else in place) — together the full key, never
+  /// the hash alone, so a collision can not silently alias two models. A miss's entry points at the key the model interns
+  /// for graph.structure_hash() — `graph`'s own key object when it is the
+  /// first to miss with that hash — only after that key matches `graph`; a
+  /// graph whose hash collides with another's keeps its own key. `scratch`,
   /// when given, supplies the walk's lanes on a memo miss (hits never
   /// touch it) — the CostTable build loop passes its own. Throws
   /// std::invalid_argument for an invalid config.
@@ -407,14 +397,21 @@ class AnalyticalCostModel {
   /// unit voltage ratio when `ops` is null — then walks `graph`'s layers
   /// once, in order. At the first layer of each shape class it computes the
   /// class's core and runs the per-level tail across every lane into the
-  /// class's lanes; `reduce(i, core, lanes)` then consumes layer i from its
-  /// class's core and lanes, which start at index `lanes` of each output
-  /// lane vector. On return scratch.avg_utilization holds each lane's
-  /// average utilization.
-  template <typename Reduce>
+  /// class's lanes, which start at index class * num_lanes of each output
+  /// lane vector.
   void walk_levels(const ModelGraph& graph, const SubAccelConfig& accel,
                    const hw::DvfsOperatingPoint* ops, std::size_t num_lanes,
-                   AllLevelsScratch& scratch, Reduce&& reduce) const;
+                   AllLevelsScratch& scratch) const;
+
+  /// Lanes [first, first + Width) of compute_columns' lane pass: over the
+  /// layers in order, with the accumulators in locals, sums each lane's
+  /// latency, energy, static energy and MAC-weighted utilization from 0.0
+  /// into the scratch's sum lanes. With `prefixes` (sized for
+  /// CostColumns::prefix_index) it also stores every layer's running sums.
+  template <std::size_t Width>
+  static void sum_lane_block(const ModelGraph& graph, std::size_t num_lanes,
+                             std::size_t first, AllLevelsScratch& scratch,
+                             LayerPrefixes* prefixes);
 
   /// The layer walk reduced to one ModelCost per lane: scratch.result[l]
   /// holds lane l's LayerCosts and their layer-order totals.
@@ -425,11 +422,12 @@ class AnalyticalCostModel {
                           AllLevelsScratch& scratch) const;
 
   /// The layer walk over `graph` at every DVFS level of `accel`, as cost
-  /// columns read it: on return the scratch's sum lanes hold each level's
-  /// totals. With `prefixes`, every level's running sums are also stored
-  /// as the walk reaches them, in CostColumns::prefix_index order. A memo
-  /// miss passes none; the first CostColumns::layer_prefixes call re-runs
-  /// the walk with them.
+  /// columns read it, then the lane pass: one reduction over the layers
+  /// that sums a block of four lanes at a time (then a 1-3 lane tail) in
+  /// registers. On return the scratch's sum lanes hold each level's totals.
+  /// With `prefixes`, the pass also stores every level's running sums, in
+  /// CostColumns::prefix_index order. A memo miss passes none; the first
+  /// CostColumns::layer_prefixes call re-runs the walk with them.
   void compute_columns(const ModelGraph& graph, const SubAccelConfig& accel,
                        AllLevelsScratch& scratch,
                        LayerPrefixes* prefixes) const;
@@ -442,10 +440,10 @@ class AnalyticalCostModel {
   /// re-streaming inputs per weight tile or weights per input tile).
   double dram_traffic(const Layer& layer, const SubAccelConfig& accel) const;
 
-  /// The key a miss's entry of `graph` points at: the model's shared key
-  /// for graph.structure_hash() (interned from `graph` when there is none
-  /// yet), once it compares equal to `graph` in place; a key of its own
-  /// when it does not, so a hash collision never aliases.
+  /// The key a miss's entry of `graph` points at: the key the model interns
+  /// for graph.structure_hash() (`graph`'s own key object when there is
+  /// none yet), once it matches `graph`; `graph`'s own key when it does
+  /// not, so a hash collision never aliases.
   std::shared_ptr<const GraphKey> shared_graph_key(
       const ModelGraph& graph) const;
 
@@ -475,9 +473,11 @@ class AnalyticalCostModel {
   /// computed the same value, the first insert wins); a different key with
   /// the same hash is caught by the comparison and left uncached.
   mutable std::array<MemoStripe, 16> memo_;
-  /// One immutable GraphKey per model graph, indexed by its structure hash
-  /// behind a mutex that only misses take: a design sweep's ~1,100 entries
-  /// share the zoo's 11 keys instead of each copying ~3 KB of layer shapes.
+  /// One GraphKey per structure hash, behind a mutex that only misses take:
+  /// the key object of the first graph that missed with the hash, which
+  /// ModelGraph::add() never writes once the memo holds it. A design
+  /// sweep's ~1,100 entries share the zoo graphs' own 11 keys instead of
+  /// each copying ~3 KB of layer shapes, and their hits match by identity.
   mutable std::mutex graph_keys_mutex_;
   mutable std::unordered_map<std::uint64_t, std::shared_ptr<const GraphKey>>
       graph_keys_;

@@ -12,6 +12,11 @@ void ModelGraph::add(Layer layer) {
     throw std::invalid_argument("ModelGraph::add: invalid layer '" +
                                 layer.name + "' in model '" + name_ + "'");
   }
+  // Copy-on-write: a key that a graph copy or the cost model's memo also
+  // holds is left as it is. use_count() is a relaxed read, so a holder
+  // dropped on another thread must be ordered before this add() by the
+  // caller's own synchronization, as any write to the graph must be.
+  if (key_.use_count() > 1) key_ = std::make_shared<GraphKey>(*key_);
   const auto shape = layer.shape();
   for (std::int64_t v : shape) {
     structure_hash_ =
@@ -19,11 +24,11 @@ void ModelGraph::add(Layer layer) {
   }
   // A linear scan: graphs are built in code, and no zoo model has more
   // than 64 distinct shapes.
-  const auto known =
-      std::find(class_shapes_.begin(), class_shapes_.end(), shape);
-  shape_classes_.push_back(
-      static_cast<std::uint32_t>(known - class_shapes_.begin()));
-  if (known == class_shapes_.end()) class_shapes_.push_back(shape);
+  auto& classes = key_->class_shapes;
+  const auto known = std::find(classes.begin(), classes.end(), shape);
+  key_->shape_classes.push_back(
+      static_cast<std::uint32_t>(known - classes.begin()));
+  if (known == classes.end()) classes.push_back(shape);
   layers_.push_back(std::move(layer));
 }
 

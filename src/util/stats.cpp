@@ -6,21 +6,6 @@
 
 namespace xrbench::util {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -38,8 +23,6 @@ void RunningStats::merge(const RunningStats& other) {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
-
-double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -8,17 +9,32 @@ namespace xrbench::util {
 /// Streaming summary statistics (Welford) over doubles.
 ///
 /// Used throughout the harness to summarize per-inference latencies,
-/// energies, and scores without storing every sample.
+/// energies, and scores without storing every sample. add() and mean() are
+/// inline: the scorer calls add() once per record and reads only mean(), so
+/// the compiler drops the stores it never reads.
 class RunningStats {
  public:
-  void add(double x);
+  void add(double x) {
+    if (n_ == 0) {
+      min_ = x;
+      max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Merges another accumulator into this one (parallel-safe reduction).
   void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }
-  double mean() const;
+  double mean() const { return n_ == 0 ? 0.0 : mean_; }
   double variance() const;  ///< Population variance; 0 when count < 2.
   double stddev() const;
   double min() const;  ///< +inf when empty.

@@ -18,6 +18,25 @@
 
 namespace xrbench::costmodel::reference {
 
+/// A strictly-ascending k-point ladder anchored at `nominal_clock` (the
+/// 1.0x multiplier is always the last, nominal, point) with the default
+/// ladder's near-linear V/f relation. Level counts that are not a multiple
+/// of the vector width exercise the kernel's scalar epilogue, and those
+/// that are not a multiple of four the lane pass's narrower blocks.
+inline hw::DvfsState ladder_with_levels(std::size_t k, double nominal_clock) {
+  hw::DvfsState dvfs;
+  dvfs.levels.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double mult = 1.0 - 0.1 * static_cast<double>(k - 1 - i);
+    hw::DvfsOperatingPoint op;
+    op.freq_ghz = nominal_clock * mult;
+    op.voltage_v = hw::kNominalVoltageV * (0.55 + 0.45 * mult);
+    dvfs.levels.push_back(op);
+  }
+  dvfs.nominal_level = k - 1;
+  return dvfs;
+}
+
 /// model_cost_at(graph, accel, l) for the operating point `op` of level l,
 /// or model_cost(graph, accel) — the configured clock at unit voltage
 /// ratio — when `op` is null.

@@ -105,5 +105,31 @@ TEST(ModelGraph, OneChangedDimensionMakesANewShapeClass) {
   }
 }
 
+TEST(ModelGraph, CopiesShareTheKeyUntilOneAdds) {
+  // A copy shares its original's key object; add() copies a shared key
+  // before it writes, so the other graph and any held key keep theirs.
+  ModelGraph g("g");
+  g.add(conv2d("conv", 4, 8, 8, 8, 3, 1));
+  const auto held = g.key();
+  ModelGraph copy = g;
+  EXPECT_EQ(copy.key(), held);
+  EXPECT_TRUE(held->matches(copy));
+
+  copy.add(elementwise("add", 512));
+  EXPECT_NE(copy.key(), held);
+  EXPECT_EQ(g.key(), held);
+  EXPECT_EQ(held->shape_classes, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(copy.shape_classes(), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_FALSE(held->matches(copy));
+
+  // A graph whose key nobody else holds writes it in place.
+  ModelGraph own("own");
+  own.add(conv2d("conv", 4, 8, 8, 8, 3, 1));
+  const GraphKey* before = own.key().get();
+  own.add(elementwise("add", 512));
+  EXPECT_EQ(own.key().get(), before);
+  EXPECT_TRUE(own.key()->matches(copy));
+}
+
 }  // namespace
 }  // namespace xrbench::costmodel

@@ -187,6 +187,108 @@ TEST(ModelMemo, CachedValueMatchesUncachedKernel) {
       *cached, cm.model_cost_all_levels(graph, sa));
 }
 
+TEST(ModelMemo, LanePassMatchesPerLevelPathAtEveryBlockRemainder) {
+  // The lane pass sums four lanes at a time, then a 1-3 lane tail, so
+  // ladders of 1-9 levels put lanes in every block width and position.
+  // model_cost_at sums one lane alone; every level's totals must equal it
+  // bit for bit, and the prefixes must be the running sums of
+  // model_cost_all_levels' layers. Besides the zoo, a graph that opens
+  // with a vector op and repeats shapes, and one of vector ops alone
+  // (no MACs, so an average utilization of 0).
+  const costmodel::Layer conv = costmodel::conv2d("conv", 16, 32, 16, 16, 3);
+  const costmodel::Layer dw = costmodel::dwconv2d("dw", 32, 16, 16, 3);
+  const costmodel::Layer add = costmodel::elementwise("add", 8192);
+  const costmodel::Layer pool_layer = costmodel::pool("pool", 32, 8, 8, 2);
+  costmodel::ModelGraph mixed("mixed"), vectors("vectors");
+  for (const auto& layer : {add, conv, add, dw, pool_layer, conv, add, dw}) {
+    mixed.add(layer);
+  }
+  for (const auto& layer : {add, pool_layer, add}) vectors.add(layer);
+  std::vector<const costmodel::ModelGraph*> graphs = {&mixed, &vectors};
+  for (models::TaskId t : models::all_tasks()) {
+    graphs.push_back(&models::model_graph(t));
+  }
+
+  const costmodel::AnalyticalCostModel cm;
+  for (std::size_t k = 1; k <= 9; ++k) {
+    auto a = accel(costmodel::Dataflow::kWS, 4096);
+    a.dvfs = costmodel::reference::ladder_with_levels(k, a.clock_ghz);
+    ASSERT_TRUE(a.valid());
+    for (const costmodel::ModelGraph* graph : graphs) {
+      SCOPED_TRACE(graph->name() + " at " + std::to_string(k) + " levels");
+      const auto columns = cm.cached_cost_columns(*graph, a);
+      ASSERT_EQ(columns->levels.size(), k);
+      for (std::size_t lvl = 0; lvl < k; ++lvl) {
+        const auto at = cm.model_cost_at(*graph, a, lvl);
+        const auto& totals = columns->levels[lvl];
+        EXPECT_EQ(totals.latency_ms, at.latency_ms);
+        EXPECT_EQ(totals.energy_mj, at.energy_mj);
+        EXPECT_EQ(totals.static_energy_mj, at.static_energy_mj);
+        EXPECT_EQ(totals.avg_utilization, at.avg_utilization);
+      }
+      costmodel::reference::expect_columns_eq(
+          *columns, cm.model_cost_all_levels(*graph, a));
+    }
+  }
+  EXPECT_EQ(cm.model_cost(vectors, accel(costmodel::Dataflow::kWS, 4096))
+                .avg_utilization,
+            0.0);
+}
+
+TEST(ModelMemo, EntriesHoldTheGraphsOwnKeyAndAddCopiesIt) {
+  // The memo interns a graph's own key object, so lookups with that graph
+  // or a copy of it match by identity. add() copies a key that anyone else
+  // holds before it writes, so an entry's key never changes.
+  costmodel::AnalyticalCostModel cm;
+  const auto a = accel(costmodel::Dataflow::kWS, 4096);
+  const auto& zoo = models::model_graph(models::TaskId::kHT);
+  const auto zoo_entry = cm.cached_cost_columns(zoo, a);
+  EXPECT_EQ(&zoo_entry->graph_key(), zoo.key().get());
+
+  // A copy shares the key object: it hits, and no key is added.
+  const costmodel::ModelGraph copy = zoo;
+  EXPECT_EQ(copy.key(), zoo.key());
+  EXPECT_EQ(cm.cached_cost_columns(copy, a).get(), zoo_entry.get());
+  auto s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.graph_keys, 1u);
+
+  // A graph of other shapes that the memo has keyed an entry on.
+  costmodel::ModelGraph graph("graph");
+  graph.add(costmodel::conv2d("conv", 4, 8, 8, 8, 3));
+  graph.add(costmodel::elementwise("add", 512));
+  const costmodel::ModelGraph pristine = graph;
+  const auto entry = cm.cached_cost_columns(graph, a);
+  const costmodel::GraphKey* key = &entry->graph_key();
+  EXPECT_EQ(key, graph.key().get());
+  EXPECT_EQ(pristine.key().get(), key);
+
+  // add() leaves the entry's key intact and gives the graph a new one.
+  graph.add(costmodel::conv2d("conv", 4, 8, 8, 8, 3));
+  EXPECT_NE(graph.key().get(), key);
+  EXPECT_EQ(&entry->graph_key(), key);
+  EXPECT_EQ(key->shape_classes, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(graph.shape_classes(), (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_TRUE(key->matches(pristine));
+  EXPECT_FALSE(key->matches(graph));
+  EXPECT_EQ(cm.cached_cost_columns(pristine, a).get(), entry.get());
+  const auto grown = cm.cached_cost_columns(graph, a);
+  EXPECT_NE(grown.get(), entry.get());
+  EXPECT_EQ(&grown->graph_key(), graph.key().get());
+  EXPECT_EQ(grown->num_layers, 3u);
+  s = cm.model_memo_stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.entries, 3u);
+  EXPECT_EQ(s.graph_keys, 3u);
+  costmodel::reference::expect_columns_eq(
+      *entry, cm.model_cost_all_levels(pristine, a));
+  costmodel::reference::expect_columns_eq(
+      *grown, cm.model_cost_all_levels(graph, a));
+}
+
 TEST(ModelMemo, KeyIsLayerShapesNotNames) {
   // Two graphs with identical layers but different names share one entry;
   // one changed dimension or one extra layer is a different key.

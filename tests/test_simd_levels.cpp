@@ -29,24 +29,7 @@ namespace {
 
 using costmodel::reference::expect_layer_cost_eq;
 using costmodel::reference::expect_model_cost_eq;
-
-/// A strictly-ascending k-point ladder anchored at `nominal_clock` (the
-/// 1.0x multiplier is always the last, nominal, point) with the default
-/// ladder's near-linear V/f relation. Level counts that are not a multiple
-/// of the vector width exercise the kernel's scalar epilogue.
-hw::DvfsState ladder_with_levels(std::size_t k, double nominal_clock) {
-  hw::DvfsState dvfs;
-  dvfs.levels.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double mult = 1.0 - 0.1 * static_cast<double>(k - 1 - i);
-    hw::DvfsOperatingPoint op;
-    op.freq_ghz = nominal_clock * mult;
-    op.voltage_v = hw::kNominalVoltageV * (0.55 + 0.45 * mult);
-    dvfs.levels.push_back(op);
-  }
-  dvfs.nominal_level = k - 1;
-  return dvfs;
-}
+using costmodel::reference::ladder_with_levels;
 
 costmodel::SubAccelConfig accel_with_levels(costmodel::Dataflow df,
                                             std::int64_t pes, std::size_t k) {
