@@ -2,26 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 #include <utility>
 
 namespace xrbench::core {
 
 namespace {
-
-/// Trials per batched task: trials / (threads * kChunksPerThread), floored
-/// at 1. Small enough that every worker gets several chunks to steal (load
-/// balance), large enough that a sub-millisecond trial stops paying one
-/// queue round-trip per trial. Inline pools get one chunk — there is no
-/// queue to amortize.
-std::size_t trial_chunk(int trials, std::size_t threads) {
-  constexpr std::size_t kChunksPerThread = 4;
-  if (threads == 0) return static_cast<std::size_t>(std::max(1, trials));
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(trials) / (threads * kChunksPerThread));
-}
 
 bool same_energy(const costmodel::EnergyParams& a,
                  const costmodel::EnergyParams& b) {
@@ -69,15 +58,32 @@ bool same_system(const hw::AcceleratorSystem& a,
   return true;
 }
 
-/// A pool job whose captures live in util::Task's inline buffer: every
-/// sweep job captures one pointer to its call's shared state plus its own
-/// indices, so enqueueing it allocates nothing.
-template <typename F>
-util::Task inline_job(F&& fn) {
-  static_assert(util::Task::fits_inline<std::decay_t<F>>,
-                "a sweep job's captures must fit util::Task's inline buffer");
-  return util::Task(std::forward<F>(fn));
-}
+/// A value built once, by the first thread that needs it; a thread that
+/// needs it meanwhile waits for that one build, then reads it. A build
+/// that throws is not retried: every reader rethrows its exception. (The
+/// callable never throws out of std::call_once, whose exceptional path
+/// hangs later callers under ThreadSanitizer's pthread_once.)
+template <typename T>
+class OnceSlot {
+ public:
+  template <typename Build>
+  const T& get(Build&& build) {
+    std::call_once(once_, [&] {
+      try {
+        value_ = build();
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+    });
+    if (error_) std::rethrow_exception(error_);
+    return value_;
+  }
+
+ private:
+  std::once_flag once_;
+  T value_{};
+  std::exception_ptr error_;
+};
 
 /// The trial loads of one sweep call: one slot per (load key, trial index).
 /// The first trial that needs a slot plans it under std::call_once; every
@@ -116,21 +122,17 @@ class SharedLoads {
   const runtime::ArrivalPlan& plan(std::size_t load, int trial,
                                    const workload::UsageScenario& scenario,
                                    const runtime::RunConfig& run) {
-    Slot& slot = loads_[load].slots[static_cast<std::size_t>(trial)];
-    std::call_once(slot.once, [&] {
+    return loads_[load].slots[static_cast<std::size_t>(trial)].get([&] {
       runtime::RunConfig cfg = run;
       cfg.seed += static_cast<std::uint64_t>(trial);
-      slot.plan = runtime::plan_arrivals(scenario, cfg);
+      runtime::ArrivalPlan plan = runtime::plan_arrivals(scenario, cfg);
       planned_->fetch_add(1, std::memory_order_relaxed);
+      return plan;
     });
-    return slot.plan;
   }
 
  private:
-  struct Slot {
-    std::once_flag once;
-    runtime::ArrivalPlan plan;
-  };
+  using Slot = OnceSlot<runtime::ArrivalPlan>;
   struct Load {
     runtime::LoadKey key;  ///< At the base seed (trial 0).
     int trials = 1;
@@ -154,18 +156,11 @@ SweepEngine::SweepEngine(std::size_t num_threads)
       scratch_(pool_.num_threads() + 1),
       table_scratch_(pool_.num_threads() + 1) {}
 
-runtime::RunScratch* SweepEngine::worker_scratch() {
-  const std::size_t slot = util::ThreadPool::current_worker_slot();
-  return slot < scratch_.size() ? &scratch_[slot] : nullptr;
-}
-
 std::unique_ptr<runtime::CostTable> SweepEngine::build_table(
-    const hw::AcceleratorSystem& system,
+    std::size_t worker, const hw::AcceleratorSystem& system,
     const costmodel::AnalyticalCostModel& model) {
-  const std::size_t slot = util::ThreadPool::current_worker_slot();
-  return std::make_unique<runtime::CostTable>(
-      system, model,
-      slot < table_scratch_.size() ? &table_scratch_[slot] : nullptr);
+  return std::make_unique<runtime::CostTable>(system, model,
+                                              &table_scratch_[worker]);
 }
 
 SweepEngine::~SweepEngine() = default;
@@ -195,46 +190,17 @@ struct SweepEngine::Unit {
   TrialSummary last{};                        ///< Of trial trials - 1.
   std::size_t group = 0;  ///< Its table build.
   std::size_t load = 0;   ///< Its SharedLoads id; scenario units only.
+  std::size_t first = 0;  ///< Its trial 0's place among the call's trials.
 };
 
 void SweepEngine::run_units(std::vector<Unit>& units) {
+  SharedLoads loads(loads_planned_);
   // Units whose points share an accelerator system and energy constants
   // share one CostTable build (policy and cascade sweeps vary only the
-  // policy or the scenario across many points of a single design).
-  struct TableGroup {
-    std::unique_ptr<runtime::CostTable> table;
-    std::vector<std::size_t> units;  ///< Ascending.
-  };
-  // Everything the jobs read; each job captures a pointer to it.
-  struct Call {
-    SweepEngine& engine;
-    std::vector<Unit>& units;
-    SharedLoads loads;
-    std::vector<TableGroup> groups;
-
-    /// Runs trial `t` of unit `u` into its slot, summarizes it when it is
-    /// the unit's last, and hands the run back to the worker's arena.
-    void trial(std::size_t u, int t) {
-      Unit& unit = units[u];
-      const runtime::ScenarioRunner runner(*unit.system,
-                                           *groups[unit.group].table);
-      runtime::RunScratch* scratch = engine.worker_scratch();
-      const std::uint64_t seed =
-          unit.options->run.seed + static_cast<std::uint64_t>(t);
-      auto run = unit.program != nullptr
-                     ? run_trial(runner, *unit.program, *unit.options, seed,
-                                 scratch)
-                     : run_trial(runner, *unit.scenario, *unit.options, seed,
-                                 scratch,
-                                 &loads.plan(unit.load, t, *unit.scenario,
-                                             unit.options->run));
-      unit.trial_scores[static_cast<std::size_t>(t)] =
-          score_scenario(run, unit.options->score);
-      if (t == unit.trials - 1) unit.last = summarize_trial(run);
-      if (scratch != nullptr) scratch->recycle(std::move(run));
-    }
-  } call{*this, units, SharedLoads(loads_planned_), {}};
-
+  // policy or the scenario across many points of a single design). Each
+  // group is built from its first unit's system and energy constants.
+  std::vector<const Unit*> groups;
+  std::size_t trials = 0;
   for (std::size_t u = 0; u < units.size(); ++u) {
     Unit& unit = units[u];
     validate_governor_overrides(*unit.options, *unit.system);
@@ -242,56 +208,67 @@ void SweepEngine::run_units(std::vector<Unit>& units) {
                       ? trials_for(*unit.program, *unit.options)
                       : trials_for(*unit.scenario, *unit.options);
     unit.trial_scores.resize(static_cast<std::size_t>(unit.trials));
+    unit.first = trials;
+    trials += static_cast<std::size_t>(unit.trials);
     if (unit.scenario != nullptr) {
-      unit.load = call.loads.add(*unit.scenario, unit.options->run,
-                                 unit.trials);
+      unit.load = loads.add(*unit.scenario, unit.options->run, unit.trials);
     }
     // A suite point's units are adjacent and share its system.
     if (u > 0 && units[u - 1].system == unit.system) {
       unit.group = units[u - 1].group;
-    } else {
-      unit.group = 0;
-      while (unit.group < call.groups.size()) {
-        const Unit& rep = units[call.groups[unit.group].units.front()];
-        if (same_system(*rep.system, *unit.system) &&
-            same_energy(rep.options->energy, unit.options->energy)) {
-          break;
-        }
-        ++unit.group;
-      }
-      if (unit.group == call.groups.size()) call.groups.emplace_back();
+      continue;
     }
-    call.groups[unit.group].units.push_back(u);
+    unit.group = 0;
+    while (unit.group < groups.size() &&
+           !(same_system(*groups[unit.group]->system, *unit.system) &&
+             same_energy(groups[unit.group]->options->energy,
+                         unit.options->energy))) {
+      ++unit.group;
+    }
+    if (unit.group == groups.size()) groups.push_back(&unit);
   }
-  call.loads.allocate();
+  loads.allocate();
 
-  for (std::size_t g = 0; g < call.groups.size(); ++g) {
-    // One table-build job per group; it fans the group's trial jobs out as
-    // soon as its cost table exists, so table builds and trials overlap
-    // across groups. Trials are chunked into batch tasks (see trial_chunk)
-    // and enqueued with a single submit_batch — each trial still writes its
-    // own slot, so chunking never changes a result.
-    pool_.submit(inline_job([c = &call, g] {
-      TableGroup& group = c->groups[g];
-      const Unit& rep = c->units[group.units.front()];
-      group.table = c->engine.build_table(
-          *rep.system, c->engine.model_for(rep.options->energy));
-      std::vector<util::Task> batch;
-      for (std::size_t u : group.units) {
-        const int trials = c->units[u].trials;
-        const auto chunk = static_cast<int>(
-            trial_chunk(trials, c->engine.pool_.num_threads()));
-        for (int t0 = 0; t0 < trials; t0 += chunk) {
-          const int t1 = std::min(trials, t0 + chunk);
-          batch.push_back(inline_job([c, u, t0, t1] {
-            for (int t = t0; t < t1; ++t) c->trial(u, t);
-          }));
-        }
-      }
-      c->engine.pool_.submit_batch(std::move(batch));
-    }));
-  }
-  pool_.wait_idle();
+  std::vector<OnceSlot<std::unique_ptr<runtime::CostTable>>> tables(
+      groups.size());
+  const auto table = [&](std::size_t worker, std::size_t g) -> auto& {
+    return *tables[g].get([&] {
+      return build_table(worker, *groups[g]->system,
+                         model_for(groups[g]->options->energy));
+    });
+  };
+  // One range: index g < G builds group g's table, and the rest run every
+  // unit's trials in unit order. The cursor hands out every build before
+  // any trial, so a trial waits, in its group's slot, only while that one
+  // table is still being built.
+  pool_.for_each(groups.size() + trials, [&](std::size_t worker,
+                                             std::size_t i) {
+    if (i < groups.size()) {
+      table(worker, i);
+      return;
+    }
+    i -= groups.size();
+    Unit& unit = *std::prev(std::upper_bound(
+        units.begin(), units.end(), i,
+        [](std::size_t k, const Unit& u) { return k < u.first; }));
+    const int t = static_cast<int>(i - unit.first);
+    const runtime::ScenarioRunner runner(*unit.system,
+                                         table(worker, unit.group));
+    runtime::RunScratch& scratch = scratch_[worker];
+    const std::uint64_t seed =
+        unit.options->run.seed + static_cast<std::uint64_t>(t);
+    auto run = unit.program != nullptr
+                   ? run_trial(runner, *unit.program, *unit.options, seed,
+                               &scratch)
+                   : run_trial(runner, *unit.scenario, *unit.options, seed,
+                               &scratch,
+                               &loads.plan(unit.load, t, *unit.scenario,
+                                           unit.options->run));
+    unit.trial_scores[static_cast<std::size_t>(t)] =
+        score_scenario(run, unit.options->score);
+    if (t == unit.trials - 1) unit.last = summarize_trial(run);
+    scratch.recycle(std::move(run));
+  });
 }
 
 std::vector<ScenarioOutcome> SweepEngine::outcomes_of(
@@ -351,9 +328,6 @@ std::vector<ScenarioOutcome> SweepEngine::run_scenario_points(
 
 std::vector<ScenarioOutcome> SweepEngine::run_program_points(
     const std::vector<ProgramSweepPoint>& points) {
-  // Touch the lazily-initialized scenario registries on this thread first;
-  // worker threads then only read them through program phases.
-  workload::extension_programs();
   std::vector<Unit> units;
   units.reserve(points.size());
   for (const ProgramSweepPoint& point : points) {
@@ -367,15 +341,9 @@ std::vector<std::unique_ptr<runtime::CostTable>> SweepEngine::build_cost_tables(
     const std::vector<hw::AcceleratorSystem>& systems,
     const costmodel::AnalyticalCostModel& cost_model) {
   std::vector<std::unique_ptr<runtime::CostTable>> tables(systems.size());
-  std::vector<util::Task> batch;
-  batch.reserve(systems.size());
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    batch.push_back(inline_job([this, &systems, &cost_model, &tables, i] {
-      tables[i] = build_table(systems[i], cost_model);
-    }));
-  }
-  pool_.submit_batch(std::move(batch));
-  pool_.wait_idle();
+  pool_.for_each(systems.size(), [&](std::size_t worker, std::size_t i) {
+    tables[i] = build_table(worker, systems[i], cost_model);
+  });
   return tables;
 }
 

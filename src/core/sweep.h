@@ -43,31 +43,29 @@ struct ProgramSweepPoint {
 /// Every call runs through one fan-out. It turns each point into units: a
 /// suite point gives one unit per suite scenario, a scenario or program
 /// point gives one unit. Units whose points share an accelerator system
-/// and energy constants share one CostTable build job, which then chunks
-/// its units' trials into batch tasks (~4 chunks per worker, submitted
-/// with one submit_batch call). Every trial is one core::run_trial call on
-/// a fresh ScenarioRunner with fresh policy instances, at the
-/// deterministic seed options.run.seed + trial. Results land in pre-sized
-/// slots and are reduced in submission order, so the output is
-/// bit-identical to a serial run of the Harness — the worker count and
-/// chunking only change wall-clock time, never a score.
+/// and energy constants share one CostTable build. The call is then one
+/// util::ThreadPool::for_each range: its first G indices build its G
+/// tables, and the rest run every unit's trials, in unit order. Every trial
+/// is one core::run_trial call on a fresh ScenarioRunner with fresh policy
+/// instances, at the deterministic seed options.run.seed + trial. Results
+/// land in pre-sized slots and are reduced in unit order, so the output is
+/// bit-identical to a serial run of the Harness: the worker count only
+/// changes wall-clock time, never a score.
 ///
 /// Thread count: pass the worker count explicitly, or use the default
 /// constructor for "auto" (XRBENCH_THREADS env var when set, else hardware
-/// concurrency). A count of 0 runs every job inline on the calling thread
-/// (the serial baseline).
+/// concurrency). A count of 0 runs every index on the calling thread (the
+/// serial baseline).
 ///
-/// Arena reuse: every task-running thread (each pool worker plus the
-/// calling thread in inline mode) owns a runtime::RunScratch and a
-/// costmodel::AllLevelsScratch keyed by
-/// util::ThreadPool::current_worker_slot(); consecutive trials on one
-/// worker reuse the same simulator event pool, request vectors and SoA
-/// record arenas, and consecutive CostTable builds the same layer-walk
-/// lanes, instead of reallocating them (results stay bit-identical — reuse
-/// is invisible to the determinism contract). Every trial ends the same
-/// way: it is scored into its slot, a unit's final trial is summarized
-/// (summarize_trial), and the run goes back to its worker's arena. No
-/// outcome keeps a raw run.
+/// Arena reuse: every worker index of the pool (each pool thread, or the
+/// caller of a 0-worker pool) owns a runtime::RunScratch and a
+/// costmodel::AllLevelsScratch; consecutive trials on one worker reuse the
+/// same simulator event pool, request vectors and SoA record arenas, and
+/// consecutive CostTable builds the same layer-walk lanes, instead of
+/// reallocating them (results stay bit-identical — reuse is invisible to
+/// the determinism contract). Every trial ends the same way: it is scored
+/// into its slot, a unit's final trial is summarized (summarize_trial),
+/// and the run goes back to its worker's arena. No outcome keeps a raw run.
 ///
 /// Shared trial loads: a trial's arrivals depend only on its
 /// runtime::LoadKey (source models, duration, seed, jitter flag), never on
@@ -147,21 +145,15 @@ class SweepEngine {
   costmodel::AnalyticalCostModel& model_for(
       const costmodel::EnergyParams& energy);
 
-  /// The calling thread's per-worker run arena, or null when the call
-  /// comes from a thread outside this engine's pool slots (a foreign
-  /// pool's worker) — the runner then falls back to a local arena.
-  runtime::RunScratch* worker_scratch();
-
-  /// `system`'s CostTable under `model`, built with the calling thread's
-  /// per-worker layer-walk lanes (the table's own scratch on a thread
-  /// outside this engine's pool slots).
+  /// `system`'s CostTable under `model`, built with `worker`'s layer-walk
+  /// lanes.
   std::unique_ptr<runtime::CostTable> build_table(
-      const hw::AcceleratorSystem& system,
+      std::size_t worker, const hw::AcceleratorSystem& system,
       const costmodel::AnalyticalCostModel& model);
 
   util::ThreadPool pool_;
-  /// One arena pair per task-running thread: slot 0 = the calling thread
-  /// (inline mode), slots 1..N = pool workers.
+  /// One arena pair per worker index: slot 0 = the caller of a 0-worker
+  /// pool, slots 1..N = pool threads.
   std::vector<runtime::RunScratch> scratch_;
   std::vector<costmodel::AllLevelsScratch> table_scratch_;
   std::vector<std::pair<costmodel::EnergyParams,

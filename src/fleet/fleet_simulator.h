@@ -32,11 +32,12 @@ namespace xrbench::fleet {
 ///
 ///  2. Execution. Every admitted session becomes ONE SweepEngine program
 ///     trial (seed = fleet_seed XOR golden-stride(session_id)) bound to its
-///     pool instance, fanned out over the worker pool through
-///     run_program_points — all instances are copies of one design, so the
-///     whole pool shares a single CostTable build. Results merge in
-///     session-id order: serial and parallel fleet runs are byte-identical
-///     at any worker count (test-enforced at 0/1/2/4/8).
+///     pool instance, run through run_program_points as one index range
+///     over the engine's worker threads — all instances are copies of one
+///     design, so the range opens with the fleet's single CostTable build
+///     and every session trial follows it. Results merge in session-id
+///     order: serial and parallel fleet runs are byte-identical at any
+///     worker count (test-enforced at 0/1/2/4/8).
 ///
 /// A single-session fleet under admit-all is bit-identical to the
 /// equivalent standalone run_program trial (the compatibility anchor).

@@ -75,8 +75,8 @@ TEST(SweepEngine, ParallelSuiteIsBitIdenticalToSerial) {
 }
 
 TEST(SweepEngine, MergeOrderByteIdenticalAcross1248Workers) {
-  // The work-stealing pool executes batches in a nondeterministic order;
-  // the submission-order result slots must erase that. Compare every
+  // The pool's workers claim trials in a nondeterministic order; the
+  // unit-order result slots must erase that. Compare every
   // field of the suite sweep's results, and every (design, suite scenario)
   // outcome of run_scenario_points, across 1/2/4/8 workers against the
   // inline serial baseline.
@@ -237,6 +237,38 @@ TEST(SweepEngine, EmptyPointListIsFine) {
   EXPECT_TRUE(engine.run_suite_points({}).empty());
   EXPECT_TRUE(engine.run_scenario_points({}).empty());
   EXPECT_EQ(engine.loads_planned(), 0u);
+}
+
+TEST(SweepEngine, AThrowingPointLeavesTheEngineReusable) {
+  // One bad point among good ones fails the whole call with
+  // std::invalid_argument: an unregistered scheduler throws in each of its
+  // trials, and a sub-accelerator with no PEs throws in its group's table
+  // build (inside the table's once_flag slot). After each throw, the same
+  // engine's next call on the good points equals a fresh engine's.
+  const auto good = suite_scenario_points(two_points());
+  ScenarioSweepPoint bad_scheduler = good[1];
+  bad_scheduler.label = "unregistered scheduler";
+  bad_scheduler.options.scheduler = "no-such-scheduler";
+  ScenarioSweepPoint bad_build = good[1];
+  bad_build.label = "no PEs";
+  bad_build.system.sub_accels[0].num_pes = 0;
+  for (std::size_t workers : {0u, 4u}) {
+    const auto expected = SweepEngine(workers).run_scenario_points(good);
+    SweepEngine engine(workers);
+    for (const ScenarioSweepPoint& bad : {bad_scheduler, bad_build}) {
+      const std::string where =
+          bad.label + " @ " + std::to_string(workers) + " workers";
+      auto points = good;
+      points.insert(points.begin() + 3, bad);
+      EXPECT_THROW(engine.run_scenario_points(points), std::invalid_argument)
+          << where;
+      const auto got = engine.run_scenario_points(good);
+      ASSERT_EQ(got.size(), expected.size()) << where;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_identical(got[i], expected[i], good[i].label + ", " + where);
+      }
+    }
+  }
 }
 
 /// Runs `points` on a fresh engine at every worker count and checks each

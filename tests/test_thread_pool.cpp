@@ -2,110 +2,137 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <chrono>
-#include <mutex>
-#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace xrbench::util {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, InlineModeRunsOnCallerThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0u);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.submit([&seen] { seen = std::this_thread::get_id(); });
-  pool.wait_idle();
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&completed] { ++completed; });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(completed.load(), 10);  // later tasks still ran
-  // The error is consumed: a subsequent wait succeeds.
-  pool.submit([&completed] { ++completed; });
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
-TEST(ThreadPool, InlineModeAlsoCapturesExceptions) {
-  ThreadPool pool(0);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, TasksCanSubmitMoreTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &count] {
-      ++count;
-      for (int j = 0; j < 4; ++j) {
-        pool.submit([&count] { ++count; });
+TEST(ThreadPool, ForEachRunsEveryIndexExactlyOnce) {
+  // Each index once, on a worker in [1, N] (or 0 on a 0-worker pool),
+  // for empty, single, short and long ranges on one pool in turn.
+  for (std::size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(pool.num_threads(), workers);
+    for (std::size_t n : {0u, 1u, 3u, 257u}) {
+      const std::string where = std::to_string(workers) + " workers, n " +
+                                std::to_string(n);
+      std::vector<std::atomic<int>> runs(n);
+      std::atomic<int> bad_worker{0};
+      pool.for_each(n, [&](std::size_t worker, std::size_t i) {
+        ++runs[i];
+        if (workers == 0 ? worker != 0 : worker < 1 || worker > workers) {
+          ++bad_worker;
+        }
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << where << ", index " << i;
       }
-    });
+      EXPECT_EQ(bad_worker.load(), 0) << where;
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 8 + 8 * 4);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
+TEST(ThreadPool, ZeroWorkerPoolRunsIndicesInOrderOnTheCaller) {
+  ThreadPool pool(0);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  pool.for_each(8, [&](std::size_t worker, std::size_t i) {
+    EXPECT_EQ(worker, 0u);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, BlockedIndexNeverHoldsBackTheOthers) {
+  // Index 0 spins until index 1 has run. Whichever worker claims index 0,
+  // the other claims index 1 from the shared cursor; a pool that handed
+  // both to one worker would spin forever (and time out).
   ThreadPool pool(2);
-  pool.wait_idle();
-  ThreadPool inline_pool(0);
-  inline_pool.wait_idle();
+  std::atomic<bool> one_ran{false};
+  pool.for_each(3, [&](std::size_t, std::size_t i) {
+    if (i == 0) {
+      while (!one_ran.load()) std::this_thread::yield();
+    } else if (i == 1) {
+      one_ran.store(true);
+    }
+  });
+  EXPECT_TRUE(one_ran.load());
 }
 
-TEST(ThreadPool, SubmitBatchRunsEveryTask) {
+TEST(ThreadPool, ForEachRethrowsFirstExceptionAfterEveryIndexRan) {
+  for (std::size_t workers : {0u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    std::atomic<int> completed{0};
+    EXPECT_THROW(pool.for_each(16,
+                               [&](std::size_t, std::size_t i) {
+                                 if (i == 5) throw std::runtime_error("boom");
+                                 ++completed;
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(completed.load(), 15);  // the other indices still ran
+    // The error is consumed: the next range succeeds.
+    EXPECT_NO_THROW(
+        pool.for_each(4, [&](std::size_t, std::size_t) { ++completed; }));
+    EXPECT_EQ(completed.load(), 19);
+  }
+  // In order on the caller, the first exception is index 2's.
+  ThreadPool inline_pool(0);
+  EXPECT_THROW(inline_pool.for_each(8,
+                                    [](std::size_t, std::size_t i) {
+                                      if (i == 2) throw std::logic_error("2");
+                                      if (i == 5) throw std::runtime_error("5");
+                                    }),
+               std::logic_error);
+}
+
+TEST(ThreadPool, BackToBackRangesNeverOverlap) {
+  // 2,000 short ranges in a row exercise the start/finish handshake: each
+  // range's indices run once, on that range's function, and every worker
+  // has checked out before for_each returns, so no index of one range
+  // runs after the next is published. One range throws midway.
+  constexpr int kRanges = 2000;
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    for (int r = 0; r < kRanges; ++r) {
+      const std::size_t n = static_cast<std::size_t>(r % 7);
+      std::vector<int> runs(n, 0);
+      std::atomic<int> late{0};
+      bool open = true;
+      const bool throws = r == kRanges / 2;
+      const auto each = [&](std::size_t, std::size_t i) {
+        ++runs[i];  // each index is its own slot: no two calls share one
+        if (!open) ++late;
+        if (throws && i == 3) throw std::runtime_error("range");
+      };
+      if (throws) {
+        EXPECT_THROW(pool.for_each(n, each), std::runtime_error);
+      } else {
+        pool.for_each(n, each);
+      }
+      open = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i], 1) << "range " << r << ", index " << i;
+      }
+      ASSERT_EQ(late.load(), 0) << "range " << r;
+    }
+  }
+}
+
+TEST(ThreadPool, SubmitBatchRunsEveryTaskAndWaitIdleRethrows) {
   ThreadPool pool(4);
-  std::atomic<int> count{0};
+  std::atomic<int> completed{0};
   std::vector<Task> batch;
   for (int i = 0; i < 257; ++i) {  // deliberately not a multiple of 4
-    batch.push_back([&count] { ++count; });
-  }
-  pool.submit_batch(std::move(batch));
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 257);
-}
-
-TEST(ThreadPool, SubmitBatchInlineRunsInOrder) {
-  ThreadPool pool(0);
-  std::vector<int> order;
-  std::vector<Task> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back([&order, i] { order.push_back(i); });
-  }
-  pool.submit_batch(std::move(batch));
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, SubmitBatchPropagatesFirstException) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  std::vector<Task> batch;
-  for (int i = 0; i < 16; ++i) {
     if (i == 5) {
       batch.push_back([] { throw std::runtime_error("batch boom"); });
     } else {
@@ -114,120 +141,13 @@ TEST(ThreadPool, SubmitBatchPropagatesFirstException) {
   }
   pool.submit_batch(std::move(batch));
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(completed.load(), 15);  // the other tasks still ran
+  EXPECT_EQ(completed.load(), 256);  // the other tasks still ran
   // The error is consumed: a subsequent batch succeeds.
-  pool.submit_batch([] {
-    std::vector<Task> ok;
-    ok.push_back([] {});
-    return ok;
-  }());
+  std::vector<Task> ok;
+  ok.push_back([&completed] { ++completed; });
+  pool.submit_batch(std::move(ok));
   EXPECT_NO_THROW(pool.wait_idle());
-}
-
-TEST(ThreadPool, SubmitBatchInlineAlsoPropagatesException) {
-  ThreadPool pool(0);
-  std::vector<Task> batch;
-  batch.push_back([] { throw std::runtime_error("inline batch boom"); });
-  pool.submit_batch(std::move(batch));
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, EmptyBatchIsFine) {
-  ThreadPool pool(2);
-  pool.submit_batch({});
-  pool.wait_idle();
-  ThreadPool inline_pool(0);
-  inline_pool.submit_batch({});
-  inline_pool.wait_idle();
-}
-
-TEST(ThreadPool, WorkIsStolenAcrossWorkers) {
-  // One submit_batch from the main thread lands contiguous chunks on the
-  // worker deques; with far more tasks than workers and each task sleeping,
-  // the run only finishes quickly if idle workers steal. Verify every
-  // worker ends up executing something.
-  constexpr std::size_t kWorkers = 4;
-  ThreadPool pool(kWorkers);
-  std::mutex mu;
-  std::set<std::thread::id> executors;
-  std::vector<Task> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back([&mu, &executors] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      std::lock_guard lock(mu);
-      executors.insert(std::this_thread::get_id());
-    });
-  }
-  pool.submit_batch(std::move(batch));
-  pool.wait_idle();
-  // Several workers participated. Not all four are guaranteed — a
-  // late-waking worker whose chunk was stolen legally executes nothing
-  // (the deterministic steal proof is IdleWorkerStealsFromBusyWorkerQueue).
-  EXPECT_GE(executors.size(), 2u);
-}
-
-TEST(ThreadPool, IdleWorkerStealsFromBusyWorkerQueue) {
-  // Batch layout with 2 workers and 3 tasks: one deque gets {A, B}, the
-  // other {C}. A spins until B has run — and B sits BEHIND A on the same
-  // deque, so the only way it can run is the C-worker stealing it from the
-  // victim's back. Without stealing this test deadlocks (and times out).
-  ThreadPool pool(2);
-  std::atomic<bool> b_ran{false};
-  std::vector<Task> batch;
-  batch.push_back([&b_ran] {
-    while (!b_ran.load()) std::this_thread::yield();
-  });
-  batch.push_back([&b_ran] { b_ran.store(true); });
-  batch.push_back([] {});
-  pool.submit_batch(std::move(batch));
-  pool.wait_idle();
-  EXPECT_TRUE(b_ran.load());
-}
-
-TEST(ThreadPool, TaskSmallBufferAvoidsHeapForSmallCaptures) {
-  // The sweep's jobs capture a few pointers and indices; those must fit
-  // the inline buffer. (Compile-time property surfaced as a test; the
-  // sweep engine also asserts fits_inline on every job it builds.)
-  struct SmallCapture {
-    void* a;
-    void* b;
-    void* c;
-    std::size_t d, e;
-    int f, g;
-  };
-  static_assert(sizeof(SmallCapture) <= Task::kInlineBytes,
-                "sweep-shaped captures must stay inline");
-  static_assert(Task::fits_inline<SmallCapture>);
-  // One word more, or a move that may throw, takes the heap cell.
-  struct OneWordTooMany {
-    SmallCapture small;
-    void* extra;
-  };
-  struct ThrowingMove {
-    ThrowingMove() = default;
-    ThrowingMove(ThrowingMove&&) noexcept(false) {}
-  };
-  static_assert(!Task::fits_inline<OneWordTooMany>);
-  static_assert(!Task::fits_inline<ThrowingMove>);
-  // Oversized captures still work through the heap fallback.
-  std::array<double, 32> big{};
-  big[7] = 42.0;
-  double seen = 0.0;
-  const auto job = [big, &seen] { seen = big[7]; };
-  static_assert(!Task::fits_inline<decltype(job)>);
-  Task task(job);
-  task();
-  EXPECT_EQ(seen, 42.0);
-}
-
-TEST(ThreadPool, TaskMoveTransfersOwnership) {
-  int runs = 0;
-  Task a([&runs] { ++runs; });
-  Task b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(completed.load(), 257);
 }
 
 TEST(ThreadPool, DefaultNumThreadsHonorsEnvVar) {
